@@ -6,7 +6,7 @@ per line, '#' comments); every run writes a JSON report and, when asked,
 CSV artifacts.
 
 Exit codes: 0 success, 2 empty harvest, 3 constraint violation, 4 resource
-limit, 1 malformed config or usage.
+or factorization limit, 1 malformed config or usage.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ import random
 import sys
 import time
 from pathlib import Path
-
-import numpy as np
 
 from .arith import PrimeSet, trial_factor
 from .characters import (
@@ -32,13 +30,13 @@ from .errors import (
     ConstraintViolation,
     EmptyHarvest,
     EnumerationCap,
+    FactorizationLimit,
     ResourceLimit,
     SunitHarvestError,
 )
 from .exponents import check_constraints, optimality_frontier, regime_exponents
 from .oracle import brute_linear_count, brute_prop1_triples, brute_sunit_pairs
 from .pipelines import (
-    DEFAULT_SEED,
     HarvestConfig,
     config_from_exponents,
     prop1_run,
@@ -103,65 +101,76 @@ def parse_config_file(path: str | Path) -> dict:
     return params
 
 
-def _parse_primes(text: str) -> PrimeSet:
-    return PrimeSet(tuple(sorted(int(tok) for tok in text.split(",") if tok.strip())))
+def _number(params: dict, key: str, default: str | None = None, kind: type = float):
+    """The value of a numeric config key; integer keys also accept forms such as 1e6."""
+    text = params.get(key, default)
+    try:
+        return kind(float(text))
+    except (ValueError, OverflowError):
+        raise ConfigError(key, f"expected a number, got {text!r}") from None
+
+
+def _parse_primes(text: str, key: str = "primes") -> PrimeSet:
+    try:
+        return PrimeSet(tuple(sorted(int(tok) for tok in text.split(",") if tok.strip())))
+    except ValueError:
+        raise ConfigError(key, f"expected comma-separated primes, got {text!r}") from None
 
 
 def _prime_triple(params: dict) -> tuple[PrimeSet, PrimeSet, PrimeSet]:
     if "t_interval" in params:
-        lo, hi = (int(v) for v in params["t_interval"].split(","))
-        m = int(params.get("t_split", 3))
+        try:
+            lo, hi = (int(v) for v in params["t_interval"].split(","))
+        except ValueError:
+            raise ConfigError("t_interval", "expected two integers lo,hi") from None
+        m = _number(params, "t_split", "3", int)
         if m != 3:
             raise ConfigError("t_split", "pipelines need exactly 3 prime sets")
-        t1, t2, t3 = split_disjoint_prime_sets(lo, hi, 3)
-        return t1, t2, t3
+        return tuple(split_disjoint_prime_sets(lo, hi, 3))
     try:
         return (
-            _parse_primes(params["t1"]),
-            _parse_primes(params["t2"]),
-            _parse_primes(params["t3"]),
+            _parse_primes(params["t1"], "t1"),
+            _parse_primes(params["t2"], "t2"),
+            _parse_primes(params["t3"], "t3"),
         )
     except KeyError as missing:
         raise ConfigError(str(missing), "missing prime set (t1/t2/t3 or t_interval)")
 
 
-def build_harvest_config(params: dict, threads: int, seed: int, cap: int | None) -> HarvestConfig:
+def build_harvest_config(params: dict, threads: int, cap: int | None) -> HarvestConfig:
     equation = params.get("equation")
     if equation not in ("thm1", "thm2", "prop1"):
         raise ConfigError("equation", f"must be thm1, thm2 or prop1, got {equation!r}")
     t1, t2, t3 = _prime_triple(params)
-    try:
-        x = int(float(params["x"]))
-    except KeyError:
+    if "x" not in params:
         raise ConfigError("x", "missing scale X")
+    x = _number(params, "x", kind=int)
     kwargs = {}
     if "enum_cap" in params:
-        kwargs["enum_cap"] = int(float(params["enum_cap"]))
+        kwargs["enum_cap"] = _number(params, "enum_cap", kind=int)
     if "hit_cap" in params:
-        kwargs["hit_cap"] = int(float(params["hit_cap"]))
+        kwargs["hit_cap"] = _number(params, "hit_cap", kind=int)
     if cap is not None:
         kwargs["hit_cap"] = cap
     cfg = config_from_exponents(
         equation,
         x,
-        float(params.get("alpha", "0.1666666666666667" if equation == "thm1" else "0.52")),
+        _number(params, "alpha", "0.1666666666666667" if equation == "thm1" else "0.52"),
         params.get("variant", "unconditional"),
-        float(params.get("delta", "0.1")),
+        _number(params, "delta", "0.1"),
         t1,
         t2,
         t3,
-        epsilon=float(params.get("epsilon", "0.01")),
+        epsilon=_number(params, "epsilon", "0.01"),
         threads=threads,
-        seed=seed,
         **kwargs,
     )
     # explicit scale overrides after derivation
-    for key in ("w",):
-        if key in params:
-            cfg.w_max = int(float(params[key]))
+    if "w" in params:
+        cfg.w_max = _number(params, "w", kind=int)
     for key in ("z", "q", "r", "y"):
         if key in params:
-            setattr(cfg, key, float(params[key]))
+            setattr(cfg, key, _number(params, key))
     cfg.validate()
     return cfg
 
@@ -183,18 +192,17 @@ def _run_pipeline(args) -> int:
     params = parse_config_file(args.config)
     if args.command == "prop1":
         t1, t2, t3 = _prime_triple(params)
-        x = int(float(params.get("x", "500")))
         report = prop1_run(
-            x,
+            _number(params, "x", "500", int),
             t1,
             t2,
             t3,
-            triple_cap=args.cap or int(float(params.get("triple_cap", "2000000"))),
+            triple_cap=args.cap or _number(params, "triple_cap", "2000000", int),
             threads=args.threads,
-            epsilon=float(params.get("epsilon", "0.01")),
+            epsilon=_number(params, "epsilon", "0.01"),
         )
     else:
-        cfg = build_harvest_config(params, args.threads, args.seed, args.cap)
+        cfg = build_harvest_config(params, args.threads, args.cap)
         if cfg.equation != args.command:
             raise ConfigError("equation", f"config says {cfg.equation}, command is {args.command}")
         report = thm1_run(cfg) if args.command == "thm1" else thm2_run(cfg)
@@ -398,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write the JSON report here")
         p.add_argument("--solutions", help="write the CSV artifact here")
         p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        p.add_argument("--seed", type=int, default=20240601)
         p.add_argument("--cap", type=int, default=None, help="resource cap override")
 
     for name in ("thm1", "thm2", "prop1"):
@@ -445,8 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    random.seed(args.seed)
-    np.random.seed(args.seed % 2**32)
     try:
         if args.command in ("thm1", "thm2", "prop1"):
             return _run_pipeline(args)
@@ -470,7 +476,7 @@ def main(argv=None) -> int:
     except ConstraintViolation as err:
         print(f"constraint violation: {err}", file=sys.stderr)
         return EXIT_CONSTRAINT
-    except (ResourceLimit, EnumerationCap) as err:
+    except (ResourceLimit, EnumerationCap, FactorizationLimit) as err:
         print(f"resource limit: {err}", file=sys.stderr)
         return EXIT_RESOURCE
     except SunitHarvestError as err:

@@ -10,18 +10,23 @@ bucket becomes an actual solution of the target equation:
     thm2   a*u + b + 1 = c*w      ->  A + B + 1 = C    (A, B, C) = (a*u, b, c*w)
     prop1  a1*z1 + a2*z2 + a3*z3 = 0  ->  a + b = c    after gcd reduction
 
+All three run on one core: each supplies a walk that lists one coefficient's
+hits as (key, payload) pairs, `_harvest` tallies them and fixes the popular
+bucket, and each maps that bucket's hits to candidate solutions, which
+`_keep_verified` dedupes, verifies and emits as rows solution + payload + key.
+
 Hits are enumerated by residue stepping (w walks an arithmetic progression mod
-a), which is what makes the desk scale feasible.  Enumeration may fan out over
-worker threads; partial tallies merge in sorted modulus order so reports are
-identical for every schedule.
+a), which is what makes the desk scale feasible.  Walks may fan out over
+worker threads; their hits are tallied in sorted coefficient order, so reports
+are identical for every schedule.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from math import ceil, gcd, log2, sqrt
-from typing import Callable, Iterable, Sequence
+from dataclasses import asdict, dataclass, field
+from math import ceil, gcd, log2, prod, sqrt
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .arith import PrimeSet, factor_over, prime_support
 from .errors import (
@@ -35,8 +40,6 @@ from .exponents import regime_exponents
 from .report import compare_bounds
 from .siegel import siegel_nonzero_coords
 from .smooth import enumerate_squarefree_smooth
-
-DEFAULT_SEED = 20240601
 
 
 @dataclass
@@ -57,8 +60,7 @@ class HarvestReport:
     s_prime: tuple[int, ...]
     s_full: tuple[int, ...]
     popular_key: tuple
-    solutions: tuple
-    solution_rows: tuple  # per kept solution, with originating variables
+    solution_rows: tuple  # per kept solution: solution + originating variables + key
     bucket_stats: dict
     set_sizes: dict
     audits: dict
@@ -66,21 +68,14 @@ class HarvestReport:
     s_bound: dict | None = None
     config_echo: dict | None = None
 
+    @property
+    def solutions(self) -> tuple:
+        """The kept solutions in sorted order: the leading columns of each row."""
+        width = 2 if self.equation == "thm1" else 3
+        return tuple(row[:width] for row in self.solution_rows)
+
     def as_dict(self) -> dict:
-        return {
-            "equation": self.equation,
-            "s_prime": list(self.s_prime),
-            "s_full": list(self.s_full),
-            "popular_key": list(self.popular_key),
-            "solutions": [list(t) for t in self.solutions],
-            "solution_rows": [list(r) for r in self.solution_rows],
-            "bucket_stats": self.bucket_stats,
-            "set_sizes": self.set_sizes,
-            "audits": self.audits,
-            "bound_comparison": self.bound_comparison,
-            "s_bound": self.s_bound,
-            "config_echo": self.config_echo,
-        }
+        return {**asdict(self), "solutions": self.solutions}
 
 
 @dataclass
@@ -109,7 +104,6 @@ class HarvestConfig:
     enum_cap: int = 2_000_000
     hit_cap: int = 50_000_000
     threads: int = 1
-    seed: int = DEFAULT_SEED
 
     def validate(self):
         if self.equation not in ("thm1", "thm2", "prop1"):
@@ -152,7 +146,6 @@ class HarvestConfig:
             "alpha": self.alpha,
             "variant": self.variant,
             "epsilon": self.epsilon,
-            "seed": self.seed,
         }
 
 
@@ -205,6 +198,18 @@ def _range(scale: float, delta: float) -> tuple[int, int]:
     return max(2, ceil(scale ** (1 - delta))), int(scale)
 
 
+def _window_sets(config: HarvestConfig, equation: str, scales: tuple) -> list[tuple[int, ...]]:
+    """Validate the config, then list the squarefree smooth numbers over t1, t2
+    and t3 in the windows of the three scales."""
+    config.validate()
+    if config.equation != equation:
+        raise ConfigError("equation", f"config is not a {equation} config")
+    return [
+        enumerate_squarefree_smooth(t, *_range(scale, config.delta), config.enum_cap).values()
+        for t, scale in zip((config.t1, config.t2, config.t3), scales)
+    ]
+
+
 def popular_bucket(buckets: Iterable[SolutionBucket] | dict) -> SolutionBucket:
     """The bucket of maximal count; ties go to the lexicographically smallest key."""
     if isinstance(buckets, dict):
@@ -226,7 +231,10 @@ def popular_bucket(buckets: Iterable[SolutionBucket] | dict) -> SolutionBucket:
 
 
 def verify_sunit_solution(tup: Sequence[int], equation: str, S: PrimeSet) -> bool:
-    """Equation holds exactly and every component factors over S (|1| admitted)."""
+    """Equation holds exactly and every component factors over S (|1| admitted).
+
+    prop1 solutions must also be coprime.
+    """
 
     def smooth_ok(v: int) -> bool:
         v = abs(v)
@@ -250,39 +258,82 @@ def verify_sunit_solution(tup: Sequence[int], equation: str, S: PrimeSet) -> boo
         if len(tup) != 3:
             return False
         a, b, c = tup
-        return a + b == c and a >= 1 and b >= 1 and all(smooth_ok(v) for v in tup)
+        return (
+            a + b == c and a >= 1 and b >= 1 and gcd(a, b) == 1
+            and all(smooth_ok(v) for v in tup)
+        )
     raise DomainError(f"unknown equation {equation!r}")
 
 
 def _parallel_over(
     items: Sequence, worker: Callable, threads: int
-) -> list:
-    """Apply worker to each item, possibly on a pool; results in item order."""
+) -> Iterator:
+    """Apply worker to each item, possibly on a pool; yields results in item order.
+
+    With one thread each result is computed only when the previous one has
+    been consumed, so a caller that folds results in holds one at a time.
+    """
     if threads <= 1 or len(items) <= 1:
-        return [worker(it) for it in items]
+        yield from map(worker, items)
+        return
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, items))
+        yield from pool.map(worker, items)
 
 
-def _tally(hit_stream: Iterable[tuple]) -> dict[tuple, SolutionBucket]:
+def _harvest(
+    items: Sequence, walk: Callable, threads: int
+) -> tuple[dict, dict, SolutionBucket, list]:
+    """Walk every item, tally the (key, payload) hits and fix the popular bucket.
+
+    walk(item) returns (hits, audit).  Hits are tallied as each item's result
+    arrives, in item order, so bucket contents do not depend on the schedule.
+    Returns the buckets, their statistics, the popular bucket and the per-item
+    audits; raises EmptyHarvest when no item produced a hit.
+    """
     buckets: dict[tuple, SolutionBucket] = {}
-    for key, payload in hit_stream:
-        b = buckets.get(key)
-        if b is None:
-            b = buckets[key] = SolutionBucket(key)
-        b.hits.append(payload)
-    return buckets
-
-
-def _bucket_stats(buckets: dict[tuple, SolutionBucket]) -> dict:
+    audits = []
+    for hits, audit in _parallel_over(items, walk, threads):
+        for key, payload in hits:
+            b = buckets.get(key)
+            if b is None:
+                b = buckets[key] = SolutionBucket(key)
+            b.hits.append(payload)
+        audits.append(audit)
+    popular = popular_bucket(buckets)
     total = sum(b.count for b in buckets.values())
-    nonempty = sum(1 for b in buckets.values() if b.count)
-    return {
+    stats = {
         "total_hits": total,
-        "nonempty_buckets": nonempty,
-        "max_load": max((b.count for b in buckets.values()), default=0),
-        "pigeonhole_floor": ceil(total / nonempty) if nonempty else 0,
+        "nonempty_buckets": len(buckets),
+        "max_load": popular.count,
+        "pigeonhole_floor": ceil(total / len(buckets)),
     }
+    return buckets, stats, popular, audits
+
+
+def _keep_verified(
+    candidates: Iterable[tuple], equation: str, s_prime: PrimeSet, key: tuple
+) -> tuple[PrimeSet, tuple, int, int]:
+    """Adjoin the primes of the popular key to S' and keep the candidates that verify.
+
+    candidates yields (solution, payload) pairs.  Returns the enlarged set S,
+    the sorted rows solution + payload + key of the distinct verified
+    solutions, the number of duplicate candidates and the number of failures.
+    """
+    S = s_prime.union(PrimeSet(prime_support(prod(key))))
+    seen = set()
+    rows = []
+    duplicates = failures = 0
+    for solution, payload in candidates:
+        if solution in seen:
+            duplicates += 1
+            continue
+        seen.add(solution)
+        if not verify_sunit_solution(solution, equation, S):
+            failures += 1
+            continue
+        rows.append(solution + payload + key)
+    rows.sort()
+    return S, tuple(rows), duplicates, failures
 
 
 def thm1_harvest(
@@ -302,7 +353,6 @@ def thm1_harvest(
     """Core A + 1 = C harvest over explicit coefficient sets."""
     a_values = sorted(a_values)
     c_values = sorted(c_values)
-    gcd_skips = 0
 
     def walk(a: int) -> tuple[list, int]:
         hits, skips = [], 0
@@ -317,33 +367,11 @@ def thm1_harvest(
                 w += a
         return hits, skips
 
-    merged: list[tuple] = []
-    for hits, skips in _parallel_over(a_values, walk, threads):
-        merged.extend(hits)
-        gcd_skips += skips
-
-    buckets = _tally(merged)
-    stats = _bucket_stats(buckets)
-    popular = popular_bucket(buckets)  # EmptyHarvest when nothing stepped
+    _, stats, popular, gcd_skips = _harvest(a_values, walk, threads)
     u, w = popular.key
-
-    S = s_prime.union(PrimeSet(prime_support(u * w)))
-
-    seen = set()
-    solutions, rows = [], []
-    verify_failures = 0
-    for a, c in popular.hits:
-        A, C = a * u, c * w
-        if (A, C) in seen:
-            continue
-        seen.add((A, C))
-        if not verify_sunit_solution((A, C), "thm1", S):
-            verify_failures += 1
-            continue
-        solutions.append((A, C))
-        rows.append((A, C, a, c, u, w))
-    solutions.sort()
-    rows.sort()
+    S, rows, _, verify_failures = _keep_verified(
+        (((a * u, c * w), (a, c)) for a, c in popular.hits), "thm1", s_prime, popular.key
+    )
 
     s = len(S)
     s_bound = None
@@ -360,12 +388,11 @@ def thm1_harvest(
         s_prime=s_prime.primes,
         s_full=S.primes,
         popular_key=popular.key,
-        solutions=tuple(solutions),
-        solution_rows=tuple(rows),
+        solution_rows=rows,
         bucket_stats=stats,
         set_sizes=set_sizes or {"A": len(a_values), "C": len(c_values)},
-        audits={"gcd_skips": gcd_skips, "verify_failures": verify_failures},
-        bound_comparison=compare_bounds(s, "thm1", epsilon, len(solutions)),
+        audits={"gcd_skips": sum(gcd_skips), "verify_failures": verify_failures},
+        bound_comparison=compare_bounds(s, "thm1", epsilon, len(rows)),
         s_bound=s_bound,
         config_echo=config_echo,
     )
@@ -373,25 +400,12 @@ def thm1_harvest(
 
 def thm1_run(config: HarvestConfig) -> HarvestReport:
     """Harvest solutions of A + 1 = C from near-solutions of a*u + 1 = c*w."""
-    config.validate()
-    if config.equation != "thm1":
-        raise ConfigError("equation", "config is not a thm1 config")
-    q_lo, q_hi = _range(config.q, config.delta)
-    r_lo, r_hi = _range(config.r, config.delta)
-    a_lo, a_hi = _range(config.z, config.delta)
-    q_set = enumerate_squarefree_smooth(config.t1, q_lo, q_hi, config.enum_cap)
-    r_set = enumerate_squarefree_smooth(config.t2, r_lo, r_hi, config.enum_cap)
-    a_set = enumerate_squarefree_smooth(config.t3, a_lo, a_hi, config.enum_cap)
+    q_values, r_values, a_values = _window_sets(config, "thm1", (config.q, config.r, config.z))
 
-    products: dict[int, tuple[int, int]] = {}
-    for qv in q_set.values():
-        for rv in r_set.values():
-            c = qv * rv
-            if c in products:
-                raise DuplicateProducts(f"product {c} arises twice")
-            products[c] = (qv, rv)
-    c_values = sorted(products)
-    a_values = [m.value for m in a_set.members]
+    c_values = sorted(qv * rv for qv in q_values for rv in r_values)
+    for c, c_next in zip(c_values, c_values[1:]):
+        if c == c_next:
+            raise DuplicateProducts(f"product {c} arises twice")
 
     if len(a_values) * len(c_values) > config.hit_cap:
         raise ResourceLimit("a x c pair count beyond hit cap")
@@ -407,9 +421,9 @@ def thm1_run(config: HarvestConfig) -> HarvestReport:
         epsilon=config.epsilon,
         threads=config.threads,
         set_sizes={
-            "Q": len(q_set),
-            "R": len(r_set),
-            "A": len(a_set),
+            "Q": len(q_values),
+            "R": len(r_values),
+            "A": len(a_values),
             "C": len(c_values),
         },
         config_echo=config.echo(),
@@ -441,7 +455,7 @@ def thm2_harvest(
     b_values = sorted(b_values)
     c_values = sorted(c_values)
 
-    def walk(a: int) -> tuple[list, int, int, int]:
+    def walk(a: int) -> tuple[list, tuple[int, int, int]]:
         hits, skips, u0, coprime_b = [], 0, 0, 0
         for b in b_values:
             if gcd(b + 1, a) == 1:
@@ -462,63 +476,34 @@ def thm2_harvest(
                     else:
                         hits.append(((u, w), (a, b, c)))
                     w += a
-        return hits, skips, u0, coprime_b
+        return hits, (skips, u0, coprime_b)
 
-    merged: list[tuple] = []
-    gcd_skips = u0_discards = 0
-    coprime_b_counts = []
-    for hits, skips, u0, cb in _parallel_over(a_values, walk, threads):
-        merged.extend(hits)
-        gcd_skips += skips
-        u0_discards += u0
-        coprime_b_counts.append(cb)
-
-    buckets = _tally(merged)
-    stats = _bucket_stats(buckets)
-    popular = popular_bucket(buckets)
+    buckets, stats, popular, per_modulus = _harvest(a_values, walk, threads)
+    gcd_skips, u0_discards, coprime_b_counts = zip(*per_modulus)
     u, w = popular.key
-
-    S = s_prime.union(PrimeSet(prime_support(abs(u) * w)))
-
-    seen = set()
-    solutions, rows = [], []
-    degenerate = verify_failures = 0
-    for a, b, c in popular.hits:
-        A, B, C = a * u, b, c * w
-        if A == -1 or B == -1 or C == 1:
-            degenerate += 1
-            continue
-        if (A, B, C) in seen:
-            continue
-        seen.add((A, B, C))
-        if not verify_sunit_solution((A, B, C), "thm2", S):
-            verify_failures += 1
-            continue
-        solutions.append((A, B, C))
-        rows.append((A, B, C, a, b, c, u, w))
-    solutions.sort()
-    rows.sort()
+    candidates = [((a * u, b, c * w), (a, b, c)) for a, b, c in popular.hits]
+    nondegenerate = [(t, p) for t, p in candidates if t[0] != -1 and t[1] != -1 and t[2] != 1]
+    degenerate = len(candidates) - len(nondegenerate)
+    S, rows, _, verify_failures = _keep_verified(nondegenerate, "thm2", s_prime, popular.key)
 
     audits = {
-        "gcd_skips": gcd_skips,
-        "u_zero_discards": u0_discards,
+        "gcd_skips": sum(gcd_skips),
+        "u_zero_discards": sum(u0_discards),
         "degenerate_filtered": degenerate,
         "verify_failures": verify_failures,
         "coprime_b_min_fraction": (
-            min(cb / len(b_values) for cb in coprime_b_counts)
-            if b_values and coprime_b_counts
-            else 1.0
+            min(cb / len(b_values) for cb in coprime_b_counts) if b_values else 1.0
         ),
         "u_range_observed": [
-            min((k[0] for k in buckets), default=0),
-            max((k[0] for k in buckets), default=0),
+            min(k[0] for k in buckets),
+            max(k[0] for k in buckets),
         ],
         # large multiplicities here would already be solutions in disguise,
         # so the maxima feed the error-term side of the report
-        "pair_collision_b": list(pair_collision_stats(b_values, "difference"))
+        "pair_collision_b": list(pair_collision_stats(b_values))
         if len(b_values) ** 2 <= 4_000_000
         else None,
-        "pair_collision_c": list(pair_collision_stats(c_values, "difference"))
+        "pair_collision_c": list(pair_collision_stats(c_values))
         if len(c_values) ** 2 <= 4_000_000
         else None,
     }
@@ -532,30 +517,18 @@ def thm2_harvest(
         s_prime=s_prime.primes,
         s_full=S.primes,
         popular_key=popular.key,
-        solutions=tuple(solutions),
-        solution_rows=tuple(rows),
+        solution_rows=rows,
         bucket_stats=stats,
         set_sizes={"A": len(a_values), "B": len(b_values), "C": len(c_values)},
         audits=audits,
-        bound_comparison=compare_bounds(len(S), "thm2", epsilon, len(solutions)),
+        bound_comparison=compare_bounds(len(S), "thm2", epsilon, len(rows)),
         config_echo=config_echo,
     )
 
 
 def thm2_run(config: HarvestConfig) -> HarvestReport:
     """Harvest solutions of A + B + 1 = C from near-solutions of a*u + b + 1 = c*w."""
-    config.validate()
-    if config.equation != "thm2":
-        raise ConfigError("equation", "config is not a thm2 config")
-    c_lo, c_hi = _range(config.x, config.delta)
-    b_lo, b_hi = _range(config.y, config.delta)
-    a_lo, a_hi = _range(config.z, config.delta)
-    c_set = enumerate_squarefree_smooth(config.t1, c_lo, c_hi, config.enum_cap)
-    b_set = enumerate_squarefree_smooth(config.t2, b_lo, b_hi, config.enum_cap)
-    a_set = enumerate_squarefree_smooth(config.t3, a_lo, a_hi, config.enum_cap)
-    c_values = [m.value for m in c_set.members]
-    b_values = [m.value for m in b_set.members]
-    a_values = [m.value for m in a_set.members]
+    c_values, b_values, a_values = _window_sets(config, "thm2", (config.x, config.y, config.z))
 
     if len(a_values) * len(c_values) * len(b_values) > config.hit_cap:
         raise ResourceLimit("a x c x b triple count beyond hit cap")
@@ -615,57 +588,27 @@ def prop1_run(
                 hits.append((sol.z, (a1, a2, a3)))
         return hits, skipped
 
-    merged: list[tuple] = []
-    skipped_triples = 0
-    for hits, skipped in _parallel_over(list(sets[0]), scan, threads):
-        merged.extend(hits)
-        skipped_triples += skipped
+    _, stats, popular, skipped = _harvest(list(sets[0]), scan, threads)
+    skipped_triples = sum(skipped)
 
-    buckets = _tally(merged)
-    stats = _bucket_stats(buckets)
-    popular = popular_bucket(buckets)
-    z1, z2, z3 = popular.key
+    def reduced(alphas: tuple) -> tuple:
+        # a1*z1 + a2*z2 + a3*z3 = 0 with every term nonzero: after dividing out
+        # the gcd, the two smaller magnitudes a <= b add up to the largest c
+        t = sorted(abs(a * z) for a, z in zip(alphas, popular.key))
+        g = gcd(*t)
+        return tuple(v // g for v in t), alphas
 
     s_prime = T1.union(T2).union(T3)
-    S = s_prime.union(PrimeSet(prime_support(abs(z1 * z2 * z3))))
-
-    reduced = []
-    for a1, a2, a3 in popular.hits:
-        t = (a1 * z1, a2 * z2, a3 * z3)
-        g = gcd(gcd(abs(t[0]), abs(t[1])), abs(t[2]))
-        reduced.append((tuple(v // g for v in t), (a1, a2, a3)))
-
-    seen = set()
-    duplicates = verify_failures = 0
-    solutions, rows = [], []
-    for t, alphas in reduced:
-        pos = sorted(v for v in t if v > 0)
-        neg = sorted(-v for v in t if v < 0)
-        if len(neg) == 1:
-            a, b = pos
-            c = neg[0]
-        else:
-            a, b = neg
-            c = pos[0]
-        if (a, b, c) in seen:
-            duplicates += 1
-            continue
-        seen.add((a, b, c))
-        if not verify_sunit_solution((a, b, c), "prop1", S) or gcd(a, b) != 1:
-            verify_failures += 1
-            continue
-        solutions.append((a, b, c))
-        rows.append((a, b, c) + alphas + popular.key)
-    solutions.sort()
-    rows.sort()
+    S, rows, duplicates, verify_failures = _keep_verified(
+        map(reduced, popular.hits), "prop1", s_prime, popular.key
+    )
 
     return HarvestReport(
         equation="prop1",
         s_prime=s_prime.primes,
         s_full=S.primes,
         popular_key=popular.key,
-        solutions=tuple(solutions),
-        solution_rows=tuple(rows),
+        solution_rows=rows,
         bucket_stats=stats,
         set_sizes={"A1": len(sets[0]), "A2": len(sets[1]), "A3": len(sets[2])},
         audits={
@@ -674,47 +617,26 @@ def prop1_run(
             "reduced_duplicates": duplicates,
             "verify_failures": verify_failures,
         },
-        bound_comparison=compare_bounds(len(S), "prop1", epsilon, len(solutions)),
+        bound_comparison=compare_bounds(len(S), "prop1", epsilon, len(rows)),
     )
 
 
-def pair_collision_stats(
-    values: Sequence[int], mode: str, cap: int = 100_000_000
-) -> tuple[int, int]:
-    """Max over n != 0 of the pair-collision multiplicity, with a witness n.
+def pair_collision_stats(values: Sequence[int], cap: int = 100_000_000) -> tuple[int, int]:
+    """Max over n != 0 of the number of pairs with c - c' = n, with a witness n.
 
-    mode 'difference' counts ordered pairs with c - c' = n; 'product_difference'
-    counts ordered quadruples with c*c' - c''*c''' = n.  Counts at n and -n
-    agree by symmetry, so the witness is the smallest positive arg-max (0 when
-    no pair exists).
+    Counts at n and -n agree by symmetry, so the witness is the smallest
+    positive arg-max (0 when no pair exists).
     """
     vals = sorted(values)
     m = len(vals)
-    if mode == "difference":
-        if m * m > cap:
-            raise ResourceLimit("pair count beyond cap")
-        tally: dict[int, int] = {}
-        for i, c in enumerate(vals):
-            for cp in vals[:i]:
-                n = c - cp
-                if n:
-                    tally[n] = tally.get(n, 0) + 1
-    elif mode == "product_difference":
-        prods: dict[int, int] = {}
-        for c in vals:
-            for cp in vals:
-                p = c * cp
-                prods[p] = prods.get(p, 0) + 1
-        if len(prods) ** 2 > cap:
-            raise ResourceLimit("product-pair count beyond cap")
-        tally = {}
-        keys = sorted(prods)
-        for i, p in enumerate(keys):
-            for pp in keys[:i]:
-                n = p - pp
-                tally[n] = tally.get(n, 0) + prods[p] * prods[pp]
-    else:
-        raise DomainError(f"unknown mode {mode!r}")
+    if m * m > cap:
+        raise ResourceLimit("pair count beyond cap")
+    tally: dict[int, int] = {}
+    for i, c in enumerate(vals):
+        for cp in vals[:i]:
+            n = c - cp
+            if n:
+                tally[n] = tally.get(n, 0) + 1
     if not tally:
         return 0, 0
     best = max(tally.items(), key=lambda kv: (kv[1], -kv[0]))

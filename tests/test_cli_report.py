@@ -5,7 +5,8 @@ import pytest
 
 from sunit_harvest.arith import PrimeSet
 from sunit_harvest.cli import main, parse_config_file
-from sunit_harvest.errors import ConfigError, DomainError
+from sunit_harvest import cli
+from sunit_harvest.errors import ConfigError, DomainError, FactorizationLimit
 from sunit_harvest.pipelines import verify_sunit_solution
 from sunit_harvest.report import (
     compare_bounds,
@@ -105,6 +106,41 @@ def test_cli_exit_codes(tmp_path):
     cfg4 = tmp_path / "capped.cfg"
     cfg4.write_text(THM1_CFG + "hit_cap=1\n")
     assert main(["thm1", "--config", str(cfg4)]) == 4
+
+
+@pytest.mark.parametrize(
+    "command, old, new",
+    [
+        ("thm1", "x=1000000", "x=abc"),
+        ("thm1", "delta=0.1", "delta=tenth"),
+        ("thm1", "t1=2,3,", "t1=2,three,"),
+        ("thm1", "x=1000000", "x=1000000\nw=inf"),
+        ("prop1", "x=1000000", "x=abc"),
+        ("prop1", "x=1000000", "x=600\ntriple_cap=lots"),
+        ("prop1", "t1=2,3,17,19,23,29,31,37,41,43\n", "t_interval=2\n"),
+    ],
+)
+def test_cli_bad_config_value(tmp_path, capsys, command, old, new):
+    # every malformed numeric value ends as a one-line config error, exit 1
+    cfg = tmp_path / "bad.cfg"
+    text = THM1_CFG.replace(old, new)
+    if command == "prop1":
+        text = text.replace("equation=thm1", "equation=prop1")
+    cfg.write_text(text)
+    assert main([command, "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+
+
+def test_cli_factorization_limit_exit(tmp_path, capsys, monkeypatch):
+    def give_up(config):
+        raise FactorizationLimit("popular key did not factor")
+
+    monkeypatch.setattr(cli, "thm1_run", give_up)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(THM1_CFG)
+    assert main(["thm1", "--config", str(cfg)]) == 4
+    assert capsys.readouterr().err.startswith("resource limit:")
 
 
 def test_cli_report_determinism(tmp_path):
