@@ -10,7 +10,13 @@ a + b = c after dividing out common factors.
 Run: python demos/harvest_coprime_sums.py
 """
 
-from sunit_harvest import PrimeSet, brute_prop1_triples, prop1_run, split_disjoint_prime_sets
+from sunit_harvest import (
+    PrimeSet,
+    brute_prop1_triples,
+    prop1_config,
+    prop1_run,
+    split_disjoint_prime_sets,
+)
 
 X = 600
 T1, T2, T3 = split_disjoint_prime_sets(2, 113, 3)
@@ -18,7 +24,7 @@ print("round-robin prime split of [2, 113]:")
 for name, t in (("T1", T1), ("T2", T2), ("T3", T3)):
     print(f"  {name} = {t.primes}")
 
-report = prop1_run(X, T1, T2, T3)
+report = prop1_run(prop1_config(X, T1, T2, T3))
 
 print("\ncoefficient set sizes:", report.set_sizes)
 print("bucket stats:", report.bucket_stats)

@@ -72,6 +72,7 @@ from .pipelines import (
     config_from_exponents,
     pair_collision_stats,
     popular_bucket,
+    prop1_config,
     prop1_run,
     thm1_run,
     thm2_run,

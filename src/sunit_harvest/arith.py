@@ -61,9 +61,6 @@ class PrimeSet:
     def __iter__(self):
         return iter(self.primes)
 
-    def __contains__(self, p: int) -> bool:
-        return p in set(self.primes)
-
     def union(self, other: "PrimeSet") -> "PrimeSet":
         return PrimeSet(tuple(sorted(set(self.primes) | set(other.primes))))
 

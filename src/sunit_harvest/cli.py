@@ -16,6 +16,8 @@ import json
 import random
 import sys
 import time
+from decimal import Decimal
+from math import isfinite
 from pathlib import Path
 
 from .arith import PrimeSet, trial_factor
@@ -39,6 +41,7 @@ from .oracle import brute_linear_count, brute_prop1_triples, brute_sunit_pairs
 from .pipelines import (
     HarvestConfig,
     config_from_exponents,
+    prop1_config,
     prop1_run,
     thm1_run,
     thm2_run,
@@ -78,7 +81,6 @@ _PIPELINE_KEYS = {
     "t_split",
     "enum_cap",
     "hit_cap",
-    "triple_cap",
 }
 
 
@@ -102,12 +104,17 @@ def parse_config_file(path: str | Path) -> dict:
 
 
 def _number(params: dict, key: str, default: str | None = None, kind: type = float):
-    """The value of a numeric config key; integer keys also accept forms such as 1e6."""
+    """The exact value of a numeric config key; integer keys accept 1e6 but not 2.9."""
     text = params.get(key, default)
     try:
-        return kind(float(text))
-    except (ValueError, OverflowError):
+        if not isfinite(float(text)):
+            raise ValueError(text)
+    except ValueError:
         raise ConfigError(key, f"expected a number, got {text!r}") from None
+    value = Decimal(text)  # exact; unlike Fraction, it never expands a huge exponent
+    if kind is int and value != value.to_integral_value():
+        raise ConfigError(key, f"expected an integer, got {text!r}")
+    return kind(value)
 
 
 def _parse_primes(text: str, key: str = "primes") -> PrimeSet:
@@ -137,7 +144,7 @@ def _prime_triple(params: dict) -> tuple[PrimeSet, PrimeSet, PrimeSet]:
         raise ConfigError(str(missing), "missing prime set (t1/t2/t3 or t_interval)")
 
 
-def build_harvest_config(params: dict, threads: int, cap: int | None) -> HarvestConfig:
+def build_harvest_config(params: dict, cap: int | None) -> HarvestConfig:
     equation = params.get("equation")
     if equation not in ("thm1", "thm2", "prop1"):
         raise ConfigError("equation", f"must be thm1, thm2 or prop1, got {equation!r}")
@@ -145,26 +152,19 @@ def build_harvest_config(params: dict, threads: int, cap: int | None) -> Harvest
     if "x" not in params:
         raise ConfigError("x", "missing scale X")
     x = _number(params, "x", kind=int)
-    kwargs = {}
-    if "enum_cap" in params:
-        kwargs["enum_cap"] = _number(params, "enum_cap", kind=int)
-    if "hit_cap" in params:
-        kwargs["hit_cap"] = _number(params, "hit_cap", kind=int)
+    kwargs = {"delta": _number(params, "delta", "0.1"), "epsilon": _number(params, "epsilon", "0.01")}
+    for key in ("enum_cap", "hit_cap"):
+        if key in params:
+            kwargs[key] = _number(params, key, kind=int)
     if cap is not None:
         kwargs["hit_cap"] = cap
-    cfg = config_from_exponents(
-        equation,
-        x,
-        _number(params, "alpha", "0.1666666666666667" if equation == "thm1" else "0.52"),
-        params.get("variant", "unconditional"),
-        _number(params, "delta", "0.1"),
-        t1,
-        t2,
-        t3,
-        epsilon=_number(params, "epsilon", "0.01"),
-        threads=threads,
-        **kwargs,
-    )
+    if equation == "prop1":
+        # no regime check: prop1 configs may carry an alpha that the thm2 check rejects
+        cfg = prop1_config(x, t1, t2, t3, **kwargs)
+    else:
+        alpha = _number(params, "alpha", "0.1666666666666667" if equation == "thm1" else "0.52")
+        variant = params.get("variant", "unconditional")
+        cfg = config_from_exponents(equation, x, alpha, variant, t1=t1, t2=t2, t3=t3, **kwargs)
     # explicit scale overrides after derivation
     if "w" in params:
         cfg.w_max = _number(params, "w", kind=int)
@@ -189,23 +189,11 @@ def _emit(payload: dict, out: str | None):
 
 def _run_pipeline(args) -> int:
     t0 = time.time()
-    params = parse_config_file(args.config)
-    if args.command == "prop1":
-        t1, t2, t3 = _prime_triple(params)
-        report = prop1_run(
-            _number(params, "x", "500", int),
-            t1,
-            t2,
-            t3,
-            triple_cap=args.cap or _number(params, "triple_cap", "2000000", int),
-            threads=args.threads,
-            epsilon=_number(params, "epsilon", "0.01"),
-        )
-    else:
-        cfg = build_harvest_config(params, args.threads, args.cap)
-        if cfg.equation != args.command:
-            raise ConfigError("equation", f"config says {cfg.equation}, command is {args.command}")
-        report = thm1_run(cfg) if args.command == "thm1" else thm2_run(cfg)
+    cfg = build_harvest_config(parse_config_file(args.config), args.cap)
+    if cfg.equation != args.command:
+        raise ConfigError("equation", f"config says {cfg.equation}, command is {args.command}")
+    # looked up at call time, so the names can be wrapped or patched on the module
+    report = {"thm1": thm1_run, "thm2": thm2_run, "prop1": prop1_run}[cfg.equation](cfg)
     payload = {"run": report.as_dict(), "timing": _timing(t0), "seed": args.seed}
     _emit(payload, args.out)
     if args.solutions:
@@ -275,7 +263,6 @@ def _run_exponents(args) -> int:
 
 
 def _verify_charsums(args) -> tuple[dict, list]:
-    rng = random.Random(args.seed)
     rows = []
     worst = {"ratio": 0.0}
     squarefree = [q for q in range(3, args.qmax + 1) if _is_squarefree(q)]
@@ -291,14 +278,8 @@ def _verify_charsums(args) -> tuple[dict, list]:
                 "M": rep.argmax_M,
                 "N": rep.argmax_N,
             }
-    sieve_trials = []
-    for _ in range(args.trials):
-        qs = rng.sample(squarefree[: max(8, len(squarefree) // 4)], k=min(3, len(squarefree)))
-        Y = rng.randint(0, 40)
-        Z = Y + rng.randint(1, 60)
-        coeffs = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(Z - Y)]
-        lhs, rhs, holds = large_sieve_check(qs, Y, Z, coeffs)
-        sieve_trials.append(holds)
+    pool = squarefree[: max(8, len(squarefree) // 4)]
+    trials = _sieve_trials(random.Random(args.seed), pool, 40, 60, args.trials)
     fm_max = 0.0
     for q in squarefree[:40]:
         for N in (1, q // 2 or 1, q, 2 * q):
@@ -306,11 +287,25 @@ def _verify_charsums(args) -> tuple[dict, list]:
     summary = {
         "polya_vinogradov_max": worst,
         "polya_vinogradov_all_pass": worst["ratio"] <= 1.0,
-        "large_sieve_all_hold": all(sieve_trials),
-        "large_sieve_trials": len(sieve_trials),
+        "large_sieve_all_hold": all(t["holds"] for t in trials),
+        "large_sieve_trials": len(trials),
         "fourth_moment_max_ratio": fm_max,
     }
     return summary, rows
+
+
+def _sieve_trials(rng: random.Random, pool: list, y_max: int, span_max: int, trials: int) -> list:
+    """Large-sieve checks on three random moduli from pool, a window (Y, Z] with
+    Y <= y_max and Z - Y <= span_max, and random complex coefficients."""
+    results = []
+    for _ in range(trials):
+        qs = sorted(rng.sample(pool, k=min(3, len(pool))))
+        Y = rng.randint(0, y_max)
+        Z = Y + rng.randint(1, span_max)
+        coeffs = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(Z - Y)]
+        lhs, rhs, holds = large_sieve_check(qs, Y, Z, coeffs)
+        results.append({"Q": qs, "Y": Y, "Z": Z, "lhs": lhs, "rhs": rhs, "holds": holds})
+    return results
 
 
 def _run_verify(args) -> int:
@@ -323,15 +318,8 @@ def _run_verify(args) -> int:
             write_charsum_csv(rows, args.solutions)
         return EXIT_OK if summary["polya_vinogradov_all_pass"] and summary["large_sieve_all_hold"] else EXIT_CONSTRAINT
     if args.what == "sieve":
-        rng = random.Random(args.seed)
-        results = []
-        for _ in range(args.trials):
-            qs = sorted(rng.sample([q for q in range(3, 50) if _is_squarefree(q)], k=3))
-            Y = rng.randint(0, 50)
-            Z = Y + rng.randint(1, 200)
-            coeffs = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(Z - Y)]
-            lhs, rhs, holds = large_sieve_check(qs, Y, Z, coeffs)
-            results.append({"Q": qs, "Y": Y, "Z": Z, "lhs": lhs, "rhs": rhs, "holds": holds})
+        pool = [q for q in range(3, 50) if _is_squarefree(q)]
+        results = _sieve_trials(random.Random(args.seed), pool, 50, 200, args.trials)
         payload = {
             "verify": "sieve",
             "all_hold": all(r["holds"] for r in results),
@@ -405,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--out", help="write the JSON report here")
         p.add_argument("--solutions", help="write the CSV artifact here")
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=int, default=1, help="accepted and ignored")
         p.add_argument("--seed", type=int, default=20240601)
         p.add_argument("--cap", type=int, default=None, help="resource cap override")
 

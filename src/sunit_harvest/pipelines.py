@@ -16,17 +16,14 @@ bucket, and each maps that bucket's hits to candidate solutions, which
 `_keep_verified` dedupes, verifies and emits as rows solution + payload + key.
 
 Hits are enumerated by residue stepping (w walks an arithmetic progression mod
-a), which is what makes the desk scale feasible.  Walks may fan out over
-worker threads; their hits are tallied in sorted coefficient order, so reports
-are identical for every schedule.
+a), which is what makes the desk scale feasible.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from math import ceil, gcd, log2, prod, sqrt
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .arith import PrimeSet, factor_over, prime_support
 from .errors import (
@@ -84,7 +81,9 @@ class HarvestConfig:
 
     Prime intervals at paper scale are degenerate on a desk, so the prime sets
     are given explicitly while Z, W (and Y, Q, R) are derived from X through
-    the regime exponent formulas (see `config_from_exponents`).
+    the regime exponent formulas (see `config_from_exponents`); prop1 reads
+    only X, the prime sets, the caps and epsilon.  hit_cap bounds the
+    coefficient tuples a pipeline walks.
     """
 
     equation: str
@@ -93,8 +92,8 @@ class HarvestConfig:
     t3: PrimeSet
     x: int
     delta: float
-    w_max: int
-    z: float
+    w_max: int | None = None
+    z: float | None = None
     q: float | None = None
     r: float | None = None
     y: float | None = None
@@ -103,7 +102,6 @@ class HarvestConfig:
     epsilon: float = 0.01
     enum_cap: int = 2_000_000
     hit_cap: int = 50_000_000
-    threads: int = 1
 
     def validate(self):
         if self.equation not in ("thm1", "thm2", "prop1"):
@@ -113,6 +111,8 @@ class HarvestConfig:
                 raise ConfigError(name, "prime sets must be pairwise disjoint")
         if not 0 < self.delta < 1:
             raise ConfigError("delta", "need 0 < delta < 1")
+        if self.equation != "prop1" and (self.w_max is None or self.z is None):
+            raise ConfigError("w", f"{self.equation} needs the W and Z scales")
         if self.equation == "thm1":
             if self.w_max > min(self.x, self.z):
                 raise ConfigError("w", "need W <= min(X, Z)")
@@ -193,20 +193,26 @@ def config_from_exponents(
     return cfg
 
 
+def prop1_config(x: int, t1: PrimeSet, t2: PrimeSet, t3: PrimeSet, **kwargs) -> HarvestConfig:
+    """A prop1 config.  Each coefficient triple costs a Siegel search, so the
+    tuple cap defaults to 2,000,000 rather than the thm1/thm2 50,000,000."""
+    return HarvestConfig("prop1", t1, t2, t3, x, **{"delta": 0.1, "hit_cap": 2_000_000, **kwargs})
+
+
 def _range(scale: float, delta: float) -> tuple[int, int]:
     """Integer window [scale^(1-delta), scale]."""
     return max(2, ceil(scale ** (1 - delta))), int(scale)
 
 
-def _window_sets(config: HarvestConfig, equation: str, scales: tuple) -> list[tuple[int, ...]]:
+def _window_sets(config: HarvestConfig, equation: str, windows: Iterable) -> list[tuple[int, ...]]:
     """Validate the config, then list the squarefree smooth numbers over t1, t2
-    and t3 in the windows of the three scales."""
+    and t3 in the three windows (lo, hi), which are only read after validation."""
     config.validate()
     if config.equation != equation:
         raise ConfigError("equation", f"config is not a {equation} config")
     return [
-        enumerate_squarefree_smooth(t, *_range(scale, config.delta), config.enum_cap).values()
-        for t, scale in zip((config.t1, config.t2, config.t3), scales)
+        enumerate_squarefree_smooth(t, lo, hi, config.enum_cap).values()
+        for t, (lo, hi) in zip((config.t1, config.t2, config.t3), windows)
     ]
 
 
@@ -265,34 +271,17 @@ def verify_sunit_solution(tup: Sequence[int], equation: str, S: PrimeSet) -> boo
     raise DomainError(f"unknown equation {equation!r}")
 
 
-def _parallel_over(
-    items: Sequence, worker: Callable, threads: int
-) -> Iterator:
-    """Apply worker to each item, possibly on a pool; yields results in item order.
-
-    With one thread each result is computed only when the previous one has
-    been consumed, so a caller that folds results in holds one at a time.
-    """
-    if threads <= 1 or len(items) <= 1:
-        yield from map(worker, items)
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        yield from pool.map(worker, items)
-
-
-def _harvest(
-    items: Sequence, walk: Callable, threads: int
-) -> tuple[dict, dict, SolutionBucket, list]:
+def _harvest(items: Sequence, walk: Callable) -> tuple[dict, dict, SolutionBucket, list]:
     """Walk every item, tally the (key, payload) hits and fix the popular bucket.
 
-    walk(item) returns (hits, audit).  Hits are tallied as each item's result
-    arrives, in item order, so bucket contents do not depend on the schedule.
+    walk(item) returns (hits, audit).  Items are walked one at a time, in
+    order, and each item's hits are tallied before the next is walked.
     Returns the buckets, their statistics, the popular bucket and the per-item
     audits; raises EmptyHarvest when no item produced a hit.
     """
     buckets: dict[tuple, SolutionBucket] = {}
     audits = []
-    for hits, audit in _parallel_over(items, walk, threads):
+    for hits, audit in map(walk, items):
         for key, payload in hits:
             b = buckets.get(key)
             if b is None:
@@ -346,7 +335,6 @@ def thm1_harvest(
     z: float | None = None,
     delta: float | None = None,
     epsilon: float = 0.01,
-    threads: int = 1,
     set_sizes: dict | None = None,
     config_echo: dict | None = None,
 ) -> HarvestReport:
@@ -367,7 +355,7 @@ def thm1_harvest(
                 w += a
         return hits, skips
 
-    _, stats, popular, gcd_skips = _harvest(a_values, walk, threads)
+    _, stats, popular, gcd_skips = _harvest(a_values, walk)
     u, w = popular.key
     S, rows, _, verify_failures = _keep_verified(
         (((a * u, c * w), (a, c)) for a, c in popular.hits), "thm1", s_prime, popular.key
@@ -400,7 +388,9 @@ def thm1_harvest(
 
 def thm1_run(config: HarvestConfig) -> HarvestReport:
     """Harvest solutions of A + 1 = C from near-solutions of a*u + 1 = c*w."""
-    q_values, r_values, a_values = _window_sets(config, "thm1", (config.q, config.r, config.z))
+    q_values, r_values, a_values = _window_sets(
+        config, "thm1", (_range(s, config.delta) for s in (config.q, config.r, config.z))
+    )
 
     c_values = sorted(qv * rv for qv in q_values for rv in r_values)
     for c, c_next in zip(c_values, c_values[1:]):
@@ -419,7 +409,6 @@ def thm1_run(config: HarvestConfig) -> HarvestReport:
         z=config.z,
         delta=config.delta,
         epsilon=config.epsilon,
-        threads=config.threads,
         set_sizes={
             "Q": len(q_values),
             "R": len(r_values),
@@ -442,7 +431,6 @@ def thm2_harvest(
     z: float | None = None,
     delta: float | None = None,
     epsilon: float = 0.01,
-    threads: int = 1,
     config_echo: dict | None = None,
 ) -> HarvestReport:
     """Core A + B + 1 = C harvest over explicit coefficient sets.
@@ -478,7 +466,7 @@ def thm2_harvest(
                     w += a
         return hits, (skips, u0, coprime_b)
 
-    buckets, stats, popular, per_modulus = _harvest(a_values, walk, threads)
+    buckets, stats, popular, per_modulus = _harvest(a_values, walk)
     gcd_skips, u0_discards, coprime_b_counts = zip(*per_modulus)
     u, w = popular.key
     candidates = [((a * u, b, c * w), (a, b, c)) for a, b, c in popular.hits]
@@ -528,7 +516,9 @@ def thm2_harvest(
 
 def thm2_run(config: HarvestConfig) -> HarvestReport:
     """Harvest solutions of A + B + 1 = C from near-solutions of a*u + b + 1 = c*w."""
-    c_values, b_values, a_values = _window_sets(config, "thm2", (config.x, config.y, config.z))
+    c_values, b_values, a_values = _window_sets(
+        config, "thm2", (_range(s, config.delta) for s in (config.x, config.y, config.z))
+    )
 
     if len(a_values) * len(c_values) * len(b_values) > config.hit_cap:
         raise ResourceLimit("a x c x b triple count beyond hit cap")
@@ -544,37 +534,23 @@ def thm2_run(config: HarvestConfig) -> HarvestReport:
         z=config.z,
         delta=config.delta,
         epsilon=config.epsilon,
-        threads=config.threads,
         config_echo=config.echo(),
     )
 
 
-def prop1_run(
-    x: int,
-    T1: PrimeSet,
-    T2: PrimeSet,
-    T3: PrimeSet,
-    enum_cap: int = 2_000_000,
-    triple_cap: int = 2_000_000,
-    threads: int = 1,
-    epsilon: float = 0.01,
-) -> HarvestReport:
+def prop1_run(config: HarvestConfig) -> HarvestReport:
     """Harvest coprime triples a + b = c from small kernel vectors of linear forms.
 
-    For each coefficient triple over the three smooth sets, a small all-nonzero
-    kernel vector bounded by sqrt(3x) is selected deterministically; triples
-    are bucketed by that vector, the popular vector is fixed, and its hits are
-    reduced by their gcd to coprime solutions.
+    For each coefficient triple over the three smooth sets up to x, a small
+    all-nonzero kernel vector bounded by sqrt(3x) is selected deterministically;
+    triples are bucketed by that vector, the popular vector is fixed, and its
+    hits are reduced by their gcd to coprime solutions.
     """
-    for name, s1, s2 in (("T1/T2", T1, T2), ("T1/T3", T1, T3), ("T2/T3", T2, T3)):
-        if not s1.is_disjoint(s2):
-            raise ConfigError(name, "prime sets must be pairwise disjoint")
-    sets = [
-        enumerate_squarefree_smooth(t, 2, x, enum_cap).values() for t in (T1, T2, T3)
-    ]
+    x = config.x
+    sets = _window_sets(config, "prop1", [(2, x)] * 3)
     n_triples = len(sets[0]) * len(sets[1]) * len(sets[2])
-    if n_triples > triple_cap:
-        raise ResourceLimit(f"{n_triples} coefficient triples beyond cap {triple_cap}")
+    if n_triples > config.hit_cap:
+        raise ResourceLimit(f"{n_triples} coefficient triples beyond hit cap {config.hit_cap}")
     cap = sqrt(3.0 * x)
 
     def scan(a1: int) -> tuple[list, int]:
@@ -588,7 +564,7 @@ def prop1_run(
                 hits.append((sol.z, (a1, a2, a3)))
         return hits, skipped
 
-    _, stats, popular, skipped = _harvest(list(sets[0]), scan, threads)
+    _, stats, popular, skipped = _harvest(sets[0], scan)
     skipped_triples = sum(skipped)
 
     def reduced(alphas: tuple) -> tuple:
@@ -598,7 +574,7 @@ def prop1_run(
         g = gcd(*t)
         return tuple(v // g for v in t), alphas
 
-    s_prime = T1.union(T2).union(T3)
+    s_prime = config.t1.union(config.t2).union(config.t3)
     S, rows, duplicates, verify_failures = _keep_verified(
         map(reduced, popular.hits), "prop1", s_prime, popular.key
     )
@@ -617,7 +593,7 @@ def prop1_run(
             "reduced_duplicates": duplicates,
             "verify_failures": verify_failures,
         },
-        bound_comparison=compare_bounds(len(S), "prop1", epsilon, len(rows)),
+        bound_comparison=compare_bounds(len(S), "prop1", config.epsilon, len(rows)),
     )
 
 

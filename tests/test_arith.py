@@ -36,6 +36,8 @@ def test_primeset_invariants():
         PrimeSet((3, 3))
     with pytest.raises(DomainError):
         PrimeSet((5, 3))
+    T = PrimeSet((2, 3, 5))
+    assert 3 in T and 4 not in T and 7 not in T
 
 
 def test_factor_over_examples():

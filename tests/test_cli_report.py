@@ -4,7 +4,7 @@ import math
 import pytest
 
 from sunit_harvest.arith import PrimeSet
-from sunit_harvest.cli import main, parse_config_file
+from sunit_harvest.cli import build_harvest_config, main, parse_config_file
 from sunit_harvest import cli
 from sunit_harvest.errors import ConfigError, DomainError, FactorizationLimit
 from sunit_harvest.pipelines import verify_sunit_solution
@@ -115,8 +115,9 @@ def test_cli_exit_codes(tmp_path):
         ("thm1", "delta=0.1", "delta=tenth"),
         ("thm1", "t1=2,3,", "t1=2,three,"),
         ("thm1", "x=1000000", "x=1000000\nw=inf"),
+        ("thm1", "x=1000000", "x=1000000\nw=2.9"),
         ("prop1", "x=1000000", "x=abc"),
-        ("prop1", "x=1000000", "x=600\ntriple_cap=lots"),
+        ("prop1", "x=1000000", "x=600\nhit_cap=lots"),
         ("prop1", "t1=2,3,17,19,23,29,31,37,41,43\n", "t_interval=2\n"),
     ],
 )
@@ -130,6 +131,25 @@ def test_cli_bad_config_value(tmp_path, capsys, command, old, new):
     assert main([command, "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
+
+
+def test_integer_config_values_are_exact():
+    params = {"equation": "prop1", "x": "9007199254740993", "t_interval": "2,113"}
+    assert build_harvest_config(params, None).x == 9007199254740993  # 2**53 + 1
+    assert build_harvest_config({**params, "x": "1e6"}, None).x == 10**6
+    cfg = build_harvest_config({**params, "hit_cap": "2.5e3"}, None)
+    assert type(cfg.hit_cap) is int and cfg.hit_cap == 2500
+
+
+def test_cli_prop1_caps(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("equation=prop1\nx=30\nt1=2\nt2=3\nt3=5\n")
+    # --cap bounds the prop1 coefficient triples as it bounds thm1 and thm2 hits
+    assert main(["prop1", "--config", str(cfg), "--cap", "0"]) == 4
+    assert capsys.readouterr().err.startswith("resource limit:")
+    cfg.write_text("equation=prop1\nx=30\nt1=2\nt2=3\nt3=5\ntriple_cap=8\n")
+    assert main(["prop1", "--config", str(cfg)]) == 1
+    assert "triple_cap" in capsys.readouterr().err
 
 
 def test_cli_factorization_limit_exit(tmp_path, capsys, monkeypatch):

@@ -1,7 +1,7 @@
 import pytest
 
 from sunit_harvest.arith import PrimeSet
-from sunit_harvest.errors import ConfigError, ConstraintViolation, EmptyHarvest
+from sunit_harvest.errors import ConfigError, ConstraintViolation, EmptyHarvest, ResourceLimit
 from sunit_harvest.oracle import brute_linear_count
 from sunit_harvest.pipelines import (
     HarvestConfig,
@@ -9,6 +9,7 @@ from sunit_harvest.pipelines import (
     config_from_exponents,
     pair_collision_stats,
     popular_bucket,
+    prop1_config,
     prop1_run,
     thm1_harvest,
     thm1_run,
@@ -21,10 +22,8 @@ T2 = PrimeSet((5, 7, 11, 13, 101, 103, 107, 109, 113, 127))
 T3 = PrimeSet((53, 59, 61, 67, 71, 73, 79, 83, 89, 97))
 
 
-def desk_thm1_config(threads=1):
-    return config_from_exponents(
-        "thm1", 10**6, 1 / 6, "unconditional", 0.1, T1, T2, T3, threads=threads
-    )
+def desk_thm1_config():
+    return config_from_exponents("thm1", 10**6, 1 / 6, "unconditional", 0.1, T1, T2, T3)
 
 
 def test_thm1_micro():
@@ -80,9 +79,8 @@ def test_thm1_report_fields():
 
 
 def test_thm1_determinism_across_threads():
-    r1 = thm1_run(desk_thm1_config(threads=1)).as_dict()
-    r8 = thm1_run(desk_thm1_config(threads=8)).as_dict()
-    assert r1 == r8
+    # one thread path: the same config run twice gives the same report
+    assert thm1_run(desk_thm1_config()).as_dict() == thm1_run(desk_thm1_config()).as_dict()
 
 
 def test_thm2_micro_no_hit():
@@ -143,18 +141,18 @@ def test_verify_sunit_solution():
 
 
 def test_prop1_micro():
-    rep = prop1_run(30, PrimeSet((2,)), PrimeSet((3,)), PrimeSet((5,)))
+    rep = prop1_run(prop1_config(30, PrimeSet((2,)), PrimeSet((3,)), PrimeSet((5,))))
     assert rep.popular_key == (1, 1, -1)
     assert rep.solutions == ((2, 3, 5),)
 
 
 def test_prop1_disjointness_required():
     with pytest.raises(ConfigError):
-        prop1_run(30, PrimeSet((2, 3)), PrimeSet((3,)), PrimeSet((5,)))
+        prop1_run(prop1_config(30, PrimeSet((2, 3)), PrimeSet((3,)), PrimeSet((5,))))
 
 
 def test_prop1_desk_properties():
-    rep = prop1_run(400, *_prop1_sets())
+    rep = prop1_run(prop1_config(400, *_prop1_sets()))
     assert rep.solutions
     assert rep.audits["reduced_duplicates"] == 0
     assert rep.audits["verify_failures"] == 0
@@ -164,11 +162,18 @@ def test_prop1_desk_properties():
         assert a + b == c and a <= b and gcd(a, b) == 1
 
 
+def test_prop1_hit_cap():
+    tiny = (PrimeSet((2,)), PrimeSet((3,)), PrimeSet((5,)))
+    assert prop1_config(30, *tiny).hit_cap == 2_000_000
+    with pytest.raises(ResourceLimit):
+        prop1_run(prop1_config(30, *tiny, hit_cap=0))  # the one triple (2, 3, 5)
+    assert prop1_run(prop1_config(30, *tiny, hit_cap=1)).solutions == ((2, 3, 5),)
+
+
 def test_prop1_determinism_across_threads():
-    t1, t2, t3 = _prop1_sets()
-    r1 = prop1_run(300, t1, t2, t3, threads=1).as_dict()
-    r8 = prop1_run(300, t1, t2, t3, threads=8).as_dict()
-    assert r1 == r8
+    # one thread path: the same config run twice gives the same report
+    cfg = prop1_config(300, *_prop1_sets())
+    assert prop1_run(cfg).as_dict() == prop1_run(cfg).as_dict()
 
 
 def _prop1_sets():
@@ -204,3 +209,7 @@ def test_config_validation():
     )
     with pytest.raises(ConfigError):
         bad.validate()
+    # W and Z are optional fields, but thm1 and thm2 need them
+    no_scales = HarvestConfig("thm2", T1, T2, T3, 10**5, 0.1, y=10**6)
+    with pytest.raises(ConfigError):
+        no_scales.validate()
