@@ -11,19 +11,19 @@ bucket becomes an actual solution of the target equation:
     prop1  a1*z1 + a2*z2 + a3*z3 = 0  ->  a + b = c    after gcd reduction
 
 All three run on one core: each supplies a walk that lists one coefficient's
-hits as (key, payload) pairs, `_harvest` tallies them and fixes the popular
-bucket, and each maps that bucket's hits to candidate solutions, which
-`_keep_verified` dedupes, verifies and emits as rows solution + payload + key.
-
-Hits are enumerated by residue stepping (w walks an arithmetic progression mod
-a), which is what makes the desk scale feasible.
+hits as int64 rows (keys, payloads), `popular_bucket` counts them by key and
+gathers the popular bucket's hits, and each maps those to candidate solutions,
+which `_keep_verified` dedupes, verifies and emits as rows solution + payload +
+key.  thm1 and thm2 walk with the residue-progression kernel of `stepping`.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from math import ceil, gcd, log2, prod, sqrt
 from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 from .arith import PrimeSet, factor_over, prime_support
 from .errors import (
@@ -37,14 +37,15 @@ from .exponents import regime_exponents
 from .report import compare_bounds
 from .siegel import siegel_nonzero_coords
 from .smooth import enumerate_squarefree_smooth
+from .stepping import progressions
 
 
 @dataclass
 class SolutionBucket:
-    """Tally cell keyed by the free variables of one near-solution family."""
+    """One bucket: the key (the free variables of a near-solution family) and its hits."""
 
     key: tuple
-    hits: list = field(default_factory=list)
+    hits: list
 
     @property
     def count(self) -> int:
@@ -216,24 +217,30 @@ def _window_sets(config: HarvestConfig, equation: str, windows: Iterable) -> lis
     ]
 
 
-def popular_bucket(buckets: Iterable[SolutionBucket] | dict) -> SolutionBucket:
-    """The bucket of maximal count; ties go to the lexicographically smallest key."""
-    if isinstance(buckets, dict):
-        buckets = buckets.values()
-    best = None
-    total = 0
-    nonempty = 0
-    for b in buckets:
-        if b.count == 0:
-            continue
-        nonempty += 1
-        total += b.count
-        if best is None or (-b.count, b.key) < (-best.count, best.key):
-            best = b
-    if best is None:
+def popular_bucket(keys: np.ndarray, payloads: np.ndarray) -> tuple[SolutionBucket, dict]:
+    """The bucket of maximal count over the hit rows keys[k] -> payloads[k], and
+    the bucket statistics; ties go to the lexicographically smallest key.
+
+    The keys are packed into one int64 in lexicographic mixed-radix order and
+    counted, and only the popular bucket's rows are gathered, as Python ints.
+    """
+    if not len(keys):
         raise EmptyHarvest("no nonempty bucket")
-    assert best.count >= ceil(total / nonempty)  # pigeonhole, cannot fail
-    return best
+    lo = keys.min(axis=0)
+    try:
+        packed = np.ravel_multi_index(tuple((keys - lo).T), tuple(keys.max(axis=0) - lo + 1))
+    except ValueError as err:
+        raise ResourceLimit(f"bucket keys do not pack into int64: {err}") from None
+    values, counts = np.unique(packed, return_counts=True)
+    rows = packed == values[np.argmax(counts)]
+    popular = SolutionBucket(tuple(keys[rows][0].tolist()), list(map(tuple, payloads[rows].tolist())))
+    stats = {
+        "total_hits": len(keys),
+        "nonempty_buckets": len(counts),
+        "max_load": popular.count,
+        "pigeonhole_floor": ceil(len(keys) / len(counts)),
+    }
+    return popular, stats
 
 
 def verify_sunit_solution(tup: Sequence[int], equation: str, S: PrimeSet) -> bool:
@@ -271,32 +278,19 @@ def verify_sunit_solution(tup: Sequence[int], equation: str, S: PrimeSet) -> boo
     raise DomainError(f"unknown equation {equation!r}")
 
 
-def _harvest(items: Sequence, walk: Callable) -> tuple[dict, dict, SolutionBucket, list]:
-    """Walk every item, tally the (key, payload) hits and fix the popular bucket.
+def _harvest(items: Sequence, walk: Callable) -> tuple[np.ndarray, dict, SolutionBucket, list]:
+    """Walk every item in order and fix the popular bucket of all their hits.
 
-    walk(item) returns (hits, audit).  Items are walked one at a time, in
-    order, and each item's hits are tallied before the next is walked.
-    Returns the buckets, their statistics, the popular bucket and the per-item
-    audits; raises EmptyHarvest when no item produced a hit.
+    walk(item) returns (keys, payloads, audit), one int64 row per hit.
+    Returns the keys of every hit, the bucket statistics, the popular bucket
+    and the per-item audits; raises EmptyHarvest when no item produced a hit.
     """
-    buckets: dict[tuple, SolutionBucket] = {}
-    audits = []
-    for hits, audit in map(walk, items):
-        for key, payload in hits:
-            b = buckets.get(key)
-            if b is None:
-                b = buckets[key] = SolutionBucket(key)
-            b.hits.append(payload)
-        audits.append(audit)
-    popular = popular_bucket(buckets)
-    total = sum(b.count for b in buckets.values())
-    stats = {
-        "total_hits": total,
-        "nonempty_buckets": len(buckets),
-        "max_load": popular.count,
-        "pigeonhole_floor": ceil(total / len(buckets)),
-    }
-    return buckets, stats, popular, audits
+    if not items:
+        raise EmptyHarvest("no coefficients to walk")
+    keys, payloads, audits = zip(*map(walk, items))
+    keys, payloads = np.concatenate(keys), np.concatenate(payloads)
+    popular, stats = popular_bucket(keys, payloads)
+    return keys, stats, popular, audits
 
 
 def _keep_verified(
@@ -342,18 +336,12 @@ def thm1_harvest(
     a_values = sorted(a_values)
     c_values = sorted(c_values)
 
-    def walk(a: int) -> tuple[list, int]:
-        hits, skips = [], 0
-        for c in c_values:
-            if gcd(c, a) != 1:
-                skips += 1
-                continue
-            w = pow(c, -1, a)  # in [1, a-1]
-            while w <= W:
-                u = (c * w - 1) // a
-                hits.append(((u, w), (a, c)))
-                w += a
-        return hits, skips
+    def walk(a: int) -> tuple[np.ndarray, np.ndarray, int]:
+        coprime = [c for c in c_values if gcd(c, a) == 1]
+        i, _, w = progressions(a, coprime, [1], W)
+        c = np.array(coprime, dtype=np.int64)[i]
+        keys = np.column_stack(((c * w - 1) // a, w))
+        return keys, np.column_stack((np.full(len(c), a), c)), len(c_values) - len(coprime)
 
     _, stats, popular, gcd_skips = _harvest(a_values, walk)
     u, w = popular.key
@@ -443,30 +431,20 @@ def thm2_harvest(
     b_values = sorted(b_values)
     c_values = sorted(c_values)
 
-    def walk(a: int) -> tuple[list, tuple[int, int, int]]:
-        hits, skips, u0, coprime_b = [], 0, 0, 0
-        for b in b_values:
-            if gcd(b + 1, a) == 1:
-                coprime_b += 1
-        for c in c_values:
-            if gcd(c, a) != 1:
-                skips += 1
-                continue
-            cinv = pow(c, -1, a)
-            for b in b_values:
-                w = (b + 1) * cinv % a
-                if w == 0:
-                    w = a
-                while w <= W:
-                    u = (c * w - b - 1) // a
-                    if u == 0:
-                        u0 += 1
-                    else:
-                        hits.append(((u, w), (a, b, c)))
-                    w += a
-        return hits, (skips, u0, coprime_b)
+    shifts = [b + 1 for b in b_values]
 
-    buckets, stats, popular, per_modulus = _harvest(a_values, walk)
+    def walk(a: int) -> tuple[np.ndarray, np.ndarray, tuple[int, int, int]]:
+        coprime = [c for c in c_values if gcd(c, a) == 1]
+        i, j, w = progressions(a, coprime, shifts, W)
+        c, shift = np.array(coprime, dtype=np.int64)[i], np.array(shifts, dtype=np.int64)[j]
+        u = (c * w - shift) // a
+        keep = u != 0
+        keys = np.column_stack((u[keep], w[keep]))
+        payloads = np.column_stack((np.full(len(keys), a), shift[keep] - 1, c[keep]))
+        coprime_b = sum(gcd(v, a) == 1 for v in shifts)
+        return keys, payloads, (len(c_values) - len(coprime), len(u) - len(keys), coprime_b)
+
+    keys, stats, popular, per_modulus = _harvest(a_values, walk)
     gcd_skips, u0_discards, coprime_b_counts = zip(*per_modulus)
     u, w = popular.key
     candidates = [((a * u, b, c * w), (a, b, c)) for a, b, c in popular.hits]
@@ -479,13 +457,8 @@ def thm2_harvest(
         "u_zero_discards": sum(u0_discards),
         "degenerate_filtered": degenerate,
         "verify_failures": verify_failures,
-        "coprime_b_min_fraction": (
-            min(cb / len(b_values) for cb in coprime_b_counts) if b_values else 1.0
-        ),
-        "u_range_observed": [
-            min(k[0] for k in buckets),
-            max(k[0] for k in buckets),
-        ],
+        "coprime_b_min_fraction": min(cb / len(b_values) for cb in coprime_b_counts),
+        "u_range_observed": [int(keys[:, 0].min()), int(keys[:, 0].max())],
         # large multiplicities here would already be solutions in disguise,
         # so the maxima feed the error-term side of the report
         "pair_collision_b": list(pair_collision_stats(b_values))
@@ -553,16 +526,17 @@ def prop1_run(config: HarvestConfig) -> HarvestReport:
         raise ResourceLimit(f"{n_triples} coefficient triples beyond hit cap {config.hit_cap}")
     cap = sqrt(3.0 * x)
 
-    def scan(a1: int) -> tuple[list, int]:
-        hits, skipped = [], 0
+    def scan(a1: int) -> tuple[np.ndarray, np.ndarray, int]:
+        rows, skipped = [], 0
         for a2 in sets[1]:
             for a3 in sets[2]:
                 sol = siegel_nonzero_coords((a1, a2, a3), x, cap)
                 if sol is None:
                     skipped += 1
                     continue
-                hits.append((sol.z, (a1, a2, a3)))
-        return hits, skipped
+                rows.append(sol.z + (a1, a2, a3))
+        rows = np.array(rows, dtype=np.int64).reshape(-1, 6)
+        return rows[:, :3], rows[:, 3:], skipped
 
     _, stats, popular, skipped = _harvest(sets[0], scan)
     skipped_triples = sum(skipped)
@@ -601,19 +575,17 @@ def pair_collision_stats(values: Sequence[int], cap: int = 100_000_000) -> tuple
     """Max over n != 0 of the number of pairs with c - c' = n, with a witness n.
 
     Counts at n and -n agree by symmetry, so the witness is the smallest
-    positive arg-max (0 when no pair exists).
+    positive arg-max; (0, 0) when no pair exists.
     """
     vals = sorted(values)
     m = len(vals)
-    if m * m > cap:
-        raise ResourceLimit("pair count beyond cap")
-    tally: dict[int, int] = {}
-    for i, c in enumerate(vals):
-        for cp in vals[:i]:
-            n = c - cp
-            if n:
-                tally[n] = tally.get(n, 0) + 1
-    if not tally:
+    if m * m > cap or (m and vals[-1] - vals[0] >= 2**63):
+        raise ResourceLimit("pair count or value range beyond cap")
+    v = np.array([c - vals[0] for c in vals], dtype=np.int64)
+    # the lower-triangle differences v[i] - v[j], j < i, row by row; all >= 0 as v is sorted
+    diffs = np.concatenate([v[i] - v[:i] for i in range(m)]) if m else v
+    n, counts = np.unique(diffs[diffs != 0], return_counts=True)
+    if not len(n):
         return 0, 0
-    best = max(tally.items(), key=lambda kv: (kv[1], -kv[0]))
-    return best[1], best[0]
+    best = np.argmax(counts)
+    return int(counts[best]), int(n[best])

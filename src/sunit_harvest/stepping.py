@@ -1,37 +1,56 @@
-"""Fast residue-stepping enumeration of {(a, c, w) : c*w == shift (mod a), 1 <= w <= W}.
+"""The residue-progression kernel: {(c, shift, w) : c*w == shift (mod a), 1 <= w <= W}.
 
-For each pair the admissible w form an arithmetic progression, so the cost is
-O(#A * #C * (W/a + 1)) instead of the naive O(#A * #C * W).  This is the hot
-loop shared by the pipelines and the decomposition cross-checks.
+For each cell (c, shift) the admissible w form the progression w0, w0 + a/g,
+... with g = gcd(c, a), so one modulus costs O(#C * #shifts + hits) instead of
+the naive O(#C * #shifts * W).  The pipelines and the decompositions share it.
 """
 
 from __future__ import annotations
 
-from math import gcd
-from typing import Iterable
+from typing import Iterable, Sequence
+
+import numpy as np
+
+from .errors import ResourceLimit
 
 
-def progression_start(c: int, a: int, shift: int) -> tuple[int, int] | None:
-    """Smallest w >= 1 with c*w == shift (mod a), and the step, or None."""
-    g = gcd(c, a)
-    if shift % g:
-        return None
+def _starts(a: int, c_values: Sequence[int], shifts: Sequence[int], W: int):
+    """int64 grids (w0, step, n) over the cells (c, shift): the first term, step
+    and number of terms up to W of each progression (n = 0 unless g | shift).
+
+    One modular inverse per c.  Raises ResourceLimit where int64 could overflow:
+    callers form c*w - shift, and the start multiplies two residues mod a.
+    """
+    reach = int(max(map(abs, c_values), default=0)) * max(W, 1) + int(max(map(abs, shifts), default=0))
+    if reach >= 2**63 or int(a) ** 2 >= 2**63:
+        raise ResourceLimit(f"residue stepping mod {a} up to W = {W} beyond int64")
+    c = np.array(c_values, dtype=np.int64)
+    sh = np.array(shifts, dtype=np.int64)[None, :]
+    g = np.gcd(c, a)
     step = a // g
-    w0 = (shift // g) * pow(c // g, -1, step) % step
-    if w0 == 0:
-        w0 = step
-    return w0, step
+    inv = np.array([pow(x, -1, s) for x, s in zip((c // g).tolist(), step.tolist())], dtype=np.int64)
+    g, step = g[:, None], step[:, None]
+    w0 = sh // g % step * inv[:, None] % step
+    w0 = np.where(w0 == 0, step, w0)
+    n = np.where((sh % g == 0) & (w0 <= W), (W - w0) // step + 1, 0)
+    return w0, step, n
+
+
+def progressions(a: int, c_values: Sequence[int], shifts: Sequence[int], W: int):
+    """int64 arrays (i, j, w), one row per solution of c_values[i]*w == shifts[j]
+    (mod a) with 1 <= w <= W, ordered by i, then j, then w.
+
+    c_values[i]*w - shifts[j] is guaranteed to fit in int64.
+    """
+    w0, step, n = _starts(a, c_values, shifts, W)
+    n = n.ravel()
+    cell = np.repeat(np.arange(n.size), n)
+    i, j = np.divmod(cell, w0.shape[1])
+    term = np.arange(cell.size) - np.repeat(np.cumsum(n) - n, n)
+    return i, j, w0.ravel()[cell] + term * step[i, 0]
 
 
 def count_hits(a_values: Iterable[int], c_values: Iterable[int], W: int, shift: int = 1) -> int:
-    """Exact number of triples with c*w == shift (mod a) and 1 <= w <= W."""
-    total = 0
-    for a in a_values:
-        for c in c_values:
-            got = progression_start(c, a, shift)
-            if got is None:
-                continue
-            w0, step = got
-            if w0 <= W:
-                total += 1 + (W - w0) // step
-    return total
+    """Exact number of triples (a, c, w) with c*w == shift (mod a) and 1 <= w <= W."""
+    c_values = list(c_values)
+    return sum(int(_starts(a, c_values, [shift], W)[2].sum()) for a in a_values)

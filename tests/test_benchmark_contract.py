@@ -26,7 +26,8 @@ codes = [
               "--out", f"{sys.argv[2]}/{name}.json", "--threads", "2"])
     for name in ("prop1", "thm2")
 ]
-print(json.dumps({"codes": codes, "counts": dict(tracer.counts)}))
+spans = sorted({name for name, *_ in tracer.spans})
+print(json.dumps({"codes": codes, "counts": dict(tracer.counts), "spans": spans}))
 """
 
 
@@ -41,3 +42,5 @@ def test_traced_cli_runs_desk_configs(tmp_path):
     assert result["codes"] == [0, 0]
     # the golden total hits of the prop1 and thm2 desk reports
     assert result["counts"]["pipelines.hits"] == 13_982 + 10_113
+    # the per-layer tally metrics read these spans
+    assert {"pipelines.harvest", "pipelines.popular_bucket"} <= set(result["spans"])

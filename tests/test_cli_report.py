@@ -163,6 +163,15 @@ def test_cli_factorization_limit_exit(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err.startswith("resource limit:")
 
 
+def test_cli_int64_limit_exit(tmp_path, capsys):
+    # c*W reaches about 1e20 > 2**63 at X = 1e16, W = 10^4: a one-line exit 4
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(THM1_CFG.replace("x=1000000", "x=10000000000000000\nz=10000\nw=10000"))
+    assert main(["thm1", "--config", str(cfg)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("resource limit:") and "beyond int64" in err and err.count("\n") == 1
+
+
 def test_cli_report_determinism(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(THM1_CFG)

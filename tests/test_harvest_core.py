@@ -1,7 +1,8 @@
-"""Property tests: the harvest core against a brute-force (u, w) tally.
+"""Property tests: the harvest core and the residue-progression kernel against
+brute force.
 
-The brute tally tries every w <= W for every coefficient combination, so it
-shares no residue stepping with the pipelines.  Examples are derandomized and
+The brute tallies try every w <= W for every coefficient combination, so they
+share no residue stepping with the kernel.  Examples are derandomized and
 bounded so the suite stays deterministic and quick.
 """
 
@@ -10,14 +11,20 @@ from itertools import count
 from math import gcd, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_trial_division
 from sunit_harvest.arith import PrimeSet
-from sunit_harvest.errors import EmptyHarvest
+from sunit_harvest.errors import EmptyHarvest, ResourceLimit
 from sunit_harvest.oracle import brute_linear_count
-from sunit_harvest.pipelines import thm1_harvest, thm2_harvest, verify_sunit_solution
+from sunit_harvest.pipelines import (
+    pair_collision_stats,
+    thm1_harvest,
+    thm2_harvest,
+    verify_sunit_solution,
+)
+from sunit_harvest.stepping import count_hits, progressions
 
 PROFILE = settings(derandomize=True, max_examples=60, deadline=None)
 
@@ -107,3 +114,64 @@ def test_thm2_matches_brute_tally(sets):
     assert rep.bucket_stats["total_hits"] + rep.audits["u_zero_discards"] == oracle
     for A, B, C, a, b, c, u, w in rep.solution_rows:
         assert (A, B, C) == (a * u, b, c * w)
+
+
+@PROFILE
+@given(
+    st.integers(1, 30),
+    st.lists(st.integers(1, 60), max_size=6),
+    st.lists(st.integers(-40, 40), max_size=5),
+    st.integers(0, 70),
+)
+@example(6, [4, 9], [2, 3], 20)  # gcd(c, a) > 1, with and without g | shift
+@example(7, [3, 5], [-5, -14], 20)  # negative shifts
+@example(25, [3, 7], [1, 4], 5)  # W below a
+@example(4, [3, 7], [1, 4], 60)  # W above a
+@example(5, [], [1], 10)  # no c at all
+def test_progressions_match_brute(a, c_values, shifts, W):
+    brute = [
+        (i, j, w)
+        for i, c in enumerate(c_values)
+        for j, shift in enumerate(shifts)
+        for w in range(1, W + 1)
+        if (c * w - shift) % a == 0
+    ]
+    i, j, w = progressions(a, c_values, shifts, W)
+    assert list(zip(i.tolist(), j.tolist(), w.tolist())) == brute
+    for shift in shifts:
+        assert count_hits([a], c_values, W, shift) == brute_linear_count([a], c_values, W, shift).count
+
+
+@PROFILE
+@given(st.lists(st.integers(-20, 40), max_size=30))
+@example([3, 3, 5, 5, 7, 7])
+def test_pair_collision_stats_matches_brute(values):
+    vals = sorted(values)
+    tally = Counter(c - cp for i, c in enumerate(vals) for cp in vals[:i] if c != cp)
+    best = min(tally, key=lambda n: (-tally[n], n), default=0)
+    assert pair_collision_stats(values) == (tally[best], best)
+
+
+def test_int64_limit():
+    # c*w - 1 passes int64 at w = 2, so the kernel refuses rather than wrap
+    S = primes_of([2, 3], [2**62 + 1])
+    with pytest.raises(ResourceLimit):
+        thm1_harvest([3], [2**62 + 1], 2, S)
+    with pytest.raises(ResourceLimit):
+        count_hits([3], [2**62 + 1], 2)
+    with pytest.raises(ResourceLimit):
+        progressions(2**32, [3], [1], 1)  # a^2 passes int64
+    # one step below the limit the exact harvest still runs: 2 * 2**61 + 1 = 2**62 + 1
+    rep = thm1_harvest([2], [2**62 + 1], 1, S)
+    assert rep.popular_key == (2**61, 1)
+    assert rep.solutions == ((2**62, 2**62 + 1),)
+
+
+def test_empty_coefficient_sets():
+    S = PrimeSet((2, 3, 5))
+    with pytest.raises(EmptyHarvest):
+        thm1_harvest([], [3], 4, S)
+    with pytest.raises(EmptyHarvest):
+        thm1_harvest([5], [], 4, S)
+    with pytest.raises(EmptyHarvest):
+        thm2_harvest([5], [], [3], 10, S)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from sunit_harvest.arith import PrimeSet
@@ -5,7 +6,6 @@ from sunit_harvest.errors import ConfigError, ConstraintViolation, EmptyHarvest,
 from sunit_harvest.oracle import brute_linear_count
 from sunit_harvest.pipelines import (
     HarvestConfig,
-    SolutionBucket,
     config_from_exponents,
     pair_collision_stats,
     popular_bucket,
@@ -105,24 +105,32 @@ def test_thm2_degenerate_filter():
 
 
 def test_popular_bucket_tiebreak():
-    b1 = SolutionBucket((1, 2), [("x",)] * 3)
-    b2 = SolutionBucket((0, 1), [("y",)] * 3)
-    assert popular_bucket({b1.key: b1, b2.key: b2}).key == (0, 1)
-    only = SolutionBucket((5, 5), [("z",)])
-    assert popular_bucket([only]) is only
+    keys = np.array([(1, 2)] * 3 + [(0, 1)] * 3)
+    top, _ = popular_bucket(keys, np.array([(7,)] * 3 + [(8,)] * 3))
+    assert top.key == (0, 1) and top.hits == [(8,)] * 3
+    # lexicographic order holds with a negative first column
+    top, _ = popular_bucket(np.array([(2, 1), (-3, 7), (2, 1), (-3, 7)]), np.array([[1], [2], [3], [4]]))
+    assert top.key == (-3, 7) and top.hits == [(2,), (4,)]
+    assert all(type(v) is int for v in top.key + top.hits[0])
+    # a 3-column key, as prop1's kernel vectors give
+    keys = np.array([(1, -2, 1), (2, 1, -1), (-1, 2, -1), (1, -2, 1), (-1, 2, -1)])
+    top, stats = popular_bucket(keys, np.arange(15).reshape(5, 3))
+    assert top.key == (-1, 2, -1) and top.hits == [(6, 7, 8), (12, 13, 14)]
+    assert stats == {"total_hits": 5, "nonempty_buckets": 3, "max_load": 2, "pigeonhole_floor": 2}
+    only, _ = popular_bucket(np.array([(5, 5)]), np.array([(9, 9)]))
+    assert only.key == (5, 5) and only.hits == [(9, 9)]
     with pytest.raises(EmptyHarvest):
-        popular_bucket([])
+        popular_bucket(np.empty((0, 2), dtype=np.int64), np.empty((0, 2), dtype=np.int64))
+    # keys whose mixed-radix pack would pass int64
+    with pytest.raises(ResourceLimit):
+        popular_bucket(np.array([(0, 0), (2**40, 2**40)]), np.array([(1,), (2,)]))
 
 
 def test_popular_bucket_pigeonhole():
-    buckets = [
-        SolutionBucket((0,), [1] * 5),
-        SolutionBucket((1,), [1] * 3),
-        SolutionBucket((2,), [1] * 2),
-    ]
-    top = popular_bucket(buckets)
-    assert top.count == 5
-    assert top.count >= -(-10 // 3)  # ceil(total / nonempty)
+    keys = np.array([[0]] * 5 + [[1]] * 3 + [[2]] * 2)
+    top, stats = popular_bucket(keys, keys)
+    assert top.count == 5 == stats["max_load"]
+    assert top.count >= -(-10 // 3) == stats["pigeonhole_floor"]  # ceil(total / nonempty)
 
 
 def test_verify_sunit_solution():
