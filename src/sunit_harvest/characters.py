@@ -218,40 +218,49 @@ class PolyaVinogradovReport:
 
 
 def polya_vinogradov_check(q: int, scan_M: int, scan_N: int) -> PolyaVinogradovReport:
-    """Scan every non-principal chi mod q and every window (M, N) in range.
+    """Scan every non-principal chi mod q and every window 0 <= M < scan_M, 1 <= N <= scan_N.
 
     Ratio recorded is  |sum_{n=M+1}^{M+N} chi(n)|  /  (d(q/r) sqrt(r) log r)
     with r the conductor of chi; the check passes iff the max ratio is <= 1.
+
+    A non-principal chi sums to 0 over a period, so its prefix sums S(n) have
+    period q and a window sum is S((M + N) mod q) - S(M).  Only M < min(scan_M, q)
+    and N <= min(scan_N, q) are swept, as a running max per offset N over all
+    characters at once, and only N <= q // 2 when both scans cover a period (N
+    and q - N give the same pairs).  conj(chi) has the same window sums, so one
+    character of each conjugate pair is swept.
+    Ties: ratios within 1e-9 relative go to the smallest character index, then
+    windows within 1e-9 of that character's max |sum| to the smallest M, then N.
     """
     if q < 3:
         raise DomainError("need q >= 3")
+    if scan_M < 1 or scan_N < 1:
+        raise DomainError("need scan_M >= 1 and scan_N >= 1")
     table = all_characters(q)
-    V = table.value_matrix()
-    L = scan_M + scan_N
-    reps = L // q + 2
-    Ms = np.arange(scan_M)
-    Ns = np.arange(1, scan_N + 1)
-    idx = Ms[:, None] + Ns[None, :]
-    rows = []
-    best = (-1.0, 0, 0, 0, 0.0, 0.0)
-    for i in range(1, table.phi):
-        chi = table.character(i)
-        r = chi.conductor
-        _, _, d_qr = multiplicative_functions(q // r)
-        bound = d_qr * np.sqrt(r) * np.log(r)
-        vals = np.tile(V[i], reps)[1 : L + 1]
-        P = np.concatenate([[0.0 + 0.0j], np.cumsum(vals)])
-        diffs = np.abs(P[idx] - P[Ms[:, None]])  # |P[M+N] - P[M]|
-        m_flat = int(np.argmax(diffs))
-        mi, ni = divmod(m_flat, scan_N)
-        max_abs = float(diffs[mi, ni])
-        ratio = max_abs / bound
-        rows.append((i, max_abs, float(bound), float(ratio)))
-        if ratio > best[0]:
-            best = (ratio, i, int(Ms[mi]), int(Ns[ni]), max_abs, float(bound))
-    return PolyaVinogradovReport(
-        q, scan_M, scan_N, best[0], best[1], best[2], best[3], best[4], best[5], tuple(rows)
-    )
+    E = np.stack(np.unravel_index(np.arange(1, table.phi), table.orders), axis=1)  # exponents
+    conj = np.ravel_multi_index((-E % table.orders).T, table.orders)
+    swept, pair = np.unique(np.minimum(np.arange(1, table.phi), conj), return_inverse=True)
+    V = table.value_matrix()[swept]
+    # S over two periods (column M + N wraps), real and imaginary parts apart
+    re, im = (np.tile(np.cumsum(part, axis=1), 2) for part in (V.real, V.imag))
+    Mm, Nn = min(scan_M, q), min(scan_N, q)
+    best = np.zeros(len(V))
+    d2, e2 = np.empty((len(V), Mm)), np.empty((len(V), Mm))  # reused, so each pass stays in cache
+    for k in range(1, (q // 2 if Mm == Nn == q else Nn) + 1):
+        np.square(np.subtract(re[:, k : k + Mm], re[:, :Mm], out=d2), out=d2)
+        d2 += np.square(np.subtract(im[:, k : k + Mm], im[:, :Mm], out=e2), out=e2)
+        np.maximum(best, d2.max(axis=1), out=best)
+    # q squarefree: r is the product of the twisted primes, d(q/r) = 2^(untwisted primes)
+    r = np.prod(np.where(E != 0, table.primes, 1), axis=1)
+    bound = 2.0 ** (len(table.primes) - (E != 0).sum(axis=1)) * np.sqrt(r) * np.log(r)
+    max_abs = np.sqrt(best[pair])
+    ratio = max_abs / bound
+    i = int(np.argmax(ratio >= ratio.max() * (1 - 1e-9)))
+    M, N, j = np.arange(Mm)[:, None], np.arange(1, Nn + 1), pair[i]
+    d = np.sqrt((re[j, M + N] - re[j, M]) ** 2 + (im[j, M + N] - im[j, M]) ** 2)
+    m, n = divmod(int(np.argmax(d >= max_abs[i] - 1e-9)), Nn)
+    rows = tuple(zip(range(1, table.phi), max_abs.tolist(), bound.tolist(), ratio.tolist()))
+    return PolyaVinogradovReport(q, scan_M, scan_N, rows[i][3], i + 1, m, n + 1, *rows[i][1:3], rows)
 
 
 def large_sieve_check(

@@ -1,0 +1,108 @@
+"""The periodic Pólya–Vinogradov sweep against the direct window scan.
+
+`window_oracle` is the scan the sweep replaced: for each non-principal
+character it gathers every window sum |P[M + N] - P[M]|, 0 <= M < scan_M,
+1 <= N <= scan_N, from complex prefix sums over scan_M + scan_N terms, with no
+use of periodicity.  Examples are derandomized and cover scans on both sides
+of q.
+"""
+
+import json
+from argparse import Namespace
+from dataclasses import fields
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from sunit_harvest import cli
+from sunit_harvest.arith import multiplicative_functions
+from sunit_harvest.characters import all_characters, polya_vinogradov_check
+from sunit_harvest.errors import DomainError
+
+PROFILE = settings(derandomize=True, max_examples=60, deadline=None)
+TIE = 1e-9
+
+SQUAREFREE_60 = [q for q in range(3, 61) if all(q % (p * p) for p in (2, 3, 5, 7))]
+
+
+def window_oracle(q: int, scan_M: int, scan_N: int) -> list[tuple[int, np.ndarray, float]]:
+    """(character index, [scan_M, scan_N] matrix of |window sum|, bound) per non-principal chi."""
+    table = all_characters(q)
+    V = table.value_matrix()
+    L = scan_M + scan_N
+    reps = L // q + 2
+    Ms = np.arange(scan_M)
+    Ns = np.arange(1, scan_N + 1)
+    idx = Ms[:, None] + Ns[None, :]
+    out = []
+    for i in range(1, table.phi):
+        r = table.character(i).conductor
+        bound = multiplicative_functions(q // r)[2] * np.sqrt(r) * np.log(r)
+        vals = np.tile(V[i], reps)[1 : L + 1]
+        P = np.concatenate([[0.0 + 0.0j], np.cumsum(vals)])
+        out.append((i, np.abs(P[idx] - P[Ms[:, None]]), float(bound)))
+    return out
+
+
+@st.composite
+def scans(draw):
+    q = draw(st.sampled_from(SQUAREFREE_60))
+    return q, draw(st.integers(1, 3 * q)), draw(st.integers(1, 3 * q))
+
+
+@PROFILE
+@given(scans())
+@example((5, 5, 10))  # the CLI's scan: both cover a period
+@example((30, 30, 60))
+@example((7, 7, 2))  # scan_N < q // 2: sweeping every offset up to q // 2 overshoots
+@example((13, 40, 12))  # scan_N = q - 1 with scan_M past q
+@example((11, 1, 33))
+@example((3, 1, 1))
+def test_sweep_matches_window_oracle(case):
+    q, scan_M, scan_N = case
+    rep = polya_vinogradov_check(q, scan_M, scan_N)
+    oracle = window_oracle(q, scan_M, scan_N)
+    assert [row[0] for row in rep.rows] == [i for i, _, _ in oracle]
+    for (_, stat, bound, ratio), (_, sums, oracle_bound) in zip(rep.rows, oracle):
+        assert abs(stat - sums.max()) <= 1e-9
+        assert bound == pytest.approx(oracle_bound, rel=1e-12)
+        assert ratio == stat / bound
+    ratios = [sums.max() / bound for _, sums, bound in oracle]
+    assert rep.max_ratio == pytest.approx(max(ratios), rel=1e-9)
+
+    # tie-break: the first character within 1e-9 relative of the top ratio,
+    # then its first window in (M, N) order within 1e-9 of its max |sum|
+    top = max(ratios)
+    k = next(k for k, ratio in enumerate(ratios) if ratio >= top * (1 - TIE))
+    sums = oracle[k][1]
+    M, N = divmod(int(np.argmax(sums >= sums.max() - TIE)), scan_N)
+    assert (rep.argmax_character, rep.argmax_M, rep.argmax_N) == (oracle[k][0], M, N + 1)
+    assert (rep.argmax_abs_sum, rep.argmax_bound) == rep.rows[k][1:3]
+    assert rep.max_ratio == rep.rows[k][3]
+
+    chi = all_characters(q).character(rep.argmax_character)
+    window = sum(chi.value(n) for n in range(rep.argmax_M + 1, rep.argmax_M + rep.argmax_N + 1))
+    assert abs(abs(window) - rep.argmax_abs_sum) <= 1e-9
+
+
+@pytest.mark.parametrize("scan_M, scan_N", [(0, 10), (5, 0), (-1, 10), (5, -3), (0, 0)])
+def test_scans_must_be_positive(scan_M, scan_N):
+    with pytest.raises(DomainError, match=r"need scan_M >= 1 and scan_N >= 1"):
+        polya_vinogradov_check(5, scan_M, scan_N)
+
+
+def test_report_fields_are_python_numbers():
+    rep = polya_vinogradov_check(30, 30, 60)
+    for f in fields(rep):
+        if f.name != "rows":
+            assert type(getattr(rep, f.name)) in (int, float), f.name
+    for row in rep.rows:
+        assert [type(x) for x in row] == [int, float, float, float]
+    summary, rows = cli._verify_charsums(Namespace(qmax=30, seed=1, trials=3))
+    assert summary["polya_vinogradov_all_pass"] is True
+    assert summary["large_sieve_all_hold"] is True
+    json.dumps(summary)
+    for row in rows:
+        assert [type(x) for x in row] == [int, int, float, float, float]
