@@ -8,7 +8,6 @@ from .arith import (
     PrimeSet,
     factor_over,
     is_prime,
-    mod_inverse,
     multiplicative_functions,
     prime_support,
     primes_in_range,
@@ -45,7 +44,6 @@ from .errors import (
     EnumerationCap,
     FactorizationLimit,
     InsufficientPrimes,
-    NotInvertible,
     ResourceLimit,
     SunitHarvestError,
 )

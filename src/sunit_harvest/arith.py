@@ -7,9 +7,9 @@ a*u that exceed 64 bits are handled without any special casing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import isqrt
 
-from .errors import DomainError, FactorizationLimit, NotInvertible
+from .errors import DomainError, FactorizationLimit
 
 # Witnesses making Miller-Rabin deterministic for all n < 3.3 * 10^24,
 # far beyond anything the pipelines produce.
@@ -141,15 +141,6 @@ def factor_over(n: int, T: PrimeSet) -> FactoredInt | None:
     if rem != 1:
         return None
     return FactoredInt(n, tuple(factors))
-
-
-def mod_inverse(c: int, a: int) -> int:
-    """Multiplicative inverse of c modulo a, in [1, a-1]."""
-    if a < 2:
-        raise DomainError("modulus must be >= 2")
-    if gcd(c, a) != 1:
-        raise NotInvertible(f"gcd({c}, {a}) > 1")
-    return pow(c, -1, a)
 
 
 def trial_factor(n: int, effort: int = 10**6) -> tuple[tuple[int, int], ...]:

@@ -16,7 +16,7 @@ the product of the primes where chi is twisted, and |tau(chi)|^2 = cond(chi).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
 from typing import Sequence
 
 import numpy as np
@@ -24,7 +24,7 @@ import numpy as np
 from .arith import trial_factor, multiplicative_functions
 from .errors import DomainError, ResourceLimit
 from .smooth import SmoothSet
-from .stepping import count_hits
+from .stepping import _interval_counts, count_hits
 
 _TWO_PI = 2.0 * np.pi
 
@@ -100,6 +100,12 @@ class CharacterTable:
         self.phi = 1
         for n in self.orders:
             self.phi *= n
+        # residue x -> its unit-grid slot (the raveled tuple of logs of x mod each p)
+        x = np.arange(a)
+        self._slot = np.ravel_multi_index(
+            [np.asarray(t)[x % p] for p, t in zip(self.primes, self.generator_logs)], self.orders
+        )
+        self._coprime = np.gcd(x, a) == 1
         self._value_matrix: np.ndarray | None = None
 
     def __len__(self) -> int:
@@ -128,44 +134,25 @@ class CharacterTable:
 
     def value_matrix(self) -> np.ndarray:
         """Complex [phi, a] array V with V[i, x] = chi_i(x); rows in index order."""
-        if self._value_matrix is not None:
-            return self._value_matrix
-        a = self.modulus
-        k = len(self.primes)
-        # per-prime phase contribution of each residue x
-        phase = np.zeros((k, a))
-        coprime = np.ones(a, dtype=bool)
-        x = np.arange(a)
-        for j, (p, logs) in enumerate(zip(self.primes, self.generator_logs)):
-            r = x % p
-            coprime &= r != 0
-            phase[j] = np.asarray(logs, dtype=float)[r] / (p - 1)
-        # exponent tuples in index order
-        grids = np.meshgrid(*[np.arange(n) for n in self.orders], indexing="ij")
-        E = np.stack([g.reshape(-1) for g in grids], axis=1).astype(float)  # [phi, k]
-        V = np.exp(1j * _TWO_PI * (E @ phase))
-        V[:, ~coprime] = 0.0
-        self._value_matrix = V
-        return V
+        if self._value_matrix is None:
+            E = np.stack(np.unravel_index(np.arange(self.phi), self.orders), axis=1)  # exponent tuples
+            logs = np.stack(np.unravel_index(self._slot, self.orders))
+            V = np.exp(1j * _TWO_PI * (E.astype(float) @ (logs / np.array(self.orders)[:, None])))
+            V[:, ~self._coprime] = 0.0
+            self._value_matrix = V
+        return self._value_matrix
 
     def sums_over_counts(self, counts_by_residue: np.ndarray) -> np.ndarray:
-        """F[i] = sum_x counts[x] * chi_i(x) for every character at once.
+        """F[i] = sum_x counts[x] * chi_i(x) for every character at once; the
+        counts are any real or complex vector indexed by the residues 0 <= x < a.
 
         Scatters the coprime residues onto the unit-group grid and takes a
         multidimensional inverse DFT, which matches the chi orientation above.
         Residues with gcd > 1 are ignored (chi is zero there).
         """
-        tensor = np.zeros(self.orders, dtype=complex)
-        a = self.modulus
-        for x in range(a):
-            c = counts_by_residue[x]
-            if not c:
-                continue
-            if gcd(x, a) != 1:
-                continue
-            pos = tuple(logs[x % p] for p, logs in zip(self.primes, self.generator_logs))
-            tensor[pos] += c
-        return np.fft.ifftn(tensor).reshape(-1) * self.phi
+        grid = np.zeros(self.phi, dtype=complex)
+        grid[self._slot[self._coprime]] = np.asarray(counts_by_residue)[self._coprime]
+        return np.fft.ifftn(grid.reshape(self.orders)).reshape(-1) * self.phi
 
 
 def all_characters(a: int) -> CharacterTable:
@@ -185,18 +172,6 @@ def gauss_sum_and_conductor(chi: DirichletCharacter) -> tuple[complex, int]:
         chi.value(x) * np.exp(1j * _TWO_PI * x / a) for x in range(1, a) if gcd(x, a) == 1
     )
     return complex(tau), chi.conductor
-
-
-def _interval_counts(a: int, W: int) -> np.ndarray:
-    """counts[r] = #{1 <= w <= W : w == r (mod a)}."""
-    counts = np.zeros(a)
-    if W <= 0:
-        return counts
-    full, rem = divmod(W, a)
-    counts += full
-    if rem:
-        counts[1 : rem + 1] += 1
-    return counts
 
 
 @dataclass(frozen=True)
@@ -273,27 +248,35 @@ def large_sieve_check(
     """
     if Y >= Z:
         raise DomainError("need Y < Z")
+    if Y < 0:
+        raise DomainError("need Y >= 0")
     if len(a_n) != Z - Y:
         raise DomainError("a_n must be indexed by n in (Y, Z]")
+    n = np.arange(Y + 1, Z + 1)
+    coeffs = np.asarray(a_n, dtype=complex)
     lhs = 0.0
     for q in Q_set:
         table = all_characters(q)  # DomainError on non-squarefree q
-        V = table.value_matrix()
         folded = np.zeros(q, dtype=complex)
-        for ofs, coeff in enumerate(a_n):
-            folded[(Y + 1 + ofs) % q] += coeff
-        sums = V @ folded
-        evec = np.exp(1j * _TWO_PI * np.arange(q) / q)
-        taus = V @ evec
+        np.add.at(folded, n % q, coeffs)
+        sums = table.sums_over_counts(folded)
+        taus = table.sums_over_counts(np.exp(1j * _TWO_PI * np.arange(q) / q))
         lhs += float(np.sum(np.abs(taus) ** 2 * np.abs(sums) ** 2)) / table.phi
     max_d = max(multiplicative_functions(q)[2] for q in Q_set)
     max_q = max(Q_set)
-    weight = sum(
-        multiplicative_functions(Y + 1 + ofs)[2] * abs(coeff) ** 2
-        for ofs, coeff in enumerate(a_n)
-    )
+    weight = float(_divisor_counts(Y, Z) @ np.abs(coeffs) ** 2)
     rhs = 7.0 * max_d * max(Z - Y, max_q**2) * weight
     return lhs, rhs, lhs <= rhs + 1e-9
+
+
+def _divisor_counts(Y: int, Z: int) -> np.ndarray:
+    """d(n) for Y < n <= Z, from the factor pairs n = k*m with k <= m (so k <= sqrt Z)."""
+    k = np.arange(1, isqrt(Z) + 1)
+    first = np.maximum(Y // k + 1, k)  # the least m with k*m > Y and m >= k
+    reps = np.maximum(Z // k - first + 1, 0)
+    kk = np.repeat(k, reps)
+    m = np.repeat(first - np.cumsum(reps) + reps, reps) + np.arange(kk.size)
+    return np.bincount(kk * m - Y - 1, weights=np.where(m > kk, 2.0, 1.0), minlength=Z - Y)
 
 
 def fourth_moment_ratio(q: int, N: int) -> float:
@@ -303,9 +286,7 @@ def fourth_moment_ratio(q: int, N: int) -> float:
     if N < 1:
         raise DomainError("need N >= 1")
     table = all_characters(q)
-    V = table.value_matrix()
-    counts = _interval_counts(q, N)
-    sums = V @ counts.astype(complex)
+    sums = table.sums_over_counts(_interval_counts(q, N))
     fourth = float(np.sum(np.abs(sums[1:]) ** 4))
     return fourth / table.phi / N**2
 
@@ -354,19 +335,18 @@ def multiplicative_decomposition(
     for m in A.members:
         if not m.squarefree or m.value < 2:
             raise DomainError(f"modulus {m.value} must be squarefree and >= 2")
+    # counted first: for a nonempty A, count_hits refuses any C past int64
+    exact = count_hits(a_values, c_values, W, shift=1)
+    c = np.array(c_values if a_values else (), dtype=np.int64)
     main = 0.0
     remainder = 0.0 + 0.0j
     for a in a_values:
         if a > table_cap:
             raise ResourceLimit(f"modulus {a} beyond table cap {table_cap}")
         table = all_characters(a)
-        c_counts = np.zeros(a)
-        for c in c_values:
-            c_counts[c % a] += 1
-        Fc = table.sums_over_counts(c_counts)
+        Fc = table.sums_over_counts(np.bincount(c % a, minlength=a))
         Fw = table.sums_over_counts(_interval_counts(a, W))
         prod = Fc * Fw / table.phi
         main += prod[0].real
         remainder += np.sum(prod[1:])
-    exact = count_hits(a_values, c_values, W, shift=1)
     return main, float(remainder.real), exact

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError
 from .smooth import SmoothSet
-from .stepping import count_hits
+from .stepping import _interval_counts, count_hits, progressions
 
 _TWO_PI = 2.0 * np.pi
 
@@ -49,16 +49,19 @@ def kloosterman_sum(m: int, n: int, c: int) -> complex:
     return complex(total)
 
 
-def s_mu_weight(h: int, mu: float) -> complex:
-    """The archimedean weight (e(-h mu) - 1) / (-2 pi i h) of one frequency.
+def s_mu_weight(h: int | np.ndarray, mu: float) -> complex | np.ndarray:
+    """The archimedean weight (e(-h mu) - 1) / (-2 pi i h) of one frequency, or
+    an array of them for an integer array h.
 
     Satisfies |s_mu(h)| <= min(mu, 1/(pi |h|)).
     """
-    if h == 0:
+    h = np.asarray(h)
+    if (h == 0).any():
         raise DomainError("h = 0 is the main term, handled separately")
     if not 0.0 < mu <= 1.0:
         raise DomainError("need 0 < mu <= 1")
-    return complex((np.exp(-1j * _TWO_PI * h * mu) - 1.0) / (-2j * pi * h))
+    w = (np.exp(-1j * _TWO_PI * h * mu) - 1.0) / (-2j * pi * h)
+    return complex(w) if w.ndim == 0 else w
 
 
 @dataclass(frozen=True)
@@ -132,47 +135,45 @@ def additive_decomposition(
     # only matter for the asymptotic error terms, so they are audited, not fatal
     window_violation = min(a_values) * 4 < 3 * Z or mu < 1.0 / sqrt(Z)
 
-    main = 0.0
-    spectrum: dict[int, complex] = {}
-    rows: list[tuple[int, int, float, float, float]] = []
-    violations = 0
-    for a in a_values:
-        wa = _floor_mu_a(mu, a)
-        inv_counts = np.zeros(a)
-        for c in c_values:
-            if gcd(c, a) != 1:
-                violations += 1
-                continue
-            inv_counts[pow(c, -1, a)] += 1
-        coprime_c = int(inv_counts.sum())
-        main += wa * coprime_c / a
-        # F[h] = sum_c e(h c^-1 / a) for all h mod a at once
-        F = np.fft.ifft(inv_counts) * a
-        # Wsum[h] = sum_{w=1..wa} e(-h w / a)
-        wvec = np.zeros(a)
-        wvec[1 : wa + 1] = 1.0
-        if wa >= a:  # mu == 1 and a divides exactly
-            wvec[:] = 1.0
-        Wsum = np.fft.fft(wvec)
-        terms = Wsum * F / a
-        half = a // 2
-        for h in range(half - a + 1, half + 1):  # exactly -a/2 < h <= a/2
-            if h == 0:
-                continue
-            t = complex(terms[h % a])
-            spectrum[h] = spectrum.get(h, 0.0 + 0.0j) + t
-            smu = abs(s_mu_weight(h, mu))
-            rows.append((a, h, smu, float(abs(F[h % a])), t.real))
-
-    # w is bounded per modulus (w <= [mu a]), so step each modulus separately
+    # w is bounded per modulus (w <= [mu a]), so step each modulus separately;
+    # counted first: count_hits refuses any C past int64
     exact = 0
     for a in a_values:
         exact += count_hits([a], c_values, _floor_mu_a(mu, a), shift=1)
+    c = np.array(c_values, dtype=np.int64)
+
+    # the frequencies h != 0 of the window -a/2 < h <= a/2 of Z; every modulus's
+    # window nests in it, starting (Z - 1) // 2 - (a - 1) // 2 places in
+    h = np.arange(Z // 2 - Z + 1, Z // 2 + 1)
+    h = h[h != 0]
+    smu = np.abs(s_mu_weight(h, mu))
+    spectrum_sum = np.zeros(h.size, dtype=complex)
+    main = 0.0
+    violations = 0
+    rows: list[tuple[int, int, float, float, float]] = []
+    for a in a_values:
+        wa = _floor_mu_a(mu, a)
+        # c^-1 is the one solution 1 <= w <= a of c*w == 1 (none when gcd(c, a) > 1),
+        # taken mod a for a = 1
+        inv = progressions(a, c % a, [1], a)[2] % a
+        violations += len(c) - len(inv)
+        main += wa * len(inv) / a
+        # F[h] = sum_c e(h c^-1 / a) and Wsum[h] = sum_{w=1..wa} e(-h w / a), all h mod a
+        F = np.fft.ifft(np.bincount(inv, minlength=a)) * a
+        terms = np.fft.fft(_interval_counts(a, wa)) * F / a
+        start = (Z - 1) // 2 - (a - 1) // 2
+        window = slice(start, start + a - 1)
+        k = h[window] % a
+        spectrum_sum[window] += terms[k]
+        rows += zip([a] * (a - 1), h[window].tolist(), smu[window].tolist(),
+                    np.abs(F[k]).tolist(), terms[k].real.tolist())
+    spectrum = dict(zip(h.tolist(), spectrum_sum.tolist()))
 
     lam = 1.0 / log(Z) if Z > 1 else 1.0
     cutoff = lam * mu * Z
-    truncated = main + sum(v.real for h, v in spectrum.items() if abs(h) <= cutoff)
-    tail = sum(v.real for h, v in spectrum.items() if abs(h) > cutoff)
+    inside = np.abs(h) <= cutoff
+    truncated = main + float(spectrum_sum.real[inside].sum())
+    tail = float(spectrum_sum.real[~inside].sum())
     nA = len(a_values)
     nC = len(c_values)
     X = max(c_values) if c_values else 0

@@ -46,13 +46,7 @@ from .pipelines import (
     thm1_run,
     thm2_run,
 )
-from .report import (
-    write_charsum_csv,
-    write_frontier_csv,
-    write_json_report,
-    write_solutions_csv,
-    write_spectrum_csv,
-)
+from .report import SOLUTION_HEADERS, write_csv, write_json_report
 from .smooth import enumerate_squarefree_smooth, split_disjoint_prime_sets
 from .siegel import siegel_small_solution
 
@@ -197,7 +191,7 @@ def _run_pipeline(args) -> int:
     payload = {"run": report.as_dict(), "timing": _timing(t0), "seed": args.seed}
     _emit(payload, args.out)
     if args.solutions:
-        write_solutions_csv(report.equation, report.solution_rows, args.solutions)
+        write_csv(args.solutions, SOLUTION_HEADERS[report.equation], report.solution_rows)
     return EXIT_OK
 
 
@@ -231,7 +225,7 @@ def _run_oracle(args) -> int:
     }
     _emit(payload, args.out)
     if args.solutions and equation:
-        write_solutions_csv(equation, rows, args.solutions)
+        write_csv(args.solutions, SOLUTION_HEADERS[equation], rows)
     return EXIT_OK
 
 
@@ -245,7 +239,7 @@ def _run_exponents(args) -> int:
                 theta, val = optimality_frontier(k, I)
                 rows.append((k, theta, val))
         if args.out:
-            write_frontier_csv(rows, args.out)
+            write_csv(args.out, ["k", "theta", "frontier"], rows)
         else:
             for row in rows:
                 print(",".join(str(v) for v in row))
@@ -315,7 +309,7 @@ def _run_verify(args) -> int:
         payload = {"verify": "charsums", "summary": summary, "timing": _timing(t0), "seed": args.seed}
         _emit(payload, args.out)
         if args.solutions:
-            write_charsum_csv(rows, args.solutions)
+            write_csv(args.solutions, ["modulus", "character_index", "statistic", "bound", "ratio"], rows)
         return EXIT_OK if summary["polya_vinogradov_all_pass"] and summary["large_sieve_all_hold"] else EXIT_CONSTRAINT
     if args.what == "sieve":
         pool = [q for q in range(3, 50) if _is_squarefree(q)]
@@ -355,7 +349,7 @@ def _run_verify(args) -> int:
         }
         _emit(payload, args.out)
         if args.solutions:
-            write_spectrum_csv(dec.rows, args.solutions)
+            write_csv(args.solutions, ["a", "h", "s_mu_abs", "fraction_sum_abs", "term"], dec.rows)
         return EXIT_OK if payload["exact_match"] else EXIT_CONSTRAINT
     raise ConfigError("what", f"unknown verification {args.what!r}")
 

@@ -9,10 +9,6 @@ class DomainError(SunitHarvestError):
     """An argument lies outside the operation's mathematical domain."""
 
 
-class NotInvertible(SunitHarvestError):
-    """Requested a modular inverse of a non-unit."""
-
-
 class FactorizationLimit(SunitHarvestError):
     """Integer did not factor within the configured trial-division effort."""
 

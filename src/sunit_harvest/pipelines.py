@@ -20,7 +20,7 @@ key.  thm1 and thm2 walk with the residue-progression kernel of `stepping`.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from math import ceil, gcd, log2, prod, sqrt
+from math import ceil, floor, gcd, log2, prod, sqrt
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -201,8 +201,14 @@ def prop1_config(x: int, t1: PrimeSet, t2: PrimeSet, t3: PrimeSet, **kwargs) -> 
 
 
 def _range(scale: float, delta: float) -> tuple[int, int]:
-    """Integer window [scale^(1-delta), scale]."""
-    return max(2, ceil(scale ** (1 - delta))), int(scale)
+    """Integer window [scale^(1-delta), scale].  An end within 1e-9 relative of
+    an integer is that integer: 27000 ** (1/3) is 29.999999999999996, not 29."""
+
+    def snap(v: float) -> float:
+        n = round(v)
+        return n if abs(v - n) <= 1e-9 * abs(v) else v
+
+    return max(2, ceil(snap(scale ** (1 - delta)))), floor(snap(scale))
 
 
 def _window_sets(config: HarvestConfig, equation: str, windows: Iterable) -> list[tuple[int, ...]]:

@@ -69,12 +69,12 @@ SOLUTION_HEADERS = {
 }
 
 
-def write_solutions_csv(equation: str, rows, path: str | Path) -> None:
+def write_csv(path: str | Path, header, rows) -> None:
+    """One header line, then one line per row."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(SOLUTION_HEADERS[equation])
-        for row in rows:
-            writer.writerow(list(row))
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def read_solutions_csv(path: str | Path) -> tuple[str, list[tuple[int, ...]]]:
@@ -89,29 +89,3 @@ def read_solutions_csv(path: str | Path) -> tuple[str, list[tuple[int, ...]]]:
             raise DomainError(f"unrecognized CSV header {header}")
         rows = [tuple(int(v) for v in row) for row in reader]
     return equation, rows
-
-
-def write_charsum_csv(rows, path: str | Path) -> None:
-    """Rows (modulus, character_index, statistic, bound, ratio)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["modulus", "character_index", "statistic", "bound", "ratio"])
-        for row in rows:
-            writer.writerow(list(row))
-
-
-def write_spectrum_csv(rows, path: str | Path) -> None:
-    """Rows (a, h, |s_mu|, |fraction_sum|, term)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["a", "h", "s_mu_abs", "fraction_sum_abs", "term"])
-        for row in rows:
-            writer.writerow(list(row))
-
-
-def write_frontier_csv(rows, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "theta", "frontier"])
-        for row in rows:
-            writer.writerow(list(row))

@@ -50,6 +50,18 @@ def progressions(a: int, c_values: Sequence[int], shifts: Sequence[int], W: int)
     return i, j, w0.ravel()[cell] + term * step[i, 0]
 
 
+def _interval_counts(a: int, W: int) -> np.ndarray:
+    """counts[r] = #{1 <= w <= W : w == r (mod a)}."""
+    counts = np.zeros(a)
+    if W <= 0:
+        return counts
+    full, rem = divmod(W, a)
+    counts += full
+    if rem:
+        counts[1 : rem + 1] += 1
+    return counts
+
+
 def count_hits(a_values: Iterable[int], c_values: Iterable[int], W: int, shift: int = 1) -> int:
     """Exact number of triples (a, c, w) with c*w == shift (mod a) and 1 <= w <= W."""
     c_values = list(c_values)

@@ -1,5 +1,4 @@
 import random
-from math import gcd
 
 import pytest
 
@@ -9,12 +8,11 @@ from sunit_harvest.arith import (
     PrimeSet,
     factor_over,
     is_prime,
-    mod_inverse,
     multiplicative_functions,
     primes_in_range,
     trial_factor,
 )
-from sunit_harvest.errors import DomainError, NotInvertible
+from sunit_harvest.errors import DomainError
 
 
 def test_primes_in_range_examples():
@@ -63,22 +61,6 @@ def test_factor_over_vs_trial_division():
         assert (got is not None) == all(p in support for p, _ in brute)
         if got is not None:
             assert tuple(brute) == got.factors
-
-
-def test_mod_inverse():
-    assert mod_inverse(3, 7) == 5
-    assert mod_inverse(1, 19) == 1
-    with pytest.raises(NotInvertible):
-        mod_inverse(4, 8)
-    rng = random.Random(7)
-    checked = 0
-    while checked < 10_000:
-        a = rng.randint(2, 10**6)
-        c = rng.randint(1, a - 1)
-        if gcd(c, a) != 1:
-            continue
-        assert c * mod_inverse(c, a) % a == 1
-        checked += 1
 
 
 def test_multiplicative_functions_examples():

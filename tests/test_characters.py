@@ -160,6 +160,30 @@ def test_large_sieve_random_trials():
         large_sieve_check([4], 0, 2, [1, 0])
 
 
+def test_large_sieve_vs_termwise_oracle():
+    # the transform-routed sums, Gauss sums and divisor weights against scalar ones
+    rng = random.Random(3)
+    for Y in (0, 1, 15, 48):
+        qs = sorted(rng.sample([3, 5, 6, 7, 10, 15, 21, 30], k=2))
+        Z = Y + rng.randint(1, 80)
+        ns = range(Y + 1, Z + 1)
+        coeffs = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in ns]
+        lhs, rhs, _ = large_sieve_check(qs, Y, Z, coeffs)
+        want = 0.0
+        for q in qs:
+            t = all_characters(q)
+            for chi in t.characters():
+                tau = gauss_sum_and_conductor(chi)[0]
+                s = sum(c * chi.value(n) for n, c in zip(ns, coeffs))
+                want += abs(tau) ** 2 * abs(s) ** 2 / t.phi
+        weight = sum(multiplicative_functions(n)[2] * abs(c) ** 2 for n, c in zip(ns, coeffs))
+        max_d = max(multiplicative_functions(q)[2] for q in qs)
+        assert lhs == pytest.approx(want, rel=1e-9), (qs, Y, Z)
+        assert rhs == pytest.approx(7.0 * max_d * max(Z - Y, max(qs) ** 2) * weight, rel=1e-12)
+    with pytest.raises(DomainError):
+        large_sieve_check([3], -1, 2, [1, 0, 0])
+
+
 def test_fourth_moment_examples():
     assert fourth_moment_ratio(3, 3) == pytest.approx(0.0, abs=1e-12)
     for q in (5, 7, 15):
@@ -269,6 +293,7 @@ def test_multiplicative_decomposition_rejects_bad_moduli():
 def test_bulk_sums_align_with_character_indexing():
     # the grid DFT must agree with per-character summation index by index,
     # not just in aggregate (a permutation would cancel in the decompositions)
+    rng = random.Random(5)
     for a in (15, 30, 105):
         t = all_characters(a)
         vals = list(range(2, 97, 3))
@@ -276,8 +301,14 @@ def test_bulk_sums_align_with_character_indexing():
         for v in vals:
             counts[v % a] += 1
         bulk = t.sums_over_counts(counts)
+        # complex weights on every residue, those sharing a factor with a included
+        weights = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(a)]
+        weighted = t.sums_over_counts(np.array(weights))
         for i in range(t.phi):
-            assert abs(bulk[i] - char_sum(t.character(i), vals)) <= 1e-9, (a, i)
+            chi = t.character(i)
+            assert abs(bulk[i] - char_sum(chi, vals)) <= 1e-9, (a, i)
+            termwise = sum(w * chi.value(x) for x, w in enumerate(weights))
+            assert abs(weighted[i] - termwise) <= 1e-9, (a, i)
 
 
 def test_polya_vinogradov_argmax_reproduces():

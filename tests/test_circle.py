@@ -139,6 +139,36 @@ def test_additive_decomposition_vs_brute():
         )
 
 
+def test_additive_rows_and_spectrum_vs_scalar_oracles():
+    # each (a, h) row against fraction_sum and s_mu_weight, and the spectrum as
+    # the sum over moduli of the rows' terms; mu = 1 and [mu a] = 0 included
+    rng = random.Random(12)
+    for mu in (1.0, 0.05, 0.5, rng.uniform(0.1, 1.0)):
+        Z = rng.randint(8, 19)
+        a_vals = sorted(rng.sample(range(2, Z), k=3)) + [Z]
+        c_vals = sorted(rng.sample(range(1, 200), k=12))
+        dec = additive_decomposition(a_vals, c_vals, mu)
+        rows, spectrum = [], {}
+        for a in a_vals:
+            wa = int(mu * a + 1e-9)
+            for h in range(a // 2 - a + 1, a // 2 + 1):
+                if h == 0:
+                    continue
+                F = fraction_sum(c_vals, h, a).value
+                t = sum(cmath.exp(-2j * pi * h * w / a) for w in range(1, wa + 1)) * F / a
+                rows.append((a, h, abs(s_mu_weight(h, mu)), abs(F), t.real))
+                spectrum[h] = spectrum.get(h, 0.0) + t
+        assert isinstance(dec.rows, list)
+        assert [row[:2] for row in dec.rows] == [row[:2] for row in rows]
+        for got, want in zip(dec.rows, rows):
+            assert [type(v) for v in got] == [int, int, float, float, float]
+            assert got[2:] == pytest.approx(want[2:], abs=1e-9), got
+        assert sorted(dec.spectrum) == sorted(spectrum)
+        for h, v in spectrum.items():
+            assert type(dec.spectrum[h]) is complex
+            assert abs(dec.spectrum[h] - v) <= 1e-9, (mu, h)
+
+
 def test_trilinear_bound_examples():
     assert trilinear_kloosterman_bound(1, 1, 1, 1) == pytest.approx(
         sqrt(4 + sqrt(2) + 1), rel=1e-12

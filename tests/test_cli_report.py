@@ -9,10 +9,11 @@ from sunit_harvest import cli
 from sunit_harvest.errors import ConfigError, DomainError, FactorizationLimit
 from sunit_harvest.pipelines import verify_sunit_solution
 from sunit_harvest.report import (
+    SOLUTION_HEADERS,
     compare_bounds,
     read_solutions_csv,
     strip_timing,
-    write_solutions_csv,
+    write_csv,
 )
 
 THM1_CFG = """\
@@ -224,7 +225,7 @@ def test_cli_verify_and_smooth(tmp_path, capsys):
 def test_solutions_csv_roundtrip(tmp_path):
     rows = [(7, 8, 7, 4, 1, 2)]
     path = tmp_path / "sols.csv"
-    write_solutions_csv("thm1", rows, path)
+    write_csv(path, SOLUTION_HEADERS["thm1"], rows)
     equation, back = read_solutions_csv(path)
     assert equation == "thm1"
     assert back == [tuple(rows[0])]

@@ -14,8 +14,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_trial_division
+from conftest import brute_trial_division, smoothset
 from sunit_harvest.arith import PrimeSet
+from sunit_harvest.characters import multiplicative_decomposition
+from sunit_harvest.circle import additive_decomposition
 from sunit_harvest.errors import EmptyHarvest, ResourceLimit
 from sunit_harvest.oracle import brute_linear_count
 from sunit_harvest.pipelines import (
@@ -161,6 +163,11 @@ def test_int64_limit():
         count_hits([3], [2**62 + 1], 2)
     with pytest.raises(ResourceLimit):
         progressions(2**32, [3], [1], 1)  # a^2 passes int64
+    # both decompositions count with the kernel before C reaches an int64 array
+    with pytest.raises(ResourceLimit):
+        multiplicative_decomposition(smoothset([3]), smoothset([2**63 + 1]), 2)
+    with pytest.raises(ResourceLimit):
+        additive_decomposition([3], [2**63 + 1], 0.5)
     # one step below the limit the exact harvest still runs: 2 * 2**61 + 1 = 2**62 + 1
     rep = thm1_harvest([2], [2**62 + 1], 1, S)
     assert rep.popular_key == (2**61, 1)

@@ -6,6 +6,7 @@ from sunit_harvest.errors import ConfigError, ConstraintViolation, EmptyHarvest,
 from sunit_harvest.oracle import brute_linear_count
 from sunit_harvest.pipelines import (
     HarvestConfig,
+    _range,
     config_from_exponents,
     pair_collision_stats,
     popular_bucket,
@@ -52,20 +53,24 @@ def test_thm1_hit_conservation():
     stats = rep.bucket_stats
     # residue-stepped totals equal the naive oracle count over the same sets
     cfg = desk_thm1_config()
-    from math import ceil
-
     from sunit_harvest.smooth import enumerate_squarefree_smooth
 
-    def window(scale):
-        return max(2, ceil(scale ** (1 - cfg.delta))), int(scale)
-
-    q = enumerate_squarefree_smooth(cfg.t1, *window(cfg.q)).values()
-    r = enumerate_squarefree_smooth(cfg.t2, *window(cfg.r)).values()
-    a = enumerate_squarefree_smooth(cfg.t3, *window(cfg.z)).values()
+    q = enumerate_squarefree_smooth(cfg.t1, *_range(cfg.q, cfg.delta)).values()
+    r = enumerate_squarefree_smooth(cfg.t2, *_range(cfg.r, cfg.delta)).values()
+    a = enumerate_squarefree_smooth(cfg.t3, *_range(cfg.z, cfg.delta)).values()
     c = sorted(qv * rv for qv in q for rv in r)
     oracle = brute_linear_count(list(a), c, cfg.w_max, 1)
     assert stats["total_hits"] == oracle.count
     assert stats["max_load"] >= stats["pigeonhole_floor"]
+
+
+def test_window_ends_snap_to_integers():
+    # float powers land a hair below an integer end, which int() would drop
+    assert _range(27000 ** (1 / 3), 0.1) == (22, 30)
+    cfg = desk_thm1_config()
+    assert cfg.z == pytest.approx(100.0) and cfg.z < 100
+    assert _range(cfg.z, cfg.delta) == (64, 100)
+    assert _range(99.5, 0.1) == (63, 99)  # ends away from an integer keep ceil and floor
 
 
 def test_thm1_report_fields():
