@@ -17,7 +17,6 @@ from .characters import (
     CharacterTable,
     DirichletCharacter,
     all_characters,
-    char_sum,
     fourth_moment_ratio,
     gauss_sum_and_conductor,
     large_sieve_check,

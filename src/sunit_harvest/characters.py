@@ -160,11 +160,6 @@ def all_characters(a: int) -> CharacterTable:
     return CharacterTable(a)
 
 
-def char_sum(chi: DirichletCharacter, values: Sequence[int]) -> complex:
-    """Plain sum of chi over a list of integers."""
-    return sum((chi.value(v) for v in values), 0.0 + 0.0j)
-
-
 def gauss_sum_and_conductor(chi: DirichletCharacter) -> tuple[complex, int]:
     """(tau(chi), cond(chi)); for squarefree moduli |tau|^2 == cond."""
     a = chi.modulus

@@ -14,7 +14,8 @@ All three run on one core: each supplies a walk that lists one coefficient's
 hits as int64 rows (keys, payloads), `popular_bucket` counts them by key and
 gathers the popular bucket's hits, and each maps those to candidate solutions,
 which `_keep_verified` dedupes, verifies and emits as rows solution + payload +
-key.  thm1 and thm2 walk with the residue-progression kernel of `stepping`.
+key.  thm1 and thm2 walk with the residue-progression kernel of `stepping`,
+prop1 with the batched kernel-vector search `siegel.NonzeroSearch`.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .errors import (
 )
 from .exponents import regime_exponents
 from .report import compare_bounds
-from .siegel import siegel_nonzero_coords
+from .siegel import NonzeroSearch, siegel_nonzero_coords
 from .smooth import enumerate_squarefree_smooth
 from .stepping import progressions
 
@@ -195,8 +196,8 @@ def config_from_exponents(
 
 
 def prop1_config(x: int, t1: PrimeSet, t2: PrimeSet, t3: PrimeSet, **kwargs) -> HarvestConfig:
-    """A prop1 config.  Each coefficient triple costs a Siegel search, so the
-    tuple cap defaults to 2,000,000 rather than the thm1/thm2 50,000,000."""
+    """A prop1 config.  Each coefficient triple costs a kernel-vector search,
+    so the tuple cap defaults to 2,000,000 rather than the thm1/thm2 50,000,000."""
     return HarvestConfig("prop1", t1, t2, t3, x, **{"delta": 0.1, "hit_cap": 2_000_000, **kwargs})
 
 
@@ -521,9 +522,10 @@ def prop1_run(config: HarvestConfig) -> HarvestReport:
     """Harvest coprime triples a + b = c from small kernel vectors of linear forms.
 
     For each coefficient triple over the three smooth sets up to x, a small
-    all-nonzero kernel vector bounded by sqrt(3x) is selected deterministically;
-    triples are bucketed by that vector, the popular vector is fixed, and its
-    hits are reduced by their gcd to coprime solutions.
+    all-nonzero kernel vector bounded by sqrt(3x) is selected deterministically,
+    for one a1 at a time over every (a2, a3) pair; triples are bucketed by that
+    vector, the popular vector is fixed, and its hits are reduced by their gcd
+    to coprime solutions.
     """
     x = config.x
     sets = _window_sets(config, "prop1", [(2, x)] * 3)
@@ -531,21 +533,22 @@ def prop1_run(config: HarvestConfig) -> HarvestReport:
     if n_triples > config.hit_cap:
         raise ResourceLimit(f"{n_triples} coefficient triples beyond hit cap {config.hit_cap}")
     cap = sqrt(3.0 * x)
+    pairs = [(a2, a3) for a2 in sets[1] for a3 in sets[2]]
+    search = NonzeroSearch(pairs, cap)
+    tail = np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
     def scan(a1: int) -> tuple[np.ndarray, np.ndarray, int]:
-        rows, skipped = [], 0
-        for a2 in sets[1]:
-            for a3 in sets[2]:
-                sol = siegel_nonzero_coords((a1, a2, a3), x, cap)
-                if sol is None:
-                    skipped += 1
-                    continue
-                rows.append(sol.z + (a1, a2, a3))
-        rows = np.array(rows, dtype=np.int64).reshape(-1, 6)
-        return rows[:, :3], rows[:, 3:], skipped
+        z, found = search(a1)
+        payloads = np.column_stack((np.full(len(tail), a1, dtype=np.int64), tail))
+        return z[found], payloads[found], len(found) - int(found.sum())
 
     _, stats, popular, skipped = _harvest(sets[0], scan)
     skipped_triples = sum(skipped)
+    # the scalar search is the oracle: it re-derives the popular vector of every popular hit
+    for alphas in popular.hits:
+        sol = siegel_nonzero_coords(alphas, x, cap)
+        if sol is None or sol.z != popular.key:
+            raise RuntimeError(f"batched kernel search disagrees with the scalar search on {alphas}")
 
     def reduced(alphas: tuple) -> tuple:
         # a1*z1 + a2*z2 + a3*z3 = 0 with every term nonzero: after dividing out

@@ -3,15 +3,24 @@
 The pigeonhole construction: as y ranges over [0, C]^n the form sum(alpha_i y_i)
 takes at most n*[C*B]+1 values, so with C = [(nB)^(1/(n-1))] two points collide
 and their difference is a nonzero solution bounded by C.
+
+`siegel_nonzero_coords` is the scalar search for an all-nonzero solution and
+the oracle; `NonzeroSearch` makes the same selection for n = 3 as one array
+pass over many (a2, a3) pairs per a1, which is what prop1 runs.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import floor
+from math import floor, gcd
+from typing import Sequence
+
+import numpy as np
 
 from .errors import DomainError
+
+INT64_MAX = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -143,3 +152,86 @@ def _nonzero_third_coordinate(
             if best is not None:
                 return SmallSolution(best[4], cap)
     return None
+
+
+class NonzeroSearch:
+    """siegel_nonzero_coords((a1, a2, a3), B, cap).z over fixed pairs (a2, a3)
+    with a3 != 0, for one a1 at a time, as arrays.
+
+    Negating z keeps it a solution, so the selected z1 = m1 is positive.  For
+    fixed (m1, s2) the m2 with s2*a2*m2 == -a1*m1 (mod a3) form one class mod
+    step = |a3| / gcd(a2, a3), |z3| <= M cuts them to an interval and z3 = 0
+    holds at one m2 at most, so the first valid m2 is the class start at or
+    above the interval's low end, stepped once past z3 = 0.  The inverse of
+    a2/g mod step is computed once per pair; m1 is walked in blocks and solved
+    pairs retire.  Pairs whose arithmetic could leave int64 (the class start
+    multiplies two residues mod step, the interval ends reach
+    (|a1| + |a2| + |a3|) * M) are left to the scalar search.
+    """
+
+    BLOCK = 4
+    S2 = np.array([1, -1])  # ranked s2 > 0 first
+
+    def __init__(self, pairs: Sequence[tuple[int, int]], cap: float):
+        if cap < 1:
+            raise DomainError("cap must be >= 1")
+        self.cap, self.M, self.pairs = cap, floor(cap + 1e-12), list(pairs)
+        rows = []
+        for a2, a3 in self.pairs:
+            if a3 == 0:
+                raise DomainError("a3 must be nonzero")
+            g = gcd(a2, a3)
+            step, reach = abs(a3) // g, abs(a2) + abs(a3)
+            if (step - 1) ** 2 > INT64_MAX or reach > INT64_MAX:  # a placeholder row, never fast
+                rows.append((0, 1, 1, 1, 0, INT64_MAX))
+            else:
+                rows.append((a2, a3, g, step, pow(a2 // g, -1, step), reach))
+        self.a2, self.a3, self.g, self.step, self.inv, self.reach = np.array(rows, dtype=np.int64).reshape(-1, 6).T
+
+    def __call__(self, a1: int) -> tuple[np.ndarray, np.ndarray]:
+        """(z, found): row k is the vector selected for (a1,) + pairs[k], or
+        zeros where no all-nonzero vector lies in the window."""
+        z = np.zeros((len(self.pairs), 3), dtype=np.int64)
+        found = np.zeros(len(self.pairs), dtype=bool)
+        fast = self.reach <= INT64_MAX // (self.M + 1) - abs(a1)
+        pending = np.flatnonzero(fast)
+        for first in range(1, self.M + 1, self.BLOCK):
+            if not len(pending):
+                break
+            solved, vectors = self._block(a1, first, pending)
+            z[pending[solved]], found[pending[solved]] = vectors, True
+            pending = pending[~solved]
+        for k in np.flatnonzero(~fast).tolist():
+            sol = siegel_nonzero_coords((a1,) + tuple(self.pairs[k]), 1, self.cap)
+            if sol is not None:
+                z[k], found[k] = sol.z, True
+        return z, found
+
+    def _block(self, a1: int, first: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Which of the pairs rows have a vector with m1 in [first, first + BLOCK),
+        and the first such vector of each."""
+        M, s2 = self.M, self.S2
+        # axes: pair, m1, s2
+        m1 = np.arange(first, min(first + self.BLOCK, M + 1))[None, :, None]
+        a2, a3, g, step, inv = (v[rows, None, None] for v in (self.a2, self.a3, self.g, self.step, self.inv))
+        t, c, bound = a1 * m1, s2 * a2, M * np.abs(a3)
+        # (a2/g)*m2 == -s2*(a1*m1/g) (mod step), solvable when g | a1*m1
+        cls = -s2 * (t // g % step * inv % step) % step
+        lo = np.clip(-((bound + t * np.sign(c)) // np.maximum(np.abs(c), 1)), 1, M + 1)
+        m2 = lo + (cls - lo) % step
+        ok = (t % g == 0) & (m2 <= M)
+        v = t + c * np.where(ok, m2, 0)
+        m2 = m2 + np.where(ok & (v == 0), step, 0)
+        ok &= m2 <= M
+        v = t + c * np.where(ok, m2, 0)
+        ok &= (v != 0) & (np.abs(v) <= bound)
+        # the first m1, then the least m2, the least |z3| and s2 > 0
+        m2 = np.where(ok, m2, M + 1)
+        least = m2.min(axis=2)
+        z3 = -v // a3
+        k = np.where(m2 == least[:, :, None], np.abs(z3), M + 1).argmin(axis=2)
+        has = least <= M
+        solved = has.any(axis=1)
+        i, j = np.flatnonzero(solved), has.argmax(axis=1)[solved]
+        k = k[i, j]
+        return solved, np.column_stack((m1[0, j, 0], s2[k] * least[i, j], z3[i, j, k]))

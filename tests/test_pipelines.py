@@ -159,6 +159,25 @@ def test_prop1_micro():
     assert rep.solutions == ((2, 3, 5),)
 
 
+def test_prop1_popular_hits_rederived_by_scalar_search(monkeypatch):
+    from sunit_harvest import pipelines
+
+    calls = []
+    real = pipelines.siegel_nonzero_coords
+
+    def counted(alpha, B, cap):
+        calls.append(alpha)
+        return real(alpha, B, cap)
+
+    monkeypatch.setattr(pipelines, "siegel_nonzero_coords", counted)
+    rep = prop1_run(prop1_config(300, *_prop1_sets()))
+    assert len(calls) == rep.bucket_stats["max_load"] > 1
+    # a batched vector the scalar search does not select is an internal error
+    monkeypatch.setattr(pipelines, "siegel_nonzero_coords", lambda alpha, B, cap: None)
+    with pytest.raises(RuntimeError, match="disagrees"):
+        prop1_run(prop1_config(300, *_prop1_sets()))
+
+
 def test_prop1_disjointness_required():
     with pytest.raises(ConfigError):
         prop1_run(prop1_config(30, PrimeSet((2, 3)), PrimeSet((3,)), PrimeSet((5,))))

@@ -3,9 +3,14 @@ import random
 from math import floor
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from sunit_harvest import siegel
 from sunit_harvest.errors import DomainError
-from sunit_harvest.siegel import siegel_nonzero_coords, siegel_small_solution
+from sunit_harvest.siegel import INT64_MAX, NonzeroSearch, siegel_nonzero_coords, siegel_small_solution
+
+PROFILE = settings(derandomize=True, max_examples=60, deadline=None)
 
 
 def exhaustive_solutions(alpha, bound):
@@ -105,3 +110,105 @@ def test_nonzero_coords_selection_is_minimal():
             continue
         window = {z for z in exhaustive_solutions(alpha, 6.0) if all(z)}
         assert rank(sol.z) == min(rank(z) for z in window)
+
+
+@st.composite
+def forms(draw):
+    """(alpha, B): 2 to 4 coefficients bounded by B, not all zero."""
+    n = draw(st.integers(2, 4))
+    B = draw(st.integers(1, 40))
+    alpha = draw(st.lists(st.integers(-B, B), min_size=n, max_size=n).filter(any))
+    return tuple(alpha), B
+
+
+@PROFILE
+@given(forms())
+@example(((1, -1), 1))
+@example(((0, 0, 3), 3))  # n = 3 with the fast path's a3 != 0
+@example(((2, 3, 0), 3))  # a3 == 0: (0, 0, 1)
+@example(((40, -40, 40, 39), 40))
+def test_small_solution_bound_property(case):
+    alpha, B = case
+    n = len(alpha)
+    sol = siegel_small_solution(alpha, B)
+    assert any(sol.z)
+    assert sum(a * z for a, z in zip(alpha, sol.z)) == 0
+    assert max(map(abs, sol.z)) <= (n * B) ** (1 / (n - 1)) + 1e-9
+
+
+coefficient = st.integers(-40, 40)
+
+
+@st.composite
+def searches(draw):
+    """(a1, [(a2, a3), ...], cap) with every a3 nonzero."""
+    a1 = draw(coefficient)
+    pairs = draw(st.lists(st.tuples(coefficient, coefficient.filter(bool)), min_size=1, max_size=12))
+    cap = draw(st.sampled_from([1.0, 1.5, 2.0]) | st.floats(1.0, 14.0))
+    return a1, pairs, cap
+
+
+@PROFILE
+@given(searches())
+@example((1, [(1, 5), (1, 1)], 1.0))  # M = 1; 1 +- 1 +- 5 != 0 leaves no vector
+@example((3, [(3, 3), (3, -3)], 2.0))  # equal coefficients
+@example((1, [(4, 6), (6, 4), (9, -12), (10, 15)], 5.0))  # gcd(a2, a3) > 1
+@example((4, [(4, 2)], 3.0))  # z3 = 0 at the class's first member
+@example((6, [(3, 2)], 5.0))
+@example((0, [(0, 5), (2, 2), (0, -1)], 4.0))  # a1 = 0, a2 = 0: z3 = 0 on the whole class
+@example((40, [(-40, 1), (39, -40)], 13.0))
+def test_batched_search_matches_scalar_oracle(case):
+    a1, pairs, cap = case
+    z, found = NonzeroSearch(pairs, cap)(a1)
+    assert z.shape == (len(pairs), 3) and found.shape == (len(pairs),)
+    for k, (a2, a3) in enumerate(pairs):
+        sol = siegel_nonzero_coords((a1, a2, a3), 40, cap)
+        assert found[k] == (sol is not None), (a1, a2, a3)
+        assert tuple(z[k].tolist()) == (sol.z if sol else (0, 0, 0)), (a1, a2, a3)
+
+
+def test_batched_search_steps_past_z3_zero():
+    # 4*1 - 4*m2 = 0 at m2 = 1, the first of its class; the next one, m2 = 2, is
+    # selected, as 4*1 + 4*m2 needs |z3| >= 4 > M
+    z, found = NonzeroSearch([(4, 2)], 3.0)(4)
+    assert found[0] and tuple(z[0].tolist()) == (1, -2, 2)
+    # 6*1 - 3*m2 = 0 at m2 = 2, then m2 = 4 in steps of 2
+    assert tuple(NonzeroSearch([(3, 2)], 5.0)(6)[0][0].tolist()) == (1, -4, 3)
+
+
+def test_batched_search_domain():
+    with pytest.raises(DomainError):
+        NonzeroSearch([(1, 3), (2, 0)], 4.0)
+    with pytest.raises(DomainError):
+        NonzeroSearch([(1, 3)], 0.5)
+    z, found = NonzeroSearch([], 4.0)(3)
+    assert z.shape == (0, 3) and found.shape == (0,)
+
+
+N = INT64_MAX // 8
+
+
+@pytest.mark.parametrize(
+    "alpha, scalar",
+    [
+        # at M = 1 the interval ends reach (|a1| + |a2| + |a3|) * (M + 1) = 8N
+        ((N, N, 2 * N), False),
+        ((N + 1, N + 1, 2 * N + 2), True),
+        ((2**64, 2**64, 2**65), True),  # past int64 altogether
+        # a2 = 1: the class start multiplies two residues mod a3, up to (a3 - 1)^2
+        ((3_037_000_499, 1, 3_037_000_500), False),
+        ((3_037_000_500, 1, 3_037_000_501), True),
+    ],
+)
+def test_batched_search_int64_limit(monkeypatch, alpha, scalar):
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return siegel_nonzero_coords(*args)
+
+    monkeypatch.setattr(siegel, "siegel_nonzero_coords", counted)
+    a1, a2, a3 = alpha
+    z, found = NonzeroSearch([(a2, a3)], 1.0)(a1)
+    assert found[0] and tuple(z[0].tolist()) == (1, 1, -1)
+    assert calls == ([alpha] if scalar else [])

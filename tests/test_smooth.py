@@ -1,6 +1,8 @@
 from math import exp, log, prod
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sunit_harvest.arith import PrimeSet, primes_in_range
 from sunit_harvest.errors import DomainError, EnumerationCap, InsufficientPrimes
@@ -26,6 +28,23 @@ def brute_squarefree_smooth(primes, lo, hi):
         if square_free and m == 1:
             out.append(n)
     return out
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    st.sets(st.sampled_from(primes_in_range(2, 40).primes), max_size=6).map(sorted),
+    st.integers(1, 400),
+    st.integers(0, 400),
+)
+@example([2, 3, 5], 1, 30)
+@example([], 1, 10)  # only the empty product
+@example([7], 8, 8)  # nothing in range
+@example([37], 37, 37)
+def test_enumeration_property_vs_brute(primes, lo, width):
+    hi = lo + width
+    got = enumerate_squarefree_smooth(PrimeSet(tuple(primes)), lo, hi)
+    assert got.values() == tuple(brute_squarefree_smooth(primes, lo, hi))
+    assert all(m.value == prod(p**e for p, e in m.factors) for m in got.members)
 
 
 def test_enumeration_examples():
