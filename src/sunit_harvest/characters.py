@@ -24,7 +24,7 @@ import numpy as np
 from .arith import trial_factor, multiplicative_functions
 from .errors import DomainError, ResourceLimit
 from .smooth import SmoothSet
-from .stepping import _interval_counts, count_hits
+from .stepping import _int64, _interval_counts, count_hits
 
 _TWO_PI = 2.0 * np.pi
 
@@ -330,9 +330,9 @@ def multiplicative_decomposition(
     for m in A.members:
         if not m.squarefree or m.value < 2:
             raise DomainError(f"modulus {m.value} must be squarefree and >= 2")
-    # counted first: for a nonempty A, count_hits refuses any C past int64
-    exact = count_hits(a_values, c_values, W, shift=1)
-    c = np.array(c_values if a_values else (), dtype=np.int64)
+    # checked first: for a nonempty A, C past int64 is refused
+    c = _int64(c_values if a_values else (), [1], W)
+    exact = count_hits(a_values, c, W, shift=1)
     main = 0.0
     remainder = 0.0 + 0.0j
     for a in a_values:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError
 from .smooth import SmoothSet
-from .stepping import _interval_counts, count_hits, progressions
+from .stepping import _int64, _interval_counts, count_hits, progressions
 
 _TWO_PI = 2.0 * np.pi
 
@@ -135,12 +135,10 @@ def additive_decomposition(
     # only matter for the asymptotic error terms, so they are audited, not fatal
     window_violation = min(a_values) * 4 < 3 * Z or mu < 1.0 / sqrt(Z)
 
-    # w is bounded per modulus (w <= [mu a]), so step each modulus separately;
-    # counted first: count_hits refuses any C past int64
-    exact = 0
-    for a in a_values:
-        exact += count_hits([a], c_values, _floor_mu_a(mu, a), shift=1)
-    c = np.array(c_values, dtype=np.int64)
+    # checked first: C past int64 is refused at the largest bound [mu Z] on w;
+    # w is bounded per modulus (w <= [mu a]), so step each modulus separately
+    c = _int64(c_values, [1], _floor_mu_a(mu, Z))
+    exact = sum(count_hits([a], c, _floor_mu_a(mu, a), shift=1) for a in a_values)
 
     # the frequencies h != 0 of the window -a/2 < h <= a/2 of Z; every modulus's
     # window nests in it, starting (Z - 1) // 2 - (a - 1) // 2 places in

@@ -546,7 +546,7 @@ def prop1_run(config: HarvestConfig) -> HarvestReport:
     skipped_triples = sum(skipped)
     # the scalar search is the oracle: it re-derives the popular vector of every popular hit
     for alphas in popular.hits:
-        sol = siegel_nonzero_coords(alphas, x, cap)
+        sol = siegel_nonzero_coords(alphas, cap)
         if sol is None or sol.z != popular.key:
             raise RuntimeError(f"batched kernel search disagrees with the scalar search on {alphas}")
 

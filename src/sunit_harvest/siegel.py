@@ -98,9 +98,7 @@ def _solve_third_coordinate(
     return None
 
 
-def siegel_nonzero_coords(
-    alpha: tuple[int, ...], B: int, cap: float
-) -> SmallSolution | None:
+def siegel_nonzero_coords(alpha: tuple[int, ...], cap: float) -> SmallSolution | None:
     """Like siegel_small_solution but every coordinate nonzero and max|z_i| <= cap.
 
     Returns None when no such solution exists in the window.  Selection is the
@@ -155,7 +153,7 @@ def _nonzero_third_coordinate(
 
 
 class NonzeroSearch:
-    """siegel_nonzero_coords((a1, a2, a3), B, cap).z over fixed pairs (a2, a3)
+    """siegel_nonzero_coords((a1, a2, a3), cap).z over fixed pairs (a2, a3)
     with a3 != 0, for one a1 at a time, as arrays.
 
     Negating z keeps it a solution, so the selected z1 = m1 is positive.  For
@@ -202,7 +200,7 @@ class NonzeroSearch:
             z[pending[solved]], found[pending[solved]] = vectors, True
             pending = pending[~solved]
         for k in np.flatnonzero(~fast).tolist():
-            sol = siegel_nonzero_coords((a1,) + tuple(self.pairs[k]), 1, self.cap)
+            sol = siegel_nonzero_coords((a1,) + tuple(self.pairs[k]), self.cap)
             if sol is not None:
                 z[k], found[k] = sol.z, True
         return z, found

@@ -2,7 +2,9 @@
 
 For each cell (c, shift) the admissible w form the progression w0, w0 + a/g,
 ... with g = gcd(c, a), so one modulus costs O(#C * #shifts + hits) instead of
-the naive O(#C * #shifts * W).  The pipelines and the decompositions share it.
+the naive O(#C * #shifts * W).  The start w0 needs the inverse of c/g mod a/g;
+all of them come from one array extended-Euclid pass, with no per-c Python
+loop.  The pipelines and the decompositions share the kernel.
 """
 
 from __future__ import annotations
@@ -14,21 +16,60 @@ import numpy as np
 from .errors import ResourceLimit
 
 
-def _starts(a: int, c_values: Sequence[int], shifts: Sequence[int], W: int):
+def _int64(c_values, shifts: Sequence[int], W: int) -> np.ndarray:
+    """c_values as an int64 array.  Raises ResourceLimit unless
+    max|c| * W + max|shift| < 2^63, since callers form c*w - shift."""
+    if isinstance(c_values, np.ndarray):
+        top = max(-int(c_values.min()), int(c_values.max())) if c_values.size else 0
+    else:
+        top = max(map(abs, c_values), default=0)
+    if int(top) * max(W, 1) + int(max(map(abs, shifts), default=0)) >= 2**63:
+        raise ResourceLimit(f"residue stepping up to W = {W} beyond int64")
+    return np.asarray(c_values, dtype=np.int64)
+
+
+def _gcd_inverse(c: np.ndarray, a: int) -> tuple[np.ndarray, np.ndarray]:
+    """int64 arrays (g, inv) with g = gcd(c, a) and inv = pow(c // g, -1, a // g)
+    elementwise (0 where a // g == 1), for an int64 array c of any sign.
+
+    One extended Euclid on (a, c % a) runs over every c at once and keeps
+    t with c*t == r (mod a) for each remainder r; at the last nonzero
+    remainder g, (c/g)*t == 1 (mod a/g).  A pair leaves the working arrays
+    when its next remainder is 0.  Each |t| stays within a and each q*r
+    within the remainder before it, so nothing leaves int64.
+    """
+    g, inv = np.empty_like(c), np.empty_like(c)
+    live = np.arange(c.size)
+    r0, r1 = np.full_like(c, a), c % a
+    t0, t1 = np.zeros_like(c), np.ones_like(c)
+    while live.size:
+        done = np.flatnonzero(r1 == 0)
+        if done.size:
+            at = live.take(done)
+            g[at], inv[at] = r0.take(done), t0.take(done)
+            keep = np.flatnonzero(r1)
+            live, r0, r1, t0, t1 = (v.take(keep) for v in (live, r0, r1, t0, t1))
+            if not live.size:
+                break
+        q, r = np.divmod(r0, r1)
+        r0, r1 = r1, r
+        t0, t1 = t1, t0 - q * t1
+    return g, inv % (a // g)
+
+
+def _starts(a: int, c: np.ndarray, shifts: Sequence[int], W: int):
     """int64 grids (w0, step, n) over the cells (c, shift): the first term, step
     and number of terms up to W of each progression (n = 0 unless g | shift).
 
-    One modular inverse per c.  Raises ResourceLimit where int64 could overflow:
-    callers form c*w - shift, and the start multiplies two residues mod a.
+    g and the inverse of c/g mod step = a/g come from _gcd_inverse.  c comes
+    from _int64, which checked c*w - shift.  Raises ResourceLimit when a^2
+    reaches 2^63, since the start multiplies two residues mod a.
     """
-    reach = int(max(map(abs, c_values), default=0)) * max(W, 1) + int(max(map(abs, shifts), default=0))
-    if reach >= 2**63 or int(a) ** 2 >= 2**63:
-        raise ResourceLimit(f"residue stepping mod {a} up to W = {W} beyond int64")
-    c = np.array(c_values, dtype=np.int64)
+    if int(a) ** 2 >= 2**63:
+        raise ResourceLimit(f"residue stepping mod {a} beyond int64")
     sh = np.array(shifts, dtype=np.int64)[None, :]
-    g = np.gcd(c, a)
+    g, inv = _gcd_inverse(c, a)
     step = a // g
-    inv = np.array([pow(x, -1, s) for x, s in zip((c // g).tolist(), step.tolist())], dtype=np.int64)
     g, step = g[:, None], step[:, None]
     w0 = sh // g % step * inv[:, None] % step
     w0 = np.where(w0 == 0, step, w0)
@@ -36,13 +77,13 @@ def _starts(a: int, c_values: Sequence[int], shifts: Sequence[int], W: int):
     return w0, step, n
 
 
-def progressions(a: int, c_values: Sequence[int], shifts: Sequence[int], W: int):
+def progressions(a: int, c_values: Sequence[int] | np.ndarray, shifts: Sequence[int], W: int):
     """int64 arrays (i, j, w), one row per solution of c_values[i]*w == shifts[j]
     (mod a) with 1 <= w <= W, ordered by i, then j, then w.
 
     c_values[i]*w - shifts[j] is guaranteed to fit in int64.
     """
-    w0, step, n = _starts(a, c_values, shifts, W)
+    w0, step, n = _starts(a, _int64(c_values, shifts, W), shifts, W)
     n = n.ravel()
     cell = np.repeat(np.arange(n.size), n)
     i, j = np.divmod(cell, w0.shape[1])
@@ -62,7 +103,14 @@ def _interval_counts(a: int, W: int) -> np.ndarray:
     return counts
 
 
-def count_hits(a_values: Iterable[int], c_values: Iterable[int], W: int, shift: int = 1) -> int:
-    """Exact number of triples (a, c, w) with c*w == shift (mod a) and 1 <= w <= W."""
-    c_values = list(c_values)
-    return sum(int(_starts(a, c_values, [shift], W)[2].sum()) for a in a_values)
+def count_hits(a_values: Iterable[int], c_values: Iterable[int] | np.ndarray, W: int, shift: int = 1) -> int:
+    """Exact number of triples (a, c, w) with c*w == shift (mod a) and 1 <= w <= W.
+
+    c_values is checked and converted to int64 once, not once per modulus; with
+    no modulus there is nothing to step, and nothing is refused.
+    """
+    a_values = list(a_values)
+    if not a_values:
+        return 0
+    c = _int64(c_values if isinstance(c_values, np.ndarray) else list(c_values), [shift], W)
+    return sum(int(_starts(a, c, [shift], W)[2].sum()) for a in a_values)

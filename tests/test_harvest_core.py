@@ -10,6 +10,7 @@ from collections import Counter
 from itertools import count
 from math import gcd, prod
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -26,7 +27,7 @@ from sunit_harvest.pipelines import (
     thm2_harvest,
     verify_sunit_solution,
 )
-from sunit_harvest.stepping import count_hits, progressions
+from sunit_harvest.stepping import _gcd_inverse, count_hits, progressions
 
 PROFILE = settings(derandomize=True, max_examples=60, deadline=None)
 
@@ -142,6 +143,74 @@ def test_progressions_match_brute(a, c_values, shifts, W):
     assert list(zip(i.tolist(), j.tolist(), w.tolist())) == brute
     for shift in shifts:
         assert count_hits([a], c_values, W, shift) == brute_linear_count([a], c_values, W, shift).count
+
+
+@st.composite
+def moduli_and_coefficients(draw):
+    """(a, c_values): a from 1 up; c of any sign, multiples of a and of its divisors."""
+    a = draw(st.integers(1, 300))
+    d = draw(st.sampled_from([d for d in range(1, a + 1) if a % d == 0]))
+    c = st.one_of(
+        st.integers(-(10**6), 10**6),
+        st.integers(-50, 50).map(lambda k: k * a),
+        st.integers(-500, 500).map(lambda k: k * d),
+    )
+    return a, draw(st.lists(c, max_size=40))
+
+
+@PROFILE
+@given(moduli_and_coefficients())
+@example((1, [-3, 0, 5]))  # a == 1: every step is 1 and every inverse 0
+@example((12, [-7, -12, 0, 24, 36]))  # negative c; c a multiple of a (step == 1)
+@example((30, [6, 10, 15, -21, 7, 29]))  # gcd(c, a) > 1
+@example((7, []))
+def test_gcd_inverse_matches_pow(case):
+    a, c_values = case
+    g, inv = _gcd_inverse(np.array(c_values, dtype=np.int64), a)
+    assert g.tolist() == [gcd(c, a) for c in c_values]
+    assert inv.tolist() == [pow(c // gcd(c, a), -1, a // gcd(c, a)) for c in c_values]
+
+
+def progression_rows(a, c_values, shifts, W):
+    """The rows of progressions(a, c_values, shifts, W) in Python ints, one
+    pow per (c, shift) cell."""
+    rows = []
+    for i, c in enumerate(c_values):
+        g = gcd(c, a)
+        step = a // g
+        for j, shift in enumerate(shifts):
+            if shift % g == 0:
+                w0 = shift // g * pow(c // g, -1, step) % step or step
+                rows += [(i, j, w) for w in range(w0, W + 1, step)]
+    return rows
+
+
+def test_kernel_at_largest_modulus():
+    # the largest a with a^2 < 2^63, where the Euclid's q*r and q*t products
+    # are largest (c = 1 gives q = a); a = 13 * 233,615,423
+    a = 3_037_000_499
+    assert a**2 < 2**63 <= (a + 1) ** 2
+    # c*w - shift stays within int64 for w <= W = a and |c| < a
+    c_values = [1, 2, -1, a - 1, -(a - 2), a * 1000 // 1618, 13, 13 * 7, -13 * 233_615_422, 2**31 - 1]
+    shifts = [1, a - 1, -(a - 2), 13 * 5]
+    i, j, w = progressions(a, c_values, shifts, a)
+    rows = list(zip(i.tolist(), j.tolist(), w.tolist()))
+    assert rows == progression_rows(a, c_values, shifts, a)
+    assert all((c_values[r[0]] * r[2] - shifts[r[1]]) % a == 0 for r in rows)
+    # step 13 cells: counted, never listed
+    counted = c_values + [233_615_423 * 2, -233_615_423 * 3]
+    for shift in (1, 13 * 5, 233_615_423):
+        as_list = count_hits([a], counted, a, shift)
+        assert count_hits([a], np.array(counted, dtype=np.int64), a, shift) == as_list
+        # w <= W = a holds g terms of each progression of step a / g
+        assert as_list == sum(gcd(c, a) for c in counted if shift % gcd(c, a) == 0)
+    with pytest.raises(ResourceLimit):
+        progressions(a + 1, [1], [1], 1)
+    # an int64 array is range-checked as a list is, down to -2^63
+    for c in (2**62 + 1, -(2**62) - 1, -(2**63)):
+        with pytest.raises(ResourceLimit):
+            count_hits([3], np.array([c], dtype=np.int64), 2)
+    assert count_hits([3], np.array([2**62, -(2**62)], dtype=np.int64), 1, 0) == 0
 
 
 @PROFILE

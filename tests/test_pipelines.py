@@ -165,15 +165,15 @@ def test_prop1_popular_hits_rederived_by_scalar_search(monkeypatch):
     calls = []
     real = pipelines.siegel_nonzero_coords
 
-    def counted(alpha, B, cap):
+    def counted(alpha, cap):
         calls.append(alpha)
-        return real(alpha, B, cap)
+        return real(alpha, cap)
 
     monkeypatch.setattr(pipelines, "siegel_nonzero_coords", counted)
     rep = prop1_run(prop1_config(300, *_prop1_sets()))
     assert len(calls) == rep.bucket_stats["max_load"] > 1
     # a batched vector the scalar search does not select is an internal error
-    monkeypatch.setattr(pipelines, "siegel_nonzero_coords", lambda alpha, B, cap: None)
+    monkeypatch.setattr(pipelines, "siegel_nonzero_coords", lambda alpha, cap: None)
     with pytest.raises(RuntimeError, match="disagrees"):
         prop1_run(prop1_config(300, *_prop1_sets()))
 

@@ -70,12 +70,12 @@ def test_n3_fast_path_in_oracle_set():
 
 
 def test_nonzero_coords_examples():
-    sol = siegel_nonzero_coords((2, 3, 5), 10, 5.0)
+    sol = siegel_nonzero_coords((2, 3, 5), 5.0)
     assert sol.z == (1, 1, -1)
-    sol = siegel_nonzero_coords((1, -1), 1, 1.0)
+    sol = siegel_nonzero_coords((1, -1), 1.0)
     assert sol.z == (1, 1)
     # alpha forcing a zero coordinate means no all-nonzero solution
-    assert siegel_nonzero_coords((1, 0, 0), 5, 4.0) is None
+    assert siegel_nonzero_coords((1, 0, 0), 4.0) is None
 
 
 def test_nonzero_coords_contract():
@@ -86,7 +86,7 @@ def test_nonzero_coords_contract():
         if not any(alpha):
             continue
         cap = rng.uniform(1.0, 8.0)
-        sol = siegel_nonzero_coords(alpha, 20, cap)
+        sol = siegel_nonzero_coords(alpha, cap)
         window = exhaustive_solutions(alpha, cap)
         window = {z for z in window if all(z)}
         if sol is None:
@@ -105,7 +105,7 @@ def test_nonzero_coords_selection_is_minimal():
         alpha = tuple(rng.randint(-12, 12) for _ in range(3))
         if 0 in alpha or not any(alpha):
             continue
-        sol = siegel_nonzero_coords(alpha, 12, 6.0)
+        sol = siegel_nonzero_coords(alpha, 6.0)
         if sol is None:
             continue
         window = {z for z in exhaustive_solutions(alpha, 6.0) if all(z)}
@@ -162,7 +162,7 @@ def test_batched_search_matches_scalar_oracle(case):
     z, found = NonzeroSearch(pairs, cap)(a1)
     assert z.shape == (len(pairs), 3) and found.shape == (len(pairs),)
     for k, (a2, a3) in enumerate(pairs):
-        sol = siegel_nonzero_coords((a1, a2, a3), 40, cap)
+        sol = siegel_nonzero_coords((a1, a2, a3), cap)
         assert found[k] == (sol is not None), (a1, a2, a3)
         assert tuple(z[k].tolist()) == (sol.z if sol else (0, 0, 0)), (a1, a2, a3)
 
