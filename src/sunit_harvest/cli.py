@@ -56,26 +56,10 @@ EXIT_EMPTY = 2
 EXIT_CONSTRAINT = 3
 EXIT_RESOURCE = 4
 
-_PIPELINE_KEYS = {
-    "equation",
-    "x",
-    "alpha",
-    "variant",
-    "delta",
-    "epsilon",
-    "w",
-    "z",
-    "q",
-    "r",
-    "y",
-    "t1",
-    "t2",
-    "t3",
-    "t_interval",
-    "t_split",
-    "enum_cap",
-    "hit_cap",
-}
+# the config keys each equation reads; a key its equation does not read is refused
+_SHARED_KEYS = {"equation", "x", "t1", "t2", "t3", "t_interval", "t_split", "enum_cap", "hit_cap"}
+_REGIME_KEYS = _SHARED_KEYS | {"alpha", "variant", "delta", "epsilon", "w", "z"}
+_KEYS = {"thm1": _REGIME_KEYS | {"q", "r"}, "thm2": _REGIME_KEYS | {"y"}, "prop1": _SHARED_KEYS}
 
 
 def parse_config_file(path: str | Path) -> dict:
@@ -92,7 +76,7 @@ def parse_config_file(path: str | Path) -> dict:
             raise ConfigError(key, "duplicate key")
         params[key] = value
     for key in params:
-        if key not in _PIPELINE_KEYS:
+        if key not in set().union(*_KEYS.values()):
             raise ConfigError(key, "unknown key")
     return params
 
@@ -111,11 +95,18 @@ def _number(params: dict, key: str, default: str | None = None, kind: type = flo
     return kind(value)
 
 
-def _parse_primes(text: str, key: str = "primes") -> PrimeSet:
+def _integers(text: str | None, key: str) -> tuple[int, ...]:
+    """The integers of a comma-separated flag or config value; empty items are skipped."""
+    if text is None:
+        raise ConfigError(key, "missing")
     try:
-        return PrimeSet(tuple(sorted(int(tok) for tok in text.split(",") if tok.strip())))
+        return tuple(int(tok) for tok in text.split(",") if tok.strip())
     except ValueError:
-        raise ConfigError(key, f"expected comma-separated primes, got {text!r}") from None
+        raise ConfigError(key, f"expected comma-separated integers, got {text!r}") from None
+
+
+def _parse_primes(text: str | None, key: str = "primes") -> PrimeSet:
+    return PrimeSet(tuple(sorted(_integers(text, key))))
 
 
 def _prime_triple(params: dict) -> tuple[PrimeSet, PrimeSet, PrimeSet]:
@@ -129,36 +120,32 @@ def _prime_triple(params: dict) -> tuple[PrimeSet, PrimeSet, PrimeSet]:
             raise ConfigError("t_split", "pipelines need exactly 3 prime sets")
         return tuple(split_disjoint_prime_sets(lo, hi, 3))
     try:
-        return (
-            _parse_primes(params["t1"], "t1"),
-            _parse_primes(params["t2"], "t2"),
-            _parse_primes(params["t3"], "t3"),
-        )
+        return tuple(_parse_primes(params[key], key) for key in ("t1", "t2", "t3"))
     except KeyError as missing:
-        raise ConfigError(str(missing), "missing prime set (t1/t2/t3 or t_interval)")
+        raise ConfigError(missing.args[0], "missing prime set (t1/t2/t3 or t_interval)") from None
 
 
 def build_harvest_config(params: dict, cap: int | None) -> HarvestConfig:
     equation = params.get("equation")
-    if equation not in ("thm1", "thm2", "prop1"):
+    if equation not in _KEYS:
         raise ConfigError("equation", f"must be thm1, thm2 or prop1, got {equation!r}")
+    for key in params:
+        if key not in _KEYS[equation]:
+            raise ConfigError(key, f"{equation} does not read this key")
     t1, t2, t3 = _prime_triple(params)
     if "x" not in params:
         raise ConfigError("x", "missing scale X")
     x = _number(params, "x", kind=int)
-    kwargs = {"delta": _number(params, "delta", "0.1"), "epsilon": _number(params, "epsilon", "0.01")}
-    for key in ("enum_cap", "hit_cap"):
-        if key in params:
-            kwargs[key] = _number(params, key, kind=int)
+    kwargs = {key: _number(params, key, kind=int) for key in ("enum_cap", "hit_cap") if key in params}
     if cap is not None:
         kwargs["hit_cap"] = cap
     if equation == "prop1":
-        # no regime check: prop1 configs may carry an alpha that the thm2 check rejects
         cfg = prop1_config(x, t1, t2, t3, **kwargs)
     else:
         alpha = _number(params, "alpha", "0.1666666666666667" if equation == "thm1" else "0.52")
         variant = params.get("variant", "unconditional")
-        cfg = config_from_exponents(equation, x, alpha, variant, t1=t1, t2=t2, t3=t3, **kwargs)
+        delta, epsilon = _number(params, "delta", "0.1"), _number(params, "epsilon", "0.01")
+        cfg = config_from_exponents(equation, x, alpha, variant, delta, t1, t2, t3, epsilon=epsilon, **kwargs)
     # explicit scale overrides after derivation
     if "w" in params:
         cfg.w_max = _number(params, "w", kind=int)
@@ -208,8 +195,7 @@ def _run_oracle(args) -> int:
         rows = [(a, b, c, "", "", "", "", "", "") for a, b, c in res.solutions]
         equation = "prop1"
     elif args.kind == "linear_count":
-        a_vals = [int(v) for v in args.a_set.split(",")]
-        c_vals = [int(v) for v in args.c_set.split(",")]
+        a_vals, c_vals = _integers(args.a_set, "a-set"), _integers(args.c_set, "c-set")
         res = brute_linear_count(a_vals, c_vals, args.bound, args.shift, args.cap or 10**9)
         rows = []
         equation = None
@@ -244,6 +230,8 @@ def _run_exponents(args) -> int:
             for row in rows:
                 print(",".join(str(v) for v in row))
         return EXIT_OK
+    if args.theorem and args.alpha is None:
+        raise ConfigError("alpha", "--theorem needs --alpha")
     exps = regime_exponents(args.theorem, args.variant, args.alpha)
     payload = {
         "exponents": exps.as_dict(),
@@ -304,6 +292,10 @@ def _sieve_trials(rng: random.Random, pool: list, y_max: int, span_max: int, tri
 
 def _run_verify(args) -> int:
     t0 = time.time()
+    # charsums scans the squarefree moduli from 3; circle draws 30 distinct c < 4 * qmax
+    least = {"charsums": 3, "sieve": 0, "circle": 8}[args.what]
+    if args.qmax < least:
+        raise ConfigError("qmax", f"verify {args.what} needs --qmax >= {least}")
     if args.what == "charsums":
         summary, rows = _verify_charsums(args)
         payload = {"verify": "charsums", "summary": summary, "timing": _timing(t0), "seed": args.seed}
@@ -373,15 +365,21 @@ def _run_smooth(args) -> int:
 
 
 def _run_siegel(args) -> int:
-    alpha = tuple(int(v) for v in args.alpha.split(","))
+    alpha = _integers(args.alpha, "alpha")
     sol = siegel_small_solution(alpha, args.bound)
     payload = {"alpha": list(alpha), "B": args.bound, "z": list(sol.z), "bound": sol.bound}
     _emit(payload, args.out)
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """A usage error exits 1 with one line, like every other input error."""
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="sunit-harvest")
+    parser = _Parser(prog="sunit-harvest")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
@@ -399,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="brute-force ground truth")
     p.add_argument("--kind", required=True, choices=["sunit_pairs", "prop1_triples", "linear_count"])
     p.add_argument("--primes", help="comma-separated prime set")
-    p.add_argument("--bound", type=int, help="enumeration bound (or W for linear_count)")
+    p.add_argument("--bound", type=int, required=True, help="enumeration bound (or W for linear_count)")
     p.add_argument("--a-set", dest="a_set", help="comma-separated moduli (linear_count)")
     p.add_argument("--c-set", dest="c_set", help="comma-separated coefficients (linear_count)")
     p.add_argument("--shift", type=int, default=1)

@@ -12,7 +12,7 @@ from math import gcd
 from typing import Sequence
 
 from .arith import PrimeSet
-from .errors import ResourceLimit
+from .errors import DomainError, ResourceLimit
 
 DEFAULT_BUDGET = 10**9
 
@@ -65,6 +65,8 @@ def brute_linear_count(
     budget: int = DEFAULT_BUDGET,
 ) -> OracleResult:
     """Triple loop counting c*w == shift (mod a) over all (a, c, w <= W)."""
+    if any(a < 1 for a in a_values):
+        raise DomainError("moduli must be >= 1")
     effort = len(a_values) * len(c_values) * max(W, 0)
     if effort > budget:
         raise ResourceLimit(f"triple loop of {effort} steps beyond budget {budget}")

@@ -84,7 +84,7 @@ class HarvestConfig:
     Prime intervals at paper scale are degenerate on a desk, so the prime sets
     are given explicitly while Z, W (and Y, Q, R) are derived from X through
     the regime exponent formulas (see `config_from_exponents`); prop1 reads
-    only X, the prime sets, the caps and epsilon.  hit_cap bounds the
+    only X, the prime sets and the caps.  hit_cap bounds the
     coefficient tuples a pipeline walks.
     """
 

@@ -4,9 +4,10 @@ The pigeonhole construction: as y ranges over [0, C]^n the form sum(alpha_i y_i)
 takes at most n*[C*B]+1 values, so with C = [(nB)^(1/(n-1))] two points collide
 and their difference is a nonzero solution bounded by C.
 
-`siegel_nonzero_coords` is the scalar search for an all-nonzero solution and
-the oracle; `NonzeroSearch` makes the same selection for n = 3 as one array
-pass over many (a2, a3) pairs per a1, which is what prop1 runs.
+For n = 3 with a3 != 0 one scan serves both searches: it walks (|z1|, |z2|) and
+solves for z3.  `siegel_nonzero_coords` is the scalar all-nonzero search and
+the oracle; `NonzeroSearch` makes the same selection as one array pass over
+many (a2, a3) pairs per a1, which is what prop1 runs.
 """
 
 from __future__ import annotations
@@ -38,8 +39,9 @@ class SmallSolution:
 def siegel_small_solution(alpha: tuple[int, ...], B: int) -> SmallSolution:
     """Nonzero integer z with sum(alpha_i z_i) = 0 and max|z_i| <= (nB)^(1/(n-1)).
 
-    Deterministic: first collision in a lexicographic scan of y in [0, C]^n
-    (fast path for n = 3 solves the third coordinate instead, same contract).
+    Deterministic: first collision in a lexicographic scan of y in [0, C]^n.
+    For n = 3 with a3 != 0 the third coordinate is solved for instead: the
+    least (|z1|, |z2|, |z3|, signs) solution, which pigeonhole puts in [-C, C]^3.
     """
     n = len(alpha)
     if n < 2:
@@ -52,11 +54,8 @@ def siegel_small_solution(alpha: tuple[int, ...], B: int) -> SmallSolution:
         raise DomainError("coefficients must be bounded by B")
     bound = float(n * B) ** (1.0 / (n - 1))
     C = floor(bound)
-    if n == 3:
-        z = _solve_third_coordinate(alpha, C)
-        if z is not None:
-            return SmallSolution(z, bound)
-        # a3 == 0 and no in-window pair: fall through to the collision scan
+    if n == 3 and alpha[2] != 0:
+        return SmallSolution(_third_coordinate_scan(alpha, C, 0), bound)
     seen: dict[int, tuple[int, ...]] = {}
     for y in itertools.product(range(C + 1), repeat=n):
         v = sum(a * yi for a, yi in zip(alpha, y))
@@ -67,88 +66,41 @@ def siegel_small_solution(alpha: tuple[int, ...], B: int) -> SmallSolution:
     raise DomainError("pigeonhole scan found no collision; B out of contract")
 
 
-def _solve_third_coordinate(
-    alpha: tuple[int, ...], C: int
-) -> tuple[int, int, int] | None:
-    """First (by |z1|, |z2|, |z3|, sign pattern) solution with z3 derived."""
-    a1, a2, a3 = alpha
-    if a3 == 0:
-        # form reduces to a1 z1 + a2 z2 = 0 with z3 free; (0,0,1) always works
-        return (0, 0, 1)
-    for m1 in range(0, C + 1):
-        for m2 in range(0, C + 1):
-            if m1 == 0 and m2 == 0:
-                continue
-            best = None
-            for s1, s2 in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-                z1, z2 = s1 * m1, s2 * m2
-                if (m1 == 0 and s1 < 0) or (m2 == 0 and s2 < 0):
-                    continue
-                rest = a1 * z1 + a2 * z2
-                if rest % a3:
-                    continue
-                z3 = -rest // a3
-                if abs(z3) > C:
-                    continue
-                cand = (abs(z3), s1 < 0, s2 < 0, (z1, z2, z3))
-                if best is None or cand < best:
-                    best = cand
-            if best is not None:
-                return best[3]
-    return None
-
-
 def siegel_nonzero_coords(alpha: tuple[int, ...], cap: float) -> SmallSolution | None:
-    """Like siegel_small_solution but every coordinate nonzero and max|z_i| <= cap.
+    """Every coordinate nonzero, a1 z1 + a2 z2 + a3 z3 = 0 and max|z_i| <= cap,
+    for three coefficients with a3 != 0.
 
     Returns None when no such solution exists in the window.  Selection is the
-    lexicographically smallest (|z_1|, ..., |z_n|, sign pattern), signs ordered
-    + before -.
+    lexicographically smallest (|z_1|, |z_2|, |z_3|, sign pattern), signs
+    ordered + before -.
     """
-    n = len(alpha)
-    if n < 2:
-        raise DomainError("need n >= 2 coefficients")
+    if len(alpha) != 3 or alpha[2] == 0:
+        raise DomainError("need three coefficients with a3 != 0")
     if cap < 1:
         raise DomainError("cap must be >= 1")
-    M = floor(cap + 1e-12)
-    if n == 3:
-        return _nonzero_third_coordinate(alpha, M, cap)
-    for mags in itertools.product(range(1, M + 1), repeat=n):
-        for signs in itertools.product((1, -1), repeat=n):
-            z = tuple(s * m for s, m in zip(signs, mags))
-            if sum(a * zi for a, zi in zip(alpha, z)) == 0:
-                return SmallSolution(z, cap)
-    return None
+    z = _third_coordinate_scan(alpha, floor(cap + 1e-12), 1)
+    return None if z is None else SmallSolution(z, cap)
 
 
-def _nonzero_third_coordinate(
-    alpha: tuple[int, ...], M: int, cap: float
-) -> SmallSolution | None:
+def _third_coordinate_scan(alpha: tuple[int, ...], M: int, low: int) -> tuple[int, int, int] | None:
+    """The least (|z1|, |z2|, |z3|, z1 < 0, z2 < 0) nonzero solution with every
+    low <= |z_i| <= M, or None; a3 != 0.  z3 is solved for, so its sign never
+    decides.  low = 0 admits zero coordinates, low = 1 refuses them."""
     a1, a2, a3 = alpha
-    if a3 == 0:
-        # need a1 z1 + a2 z2 = 0 with both nonzero; z3 = 1 minimal
-        for mags in itertools.product(range(1, M + 1), repeat=2):
-            for signs in itertools.product((1, -1), repeat=2):
-                z1, z2 = signs[0] * mags[0], signs[1] * mags[1]
-                if a1 * z1 + a2 * z2 == 0:
-                    return SmallSolution((z1, z2, 1), cap)
-        return None
-    for m1 in range(1, M + 1):
-        for m2 in range(1, M + 1):
+    for m1 in range(low, M + 1):
+        for m2 in range(low, M + 1):
             best = None
             for s1, s2 in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
                 z1, z2 = s1 * m1, s2 * m2
                 rest = a1 * z1 + a2 * z2
-                if rest % a3:
+                if rest % a3 or not (m1 or m2):
                     continue
                 z3 = -rest // a3
-                if z3 == 0 or abs(z3) > M:
-                    continue
-                cand = (abs(z3), s1 < 0, s2 < 0, z3 < 0, (z1, z2, z3))
-                if best is None or cand < best:
-                    best = cand
+                if low <= abs(z3) <= M:
+                    cand = (abs(z3), s1 < 0, s2 < 0, (z1, z2, z3))
+                    best = cand if best is None else min(best, cand)
             if best is not None:
-                return SmallSolution(best[4], cap)
+                return best[3]
     return None
 
 

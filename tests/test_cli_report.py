@@ -28,6 +28,21 @@ t2=5,7,11,13,101,103,107,109,113,127
 t3=53,59,61,67,71,73,79,83,89,97
 """
 
+PROP1_CFG = """\
+equation=prop1
+x=1000000
+t1=2,3,17,19,23,29,31,37,41,43
+t2=5,7,11,13,101,103,107,109,113,127
+t3=53,59,61,67,71,73,79,83,89,97
+"""
+
+# the keys of the other equations that each equation does not read
+UNREAD_KEYS = {
+    "prop1": ("alpha", "variant", "delta", "epsilon", "w", "z", "q", "r", "y"),
+    "thm1": ("y",),
+    "thm2": ("q", "r"),
+}
+
 
 def test_compare_bounds_examples():
     rec = compare_bounds(50, "prop1", 0.0, 12)
@@ -123,15 +138,32 @@ def test_cli_exit_codes(tmp_path):
     ],
 )
 def test_cli_bad_config_value(tmp_path, capsys, command, old, new):
-    # every malformed numeric value ends as a one-line config error, exit 1
+    # every malformed numeric value ends as a one-line config error, exit 1, naming its key
     cfg = tmp_path / "bad.cfg"
-    text = THM1_CFG.replace(old, new)
-    if command == "prop1":
-        text = text.replace("equation=thm1", "equation=prop1")
-    cfg.write_text(text)
+    cfg.write_text({"thm1": THM1_CFG, "prop1": PROP1_CFG}[command].replace(old, new))
     assert main([command, "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
+    bad_key = new.splitlines()[-1].split("=")[0]
+    assert err.startswith("config error:") and repr(bad_key) in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("equation, key", [(eq, key) for eq, keys in UNREAD_KEYS.items() for key in keys])
+def test_cli_refuses_keys_the_equation_does_not_read(tmp_path, capsys, equation, key):
+    cfg = tmp_path / "run.cfg"
+    base = PROP1_CFG if equation == "prop1" else THM1_CFG.replace("equation=thm1", f"equation={equation}")
+    cfg.write_text(base + f"{key}=1\n")
+    assert main([equation, "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
+    assert repr(key) in err and "does not read" in err
+
+
+def test_scale_overrides_reach_the_config():
+    base = {"x": "1000000", "t_interval": "2,113"}
+    cfg = build_harvest_config({**base, "equation": "thm1", "q": "1000", "r": "1000", "z": "120", "w": "3"}, None)
+    assert (cfg.q, cfg.r, cfg.z, cfg.w_max) == (1000, 1000, 120, 3)
+    cfg = build_harvest_config({**base, "equation": "thm2", "y": "2000000"}, None)
+    assert cfg.y == 2_000_000
 
 
 def test_integer_config_values_are_exact():
@@ -140,6 +172,31 @@ def test_integer_config_values_are_exact():
     assert build_harvest_config({**params, "x": "1e6"}, None).x == 10**6
     cfg = build_harvest_config({**params, "hit_cap": "2.5e3"}, None)
     assert type(cfg.hit_cap) is int and cfg.hit_cap == 2500
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "siegel --alpha 1,x --bound 3",
+        "siegel --alpha , --bound 3",
+        "oracle --kind linear_count --a-set 3,x --c-set 1,2 --bound 5",
+        "oracle --kind sunit_pairs --bound 100",
+        "oracle --kind linear_count --c-set 1,2 --bound 5",
+        "oracle --kind sunit_pairs --primes 2,3",
+        "oracle --kind linear_count --a-set 0 --c-set 1,2 --bound 5",
+        "exponents --theorem thm1 --variant conditional",
+        "verify circle --qmax 5",
+        "verify charsums --qmax 2",
+    ],
+)
+def test_cli_bad_input_is_one_line(capsys, argv):
+    # a traceback exits 1 as well: the single stderr line shows the error was handled
+    try:
+        code = main(argv.split())
+    except SystemExit as stop:  # a usage error found by the argument parser
+        code = stop.code
+    err = capsys.readouterr().err
+    assert code == 1 and err.count("\n") == 1, err
 
 
 def test_cli_prop1_caps(tmp_path, capsys):
@@ -213,6 +270,10 @@ def test_cli_verify_and_smooth(tmp_path, capsys):
     assert main(["verify", "sieve", "--trials", "5"]) == 0
     capsys.readouterr()
     assert main(["verify", "circle", "--qmax", "40"]) == 0
+    capsys.readouterr()
+    # the least --qmax each verification accepts
+    assert main(["verify", "circle", "--qmax", "8"]) == 0
+    assert main(["verify", "charsums", "--qmax", "3", "--trials", "2"]) == 0
     capsys.readouterr()
     assert main(["smooth", "--primes", "2,3,5", "--lo", "2", "--hi", "30"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -24,6 +24,11 @@ def exhaustive_solutions(alpha, bound):
     return sols
 
 
+def rank(z):
+    """Magnitudes first, then signs, + before -."""
+    return tuple(abs(v) for v in z) + tuple(v < 0 for v in z)
+
+
 def test_examples():
     s = siegel_small_solution((1, -1), 1)
     assert s.z == (1, 1) and s.bound == 2.0
@@ -58,7 +63,9 @@ def test_random_instances_respect_contract():
 
 
 def test_n3_fast_path_in_oracle_set():
+    # the least solution in [-C, C]^3 by rank when a3 != 0, else the collision (0, 0, 1)
     rng = random.Random(99)
+    a3_zero = 0
     for _ in range(300):
         B = rng.randint(1, 20)
         while True:
@@ -66,16 +73,31 @@ def test_n3_fast_path_in_oracle_set():
             if any(alpha):
                 break
         sol = siegel_small_solution(alpha, B)
-        assert sol.z in exhaustive_solutions(alpha, (3 * B) ** 0.5)
+        window = exhaustive_solutions(alpha, (3 * B) ** 0.5)
+        assert sol.z in window
+        if alpha[2]:
+            assert rank(sol.z) == min(map(rank, window)), alpha
+        else:
+            assert sol.z == (0, 0, 1), alpha
+            a3_zero += 1
+    assert a3_zero
 
 
 def test_nonzero_coords_examples():
     sol = siegel_nonzero_coords((2, 3, 5), 5.0)
     assert sol.z == (1, 1, -1)
-    sol = siegel_nonzero_coords((1, -1), 1.0)
-    assert sol.z == (1, 1)
-    # alpha forcing a zero coordinate means no all-nonzero solution
-    assert siegel_nonzero_coords((1, 0, 0), 4.0) is None
+    # z1 = -5 z3 leaves the window: no all-nonzero solution
+    assert siegel_nonzero_coords((1, 0, 5), 4.0) is None
+
+
+@pytest.mark.parametrize(
+    "alpha, cap",
+    [((1, -1), 1.0), ((1, 2, 3, 4), 4.0), ((1, 0, 0), 4.0), ((2, 3, 0), 4.0), ((2, 3, 5), 0.5)],
+)
+def test_nonzero_coords_domain(alpha, cap):
+    # three coefficients with a3 != 0 and cap >= 1: the domain of prop1 and NonzeroSearch
+    with pytest.raises(DomainError):
+        siegel_nonzero_coords(alpha, cap)
 
 
 def test_nonzero_coords_contract():
@@ -86,6 +108,8 @@ def test_nonzero_coords_contract():
         if not any(alpha):
             continue
         cap = rng.uniform(1.0, 8.0)
+        if n != 3 or alpha[2] == 0:
+            continue
         sol = siegel_nonzero_coords(alpha, cap)
         window = exhaustive_solutions(alpha, cap)
         window = {z for z in window if all(z)}
@@ -97,9 +121,6 @@ def test_nonzero_coords_contract():
 
 def test_nonzero_coords_selection_is_minimal():
     # the chosen tuple is lexicographically smallest by magnitudes then signs
-    def rank(z):
-        return tuple(abs(v) for v in z) + tuple(v < 0 for v in z)
-
     rng = random.Random(17)
     for _ in range(150):
         alpha = tuple(rng.randint(-12, 12) for _ in range(3))
