@@ -27,6 +27,7 @@ from .smooth import SmoothSet
 from .stepping import _int64, _interval_counts, count_hits
 
 _TWO_PI = 2.0 * np.pi
+TABLE_CAP = 2_000_000  # largest modulus multiplicative_decomposition builds a table for
 
 
 def _primitive_root(p: int) -> int:
@@ -315,9 +316,7 @@ def primitive_decomposition_check(
     return complex(lhs), complex(rhs), abs(lhs - rhs) <= 1e-9
 
 
-def multiplicative_decomposition(
-    A: SmoothSet, C: SmoothSet, W: int, table_cap: int = 2_000_000
-) -> tuple[float, float, int]:
+def multiplicative_decomposition(A: SmoothSet, C: SmoothSet, W: int) -> tuple[float, float, int]:
     """Split the count of {(a, c, w <= W) : c w == 1 (mod a)} into main + remainder.
 
     main is the principal-character term sum_a #{c coprime} #{w coprime} / phi(a);
@@ -336,8 +335,8 @@ def multiplicative_decomposition(
     main = 0.0
     remainder = 0.0 + 0.0j
     for a in a_values:
-        if a > table_cap:
-            raise ResourceLimit(f"modulus {a} beyond table cap {table_cap}")
+        if a > TABLE_CAP:
+            raise ResourceLimit(f"modulus {a} beyond table cap {TABLE_CAP}")
         table = all_characters(a)
         Fc = table.sums_over_counts(np.bincount(c % a, minlength=a))
         Fw = table.sums_over_counts(_interval_counts(a, W))

@@ -105,8 +105,6 @@ class AdditiveDecomposition:
     cutoff: float
     truncated_sum: float  # main + spectrum restricted to |h| <= cutoff
     tail_sum: float
-    coprimality_violations: int
-    window_violation: bool
     error_reference: dict = field(default_factory=dict)
 
     @property
@@ -122,7 +120,10 @@ def additive_decomposition(
     exact_count comes from residue stepping; the full spectrum over the
     symmetric window recombines to it within floating tolerance.  The main
     term uses the per-modulus coprime count of C, which equals #C whenever the
-    coprimality assumption holds (violations are audited, not fatal).
+    coprimality assumption holds; a c sharing a factor with a has no inverse
+    and drops out of that modulus's terms.  The identity is exact for any mu
+    and moduli: the [3Z/4, Z] window and mu >= 1/sqrt(Z) only matter for the
+    asymptotic error terms.
     """
     a_values = A.values() if isinstance(A, SmoothSet) else tuple(sorted(A))
     c_values = C.values() if isinstance(C, SmoothSet) else tuple(sorted(C))
@@ -131,10 +132,6 @@ def additive_decomposition(
     if not 0.0 < mu <= 1.0:
         raise DomainError("need 0 < mu <= 1")
     Z = max(a_values)
-    # the identity is exact for any mu; the [3Z/4, Z] window and mu >= 1/sqrt(Z)
-    # only matter for the asymptotic error terms, so they are audited, not fatal
-    window_violation = min(a_values) * 4 < 3 * Z or mu < 1.0 / sqrt(Z)
-
     # checked first: C past int64 is refused at the largest bound [mu Z] on w;
     # w is bounded per modulus (w <= [mu a]), so step each modulus separately
     c = _int64(c_values, [1], _floor_mu_a(mu, Z))
@@ -147,14 +144,12 @@ def additive_decomposition(
     smu = np.abs(s_mu_weight(h, mu))
     spectrum_sum = np.zeros(h.size, dtype=complex)
     main = 0.0
-    violations = 0
     rows: list[tuple[int, int, float, float, float]] = []
     for a in a_values:
         wa = _floor_mu_a(mu, a)
         # c^-1 is the one solution 1 <= w <= a of c*w == 1 (none when gcd(c, a) > 1),
         # taken mod a for a = 1
         inv = progressions(a, c % a, [1], a)[2] % a
-        violations += len(c) - len(inv)
         main += wa * len(inv) / a
         # F[h] = sum_c e(h c^-1 / a) and Wsum[h] = sum_{w=1..wa} e(-h w / a), all h mod a
         F = np.fft.ifft(np.bincount(inv, minlength=a)) * a
@@ -190,8 +185,6 @@ def additive_decomposition(
         cutoff=cutoff,
         truncated_sum=truncated,
         tail_sum=tail,
-        coprimality_violations=violations,
-        window_violation=window_violation,
         error_reference=err_ref,
     )
 

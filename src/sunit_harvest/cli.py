@@ -1,9 +1,9 @@
 """Command-line front end.
 
-Subcommands: thm1, thm2, prop1, oracle, exponents, verify {charsums|sieve|circle},
-smooth, siegel.  Pipeline runs read a plain-text key=value config file (one pair
-per line, '#' comments); every run writes a JSON report and, when asked,
-CSV artifacts.
+Subcommands: thm1, thm2, prop1, oracle {sunit_pairs|prop1_triples|linear_count},
+exponents, verify {charsums|sieve|circle}, smooth, siegel; each takes only the
+flags it reads.  Pipeline runs read a plain-text key=value config file (one
+pair per line, '#' comments); every run writes a JSON report and, when asked, CSV artifacts.
 
 Exit codes: 0 success, 2 empty harvest, 3 constraint violation, 4 resource
 or factorization limit, 1 malformed config or usage.
@@ -37,7 +37,7 @@ from .errors import (
     SunitHarvestError,
 )
 from .exponents import check_constraints, optimality_frontier, regime_exponents
-from .oracle import brute_linear_count, brute_prop1_triples, brute_sunit_pairs
+from .oracle import DEFAULT_BUDGET, brute_linear_count, brute_prop1_triples, brute_sunit_pairs
 from .pipelines import (
     HarvestConfig,
     config_from_exponents,
@@ -47,7 +47,7 @@ from .pipelines import (
     thm2_run,
 )
 from .report import SOLUTION_HEADERS, write_csv, write_json_report
-from .smooth import enumerate_squarefree_smooth, split_disjoint_prime_sets
+from .smooth import DEFAULT_CAP, enumerate_squarefree_smooth, split_disjoint_prime_sets
 from .siegel import siegel_small_solution
 
 EXIT_OK = 0
@@ -60,6 +60,12 @@ EXIT_RESOURCE = 4
 _SHARED_KEYS = {"equation", "x", "t1", "t2", "t3", "t_interval", "t_split", "enum_cap", "hit_cap"}
 _REGIME_KEYS = _SHARED_KEYS | {"alpha", "variant", "delta", "epsilon", "w", "z"}
 _KEYS = {"thm1": _REGIME_KEYS | {"q", "r"}, "thm2": _REGIME_KEYS | {"y"}, "prop1": _SHARED_KEYS}
+
+_SHARED_FLAGS = {  # the flags several commands read; each command declares only those it reads
+    "out": {"help": "write the JSON report here"},
+    "solutions": {"help": "write the CSV artifact here"},
+    "seed": {"type": int, "default": 20240601},
+}
 
 
 def parse_config_file(path: str | Path) -> dict:
@@ -95,17 +101,15 @@ def _number(params: dict, key: str, default: str | None = None, kind: type = flo
     return kind(value)
 
 
-def _integers(text: str | None, key: str) -> tuple[int, ...]:
+def _integers(text: str, key: str) -> tuple[int, ...]:
     """The integers of a comma-separated flag or config value; empty items are skipped."""
-    if text is None:
-        raise ConfigError(key, "missing")
     try:
         return tuple(int(tok) for tok in text.split(",") if tok.strip())
     except ValueError:
         raise ConfigError(key, f"expected comma-separated integers, got {text!r}") from None
 
 
-def _parse_primes(text: str | None, key: str = "primes") -> PrimeSet:
+def _parse_primes(text: str, key: str = "primes") -> PrimeSet:
     return PrimeSet(tuple(sorted(_integers(text, key))))
 
 
@@ -182,25 +186,7 @@ def _run_pipeline(args) -> int:
     return EXIT_OK
 
 
-def _run_oracle(args) -> int:
-    t0 = time.time()
-    if args.kind == "sunit_pairs":
-        S = _parse_primes(args.primes)
-        res = brute_sunit_pairs(S, args.bound, args.cap or 10**9)
-        rows = [(A, C, "", "", "", "") for A, C in res.solutions]
-        equation = "thm1"
-    elif args.kind == "prop1_triples":
-        S = _parse_primes(args.primes)
-        res = brute_prop1_triples(S, args.bound, args.cap or 10**9)
-        rows = [(a, b, c, "", "", "", "", "", "") for a, b, c in res.solutions]
-        equation = "prop1"
-    elif args.kind == "linear_count":
-        a_vals, c_vals = _integers(args.a_set, "a-set"), _integers(args.c_set, "c-set")
-        res = brute_linear_count(a_vals, c_vals, args.bound, args.shift, args.cap or 10**9)
-        rows = []
-        equation = None
-    else:
-        raise ConfigError("kind", f"unknown oracle kind {args.kind!r}")
+def _oracle_report(args, t0: float, res) -> None:
     payload = {
         "query": res.query,
         "count": res.count,
@@ -210,13 +196,29 @@ def _run_oracle(args) -> int:
         "seed": args.seed,
     }
     _emit(payload, args.out)
-    if args.solutions and equation:
-        write_csv(args.solutions, SOLUTION_HEADERS[equation], rows)
+
+
+def _run_oracle(args) -> int:
+    """oracle sunit_pairs|prop1_triples: args.brute over the S-units up to --bound."""
+    t0 = time.time()
+    res = args.brute(_parse_primes(args.primes), args.bound, args.cap)
+    _oracle_report(args, t0, res)
+    if args.solutions:  # the pipeline's CSV layout, blank past the solution's own columns
+        write_csv(args.solutions, args.headers, [(*s, *[""] * (len(args.headers) - len(s))) for s in res.solutions])
+    return EXIT_OK
+
+
+def _run_linear_count(args) -> int:
+    t0 = time.time()
+    a_vals, c_vals = _integers(args.a_set, "a-set"), _integers(args.c_set, "c-set")
+    _oracle_report(args, t0, brute_linear_count(a_vals, c_vals, args.bound, args.shift, args.cap))
     return EXIT_OK
 
 
 def _run_exponents(args) -> int:
     if args.frontier:
+        if args.kmax > 20:  # 2^kmax - 2 rows, about 1M at 20
+            raise ResourceLimit(f"--kmax {args.kmax} beyond 20: the frontier has 2^kmax - 2 rows")
         rows = []
         for k in range(2, args.kmax + 1):
             indices = list(range(2, k + 1))
@@ -290,60 +292,64 @@ def _sieve_trials(rng: random.Random, pool: list, y_max: int, span_max: int, tri
     return results
 
 
-def _run_verify(args) -> int:
+def _run_charsums(args) -> int:
     t0 = time.time()
-    # charsums scans the squarefree moduli from 3; circle draws 30 distinct c < 4 * qmax
-    least = {"charsums": 3, "sieve": 0, "circle": 8}[args.what]
-    if args.qmax < least:
-        raise ConfigError("qmax", f"verify {args.what} needs --qmax >= {least}")
-    if args.what == "charsums":
-        summary, rows = _verify_charsums(args)
-        payload = {"verify": "charsums", "summary": summary, "timing": _timing(t0), "seed": args.seed}
-        _emit(payload, args.out)
-        if args.solutions:
-            write_csv(args.solutions, ["modulus", "character_index", "statistic", "bound", "ratio"], rows)
-        return EXIT_OK if summary["polya_vinogradov_all_pass"] and summary["large_sieve_all_hold"] else EXIT_CONSTRAINT
-    if args.what == "sieve":
-        pool = [q for q in range(3, 50) if _is_squarefree(q)]
-        results = _sieve_trials(random.Random(args.seed), pool, 50, 200, args.trials)
-        payload = {
-            "verify": "sieve",
-            "all_hold": all(r["holds"] for r in results),
-            "trials": results,
-            "timing": _timing(t0),
-            "seed": args.seed,
-        }
-        _emit(payload, args.out)
-        return EXIT_OK if payload["all_hold"] else EXIT_CONSTRAINT
-    if args.what == "circle":
-        rng = random.Random(args.seed)
-        Z = args.qmax
-        a_vals = sorted(rng.sample(range(max(3 * Z // 4, 2), Z + 1), k=min(4, Z - 3 * Z // 4)))
-        c_vals = sorted(rng.sample(range(2, 4 * Z), k=30))
-        mu = 0.5
-        dec = additive_decomposition(a_vals, c_vals, mu)
-        probe = trilinear_ratio_probe(
-            6, 6, 6, 6, lambda n, r: complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        )
-        payload = {
-            "verify": "circle",
-            "exact_count": dec.exact_count,
-            "recombined": dec.recombined,
-            "exact_match": abs(dec.recombined - dec.exact_count) <= 1e-6 * max(1, dec.exact_count),
-            "main": dec.main,
-            "lambda": dec.lambda_cut,
-            "cutoff": dec.cutoff,
-            "truncated_sum": dec.truncated_sum,
-            "tail_sum": dec.tail_sum,
-            "trilinear_probe": probe,
-            "timing": _timing(t0),
-            "seed": args.seed,
-        }
-        _emit(payload, args.out)
-        if args.solutions:
-            write_csv(args.solutions, ["a", "h", "s_mu_abs", "fraction_sum_abs", "term"], dec.rows)
-        return EXIT_OK if payload["exact_match"] else EXIT_CONSTRAINT
-    raise ConfigError("what", f"unknown verification {args.what!r}")
+    if args.qmax < 3:  # the squarefree moduli from 3
+        raise ConfigError("qmax", "verify charsums needs --qmax >= 3")
+    summary, rows = _verify_charsums(args)
+    payload = {"verify": "charsums", "summary": summary, "timing": _timing(t0), "seed": args.seed}
+    _emit(payload, args.out)
+    if args.solutions:
+        write_csv(args.solutions, ["modulus", "character_index", "statistic", "bound", "ratio"], rows)
+    return EXIT_OK if summary["polya_vinogradov_all_pass"] and summary["large_sieve_all_hold"] else EXIT_CONSTRAINT
+
+
+def _run_sieve(args) -> int:
+    t0 = time.time()
+    pool = [q for q in range(3, 50) if _is_squarefree(q)]
+    results = _sieve_trials(random.Random(args.seed), pool, 50, 200, args.trials)
+    payload = {
+        "verify": "sieve",
+        "all_hold": all(r["holds"] for r in results),
+        "trials": results,
+        "timing": _timing(t0),
+        "seed": args.seed,
+    }
+    _emit(payload, args.out)
+    return EXIT_OK if payload["all_hold"] else EXIT_CONSTRAINT
+
+
+def _run_circle(args) -> int:
+    t0 = time.time()
+    if args.qmax < 8:  # 30 distinct c < 4 * qmax
+        raise ConfigError("qmax", "verify circle needs --qmax >= 8")
+    rng = random.Random(args.seed)
+    Z = args.qmax
+    a_vals = sorted(rng.sample(range(max(3 * Z // 4, 2), Z + 1), k=min(4, Z - 3 * Z // 4)))
+    c_vals = sorted(rng.sample(range(2, 4 * Z), k=30))
+    mu = 0.5
+    dec = additive_decomposition(a_vals, c_vals, mu)
+    probe = trilinear_ratio_probe(
+        6, 6, 6, 6, lambda n, r: complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    )
+    payload = {
+        "verify": "circle",
+        "exact_count": dec.exact_count,
+        "recombined": dec.recombined,
+        "exact_match": abs(dec.recombined - dec.exact_count) <= 1e-6 * max(1, dec.exact_count),
+        "main": dec.main,
+        "lambda": dec.lambda_cut,
+        "cutoff": dec.cutoff,
+        "truncated_sum": dec.truncated_sum,
+        "tail_sum": dec.tail_sum,
+        "trilinear_probe": probe,
+        "timing": _timing(t0),
+        "seed": args.seed,
+    }
+    _emit(payload, args.out)
+    if args.solutions:
+        write_csv(args.solutions, ["a", "h", "s_mu_abs", "fraction_sum_abs", "term"], dec.rows)
+    return EXIT_OK if payload["exact_match"] else EXIT_CONSTRAINT
 
 
 def _is_squarefree(q: int) -> bool:
@@ -352,7 +358,7 @@ def _is_squarefree(q: int) -> bool:
 
 def _run_smooth(args) -> int:
     T = _parse_primes(args.primes)
-    ss = enumerate_squarefree_smooth(T, args.lo, args.hi, args.cap or 2_000_000)
+    ss = enumerate_squarefree_smooth(T, args.lo, args.hi, args.cap)
     payload = {
         "primes": list(T.primes),
         "lo": args.lo,
@@ -379,74 +385,74 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Each leaf command declares only the flags it reads and runs args.run(args)."""
     parser = _Parser(prog="sunit-harvest")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--out", help="write the JSON report here")
-        p.add_argument("--solutions", help="write the CSV artifact here")
-        p.add_argument("--threads", type=int, default=1, help="accepted and ignored")
-        p.add_argument("--seed", type=int, default=20240601)
-        p.add_argument("--cap", type=int, default=None, help="resource cap override")
+    def command(parent, name, run, help, *shared, **defaults):
+        p = parent.add_parser(name, help=help)
+        p.set_defaults(run=run, **defaults)
+        for flag in shared:
+            p.add_argument(f"--{flag}", **_SHARED_FLAGS[flag])
+        return p
 
     for name in ("thm1", "thm2", "prop1"):
-        p = sub.add_parser(name, help=f"run the {name} harvest pipeline")
+        p = command(sub, name, _run_pipeline, f"run the {name} harvest pipeline", "out", "solutions", "seed")
         p.add_argument("--config", required=True)
-        common(p)
+        p.add_argument("--cap", type=int, help="hit cap; overrides the config's hit_cap")
+        p.add_argument("--threads", type=int, default=1, help="accepted and ignored")
 
     p = sub.add_parser("oracle", help="brute-force ground truth")
-    p.add_argument("--kind", required=True, choices=["sunit_pairs", "prop1_triples", "linear_count"])
-    p.add_argument("--primes", help="comma-separated prime set")
-    p.add_argument("--bound", type=int, required=True, help="enumeration bound (or W for linear_count)")
-    p.add_argument("--a-set", dest="a_set", help="comma-separated moduli (linear_count)")
-    p.add_argument("--c-set", dest="c_set", help="comma-separated coefficients (linear_count)")
+    kinds = p.add_subparsers(dest="kind", required=True)
+    for kind, brute, equation, what in (
+        ("sunit_pairs", brute_sunit_pairs, "thm1", "S-unit pairs (A, A + 1)"),
+        ("prop1_triples", brute_prop1_triples, "prop1", "coprime S-unit triples a + b = c"),
+    ):
+        p = command(kinds, kind, _run_oracle, f"all {what} up to --bound", "out", "solutions", "seed",
+                    brute=brute, headers=SOLUTION_HEADERS[equation])
+        p.add_argument("--primes", required=True, help="comma-separated prime set S")
+        p.add_argument("--bound", type=int, required=True, help="enumeration bound")
+        p.add_argument("--cap", type=int, default=DEFAULT_BUDGET, help="most enumeration steps")
+    p = command(kinds, "linear_count", _run_linear_count, "count c*w == shift (mod a)", "out", "seed")
+    p.add_argument("--a-set", dest="a_set", required=True, help="comma-separated moduli")
+    p.add_argument("--c-set", dest="c_set", required=True, help="comma-separated coefficients")
+    p.add_argument("--bound", type=int, required=True, help="W, the largest w counted")
     p.add_argument("--shift", type=int, default=1)
-    common(p)
+    p.add_argument("--cap", type=int, default=DEFAULT_BUDGET, help="most (a, c, w) steps")
 
-    p = sub.add_parser("exponents", help="regime exponent tables and the frontier")
+    p = command(sub, "exponents", _run_exponents, "regime exponent tables and the frontier", "out")
     p.add_argument("--theorem", choices=["thm1", "thm2"])
     p.add_argument("--variant", choices=["conditional", "unconditional"])
     p.add_argument("--alpha", type=float)
     p.add_argument("--frontier", action="store_true")
     p.add_argument("--kmax", type=int, default=12)
-    common(p)
 
     p = sub.add_parser("verify", help="analytic identity and inequality suites")
-    p.add_argument("what", choices=["charsums", "sieve", "circle"])
+    whats = p.add_subparsers(dest="what", required=True)
+    p = command(whats, "charsums", _run_charsums, "character sums and the large sieve", "out", "solutions", "seed")
     p.add_argument("--qmax", type=int, default=50)
     p.add_argument("--trials", type=int, default=100)
-    common(p)
+    p = command(whats, "sieve", _run_sieve, "large-sieve trials", "out", "seed")
+    p.add_argument("--trials", type=int, default=100)
+    p = command(whats, "circle", _run_circle, "additive decomposition", "out", "solutions", "seed")
+    p.add_argument("--qmax", type=int, default=50)
 
-    p = sub.add_parser("smooth", help="enumerate squarefree smooth numbers")
+    p = command(sub, "smooth", _run_smooth, "enumerate squarefree smooth numbers", "out")
     p.add_argument("--primes", required=True)
     p.add_argument("--lo", type=int, required=True)
     p.add_argument("--hi", type=int, required=True)
-    common(p)
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP, help="most members listed")
 
-    p = sub.add_parser("siegel", help="small solution of a linear form")
+    p = command(sub, "siegel", _run_siegel, "small solution of a linear form", "out")
     p.add_argument("--alpha", required=True, help="comma-separated coefficients")
     p.add_argument("--bound", type=int, required=True, help="coefficient bound B")
-    common(p)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command in ("thm1", "thm2", "prop1"):
-            return _run_pipeline(args)
-        if args.command == "oracle":
-            return _run_oracle(args)
-        if args.command == "exponents":
-            return _run_exponents(args)
-        if args.command == "verify":
-            return _run_verify(args)
-        if args.command == "smooth":
-            return _run_smooth(args)
-        if args.command == "siegel":
-            return _run_siegel(args)
-        parser.error(f"unknown command {args.command}")
+        return args.run(args)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_USAGE
@@ -462,7 +468,6 @@ def main(argv=None) -> int:
     except SunitHarvestError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -580,7 +580,10 @@ def prop1_run(config: HarvestConfig) -> HarvestReport:
     )
 
 
-def pair_collision_stats(values: Sequence[int], cap: int = 100_000_000) -> tuple[int, int]:
+PAIR_CAP = 100_000_000  # most (c, c') pairs pair_collision_stats compares
+
+
+def pair_collision_stats(values: Sequence[int]) -> tuple[int, int]:
     """Max over n != 0 of the number of pairs with c - c' = n, with a witness n.
 
     Counts at n and -n agree by symmetry, so the witness is the smallest
@@ -588,7 +591,7 @@ def pair_collision_stats(values: Sequence[int], cap: int = 100_000_000) -> tuple
     """
     vals = sorted(values)
     m = len(vals)
-    if m * m > cap or (m and vals[-1] - vals[0] >= 2**63):
+    if m * m > PAIR_CAP or (m and vals[-1] - vals[0] >= 2**63):
         raise ResourceLimit("pair count or value range beyond cap")
     v = np.array([c - vals[0] for c in vals], dtype=np.int64)
     # the lower-triangle differences v[i] - v[j], j < i, row by row; all >= 0 as v is sorted

@@ -11,6 +11,7 @@ from .arith import FactoredInt, PrimeSet, primes_in_range
 from .errors import DomainError, EnumerationCap, InsufficientPrimes
 
 _E_TO_E = exp(1.0) ** exp(1.0)  # domain edge for log log x > 1
+DEFAULT_CAP = 2_000_000  # most members enumerate_squarefree_smooth lists
 
 
 @dataclass(frozen=True)
@@ -29,9 +30,7 @@ class SmoothSet:
         return len(self.members)
 
 
-def enumerate_squarefree_smooth(
-    T: PrimeSet, lo: int, hi: int, cap: int = 2_000_000
-) -> SmoothSet:
+def enumerate_squarefree_smooth(T: PrimeSet, lo: int, hi: int, cap: int = DEFAULT_CAP) -> SmoothSet:
     """Exhaustive depth-first enumeration of squarefree subset products in [lo, hi].
 
     The integer 1 (empty product) is included only when lo <= 1.  Memory is

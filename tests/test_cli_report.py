@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 
@@ -179,11 +180,11 @@ def test_integer_config_values_are_exact():
     [
         "siegel --alpha 1,x --bound 3",
         "siegel --alpha , --bound 3",
-        "oracle --kind linear_count --a-set 3,x --c-set 1,2 --bound 5",
-        "oracle --kind sunit_pairs --bound 100",
-        "oracle --kind linear_count --c-set 1,2 --bound 5",
-        "oracle --kind sunit_pairs --primes 2,3",
-        "oracle --kind linear_count --a-set 0 --c-set 1,2 --bound 5",
+        "oracle linear_count --a-set 3,x --c-set 1,2 --bound 5",
+        "oracle sunit_pairs --bound 100",
+        "oracle linear_count --c-set 1,2 --bound 5",
+        "oracle sunit_pairs --primes 2,3",
+        "oracle linear_count --a-set 0 --c-set 1,2 --bound 5",
         "exponents --theorem thm1 --variant conditional",
         "verify circle --qmax 5",
         "verify charsums --qmax 2",
@@ -246,7 +247,7 @@ def test_cli_report_determinism(tmp_path):
 def test_cli_oracle_fixture(tmp_path):
     out = tmp_path / "oracle.json"
     code = main(
-        ["oracle", "--kind", "sunit_pairs", "--primes", "2,3", "--bound", "100", "--out", str(out)]
+        ["oracle", "sunit_pairs", "--primes", "2,3", "--bound", "100", "--out", str(out)]
     )
     assert code == 0
     payload = json.loads(out.read_text())
@@ -311,3 +312,89 @@ def test_verify_csv_artifacts(tmp_path, capsys):
     lines = spectrum.read_text().strip().splitlines()
     assert lines[0] == "a,h,s_mu_abs,fraction_sum_abs,term"
     assert len(lines) > 10
+
+
+# the flags each leaf command reads; --threads is the one flag accepted and ignored
+_PIPELINE_FLAGS = {"--config", "--out", "--solutions", "--seed", "--cap", "--threads"}
+_SUNIT_ORACLE_FLAGS = {"--primes", "--bound", "--out", "--solutions", "--seed", "--cap"}
+FLAG_TABLE = {
+    "thm1": _PIPELINE_FLAGS,
+    "thm2": _PIPELINE_FLAGS,
+    "prop1": _PIPELINE_FLAGS,
+    "oracle sunit_pairs": _SUNIT_ORACLE_FLAGS,
+    "oracle prop1_triples": _SUNIT_ORACLE_FLAGS,
+    "oracle linear_count": {"--a-set", "--c-set", "--bound", "--shift", "--out", "--seed", "--cap"},
+    "exponents": {"--theorem", "--variant", "--alpha", "--frontier", "--kmax", "--out"},
+    "verify charsums": {"--qmax", "--trials", "--seed", "--out", "--solutions"},
+    "verify sieve": {"--trials", "--seed", "--out"},
+    "verify circle": {"--qmax", "--seed", "--out", "--solutions"},
+    "smooth": {"--primes", "--lo", "--hi", "--out", "--cap"},
+    "siegel": {"--alpha", "--bound", "--out"},
+}
+
+
+def _leaf_flags(parser, prefix=()):
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        flags = {opt for a in parser._actions for opt in a.option_strings}
+        yield " ".join(prefix), flags - {"-h", "--help"}
+        return
+    for name, child in subs[0].choices.items():
+        yield from _leaf_flags(child, prefix + (name,))
+
+
+def test_cli_flag_table():
+    table = dict(_leaf_flags(cli.build_parser()))
+    assert table == FLAG_TABLE
+    assert sum(len(flags) for flags in table.values()) == 63
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "verify sieve --qmax 1",
+        "verify circle --trials 2",
+        "verify sieve --solutions x.csv",
+        "verify charsums --threads 2",
+        "verify circle --cap 5",
+        "siegel --alpha 1,-1 --bound 1 --cap 3",
+        "siegel --alpha 1,-1 --bound 1 --seed 1",
+        "exponents --frontier --seed 1",
+        "exponents --frontier --solutions x.csv",
+        "smooth --primes 2,3,5 --lo 2 --hi 30 --seed 1",
+        "smooth --primes 2,3,5 --lo 2 --hi 30 --threads 2",
+        "oracle linear_count --a-set 3 --c-set 1,2 --bound 5 --solutions x.csv",
+        "oracle linear_count --a-set 3 --c-set 1,2 --bound 5 --primes 2,3",
+        "oracle sunit_pairs --primes 2,3 --bound 100 --shift 2",
+        "oracle prop1_triples --primes 2,3 --bound 100 --threads 2",
+        "oracle --kind sunit_pairs --primes 2,3 --bound 100",
+    ],
+)
+def test_cli_refuses_flags_the_command_does_not_read(capsys, argv):
+    with pytest.raises(SystemExit) as stop:
+        main(argv.split())
+    err = capsys.readouterr().err
+    assert stop.value.code == 1 and err.count("\n") == 1 and "unrecognized arguments" in err, err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "smooth --primes 2,3,5 --lo 2 --hi 30 --cap 0",
+        "oracle sunit_pairs --primes 2,3 --bound 100 --cap 0",
+        "oracle prop1_triples --primes 2,3 --bound 100 --cap 0",
+        "oracle linear_count --a-set 3 --c-set 1,2 --bound 5 --cap 0",
+    ],
+)
+def test_cli_cap_zero_is_a_cap(capsys, argv):
+    # --cap 0 is a cap of 0, not the default
+    assert main(argv.split()) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("resource limit:") and err.count("\n") == 1
+
+
+def test_cli_frontier_kmax_bound(capsys):
+    # the frontier lists 2^kmax - 2 rows in memory before writing any
+    assert main(["exponents", "--frontier", "--kmax", "21"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("resource limit:") and "--kmax 21" in err and err.count("\n") == 1
