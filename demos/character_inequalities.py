@@ -17,7 +17,6 @@ import numpy as np
 from sunit_harvest import (
     all_characters,
     fourth_moment_ratio,
-    gauss_sum_and_conductor,
     large_sieve_check,
     multiplicative_decomposition,
     polya_vinogradov_check,
@@ -43,10 +42,8 @@ print(f"phi(15) = {table.phi} characters; Gram deviation from phi*I:"
       f" {np.abs(gram - table.phi * np.eye(table.phi)).max():.2e}")
 
 print("\n== Gauss sums and conductors mod 15 ==")
-for i in range(table.phi):
-    chi = table.character(i)
-    tau, cond = gauss_sum_and_conductor(chi)
-    print(f"  chi_{i} exponents {chi.exponents}: |tau|^2 = {abs(tau)**2:8.4f}, conductor = {cond}")
+for i, (exps, tau, cond) in enumerate(zip(table.exponents(), table.gauss_sums(), table.conductors())):
+    print(f"  chi_{i} exponents {tuple(exps.tolist())}: |tau|^2 = {abs(tau)**2:8.4f}, conductor = {cond}")
 
 print("\n== incomplete character sums vs d(q/r) sqrt(r) log(r) ==")
 for q in (5, 105, 210):
@@ -67,8 +64,7 @@ for q, N in ((101, 50), (210, 97), (293, 130)):
     print(f"  q = {q:3}, N = {N:3}: ratio {fourth_moment_ratio(q, N):.4f}")
 
 print("\n== sieve-type primitive decomposition ==")
-t5 = all_characters(5)
-lhs, rhs, equal = primitive_decomposition_check(15, t5.character(2), 10)
+lhs, rhs, equal = primitive_decomposition_check(15, 5, 2, 10)  # character 2 mod 5 is the quadratic one
 print(f"  modulus 15 induced from the quadratic mod 5, W = 10:"
       f" lhs = {lhs:.6f}, rhs = {rhs:.6f}, equal = {equal}")
 

@@ -15,10 +15,8 @@ from .arith import (
 )
 from .characters import (
     CharacterTable,
-    DirichletCharacter,
     all_characters,
     fourth_moment_ratio,
-    gauss_sum_and_conductor,
     large_sieve_check,
     multiplicative_decomposition,
     polya_vinogradov_check,

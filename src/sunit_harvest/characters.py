@@ -7,7 +7,9 @@ fixed primitive roots g_j (smallest per prime).  Values are complex floats:
     chi(x) = exp(2 pi i * sum_j e_j * log_j(x mod p_j) / (p_j - 1)),
 
 zero when gcd(x, a) > 1.  Characters are indexed by their exponent tuple in
-lexicographic order (e_1 most significant), so index 0 is principal.
+lexicographic order (e_1 most significant), so index 0 is principal, and a
+character is its row index in the arrays of its CharacterTable: values,
+exponents, conductors and Gauss sums.
 
 Only squarefree moduli are supported: that is what makes cond(chi) equal to
 the product of the primes where chi is twisted, and |tau(chi)|^2 = cond(chi).
@@ -16,7 +18,8 @@ the product of the primes where chi is twisted, and |tau(chi)|^2 = cond(chi).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt
+from itertools import combinations
+from math import isqrt, prod
 from typing import Sequence
 
 import numpy as np
@@ -49,94 +52,46 @@ def _squarefree_primes(a: int) -> tuple[int, ...]:
     return tuple(p for p, _ in fac)
 
 
-@dataclass(frozen=True)
-class DirichletCharacter:
-    """One character mod a squarefree modulus, represented componentwise."""
-
-    modulus: int
-    primes: tuple[int, ...]
-    exponents: tuple[int, ...]
-    # per-prime discrete-log tables to the fixed primitive roots, log[0] unused
-    generator_logs: tuple[tuple[int, ...], ...]
-
-    @property
-    def is_principal(self) -> bool:
-        return all(e == 0 for e in self.exponents)
-
-    @property
-    def conductor(self) -> int:
-        c = 1
-        for p, e in zip(self.primes, self.exponents):
-            if e:
-                c *= p
-        return c
-
-    def value(self, n: int) -> complex:
-        if gcd(n, self.modulus) != 1:
-            return 0.0 + 0.0j
-        phase = 0.0
-        for p, e, logs in zip(self.primes, self.exponents, self.generator_logs):
-            if e:
-                phase += e * logs[n % p] / (p - 1)
-        return complex(np.exp(1j * _TWO_PI * phase))
-
-
 class CharacterTable:
-    """All phi(a) characters mod a squarefree a, with cached log tables."""
+    """All phi(a) characters mod a squarefree a, as arrays with one row per character."""
 
     def __init__(self, a: int):
         self.modulus = a
         self.primes = _squarefree_primes(a)
-        self.roots = tuple(_primitive_root(p) for p in self.primes)
+        self.orders = tuple(p - 1 for p in self.primes)
+        self.phi = prod(self.orders)
+        # residue x -> its unit-grid slot (the raveled tuple of logs of x mod each p)
+        x = np.arange(a)
         logs = []
-        for p, g in zip(self.primes, self.roots):
-            t = [0] * p
-            acc = 1
+        for p in self.primes:
+            g, t, acc = _primitive_root(p), [0] * p, 1
             for e in range(p - 1):
                 t[acc] = e
                 acc = acc * g % p
-            logs.append(tuple(t))
-        self.generator_logs = tuple(logs)
-        self.orders = tuple(p - 1 for p in self.primes)
-        self.phi = 1
-        for n in self.orders:
-            self.phi *= n
-        # residue x -> its unit-grid slot (the raveled tuple of logs of x mod each p)
-        x = np.arange(a)
-        self._slot = np.ravel_multi_index(
-            [np.asarray(t)[x % p] for p, t in zip(self.primes, self.generator_logs)], self.orders
-        )
+            logs.append(np.asarray(t)[x % p])
+        self._slot = np.ravel_multi_index(logs, self.orders)
         self._coprime = np.gcd(x, a) == 1
         self._value_matrix: np.ndarray | None = None
 
     def __len__(self) -> int:
         return self.phi
 
-    def character(self, index: int) -> DirichletCharacter:
-        if not 0 <= index < self.phi:
-            raise DomainError(f"character index {index} out of range")
-        exps = []
-        rem = index
-        for n in reversed(self.orders):
-            exps.append(rem % n)
-            rem //= n
-        return DirichletCharacter(
-            self.modulus, self.primes, tuple(reversed(exps)), self.generator_logs
-        )
+    def exponents(self) -> np.ndarray:
+        """Int [phi, k] array E: row i is the exponent tuple of chi_i."""
+        return np.stack(np.unravel_index(np.arange(self.phi), self.orders), axis=1)
 
-    def characters(self) -> list[DirichletCharacter]:
-        return [self.character(i) for i in range(self.phi)]
+    def conductors(self) -> np.ndarray:
+        """cond(chi_i) for every i: the product of the primes where chi_i is twisted."""
+        return np.prod(np.where(self.exponents() != 0, self.primes, 1), axis=1)
 
-    def index_of(self, exponents: Sequence[int]) -> int:
-        idx = 0
-        for e, n in zip(exponents, self.orders):
-            idx = idx * n + e
-        return idx
+    def gauss_sums(self) -> np.ndarray:
+        """tau(chi_i) = sum_x chi_i(x) e(x / a) for every i; |tau|^2 == cond."""
+        return self.sums_over_counts(np.exp(1j * _TWO_PI * np.arange(self.modulus) / self.modulus))
 
     def value_matrix(self) -> np.ndarray:
         """Complex [phi, a] array V with V[i, x] = chi_i(x); rows in index order."""
         if self._value_matrix is None:
-            E = np.stack(np.unravel_index(np.arange(self.phi), self.orders), axis=1)  # exponent tuples
+            E = self.exponents()
             logs = np.stack(np.unravel_index(self._slot, self.orders))
             V = np.exp(1j * _TWO_PI * (E.astype(float) @ (logs / np.array(self.orders)[:, None])))
             V[:, ~self._coprime] = 0.0
@@ -159,15 +114,6 @@ class CharacterTable:
 def all_characters(a: int) -> CharacterTable:
     """The full dual group mod squarefree a; DomainError otherwise."""
     return CharacterTable(a)
-
-
-def gauss_sum_and_conductor(chi: DirichletCharacter) -> tuple[complex, int]:
-    """(tau(chi), cond(chi)); for squarefree moduli |tau|^2 == cond."""
-    a = chi.modulus
-    tau = sum(
-        chi.value(x) * np.exp(1j * _TWO_PI * x / a) for x in range(1, a) if gcd(x, a) == 1
-    )
-    return complex(tau), chi.conductor
 
 
 @dataclass(frozen=True)
@@ -208,7 +154,7 @@ def polya_vinogradov_check(q: int, scan_M: int, scan_N: int) -> PolyaVinogradovR
     if scan_M < 1 or scan_N < 1:
         raise DomainError("need scan_M >= 1 and scan_N >= 1")
     table = all_characters(q)
-    E = np.stack(np.unravel_index(np.arange(1, table.phi), table.orders), axis=1)  # exponents
+    E = table.exponents()[1:]
     conj = np.ravel_multi_index((-E % table.orders).T, table.orders)
     swept, pair = np.unique(np.minimum(np.arange(1, table.phi), conj), return_inverse=True)
     V = table.value_matrix()[swept]
@@ -221,8 +167,8 @@ def polya_vinogradov_check(q: int, scan_M: int, scan_N: int) -> PolyaVinogradovR
         np.square(np.subtract(re[:, k : k + Mm], re[:, :Mm], out=d2), out=d2)
         d2 += np.square(np.subtract(im[:, k : k + Mm], im[:, :Mm], out=e2), out=e2)
         np.maximum(best, d2.max(axis=1), out=best)
-    # q squarefree: r is the product of the twisted primes, d(q/r) = 2^(untwisted primes)
-    r = np.prod(np.where(E != 0, table.primes, 1), axis=1)
+    # q squarefree: d(q/r) = 2^(untwisted primes)
+    r = table.conductors()[1:]
     bound = 2.0 ** (len(table.primes) - (E != 0).sum(axis=1)) * np.sqrt(r) * np.log(r)
     max_abs = np.sqrt(best[pair])
     ratio = max_abs / bound
@@ -256,8 +202,7 @@ def large_sieve_check(
         folded = np.zeros(q, dtype=complex)
         np.add.at(folded, n % q, coeffs)
         sums = table.sums_over_counts(folded)
-        taus = table.sums_over_counts(np.exp(1j * _TWO_PI * np.arange(q) / q))
-        lhs += float(np.sum(np.abs(taus) ** 2 * np.abs(sums) ** 2)) / table.phi
+        lhs += float(np.sum(np.abs(table.gauss_sums()) ** 2 * np.abs(sums) ** 2)) / table.phi
     max_d = max(multiplicative_functions(q)[2] for q in Q_set)
     max_q = max(Q_set)
     weight = float(_divisor_counts(Y, Z) @ np.abs(coeffs) ** 2)
@@ -287,33 +232,31 @@ def fourth_moment_ratio(q: int, N: int) -> float:
     return fourth / table.phi / N**2
 
 
-def primitive_decomposition_check(
-    a: int, chi_star: DirichletCharacter, W: int
-) -> tuple[complex, complex, bool]:
+def primitive_decomposition_check(a: int, y: int, index: int, W: int) -> tuple[complex, complex, bool]:
     """Sieve the coprimality condition out of an incomplete character sum.
 
-    With chi mod a induced by a primitive chi* mod y (y | a):
+    With chi mod a induced by the primitive chi* = chi_index mod y (y | a):
         sum_{w<=W} chi(w)  ==  sum_{d|a} mu(d) sum_{v<=W/d} chi*(v d)
-    Both sides are evaluated termwise; equal within 1e-9 absolute.
+    Both sides are summed from row index of the value matrix mod y; equal
+    within 1e-9 absolute.
     """
-    y = chi_star.modulus
     if a % y:
         raise DomainError(f"conductor modulus {y} does not divide {a}")
-    if chi_star.conductor != y:
-        raise DomainError("chi_star must be primitive (twisted at every prime)")
+    table = all_characters(y)
+    if not 0 <= index < table.phi:
+        raise DomainError(f"character index {index} out of range")
+    if table.conductors()[index] != y:
+        raise DomainError(f"character {index} mod {y} is not primitive (twisted at every prime)")
     primes_a = _squarefree_primes(a)
-    lhs = sum(
-        (chi_star.value(w) for w in range(1, W + 1) if gcd(w, a) == 1), 0.0 + 0.0j
-    )
+    chi = table.value_matrix()[index]
+    w = np.arange(1, W + 1)
+    lhs = complex(chi[w[np.gcd(w, a) == 1] % y].sum())
     rhs = 0.0 + 0.0j
-    for mask in range(1 << len(primes_a)):
-        d, mu = 1, 1
-        for j, p in enumerate(primes_a):
-            if mask >> j & 1:
-                d *= p
-                mu = -mu
-        rhs += mu * sum((chi_star.value(v * d) for v in range(1, W // d + 1)), 0.0 + 0.0j)
-    return complex(lhs), complex(rhs), abs(lhs - rhs) <= 1e-9
+    for k in range(len(primes_a) + 1):
+        for ps in combinations(primes_a, k):
+            d = prod(ps)
+            rhs += (-1) ** k * complex(chi[np.arange(d, W + 1, d) % y].sum())
+    return lhs, rhs, abs(lhs - rhs) <= 1e-9
 
 
 def multiplicative_decomposition(A: SmoothSet, C: SmoothSet, W: int) -> tuple[float, float, int]:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError
 from .smooth import SmoothSet
-from .stepping import _int64, _interval_counts, count_hits, progressions
+from .stepping import _gcd_inverse, _int64, _interval_counts, count_hits
 
 _TWO_PI = 2.0 * np.pi
 
@@ -147,9 +147,9 @@ def additive_decomposition(
     rows: list[tuple[int, int, float, float, float]] = []
     for a in a_values:
         wa = _floor_mu_a(mu, a)
-        # c^-1 is the one solution 1 <= w <= a of c*w == 1 (none when gcd(c, a) > 1),
-        # taken mod a for a = 1
-        inv = progressions(a, c % a, [1], a)[2] % a
+        # c^-1 mod a for each c coprime to a; a c with gcd(c, a) > 1 has none
+        g, inv = _gcd_inverse(c, a)
+        inv = inv[g == 1]
         main += wa * len(inv) / a
         # F[h] = sum_c e(h c^-1 / a) and Wsum[h] = sum_{w=1..wa} e(-h w / a), all h mod a
         F = np.fft.ifft(np.bincount(inv, minlength=a)) * a

@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: thm1, thm2, prop1, oracle {sunit_pairs|prop1_triples|linear_count},
-exponents, verify {charsums|sieve|circle}, smooth, siegel; each takes only the
-flags it reads.  Pipeline runs read a plain-text key=value config file (one
+exponents, frontier, verify {charsums|sieve|circle}, smooth, siegel; each takes
+only the flags it reads.  Pipeline runs read a plain-text key=value config file (one
 pair per line, '#' comments); every run writes a JSON report and, when asked, CSV artifacts.
 
 Exit codes: 0 success, 2 empty harvest, 3 constraint violation, 4 resource
@@ -215,25 +215,23 @@ def _run_linear_count(args) -> int:
     return EXIT_OK
 
 
+def _run_frontier(args) -> int:
+    if args.kmax > 20:  # 2^kmax - 2 rows, about 1M at 20
+        raise ResourceLimit(f"--kmax {args.kmax} beyond 20: the frontier has 2^kmax - 2 rows")
+    rows = []
+    for k in range(2, args.kmax + 1):
+        for mask in range(1 << (k - 1)):  # the subsets I of {2, ..., k}; i is bit i - 2
+            I = tuple(i for i in range(2, k + 1) if mask >> (i - 2) & 1)
+            rows.append((k, *optimality_frontier(k, I)))
+    if args.out:
+        write_csv(args.out, ["k", "theta", "frontier"], rows)
+    else:
+        for row in rows:
+            print(",".join(str(v) for v in row))
+    return EXIT_OK
+
+
 def _run_exponents(args) -> int:
-    if args.frontier:
-        if args.kmax > 20:  # 2^kmax - 2 rows, about 1M at 20
-            raise ResourceLimit(f"--kmax {args.kmax} beyond 20: the frontier has 2^kmax - 2 rows")
-        rows = []
-        for k in range(2, args.kmax + 1):
-            indices = list(range(2, k + 1))
-            for mask in range(1 << len(indices)):
-                I = tuple(indices[j] for j in range(len(indices)) if mask >> j & 1)
-                theta, val = optimality_frontier(k, I)
-                rows.append((k, theta, val))
-        if args.out:
-            write_csv(args.out, ["k", "theta", "frontier"], rows)
-        else:
-            for row in rows:
-                print(",".join(str(v) for v in row))
-        return EXIT_OK
-    if args.theorem and args.alpha is None:
-        raise ConfigError("alpha", "--theorem needs --alpha")
     exps = regime_exponents(args.theorem, args.variant, args.alpha)
     payload = {
         "exponents": exps.as_dict(),
@@ -292,10 +290,18 @@ def _sieve_trials(rng: random.Random, pool: list, y_max: int, span_max: int, tri
     return results
 
 
+def _check_trials(trials: int) -> None:
+    if trials < 1:  # zero trials would hold vacuously
+        raise ConfigError("trials", f"needs --trials >= 1, got {trials}")
+
+
 def _run_charsums(args) -> int:
     t0 = time.time()
     if args.qmax < 3:  # the squarefree moduli from 3
         raise ConfigError("qmax", "verify charsums needs --qmax >= 3")
+    if args.qmax > 1000:  # the windows scanned grow about as qmax^4
+        raise ResourceLimit(f"--qmax {args.qmax} beyond 1000 for verify charsums")
+    _check_trials(args.trials)
     summary, rows = _verify_charsums(args)
     payload = {"verify": "charsums", "summary": summary, "timing": _timing(t0), "seed": args.seed}
     _emit(payload, args.out)
@@ -306,6 +312,7 @@ def _run_charsums(args) -> int:
 
 def _run_sieve(args) -> int:
     t0 = time.time()
+    _check_trials(args.trials)
     pool = [q for q in range(3, 50) if _is_squarefree(q)]
     results = _sieve_trials(random.Random(args.seed), pool, 50, 200, args.trials)
     payload = {
@@ -323,6 +330,8 @@ def _run_circle(args) -> int:
     t0 = time.time()
     if args.qmax < 8:  # 30 distinct c < 4 * qmax
         raise ConfigError("qmax", "verify circle needs --qmax >= 8")
+    if args.qmax > 100_000:  # arrays and transforms of length up to qmax per modulus
+        raise ResourceLimit(f"--qmax {args.qmax} beyond 100000 for verify circle")
     rng = random.Random(args.seed)
     Z = args.qmax
     a_vals = sorted(rng.sample(range(max(3 * Z // 4, 2), Z + 1), k=min(4, Z - 3 * Z // 4)))
@@ -420,11 +429,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shift", type=int, default=1)
     p.add_argument("--cap", type=int, default=DEFAULT_BUDGET, help="most (a, c, w) steps")
 
-    p = command(sub, "exponents", _run_exponents, "regime exponent tables and the frontier", "out")
-    p.add_argument("--theorem", choices=["thm1", "thm2"])
-    p.add_argument("--variant", choices=["conditional", "unconditional"])
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--frontier", action="store_true")
+    p = command(sub, "exponents", _run_exponents, "regime exponent table and constraint margins", "out")
+    p.add_argument("--theorem", choices=["thm1", "thm2"], required=True)
+    p.add_argument("--variant", choices=["conditional", "unconditional"], required=True)
+    p.add_argument("--alpha", type=float, required=True)
+    p = command(sub, "frontier", _run_frontier, "the factorization frontier for k <= --kmax", "out")
     p.add_argument("--kmax", type=int, default=12)
 
     p = sub.add_parser("verify", help="analytic identity and inequality suites")

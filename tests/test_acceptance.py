@@ -11,11 +11,10 @@ from math import ceil, gcd
 
 import numpy as np
 
-from conftest import smoothset
+from conftest import oracle_character, oracle_gauss_sum, smoothset
 from sunit_harvest.arith import PrimeSet, trial_factor
 from sunit_harvest.characters import (
     all_characters,
-    gauss_sum_and_conductor,
     large_sieve_check,
     multiplicative_decomposition,
     polya_vinogradov_check,
@@ -153,13 +152,16 @@ def test_criterion_5_character_identities():
     moduli = sorted(rng.sample(sf1000, 55))
     for a in moduli:
         table = all_characters(a)
-        V = table.value_matrix()
-        taus = V @ np.exp(2j * np.pi * np.arange(a) / a)
-        conds = np.array([table.character(i).conductor for i in range(table.phi)])
+        taus, conds = table.gauss_sums(), table.conductors()
         assert np.abs(np.abs(taus) ** 2 - conds).max() <= 1e-6, a
+        # the arrays the large sieve and the PV bound read, against the value matrix and the oracle
+        V = table.value_matrix()
+        assert np.abs(taus - V @ np.exp(2j * np.pi * np.arange(a) / a)).max() <= 1e-6, a
+        assert conds.tolist() == [oracle_character(a, i)[1] for i in range(table.phi)], a
     # spot agreement of the vectorized route with the direct evaluator
-    tau, cond = gauss_sum_and_conductor(all_characters(5).character(0))
+    tau, cond = oracle_gauss_sum(5, 0)
     assert abs(tau - (-1.0)) <= 1e-9 and cond == 1
+    assert abs(all_characters(5).gauss_sums()[0] - tau) <= 1e-9
 
     # Polya-Vinogradov with conductor refinement: all squarefree q <= 300
     pv_worst = 0.0
@@ -187,11 +189,11 @@ def test_criterion_5_character_identities():
         divisors = [d for d in range(2, a + 1) if a % d == 0 and _squarefree(d)]
         y = rng.choice(divisors)
         table = all_characters(y)
-        chi_star = table.character(rng.randrange(table.phi))
-        if chi_star.conductor != y:
+        index = rng.randrange(table.phi)
+        if oracle_character(y, index)[1] != y:
             continue
         W = rng.randint(1, 300)
-        lhs, rhs, equal = primitive_decomposition_check(a, chi_star, W)
+        lhs, rhs, equal = primitive_decomposition_check(a, y, index, W)
         assert equal and abs(lhs - rhs) <= 1e-6, (a, y, W)
         done += 1
 

@@ -4,12 +4,11 @@ from math import gcd, log, sqrt
 import numpy as np
 import pytest
 
-from conftest import smoothset
+from conftest import oracle_character, oracle_gauss_sum, smoothset
 from sunit_harvest.arith import multiplicative_functions
 from sunit_harvest.characters import (
     all_characters,
     fourth_moment_ratio,
-    gauss_sum_and_conductor,
     large_sieve_check,
     multiplicative_decomposition,
     polya_vinogradov_check,
@@ -20,7 +19,7 @@ from sunit_harvest.errors import DomainError
 
 def char_sum(chi, values) -> complex:
     """The scalar oracle for character sums: chi summed term by term."""
-    return sum((chi.value(v) for v in values), 0.0 + 0.0j)
+    return sum((chi(v) for v in values), 0.0 + 0.0j)
 
 
 SQUAREFREE_SMALL = [a for a in range(2, 211) if all(a % (p * p) for p in (2, 3, 5, 7, 11, 13))]
@@ -28,20 +27,22 @@ SQUAREFREE_SMALL = [a for a in range(2, 211) if all(a % (p * p) for p in (2, 3, 
 
 def test_all_characters_examples():
     assert len(all_characters(15)) == 8
-    assert sum(1 for c in all_characters(15).characters() if c.is_principal) == 1
+    assert (all_characters(15).exponents() == 0).all(axis=1).tolist() == [True] + [False] * 7
     assert len(all_characters(2)) == 1
     with pytest.raises(DomainError):
         all_characters(12)
 
 
 def test_character_values_multiplicative():
-    t = all_characters(35)
-    for chi in (t.character(1), t.character(7), t.character(11)):
+    V = all_characters(35).value_matrix()
+    for i in (1, 7, 11):
+        chi = oracle_character(35, i)[0]
         for m in range(1, 70):
             for n in range(1, 70, 3):
-                assert chi.value(m * n) == pytest.approx(chi.value(m) * chi.value(n), abs=1e-9)
+                assert chi(m * n) == pytest.approx(chi(m) * chi(n), abs=1e-9)
         for n in range(70):
-            v = chi.value(n)
+            v = chi(n)
+            assert V[i, n % 35] == pytest.approx(v, abs=1e-9)
             if gcd(n, 35) > 1:
                 assert v == 0
             else:
@@ -49,10 +50,9 @@ def test_character_values_multiplicative():
 
 
 def test_char_sum_examples():
-    t5 = all_characters(5)
-    assert char_sum(t5.character(0), range(1, 6)) == pytest.approx(4.0)
-    quad = t5.character(2)
-    assert [round(quad.value(n).real) for n in (1, 2, 3, 4)] == [1, -1, -1, 1]
+    assert char_sum(oracle_character(5, 0)[0], range(1, 6)) == pytest.approx(4.0)
+    quad = oracle_character(5, 2)[0]
+    assert [round(quad(n).real) for n in (1, 2, 3, 4)] == [1, -1, -1, 1]
     assert char_sum(quad, range(1, 5)) == pytest.approx(0.0, abs=1e-12)
     assert char_sum(quad, []) == 0
 
@@ -72,20 +72,21 @@ def test_orthogonality_both_directions_exhaustive():
 
 
 def test_gauss_sum_examples():
-    t5 = all_characters(5)
-    tau0, cond0 = gauss_sum_and_conductor(t5.character(0))
+    tau0, cond0 = oracle_gauss_sum(5, 0)
     assert tau0 == pytest.approx(-1.0, abs=1e-9)
     assert cond0 == 1
     for i in (1, 2, 3):
-        tau, cond = gauss_sum_and_conductor(t5.character(i))
+        tau, cond = oracle_gauss_sum(5, i)
         assert abs(tau) ** 2 == pytest.approx(5.0, abs=1e-9)
         assert cond == 5
-    # mod 15, twisted only at the 5-component
+    assert np.abs(all_characters(5).gauss_sums() - [oracle_gauss_sum(5, i)[0] for i in range(4)]).max() <= 1e-9
+    # mod 15, index 2 has exponents (0, 2): twisted only at the 5-component
     t15 = all_characters(15)
-    chi = t15.character(t15.index_of((0, 2)))
-    tau, cond = gauss_sum_and_conductor(chi)
+    tau, cond = oracle_gauss_sum(15, 2)
     assert cond == 5
     assert abs(tau) ** 2 == pytest.approx(5.0, abs=1e-9)
+    assert t15.exponents()[2].tolist() == [0, 2] and t15.conductors()[2] == 5
+    assert abs(t15.gauss_sums()[2] - tau) <= 1e-9
 
 
 def test_gauss_conductor_identity_sampled():
@@ -93,10 +94,12 @@ def test_gauss_conductor_identity_sampled():
     moduli = rng.sample([a for a in range(2, 1001) if _squarefree(a)], 60)
     for a in moduli:
         t = all_characters(a)
+        taus, conds = t.gauss_sums(), t.conductors()
         for idx in {0, 1, t.phi // 2, t.phi - 1}:
-            chi = t.character(idx % t.phi)
-            tau, cond = gauss_sum_and_conductor(chi)
+            tau, cond = oracle_gauss_sum(a, idx % t.phi)
             assert abs(abs(tau) ** 2 - cond) <= 1e-6, (a, idx)
+            assert abs(taus[idx % t.phi] - tau) <= 1e-6 and conds[idx % t.phi] == cond, (a, idx)
+        assert np.abs(np.abs(taus) ** 2 - conds).max() <= 1e-6, a
 
 
 def _squarefree(a):
@@ -119,13 +122,12 @@ def test_polya_vinogradov_matches_direct_scan():
         t = all_characters(q)
         best = 0.0
         for i in range(1, t.phi):
-            chi = t.character(i)
-            r = chi.conductor
+            chi, r = oracle_character(q, i)
             bound = multiplicative_functions(q // r)[2] * sqrt(r) * log(r)
             for M in range(q):
                 total = 0.0 + 0.0j
                 for n in range(M + 1, M + 2 * q + 1):
-                    total += chi.value(n)
+                    total += chi(n)
                     best = max(best, abs(total) / bound)
         assert rep.max_ratio == pytest.approx(best, rel=1e-9)
 
@@ -134,7 +136,7 @@ def test_complete_sum_vanishes():
     for q in (5, 13, 21):
         t = all_characters(q)
         for i in range(1, t.phi):
-            assert abs(char_sum(t.character(i), range(1, q + 1))) <= 1e-9
+            assert abs(char_sum(oracle_character(q, i)[0], range(1, q + 1))) <= 1e-9
 
 
 def test_large_sieve_example():
@@ -177,9 +179,10 @@ def test_large_sieve_vs_termwise_oracle():
         want = 0.0
         for q in qs:
             t = all_characters(q)
-            for chi in t.characters():
-                tau = gauss_sum_and_conductor(chi)[0]
-                s = sum(c * chi.value(n) for n, c in zip(ns, coeffs))
+            for i in range(t.phi):
+                chi = oracle_character(q, i)[0]
+                tau = oracle_gauss_sum(q, i)[0]
+                s = sum(c * chi(n) for n, c in zip(ns, coeffs))
                 want += abs(tau) ** 2 * abs(s) ** 2 / t.phi
         weight = sum(multiplicative_functions(n)[2] * abs(c) ** 2 for n, c in zip(ns, coeffs))
         max_d = max(multiplicative_functions(q)[2] for q in qs)
@@ -210,23 +213,23 @@ def test_fourth_moment_desk_ceiling():
 
 
 def test_primitive_decomposition_examples():
-    t3 = all_characters(3)
-    chi_star = t3.character(1)
-    lhs, rhs, equal = primitive_decomposition_check(6, chi_star, 5)
+    # chi* = character 1 mod 3, the quadratic one
+    lhs, rhs, equal = primitive_decomposition_check(6, 3, 1, 5)
     assert equal
     assert lhs == pytest.approx(0.0, abs=1e-9)
     # already primitive: a == y collapses to the d = 1 term
-    lhs, rhs, equal = primitive_decomposition_check(3, chi_star, 17)
+    lhs, rhs, equal = primitive_decomposition_check(3, 3, 1, 17)
     assert equal
-    t5 = all_characters(5)
-    lhs, rhs, equal = primitive_decomposition_check(15, t5.character(2), 10)
+    lhs, rhs, equal = primitive_decomposition_check(15, 5, 2, 10)
     assert equal
     with pytest.raises(DomainError):
-        primitive_decomposition_check(10, t3.character(1), 5)  # 3 does not divide 10
+        primitive_decomposition_check(10, 3, 1, 5)  # 3 does not divide 10
     with pytest.raises(DomainError):
-        t15 = all_characters(15)
-        chi = t15.character(t15.index_of((0, 1)))  # imprimitive mod 15
-        primitive_decomposition_check(15, chi, 5)
+        primitive_decomposition_check(15, 15, 1, 5)  # exponents (0, 1): imprimitive mod 15
+    with pytest.raises(DomainError):
+        primitive_decomposition_check(12, 3, 1, 5)  # 12 is not squarefree
+    with pytest.raises(DomainError):
+        primitive_decomposition_check(15, 5, 4, 5)  # phi(5) = 4 characters
 
 
 def test_primitive_decomposition_seeded_triples():
@@ -244,12 +247,14 @@ def test_primitive_decomposition_seeded_triples():
             continue
         table = all_characters(ty)
         idx = rng.randrange(table.phi)
-        chi_star = table.character(idx)
-        if chi_star.conductor != ty:
+        chi_star, cond = oracle_character(ty, idx)
+        if cond != ty:
             continue
         W = rng.randint(1, 200)
-        lhs, rhs, equal = primitive_decomposition_check(a, chi_star, W)
+        lhs, rhs, equal = primitive_decomposition_check(a, ty, idx, W)
         assert equal, (a, ty, idx, W)
+        # the coprime sum, term by term
+        assert abs(lhs - char_sum(chi_star, [w for w in range(1, W + 1) if gcd(w, a) == 1])) <= 1e-9
         done += 1
 
 
@@ -310,18 +315,17 @@ def test_bulk_sums_align_with_character_indexing():
         weights = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(a)]
         weighted = t.sums_over_counts(np.array(weights))
         for i in range(t.phi):
-            chi = t.character(i)
+            chi = oracle_character(a, i)[0]
             assert abs(bulk[i] - char_sum(chi, vals)) <= 1e-9, (a, i)
-            termwise = sum(w * chi.value(x) for x, w in enumerate(weights))
+            termwise = sum(w * chi(x) for x, w in enumerate(weights))
             assert abs(weighted[i] - termwise) <= 1e-9, (a, i)
 
 
 def test_polya_vinogradov_argmax_reproduces():
     rep = polya_vinogradov_check(30, 30, 60)
-    t = all_characters(30)
-    chi = t.character(rep.argmax_character)
+    chi = oracle_character(30, rep.argmax_character)[0]
     window = sum(
-        chi.value(n) for n in range(rep.argmax_M + 1, rep.argmax_M + rep.argmax_N + 1)
+        chi(n) for n in range(rep.argmax_M + 1, rep.argmax_M + rep.argmax_N + 1)
     )
     assert abs(window) == pytest.approx(rep.argmax_abs_sum, abs=1e-9)
     assert rep.argmax_abs_sum / rep.argmax_bound == pytest.approx(rep.max_ratio, rel=1e-12)

@@ -188,6 +188,8 @@ def test_integer_config_values_are_exact():
         "exponents --theorem thm1 --variant conditional",
         "verify circle --qmax 5",
         "verify charsums --qmax 2",
+        "verify sieve --trials 0",
+        "verify charsums --trials -3",
     ],
 )
 def test_cli_bad_input_is_one_line(capsys, argv):
@@ -261,7 +263,7 @@ def test_cli_exponents(tmp_path, capsys):
     assert payload["exponents"]["Z"] == pytest.approx((1 - 3 * 0.16) / (1 + 3 * 0.16))
 
     out = tmp_path / "frontier.csv"
-    assert main(["exponents", "--frontier", "--kmax", "4", "--out", str(out)]) == 0
+    assert main(["frontier", "--kmax", "4", "--out", str(out)]) == 0
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "k,theta,frontier"
     assert len(lines) == 1 + 2 + 4 + 8  # header + subsets for k = 2, 3, 4
@@ -324,7 +326,8 @@ FLAG_TABLE = {
     "oracle sunit_pairs": _SUNIT_ORACLE_FLAGS,
     "oracle prop1_triples": _SUNIT_ORACLE_FLAGS,
     "oracle linear_count": {"--a-set", "--c-set", "--bound", "--shift", "--out", "--seed", "--cap"},
-    "exponents": {"--theorem", "--variant", "--alpha", "--frontier", "--kmax", "--out"},
+    "exponents": {"--theorem", "--variant", "--alpha", "--out"},
+    "frontier": {"--kmax", "--out"},
     "verify charsums": {"--qmax", "--trials", "--seed", "--out", "--solutions"},
     "verify sieve": {"--trials", "--seed", "--out"},
     "verify circle": {"--qmax", "--seed", "--out", "--solutions"},
@@ -359,8 +362,8 @@ def test_cli_flag_table():
         "verify circle --cap 5",
         "siegel --alpha 1,-1 --bound 1 --cap 3",
         "siegel --alpha 1,-1 --bound 1 --seed 1",
-        "exponents --frontier --seed 1",
-        "exponents --frontier --solutions x.csv",
+        "frontier --seed 1",
+        "frontier --solutions x.csv",
         "smooth --primes 2,3,5 --lo 2 --hi 30 --seed 1",
         "smooth --primes 2,3,5 --lo 2 --hi 30 --threads 2",
         "oracle linear_count --a-set 3 --c-set 1,2 --bound 5 --solutions x.csv",
@@ -395,6 +398,13 @@ def test_cli_cap_zero_is_a_cap(capsys, argv):
 
 def test_cli_frontier_kmax_bound(capsys):
     # the frontier lists 2^kmax - 2 rows in memory before writing any
-    assert main(["exponents", "--frontier", "--kmax", "21"]) == 4
+    assert main(["frontier", "--kmax", "21"]) == 4
     err = capsys.readouterr().err
     assert err.startswith("resource limit:") and "--kmax 21" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", ["verify charsums --qmax 1001", "verify circle --qmax 100001"])
+def test_cli_qmax_bound(capsys, argv):
+    assert main(argv.split()) == 4  # refused before any modulus is scanned
+    err = capsys.readouterr().err
+    assert err.startswith("resource limit:") and "--qmax" in err and err.count("\n") == 1

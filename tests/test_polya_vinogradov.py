@@ -16,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import oracle_character
 from sunit_harvest import cli
 from sunit_harvest.arith import multiplicative_functions
 from sunit_harvest.characters import all_characters, polya_vinogradov_check
@@ -38,7 +39,7 @@ def window_oracle(q: int, scan_M: int, scan_N: int) -> list[tuple[int, np.ndarra
     idx = Ms[:, None] + Ns[None, :]
     out = []
     for i in range(1, table.phi):
-        r = table.character(i).conductor
+        r = oracle_character(q, i)[1]
         bound = multiplicative_functions(q // r)[2] * np.sqrt(r) * np.log(r)
         vals = np.tile(V[i], reps)[1 : L + 1]
         P = np.concatenate([[0.0 + 0.0j], np.cumsum(vals)])
@@ -82,8 +83,8 @@ def test_sweep_matches_window_oracle(case):
     assert (rep.argmax_abs_sum, rep.argmax_bound) == rep.rows[k][1:3]
     assert rep.max_ratio == rep.rows[k][3]
 
-    chi = all_characters(q).character(rep.argmax_character)
-    window = sum(chi.value(n) for n in range(rep.argmax_M + 1, rep.argmax_M + rep.argmax_N + 1))
+    chi = oracle_character(q, rep.argmax_character)[0]
+    window = sum(chi(n) for n in range(rep.argmax_M + 1, rep.argmax_M + rep.argmax_N + 1))
     assert abs(abs(window) - rep.argmax_abs_sum) <= 1e-9
 
 
