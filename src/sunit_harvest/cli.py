@@ -216,6 +216,8 @@ def _run_linear_count(args) -> int:
 
 
 def _run_frontier(args) -> int:
+    if args.kmax < 2:  # the frontier starts at k = 2: a smaller value lists nothing
+        raise ConfigError("kmax", f"needs --kmax >= 2, got {args.kmax}")
     if args.kmax > 20:  # 2^kmax - 2 rows, about 1M at 20
         raise ResourceLimit(f"--kmax {args.kmax} beyond 20: the frontier has 2^kmax - 2 rows")
     rows = []

@@ -1,10 +1,18 @@
 """The residue-progression kernel: {(c, shift, w) : c*w == shift (mod a), 1 <= w <= W}.
 
-For each cell (c, shift) the admissible w form the progression w0, w0 + a/g,
-... with g = gcd(c, a), so one modulus costs O(#C * #shifts + hits) instead of
-the naive O(#C * #shifts * W).  The start w0 needs the inverse of c/g mod a/g;
+Two walks list the same rows.  The start walk (`_starts`): for each cell
+(c, shift) the admissible w form the progression w0, w0 + a/g, ... with
+g = gcd(c, a), so one modulus costs O(#C * #shifts + hits) instead of the
+naive O(#C * #shifts * W).  The start w0 needs the inverse of c/g mod a/g;
 all of them come from one array extended-Euclid pass, with no per-c Python
-loop.  The pipelines and the decompositions share the kernel.
+loop.  The dual walk (`_join`) lists the residue (c mod a)*w mod a of every
+(c, w) with w <= W and joins it against the shifts grouped by residue, at
+O(#C * W + a + #shifts + hits).  `progressions` takes the join exactly when
+its grid is the smaller one, #C * W + a < #C * #shifts: many shifts and a
+short w range, as in thm2.  One shift or a long w range (thm1, and
+`count_hits`, so the decompositions) stays on the start walk.  Either walk
+lists the rows grouped by c; within one c the start walk orders them by
+(shift, w) and the join by (w, shift).  No caller reads that order.
 """
 
 from __future__ import annotations
@@ -77,13 +85,45 @@ def _starts(a: int, c: np.ndarray, shifts: Sequence[int], W: int):
     return w0, step, n
 
 
+def _join(a: int, c: np.ndarray, shifts: Sequence[int], W: int):
+    """int64 arrays (i, j, w) by the dual walk: the residue r = (c mod a)*w mod a
+    of every (c, w) with 1 <= w <= W, joined against the shifts grouped by
+    residue mod a (one stable argsort, one bincount), the matches of each
+    (c, w) spread by one repeat.  Rows come grouped by ascending i, in (w, j)
+    order within i.
+
+    r multiplies a residue by w, below a*W, never two residues.
+    `progressions` takes this walk only when #C * W + a < #C * #shifts, the
+    start walk's cell count, so a and W are both below that count and a*W
+    below its square.  thm2's hit cap bounds the count (5e7 by default, a
+    square of 2.5e15), so the join needs no int64 guard of its own.
+    """
+    sh = np.array(shifts, dtype=np.int64) % a
+    order = np.argsort(sh, kind="stable")
+    counts = np.bincount(sh, minlength=a)
+    r = ((c % a)[:, None] * np.arange(1, W + 1) % a).ravel()
+    n = counts[r]
+    cell = np.repeat(np.arange(r.size), n)
+    # the k-th match of cell (c, w) is the k-th shift of the group of its residue
+    skip = (np.cumsum(counts) - counts)[r] - (np.cumsum(n) - n)
+    i, w = np.divmod(cell, max(W, 1))
+    return i, order[np.arange(cell.size) + skip[cell]], w + 1
+
+
 def progressions(a: int, c_values: Sequence[int] | np.ndarray, shifts: Sequence[int], W: int):
     """int64 arrays (i, j, w), one row per solution of c_values[i]*w == shifts[j]
-    (mod a) with 1 <= w <= W, ordered by i, then j, then w.
+    (mod a) with 1 <= w <= W, grouped by ascending i.
 
-    c_values[i]*w - shifts[j] is guaranteed to fit in int64.
+    The dual walk `_join` runs when #C * W + a < #C * #shifts, and the rows
+    within each i are in (w, j) order; otherwise the start walk `_starts`
+    runs, in (j, w) order, and refuses a^2 >= 2^63.  Either costs the size of
+    its grid plus the hits.  c_values[i]*w - shifts[j] is guaranteed to fit
+    in int64.
     """
-    w0, step, n = _starts(a, _int64(c_values, shifts, W), shifts, W)
+    c = _int64(c_values, shifts, W)
+    if c.size * W + a < c.size * len(shifts):
+        return _join(a, c, shifts, W)
+    w0, step, n = _starts(a, c, shifts, W)
     n = n.ravel()
     cell = np.repeat(np.arange(n.size), n)
     i, j = np.divmod(cell, w0.shape[1])

@@ -190,6 +190,8 @@ def test_integer_config_values_are_exact():
         "verify charsums --qmax 2",
         "verify sieve --trials 0",
         "verify charsums --trials -3",
+        "frontier --kmax 1",
+        "frontier --kmax -3",
     ],
 )
 def test_cli_bad_input_is_one_line(capsys, argv):

@@ -27,6 +27,7 @@ from sunit_harvest.pipelines import (
     thm2_harvest,
     verify_sunit_solution,
 )
+from sunit_harvest import stepping
 from sunit_harvest.stepping import _gcd_inverse, count_hits, progressions
 
 PROFILE = settings(derandomize=True, max_examples=60, deadline=None)
@@ -123,14 +124,18 @@ def test_thm2_matches_brute_tally(sets):
 @given(
     st.integers(1, 30),
     st.lists(st.integers(1, 60), max_size=6),
-    st.lists(st.integers(-40, 40), max_size=5),
-    st.integers(0, 70),
+    st.lists(st.integers(-40, 40), max_size=40),
+    st.one_of(st.integers(0, 8), st.integers(0, 70)),  # W below and above #shifts
 )
-@example(6, [4, 9], [2, 3], 20)  # gcd(c, a) > 1, with and without g | shift
-@example(7, [3, 5], [-5, -14], 20)  # negative shifts
-@example(25, [3, 7], [1, 4], 5)  # W below a
-@example(4, [3, 7], [1, 4], 60)  # W above a
+@example(6, [4, 9], [2, 3], 20)  # start walk: gcd(c, a) > 1, with and without g | shift
+@example(7, [3, 5], [-5, -14], 20)  # start walk: negative shifts
+@example(25, [3, 7], [1, 4], 5)  # start walk: W below a
+@example(4, [3, 7], [1, 4], 60)  # start walk: W above a
 @example(5, [], [1], 10)  # no c at all
+# join: gcd(c, a) > 1, negative shifts, shifts sharing a residue, W below #shifts
+@example(6, [4, 9, 5], [2, -4, 8, 3, -3, 9, 1, 0, 6, -6, 2], 5)
+@example(4, [3, 6], [1, 5, -3, 2, 9], 3)  # 2*3 + 4 == 2*5: the boundary takes the start walk
+@example(4, [3, 6], [1, 5, -3, 2, 9, 4], 3)  # one shift more: the join
 def test_progressions_match_brute(a, c_values, shifts, W):
     brute = [
         (i, j, w)
@@ -140,9 +145,20 @@ def test_progressions_match_brute(a, c_values, shifts, W):
         if (c * w - shift) % a == 0
     ]
     i, j, w = progressions(a, c_values, shifts, W)
-    assert list(zip(i.tolist(), j.tolist(), w.tolist())) == brute
+    # the multiset of rows; no caller reads their order, which differs between the walks
+    assert sorted(zip(i.tolist(), j.tolist(), w.tolist())) == brute
     for shift in shifts:
         assert count_hits([a], c_values, W, shift) == brute_linear_count([a], c_values, W, shift).count
+
+
+@pytest.mark.parametrize("shifts, joins", [([1, 5, -3, 2, 9], False), ([1, 5, -3, 2, 9, 4], True)])
+def test_progressions_strategy_boundary(monkeypatch, shifts, joins):
+    # the join runs exactly when #C * W + a < #C * #shifts, here 2*3 + 4 against
+    # 2 * #shifts; test_progressions_match_brute checks the rows of both cases
+    join, calls = stepping._join, []
+    monkeypatch.setattr(stepping, "_join", lambda *args: calls.append(args) or join(*args))
+    progressions(4, [3, 6], shifts, 3)
+    assert bool(calls) == joins
 
 
 @st.composite
@@ -194,7 +210,7 @@ def test_kernel_at_largest_modulus():
     c_values = [1, 2, -1, a - 1, -(a - 2), a * 1000 // 1618, 13, 13 * 7, -13 * 233_615_422, 2**31 - 1]
     shifts = [1, a - 1, -(a - 2), 13 * 5]
     i, j, w = progressions(a, c_values, shifts, a)
-    rows = list(zip(i.tolist(), j.tolist(), w.tolist()))
+    rows = sorted(zip(i.tolist(), j.tolist(), w.tolist()))
     assert rows == progression_rows(a, c_values, shifts, a)
     assert all((c_values[r[0]] * r[2] - shifts[r[1]]) % a == 0 for r in rows)
     # step 13 cells: counted, never listed
