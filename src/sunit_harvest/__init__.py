@@ -63,7 +63,6 @@ from .oracle import (
 from .pipelines import (
     HarvestConfig,
     HarvestReport,
-    SolutionBucket,
     config_from_exponents,
     pair_collision_stats,
     popular_bucket,

@@ -129,7 +129,7 @@ def _prime_triple(params: dict) -> tuple[PrimeSet, PrimeSet, PrimeSet]:
         raise ConfigError(missing.args[0], "missing prime set (t1/t2/t3 or t_interval)") from None
 
 
-def build_harvest_config(params: dict, cap: int | None) -> HarvestConfig:
+def build_harvest_config(params: dict) -> HarvestConfig:
     equation = params.get("equation")
     if equation not in _KEYS:
         raise ConfigError("equation", f"must be thm1, thm2 or prop1, got {equation!r}")
@@ -141,8 +141,6 @@ def build_harvest_config(params: dict, cap: int | None) -> HarvestConfig:
         raise ConfigError("x", "missing scale X")
     x = _number(params, "x", kind=int)
     kwargs = {key: _number(params, key, kind=int) for key in ("enum_cap", "hit_cap") if key in params}
-    if cap is not None:
-        kwargs["hit_cap"] = cap
     if equation == "prop1":
         cfg = prop1_config(x, t1, t2, t3, **kwargs)
     else:
@@ -174,7 +172,7 @@ def _emit(payload: dict, out: str | None):
 
 def _run_pipeline(args) -> int:
     t0 = time.time()
-    cfg = build_harvest_config(parse_config_file(args.config), args.cap)
+    cfg = build_harvest_config(parse_config_file(args.config))
     if cfg.equation != args.command:
         raise ConfigError("equation", f"config says {cfg.equation}, command is {args.command}")
     # looked up at call time, so the names can be wrapped or patched on the module
@@ -410,7 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("thm1", "thm2", "prop1"):
         p = command(sub, name, _run_pipeline, f"run the {name} harvest pipeline", "out", "solutions", "seed")
         p.add_argument("--config", required=True)
-        p.add_argument("--cap", type=int, help="hit cap; overrides the config's hit_cap")
         p.add_argument("--threads", type=int, default=1, help="accepted and ignored")
 
     p = sub.add_parser("oracle", help="brute-force ground truth")

@@ -10,17 +10,19 @@ bucket becomes an actual solution of the target equation:
     thm2   a*u + b + 1 = c*w      ->  A + B + 1 = C    (A, B, C) = (a*u, b, c*w)
     prop1  a1*z1 + a2*z2 + a3*z3 = 0  ->  a + b = c    after gcd reduction
 
-All three run on one core: each supplies a walk that lists one coefficient's
-hits as int64 rows (keys, payloads), `popular_bucket` counts them by key and
-gathers the popular bucket's hits, and each maps those to candidate solutions,
-which `_keep_verified` dedupes, verifies and emits as rows solution + payload +
-key.  thm1 and thm2 walk with the residue-progression kernel of `stepping`,
-prop1 with the batched kernel-vector search `siegel.NonzeroSearch`.
+All three run on one core: each walk lists one coefficient's hits as int64
+keys, `popular_bucket` counts them and fixes the popular key, and each equation
+lists that key's bucket from the key alone, as (candidate solution,
+coefficients) pairs in exact integers.  `_harvest` checks that listing against
+the count; `_keep_verified` dedupes, verifies and emits rows solution +
+coefficients + key.  thm1 and thm2 walk with the kernel of `stepping`, prop1
+with the batched kernel-vector search `siegel.NonzeroSearch`.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from itertools import product
 from math import ceil, floor, gcd, log2, prod, sqrt
 from typing import Callable, Iterable, Sequence
 
@@ -39,18 +41,6 @@ from .report import compare_bounds
 from .siegel import NonzeroSearch, siegel_nonzero_coords
 from .smooth import enumerate_squarefree_smooth
 from .stepping import progressions
-
-
-@dataclass
-class SolutionBucket:
-    """One bucket: the key (the free variables of a near-solution family) and its hits."""
-
-    key: tuple
-    hits: list
-
-    @property
-    def count(self) -> int:
-        return len(self.hits)
 
 
 @dataclass
@@ -224,33 +214,32 @@ def _window_sets(config: HarvestConfig, equation: str, windows: Iterable) -> lis
     ]
 
 
-def popular_bucket(keys: np.ndarray, payloads: np.ndarray) -> tuple[SolutionBucket, dict]:
-    """The bucket of maximal count over the hit rows keys[k] -> payloads[k], and
-    the bucket statistics; ties go to the lexicographically smallest key.
+def popular_bucket(keys: np.ndarray) -> tuple[tuple, dict]:
+    """The key of maximal count over the hit keys, as Python ints, and the
+    bucket statistics; ties go to the lexicographically smallest key.
 
     The keys are packed into one int64 in lexicographic mixed-radix order and
-    counted, and only the popular bucket's rows are gathered, as Python ints.
+    counted, and the popular key is unpacked from its packed value.
     """
     if not len(keys):
         raise EmptyHarvest("no nonempty bucket")
     # one reduction per column: keys.min(axis=0) across the rows is about 20x slower
     cols = keys.T
     lo = np.array([col.min() for col in cols])
-    hi = np.array([col.max() for col in cols])
+    dims = tuple(np.array([col.max() for col in cols]) - lo + 1)
     try:
-        packed = np.ravel_multi_index(tuple(col - v for col, v in zip(cols, lo)), tuple(hi - lo + 1))
+        packed = np.ravel_multi_index(tuple(col - v for col, v in zip(cols, lo)), dims)
     except ValueError as err:
         raise ResourceLimit(f"bucket keys do not pack into int64: {err}") from None
     values, counts = np.unique(packed, return_counts=True)
-    rows = packed == values[np.argmax(counts)]
-    popular = SolutionBucket(tuple(keys[rows][0].tolist()), list(map(tuple, payloads[rows].tolist())))
+    best = np.argmax(counts)
     stats = {
         "total_hits": len(keys),
         "nonempty_buckets": len(counts),
-        "max_load": popular.count,
+        "max_load": int(counts[best]),
         "pigeonhole_floor": ceil(len(keys) / len(counts)),
     }
-    return popular, stats
+    return tuple((lo + np.unravel_index(values[best], dims)).tolist()), stats
 
 
 def verify_sunit_solution(tup: Sequence[int], equation: str, S: PrimeSet) -> bool:
@@ -260,12 +249,9 @@ def verify_sunit_solution(tup: Sequence[int], equation: str, S: PrimeSet) -> boo
     """
 
     def smooth_ok(v: int) -> bool:
-        v = abs(v)
         if v == 0:
             return False
-        if v == 1:
-            return True
-        return factor_over(v, S) is not None
+        return factor_over(abs(v), S) is not None  # 1 factors as the empty product
 
     if equation == "thm1":
         if len(tup) != 2:
@@ -288,19 +274,23 @@ def verify_sunit_solution(tup: Sequence[int], equation: str, S: PrimeSet) -> boo
     raise DomainError(f"unknown equation {equation!r}")
 
 
-def _harvest(items: Sequence, walk: Callable) -> tuple[np.ndarray, dict, SolutionBucket, list]:
-    """Walk every item in order and fix the popular bucket of all their hits.
+def _harvest(items: Sequence, walk: Callable, listing: Callable) -> tuple[np.ndarray, dict, tuple, list, list]:
+    """Walk every item, fix the popular key of all hits and list its bucket.
 
-    walk(item) returns (keys, payloads, audit), one int64 row per hit.
-    Returns the keys of every hit, the bucket statistics, the popular bucket
-    and the per-item audits; raises EmptyHarvest when no item produced a hit.
+    walk(item) returns (keys, audit), one int64 key row per hit; listing(key)
+    returns that key's (candidate solution, coefficients) pairs.  Returns the
+    keys, the bucket statistics, the key, the listed bucket and the audits;
+    raises RuntimeError when the listing and the count disagree.
     """
     if not items:
         raise EmptyHarvest("no coefficients to walk")
-    keys, payloads, audits = zip(*map(walk, items))
-    keys, payloads = np.concatenate(keys), np.concatenate(payloads)
-    popular, stats = popular_bucket(keys, payloads)
-    return keys, stats, popular, audits
+    keys, audits = zip(*map(walk, items))
+    keys = np.concatenate(keys)
+    key, stats = popular_bucket(keys)
+    bucket = listing(key)
+    if len(bucket) != stats["max_load"]:
+        raise RuntimeError(f"popular key {key}: counted {stats['max_load']} hits, listed {len(bucket)}")
+    return keys, stats, key, bucket, audits
 
 
 def _keep_verified(
@@ -308,15 +298,15 @@ def _keep_verified(
 ) -> tuple[PrimeSet, tuple, int, int]:
     """Adjoin the primes of the popular key to S' and keep the candidates that verify.
 
-    candidates yields (solution, payload) pairs.  Returns the enlarged set S,
-    the sorted rows solution + payload + key of the distinct verified
+    candidates yields (solution, coefficients) pairs.  Returns the enlarged set
+    S, the sorted rows solution + coefficients + key of the distinct verified
     solutions, the number of duplicate candidates and the number of failures.
     """
     S = s_prime.union(PrimeSet(prime_support(prod(key))))
     seen = set()
     rows = []
     duplicates = failures = 0
-    for solution, payload in candidates:
+    for solution, coefficients in candidates:
         if solution in seen:
             duplicates += 1
             continue
@@ -324,7 +314,7 @@ def _keep_verified(
         if not verify_sunit_solution(solution, equation, S):
             failures += 1
             continue
-        rows.append(solution + payload + key)
+        rows.append(solution + coefficients + key)
     rows.sort()
     return S, tuple(rows), duplicates, failures
 
@@ -344,20 +334,25 @@ def thm1_harvest(
 ) -> HarvestReport:
     """Core A + 1 = C harvest over explicit coefficient sets."""
     a_values = sorted(a_values)
-    c_values = sorted(c_values)
+    c_set = set(c_values)
 
-    def walk(a: int) -> tuple[np.ndarray, np.ndarray, int]:
+    def walk(a: int) -> tuple[np.ndarray, int]:
         coprime = [c for c in c_values if gcd(c, a) == 1]
         i, _, w = progressions(a, coprime, [1], W)
         c = np.array(coprime, dtype=np.int64)[i]
-        keys = np.column_stack(((c * w - 1) // a, w))
-        return keys, np.column_stack((np.full(len(c), a), c)), len(c_values) - len(coprime)
+        return np.column_stack(((c * w - 1) // a, w)), len(c_values) - len(coprime)
 
-    _, stats, popular, gcd_skips = _harvest(a_values, walk)
-    u, w = popular.key
-    S, rows, _, verify_failures = _keep_verified(
-        (((a * u, c * w), (a, c)) for a, c in popular.hits), "thm1", s_prime, popular.key
-    )
+    def listing(key: tuple) -> list:
+        u, w = key
+        bucket = []
+        for a in a_values:
+            c, r = divmod(a * u + 1, w)
+            if not r and c in c_set:  # c*w = a*u + 1 already makes c coprime to a
+                bucket.append(((a * u, c * w), (a, c)))
+        return bucket
+
+    _, stats, key, bucket, gcd_skips = _harvest(a_values, walk, listing)
+    S, rows, _, verify_failures = _keep_verified(bucket, "thm1", s_prime, key)
 
     s = len(S)
     s_bound = None
@@ -373,7 +368,7 @@ def thm1_harvest(
         equation="thm1",
         s_prime=s_prime.primes,
         s_full=S.primes,
-        popular_key=popular.key,
+        popular_key=key,
         solution_rows=rows,
         bucket_stats=stats,
         set_sizes=set_sizes or {"A": len(a_values), "C": len(c_values)},
@@ -442,25 +437,32 @@ def thm2_harvest(
     c_values = sorted(c_values)
 
     shifts = [b + 1 for b in b_values]
+    b_set = set(b_values)
 
-    def walk(a: int) -> tuple[np.ndarray, np.ndarray, tuple[int, int, int]]:
+    def walk(a: int) -> tuple[np.ndarray, tuple[int, int, int]]:
         coprime = [c for c in c_values if gcd(c, a) == 1]
         i, j, w = progressions(a, coprime, shifts, W)
         c, shift = np.array(coprime, dtype=np.int64)[i], np.array(shifts, dtype=np.int64)[j]
         u = (c * w - shift) // a
         keep = u != 0
         keys = np.column_stack((u[keep], w[keep]))
-        payloads = np.column_stack((np.full(len(keys), a), shift[keep] - 1, c[keep]))
         coprime_b = sum(gcd(v, a) == 1 for v in shifts)
-        return keys, payloads, (len(c_values) - len(coprime), len(u) - len(keys), coprime_b)
+        return keys, (len(c_values) - len(coprime), len(u) - len(keys), coprime_b)
 
-    keys, stats, popular, per_modulus = _harvest(a_values, walk)
+    def listing(key: tuple) -> list:
+        u, w = key
+        bucket = []
+        for a, c in product(a_values, c_values):
+            b = c * w - a * u - 1
+            if b in b_set and gcd(c, a) == 1:
+                bucket.append(((a * u, b, c * w), (a, b, c)))
+        return bucket
+
+    keys, stats, key, bucket, per_modulus = _harvest(a_values, walk, listing)
     gcd_skips, u0_discards, coprime_b_counts = zip(*per_modulus)
-    u, w = popular.key
-    candidates = [((a * u, b, c * w), (a, b, c)) for a, b, c in popular.hits]
-    nondegenerate = [(t, p) for t, p in candidates if t[0] != -1 and t[1] != -1 and t[2] != 1]
-    degenerate = len(candidates) - len(nondegenerate)
-    S, rows, _, verify_failures = _keep_verified(nondegenerate, "thm2", s_prime, popular.key)
+    nondegenerate = [(t, p) for t, p in bucket if t[0] != -1 and t[1] != -1 and t[2] != 1]
+    degenerate = len(bucket) - len(nondegenerate)
+    S, rows, _, verify_failures = _keep_verified(nondegenerate, "thm2", s_prime, key)
 
     audits = {
         "gcd_skips": sum(gcd_skips),
@@ -487,7 +489,7 @@ def thm2_harvest(
         equation="thm2",
         s_prime=s_prime.primes,
         s_full=S.primes,
-        popular_key=popular.key,
+        popular_key=key,
         solution_rows=rows,
         bucket_stats=stats,
         set_sizes={"A": len(a_values), "B": len(b_values), "C": len(c_values)},
@@ -527,8 +529,9 @@ def prop1_run(config: HarvestConfig) -> HarvestReport:
     For each coefficient triple over the three smooth sets up to x, a small
     all-nonzero kernel vector bounded by sqrt(3x) is selected deterministically,
     for one a1 at a time over every (a2, a3) pair; triples are bucketed by that
-    vector, the popular vector is fixed, and its hits are reduced by their gcd
-    to coprime solutions.
+    vector, and the popular vector is fixed.  Its hits are reduced by their gcd
+    to coprime solutions: with every term nonzero, the two smaller magnitudes
+    a <= b add up to the largest c.
     """
     x = config.x
     sets = _window_sets(config, "prop1", [(2, x)] * 3)
@@ -536,40 +539,37 @@ def prop1_run(config: HarvestConfig) -> HarvestReport:
     if n_triples > config.hit_cap:
         raise ResourceLimit(f"{n_triples} coefficient triples beyond hit cap {config.hit_cap}")
     cap = sqrt(3.0 * x)
-    pairs = [(a2, a3) for a2 in sets[1] for a3 in sets[2]]
-    search = NonzeroSearch(pairs, cap)
-    tail = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    search = NonzeroSearch([(a2, a3) for a2 in sets[1] for a3 in sets[2]], cap)
+    a3_set = set(sets[2])
 
-    def scan(a1: int) -> tuple[np.ndarray, np.ndarray, int]:
+    def scan(a1: int) -> tuple[np.ndarray, int]:
         z, found = search(a1)
-        payloads = np.column_stack((np.full(len(tail), a1, dtype=np.int64), tail))
-        return z[found], payloads[found], len(found) - int(found.sum())
+        return z[found], len(found) - int(found.sum())
 
-    _, stats, popular, skipped = _harvest(sets[0], scan)
+    def listing(z: tuple) -> list:
+        # the triples with a.z = 0 whose vector, by the scalar search, is z
+        bucket = []
+        for a1, a2 in product(sets[0], sets[1]):
+            a3, r = divmod(-(a1 * z[0] + a2 * z[1]), z[2])
+            if r or a3 not in a3_set:
+                continue
+            sol = siegel_nonzero_coords((a1, a2, a3), cap)
+            if sol is not None and sol.z == z:
+                t = sorted(abs(a * v) for a, v in zip((a1, a2, a3), z))
+                g = gcd(*t)
+                bucket.append((tuple(v // g for v in t), (a1, a2, a3)))
+        return bucket
+
+    _, stats, key, bucket, skipped = _harvest(sets[0], scan, listing)
     skipped_triples = sum(skipped)
-    # the scalar search is the oracle: it re-derives the popular vector of every popular hit
-    for alphas in popular.hits:
-        sol = siegel_nonzero_coords(alphas, cap)
-        if sol is None or sol.z != popular.key:
-            raise RuntimeError(f"batched kernel search disagrees with the scalar search on {alphas}")
-
-    def reduced(alphas: tuple) -> tuple:
-        # a1*z1 + a2*z2 + a3*z3 = 0 with every term nonzero: after dividing out
-        # the gcd, the two smaller magnitudes a <= b add up to the largest c
-        t = sorted(abs(a * z) for a, z in zip(alphas, popular.key))
-        g = gcd(*t)
-        return tuple(v // g for v in t), alphas
-
     s_prime = config.t1.union(config.t2).union(config.t3)
-    S, rows, duplicates, verify_failures = _keep_verified(
-        map(reduced, popular.hits), "prop1", s_prime, popular.key
-    )
+    S, rows, duplicates, verify_failures = _keep_verified(bucket, "prop1", s_prime, key)
 
     return HarvestReport(
         equation="prop1",
         s_prime=s_prime.primes,
         s_full=S.primes,
-        popular_key=popular.key,
+        popular_key=key,
         solution_rows=rows,
         bucket_stats=stats,
         set_sizes={"A1": len(sets[0]), "A2": len(sets[1]), "A3": len(sets[2])},

@@ -161,17 +161,17 @@ def test_cli_refuses_keys_the_equation_does_not_read(tmp_path, capsys, equation,
 
 def test_scale_overrides_reach_the_config():
     base = {"x": "1000000", "t_interval": "2,113"}
-    cfg = build_harvest_config({**base, "equation": "thm1", "q": "1000", "r": "1000", "z": "120", "w": "3"}, None)
+    cfg = build_harvest_config({**base, "equation": "thm1", "q": "1000", "r": "1000", "z": "120", "w": "3"})
     assert (cfg.q, cfg.r, cfg.z, cfg.w_max) == (1000, 1000, 120, 3)
-    cfg = build_harvest_config({**base, "equation": "thm2", "y": "2000000"}, None)
+    cfg = build_harvest_config({**base, "equation": "thm2", "y": "2000000"})
     assert cfg.y == 2_000_000
 
 
 def test_integer_config_values_are_exact():
     params = {"equation": "prop1", "x": "9007199254740993", "t_interval": "2,113"}
-    assert build_harvest_config(params, None).x == 9007199254740993  # 2**53 + 1
-    assert build_harvest_config({**params, "x": "1e6"}, None).x == 10**6
-    cfg = build_harvest_config({**params, "hit_cap": "2.5e3"}, None)
+    assert build_harvest_config(params).x == 9007199254740993  # 2**53 + 1
+    assert build_harvest_config({**params, "x": "1e6"}).x == 10**6
+    cfg = build_harvest_config({**params, "hit_cap": "2.5e3"})
     assert type(cfg.hit_cap) is int and cfg.hit_cap == 2500
 
 
@@ -206,9 +206,9 @@ def test_cli_bad_input_is_one_line(capsys, argv):
 
 def test_cli_prop1_caps(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("equation=prop1\nx=30\nt1=2\nt2=3\nt3=5\n")
-    # --cap bounds the prop1 coefficient triples as it bounds thm1 and thm2 hits
-    assert main(["prop1", "--config", str(cfg), "--cap", "0"]) == 4
+    cfg.write_text("equation=prop1\nx=30\nt1=2\nt2=3\nt3=5\nhit_cap=0\n")
+    # hit_cap bounds the prop1 coefficient triples as it bounds thm1 and thm2 hits
+    assert main(["prop1", "--config", str(cfg)]) == 4
     assert capsys.readouterr().err.startswith("resource limit:")
     cfg.write_text("equation=prop1\nx=30\nt1=2\nt2=3\nt3=5\ntriple_cap=8\n")
     assert main(["prop1", "--config", str(cfg)]) == 1
@@ -319,7 +319,7 @@ def test_verify_csv_artifacts(tmp_path, capsys):
 
 
 # the flags each leaf command reads; --threads is the one flag accepted and ignored
-_PIPELINE_FLAGS = {"--config", "--out", "--solutions", "--seed", "--cap", "--threads"}
+_PIPELINE_FLAGS = {"--config", "--out", "--solutions", "--seed", "--threads"}
 _SUNIT_ORACLE_FLAGS = {"--primes", "--bound", "--out", "--solutions", "--seed", "--cap"}
 FLAG_TABLE = {
     "thm1": _PIPELINE_FLAGS,
@@ -351,7 +351,7 @@ def _leaf_flags(parser, prefix=()):
 def test_cli_flag_table():
     table = dict(_leaf_flags(cli.build_parser()))
     assert table == FLAG_TABLE
-    assert sum(len(flags) for flags in table.values()) == 63
+    assert sum(len(flags) for flags in table.values()) == 60
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,7 @@ bounded so the suite stays deterministic and quick.
 """
 
 from collections import Counter
-from itertools import count
+from itertools import count, product
 from math import gcd, prod
 
 import numpy as np
@@ -27,7 +27,7 @@ from sunit_harvest.pipelines import (
     thm2_harvest,
     verify_sunit_solution,
 )
-from sunit_harvest import stepping
+from sunit_harvest import pipelines, stepping
 from sunit_harvest.stepping import _gcd_inverse, count_hits, progressions
 
 PROFILE = settings(derandomize=True, max_examples=60, deadline=None)
@@ -118,6 +118,49 @@ def test_thm2_matches_brute_tally(sets):
     assert rep.bucket_stats["total_hits"] + rep.audits["u_zero_discards"] == oracle
     for A, B, C, a, b, c, u, w in rep.solution_rows:
         assert (A, B, C) == (a * u, b, c * w)
+
+
+@PROFILE
+@given(moduli, st.sets(st.integers(1, 80), min_size=1, max_size=8).map(sorted), coefficients, w_bounds)
+@example([6], [9, 18, 22, 29, 31], [7, 11, 16, 18], 2)  # u < 0, W below a; (6, 29, 18) skipped: 6 | 30
+@example([4, 10], [4, 23, 25, 27, 33], [2, 7, 13, 18], 15)  # u < 0, W above a; (10, 23, 2) skipped
+@example([12, 13], [13, 14, 31, 36], [9, 14, 15], 3)  # u > 0, W below a; (12, 14, 9) skipped: 3 | 15
+def test_thm2_rows_match_brute_triples(a_values, b_values, c_values, W):
+    # c may share a factor g with a, and g | b + 1 then solves the equation
+    # although the walk skips c: the listed bucket must skip it too
+    tally = Counter()
+    for a, b, c in product(a_values, b_values, c_values):
+        for w in range(1, W + 1):
+            u, r = divmod(c * w - b - 1, a)
+            if not r and u and gcd(c, a) == 1:
+                tally[(u, w)] += 1
+    S = primes_of(a_values, b_values, c_values)
+    if not tally:
+        with pytest.raises(EmptyHarvest):
+            thm2_harvest(a_values, b_values, c_values, W, S)
+        return
+    rep = thm2_harvest(a_values, b_values, c_values, W, S)
+    u, w = rep.popular_key
+    assert rep.popular_key == min(tally, key=lambda k: (-tally[k], k))
+    assert rep.bucket_stats["max_load"] == tally[(u, w)]
+    brute = [
+        (a * u, b, c * w, a, b, c, u, w)
+        for a, b, c in product(a_values, b_values, c_values)
+        if a * u + b + 1 == c * w and gcd(c, a) == 1
+    ]
+    assert rep.solution_rows == tuple(sorted(brute))
+
+
+@pytest.mark.parametrize(
+    "harvest, sets",
+    [(thm1_harvest, ([3, 5], [2, 7, 11])), (thm2_harvest, ([3, 5], [1, 4, 6], [2, 7, 11]))],
+)
+def test_count_checked_against_listing(monkeypatch, harvest, sets):
+    # every hit walked twice: the count doubles, the bucket listed from the key does not
+    real = pipelines.progressions
+    monkeypatch.setattr(pipelines, "progressions", lambda *args: tuple(np.tile(v, 2) for v in real(*args)))
+    with pytest.raises(RuntimeError, match="counted .* listed"):
+        harvest(*sets, 10, primes_of(*sets))
 
 
 @PROFILE

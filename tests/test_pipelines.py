@@ -111,31 +111,32 @@ def test_thm2_degenerate_filter():
 
 def test_popular_bucket_tiebreak():
     keys = np.array([(1, 2)] * 3 + [(0, 1)] * 3)
-    top, _ = popular_bucket(keys, np.array([(7,)] * 3 + [(8,)] * 3))
-    assert top.key == (0, 1) and top.hits == [(8,)] * 3
+    key, _ = popular_bucket(keys)
+    assert key == (0, 1)
     # lexicographic order holds with a negative first column
-    top, _ = popular_bucket(np.array([(2, 1), (-3, 7), (2, 1), (-3, 7)]), np.array([[1], [2], [3], [4]]))
-    assert top.key == (-3, 7) and top.hits == [(2,), (4,)]
-    assert all(type(v) is int for v in top.key + top.hits[0])
+    key, _ = popular_bucket(np.array([(2, 1), (-3, 7), (2, 1), (-3, 7)]))
+    assert key == (-3, 7)
+    assert all(type(v) is int for v in key)
     # a 3-column key, as prop1's kernel vectors give
     keys = np.array([(1, -2, 1), (2, 1, -1), (-1, 2, -1), (1, -2, 1), (-1, 2, -1)])
-    top, stats = popular_bucket(keys, np.arange(15).reshape(5, 3))
-    assert top.key == (-1, 2, -1) and top.hits == [(6, 7, 8), (12, 13, 14)]
+    key, stats = popular_bucket(keys)
+    assert key == (-1, 2, -1)
     assert stats == {"total_hits": 5, "nonempty_buckets": 3, "max_load": 2, "pigeonhole_floor": 2}
-    only, _ = popular_bucket(np.array([(5, 5)]), np.array([(9, 9)]))
-    assert only.key == (5, 5) and only.hits == [(9, 9)]
+    assert all(type(v) is int for v in stats.values())
+    only, stats = popular_bucket(np.array([(5, 5)]))
+    assert only == (5, 5) and stats["max_load"] == 1
     with pytest.raises(EmptyHarvest):
-        popular_bucket(np.empty((0, 2), dtype=np.int64), np.empty((0, 2), dtype=np.int64))
+        popular_bucket(np.empty((0, 2), dtype=np.int64))
     # keys whose mixed-radix pack would pass int64
     with pytest.raises(ResourceLimit):
-        popular_bucket(np.array([(0, 0), (2**40, 2**40)]), np.array([(1,), (2,)]))
+        popular_bucket(np.array([(0, 0), (2**40, 2**40)]))
 
 
 def test_popular_bucket_pigeonhole():
     keys = np.array([[0]] * 5 + [[1]] * 3 + [[2]] * 2)
-    top, stats = popular_bucket(keys, keys)
-    assert top.count == 5 == stats["max_load"]
-    assert top.count >= -(-10 // 3) == stats["pigeonhole_floor"]  # ceil(total / nonempty)
+    key, stats = popular_bucket(keys)
+    assert key == (0,) and stats["max_load"] == 5
+    assert stats["max_load"] >= -(-10 // 3) == stats["pigeonhole_floor"]  # ceil(total / nonempty)
 
 
 def test_verify_sunit_solution():
@@ -166,15 +167,23 @@ def test_prop1_popular_hits_rederived_by_scalar_search(monkeypatch):
     real = pipelines.siegel_nonzero_coords
 
     def counted(alpha, cap):
-        calls.append(alpha)
-        return real(alpha, cap)
+        calls.append((alpha, real(alpha, cap)))
+        return calls[-1][1]
 
     monkeypatch.setattr(pipelines, "siegel_nonzero_coords", counted)
     rep = prop1_run(prop1_config(300, *_prop1_sets()))
-    assert len(calls) == rep.bucket_stats["max_load"] > 1
+    # the scalar search runs only on triples with a.z = 0, and selects z for
+    # exactly as many of them as the batched search counted
+    z = rep.popular_key
+    assert calls and all(sum(a * v for a, v in zip(alpha, z)) == 0 for alpha, _ in calls)
+    selected = [alpha for alpha, sol in calls if sol is not None and sol.z == z]
+    assert len(selected) == rep.bucket_stats["max_load"] > 1
+    assert {row[3:6] for row in rep.solution_rows} <= set(selected)
+    audits = rep.audits
+    assert len(rep.solution_rows) + audits["reduced_duplicates"] + audits["verify_failures"] == len(selected)
     # a batched vector the scalar search does not select is an internal error
     monkeypatch.setattr(pipelines, "siegel_nonzero_coords", lambda alpha, cap: None)
-    with pytest.raises(RuntimeError, match="disagrees"):
+    with pytest.raises(RuntimeError, match="counted .* listed"):
         prop1_run(prop1_config(300, *_prop1_sets()))
 
 
