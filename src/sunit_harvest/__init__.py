@@ -36,7 +36,6 @@ from .errors import (
     ConfigError,
     ConstraintViolation,
     DomainError,
-    DuplicateProducts,
     EmptyHarvest,
     EnumerationCap,
     FactorizationLimit,

@@ -37,10 +37,6 @@ class ConstraintViolation(SunitHarvestError):
         super().__init__(f"constraint {name} violated (margin {value:g})")
 
 
-class DuplicateProducts(SunitHarvestError):
-    """The q*r products of a factored set collide; the config is invalid."""
-
-
 class EmptyHarvest(SunitHarvestError):
     """A pipeline produced no hits at all."""
 

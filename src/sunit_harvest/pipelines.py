@@ -15,8 +15,10 @@ keys, `popular_bucket` counts them and fixes the popular key, and each equation
 lists that key's bucket from the key alone, as (candidate solution,
 coefficients) pairs in exact integers.  `_harvest` checks that listing against
 the count; `_keep_verified` dedupes, verifies and emits rows solution +
-coefficients + key.  thm1 and thm2 walk with the kernel of `stepping`, prop1
-with the batched kernel-vector search `siegel.NonzeroSearch`.
+coefficients + key.  thm1 and thm2 share one linear harvest of a*u + s = c*w,
+at the shift s = 1 and at the shifts s = b + 1, walked with the kernel of
+`stepping`; prop1 walks with the batched kernel-vector search
+`siegel.NonzeroSearch`.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from .arith import PrimeSet, factor_over, prime_support
 from .errors import (
     ConfigError,
     DomainError,
-    DuplicateProducts,
     EmptyHarvest,
     ResourceLimit,
 )
@@ -53,7 +54,7 @@ class HarvestReport:
     bucket_stats: dict
     set_sizes: dict
     audits: dict
-    bound_comparison: dict
+    bound_comparison: dict | None = None
     s_bound: dict | None = None
     config_echo: dict | None = None
 
@@ -101,10 +102,14 @@ class HarvestConfig:
         for name, a, b in (("t1/t2", self.t1, self.t2), ("t1/t3", self.t1, self.t3), ("t2/t3", self.t2, self.t3)):
             if not a.is_disjoint(b):
                 raise ConfigError(name, "prime sets must be pairwise disjoint")
+        if self.x < 2:
+            raise ConfigError("x", f"need X >= 2, got {self.x}")
         if not 0 < self.delta < 1:
             raise ConfigError("delta", "need 0 < delta < 1")
         if self.equation != "prop1" and (self.w_max is None or self.z is None):
             raise ConfigError("w", f"{self.equation} needs the W and Z scales")
+        if self.equation != "prop1" and self.w_max < 1:
+            raise ConfigError("w", f"need W >= 1, got {self.w_max}")
         if self.equation == "thm1":
             if self.w_max > min(self.x, self.z):
                 raise ConfigError("w", "need W <= min(X, Z)")
@@ -153,6 +158,8 @@ def config_from_exponents(
     **kwargs,
 ) -> HarvestConfig:
     """Instantiate concrete scales from the regime exponent formulas."""
+    if x < 2:  # before any power of X: 0 ** -e divides by zero, (-5) ** e is complex
+        raise ConfigError("x", f"need X >= 2, got {x}")
     theorem = "thm1" if equation == "thm1" else "thm2"
     exps = regime_exponents(theorem, variant, alpha)
     z = float(x) ** exps.z_exp
@@ -278,9 +285,9 @@ def _harvest(items: Sequence, walk: Callable, listing: Callable) -> tuple[np.nda
     """Walk every item, fix the popular key of all hits and list its bucket.
 
     walk(item) returns (keys, audit), one int64 key row per hit; listing(key)
-    returns that key's (candidate solution, coefficients) pairs.  Returns the
-    keys, the bucket statistics, the key, the listed bucket and the audits;
-    raises RuntimeError when the listing and the count disagree.
+    returns that key's bucket, one entry per hit.  Returns the keys, the
+    bucket statistics, the key, the listed bucket and the audits; raises
+    RuntimeError when the listing and the count disagree.
     """
     if not items:
         raise EmptyHarvest("no coefficients to walk")
@@ -319,51 +326,62 @@ def _keep_verified(
     return S, tuple(rows), duplicates, failures
 
 
-def thm1_harvest(
-    a_values: Sequence[int],
-    c_values: Sequence[int],
-    W: int,
-    s_prime: PrimeSet,
-    *,
-    x: float | None = None,
-    z: float | None = None,
-    delta: float | None = None,
-    epsilon: float = 0.01,
-    set_sizes: dict | None = None,
-    config_echo: dict | None = None,
-) -> HarvestReport:
-    """Core A + 1 = C harvest over explicit coefficient sets."""
-    a_values = sorted(a_values)
+def _linear_harvest(
+    a_values: Sequence[int], shifts: Sequence[int], c_values: Sequence[int], W: int
+) -> tuple[np.ndarray, dict, tuple, list, list]:
+    """The harvest of a*u + s = c*w, u != 0, over a in A, s in shifts, c in C
+    coprime to a and 1 <= w <= W, keyed by (u, w).
+
+    The shifts are b + 1 over B, so thm1 is B = {0}.  Returns `_harvest`'s
+    tuple: the bucket lists (a, s, c) triples, and the audit of each modulus
+    a is (c skipped as gcd(c, a) > 1, u = 0 hits, shifts coprime to a).
+    Raises DomainError when A, B or C repeats a value.
+    """
+    for name, values in (("A", a_values), ("B", [s - 1 for s in shifts]), ("C", c_values)):
+        ordered = sorted(values)
+        for v, v_next in zip(ordered, ordered[1:]):
+            if v == v_next:
+                raise DomainError(f"{name} repeats {v}")
+    shift_array = np.array(shifts, dtype=np.int64)
     c_set = set(c_values)
 
-    def walk(a: int) -> tuple[np.ndarray, int]:
+    def walk(a: int) -> tuple[np.ndarray, tuple[int, int, int]]:
         coprime = [c for c in c_values if gcd(c, a) == 1]
-        i, _, w = progressions(a, coprime, [1], W)
-        c = np.array(coprime, dtype=np.int64)[i]
-        return np.column_stack(((c * w - 1) // a, w)), len(c_values) - len(coprime)
+        i, j, w = progressions(a, coprime, shifts, W)
+        u = (np.array(coprime, dtype=np.int64)[i] * w - shift_array[j]) // a
+        keep = u != 0
+        keys = np.column_stack((u[keep], w[keep]))
+        coprime_shifts = sum(gcd(s, a) == 1 for s in shifts)
+        return keys, (len(c_values) - len(coprime), len(u) - len(keys), coprime_shifts)
 
     def listing(key: tuple) -> list:
         u, w = key
         bucket = []
-        for a in a_values:
-            c, r = divmod(a * u + 1, w)
-            if not r and c in c_set:  # c*w = a*u + 1 already makes c coprime to a
-                bucket.append(((a * u, c * w), (a, c)))
+        for a, s in product(a_values, shifts):
+            c, r = divmod(a * u + s, w)
+            if not r and c in c_set and gcd(c, a) == 1:
+                bucket.append((a, s, c))
         return bucket
 
-    _, stats, key, bucket, gcd_skips = _harvest(a_values, walk, listing)
-    S, rows, _, verify_failures = _keep_verified(bucket, "thm1", s_prime, key)
+    return _harvest(sorted(a_values), walk, listing)
 
-    s = len(S)
-    s_bound = None
-    if x is not None and z is not None and delta is not None:
-        additive_cap = len(s_prime) + log2(W) + log2(x * W / z ** (1 - delta))
-        s_bound = {
-            "s_prime": len(s_prime),
-            "s": s,
-            "additive_cap": additive_cap,
-            "holds": s <= additive_cap,
-        }
+
+def _with_config(report: HarvestReport, config: HarvestConfig) -> HarvestReport:
+    """The report with the fields its config decides: the bound comparison at
+    the config's epsilon and the config echo."""
+    report.bound_comparison = compare_bounds(
+        len(report.s_full), report.equation, config.epsilon, len(report.solution_rows)
+    )
+    report.config_echo = config.echo()
+    return report
+
+
+def thm1_harvest(a_values: Sequence[int], c_values: Sequence[int], W: int, s_prime: PrimeSet) -> HarvestReport:
+    """Core A + 1 = C harvest over explicit coefficient sets: the linear harvest at the shift 1."""
+    _, stats, key, bucket, per_modulus = _linear_harvest(a_values, [1], c_values, W)
+    u, w = key
+    candidates = (((a * u, c * w), (a, c)) for a, _, c in bucket)
+    S, rows, _, verify_failures = _keep_verified(candidates, "thm1", s_prime, key)
     return HarvestReport(
         equation="thm1",
         s_prime=s_prime.primes,
@@ -371,11 +389,8 @@ def thm1_harvest(
         popular_key=key,
         solution_rows=rows,
         bucket_stats=stats,
-        set_sizes=set_sizes or {"A": len(a_values), "C": len(c_values)},
-        audits={"gcd_skips": sum(gcd_skips), "verify_failures": verify_failures},
-        bound_comparison=compare_bounds(s, "thm1", epsilon, len(rows)),
-        s_bound=s_bound,
-        config_echo=config_echo,
+        set_sizes={"A": len(a_values), "C": len(c_values)},
+        audits={"gcd_skips": sum(skips for skips, _, _ in per_modulus), "verify_failures": verify_failures},
     )
 
 
@@ -384,107 +399,40 @@ def thm1_run(config: HarvestConfig) -> HarvestReport:
     q_values, r_values, a_values = _window_sets(
         config, "thm1", (_range(s, config.delta) for s in (config.q, config.r, config.z))
     )
-
-    c_values = sorted(qv * rv for qv in q_values for rv in r_values)
-    for c, c_next in zip(c_values, c_values[1:]):
-        if c == c_next:
-            raise DuplicateProducts(f"product {c} arises twice")
-
+    c_values = [qv * rv for qv in q_values for rv in r_values]
     if len(a_values) * len(c_values) > config.hit_cap:
         raise ResourceLimit("a x c pair count beyond hit cap")
 
-    return thm1_harvest(
-        a_values,
-        c_values,
-        config.w_max,
-        config.t1.union(config.t2).union(config.t3),
-        x=config.x,
-        z=config.z,
-        delta=config.delta,
-        epsilon=config.epsilon,
-        set_sizes={
-            "Q": len(q_values),
-            "R": len(r_values),
-            "A": len(a_values),
-            "C": len(c_values),
-        },
-        config_echo=config.echo(),
-    )
+    W = config.w_max
+    report = thm1_harvest(a_values, c_values, W, config.t1.union(config.t2).union(config.t3))
+    s = len(report.s_full)
+    additive_cap = len(report.s_prime) + log2(W) + log2(config.x * W / config.z ** (1 - config.delta))
+    report.s_bound = {
+        "s_prime": len(report.s_prime),
+        "s": s,
+        "additive_cap": additive_cap,
+        "holds": s <= additive_cap,
+    }
+    report.set_sizes = {"Q": len(q_values), "R": len(r_values), **report.set_sizes}
+    return _with_config(report, config)
 
 
 def thm2_harvest(
-    a_values: Sequence[int],
-    b_values: Sequence[int],
-    c_values: Sequence[int],
-    W: int,
-    s_prime: PrimeSet,
-    *,
-    x: float | None = None,
-    y: float | None = None,
-    z: float | None = None,
-    delta: float | None = None,
-    epsilon: float = 0.01,
-    config_echo: dict | None = None,
+    a_values: Sequence[int], b_values: Sequence[int], c_values: Sequence[int], W: int, s_prime: PrimeSet
 ) -> HarvestReport:
-    """Core A + B + 1 = C harvest over explicit coefficient sets.
+    """Core A + B + 1 = C harvest over explicit coefficient sets: the linear
+    harvest at the shifts b + 1.
 
     u = 0 hits are discarded (they would not tie distinct moduli to distinct
     A values); the per-modulus count of b with gcd(b+1, a) = 1 is recorded as
     an audit statistic rather than used as a filter.
     """
-    a_values = sorted(a_values)
-    b_values = sorted(b_values)
-    c_values = sorted(c_values)
-
-    shifts = [b + 1 for b in b_values]
-    b_set = set(b_values)
-
-    def walk(a: int) -> tuple[np.ndarray, tuple[int, int, int]]:
-        coprime = [c for c in c_values if gcd(c, a) == 1]
-        i, j, w = progressions(a, coprime, shifts, W)
-        c, shift = np.array(coprime, dtype=np.int64)[i], np.array(shifts, dtype=np.int64)[j]
-        u = (c * w - shift) // a
-        keep = u != 0
-        keys = np.column_stack((u[keep], w[keep]))
-        coprime_b = sum(gcd(v, a) == 1 for v in shifts)
-        return keys, (len(c_values) - len(coprime), len(u) - len(keys), coprime_b)
-
-    def listing(key: tuple) -> list:
-        u, w = key
-        bucket = []
-        for a, c in product(a_values, c_values):
-            b = c * w - a * u - 1
-            if b in b_set and gcd(c, a) == 1:
-                bucket.append(((a * u, b, c * w), (a, b, c)))
-        return bucket
-
-    keys, stats, key, bucket, per_modulus = _harvest(a_values, walk, listing)
-    gcd_skips, u0_discards, coprime_b_counts = zip(*per_modulus)
-    nondegenerate = [(t, p) for t, p in bucket if t[0] != -1 and t[1] != -1 and t[2] != 1]
-    degenerate = len(bucket) - len(nondegenerate)
+    keys, stats, key, bucket, per_modulus = _linear_harvest(a_values, [b + 1 for b in b_values], c_values, W)
+    u, w = key
+    candidates = [((a * u, s - 1, c * w), (a, s - 1, c)) for a, s, c in bucket]
+    nondegenerate = [(t, p) for t, p in candidates if t[0] != -1 and t[1] != -1 and t[2] != 1]
     S, rows, _, verify_failures = _keep_verified(nondegenerate, "thm2", s_prime, key)
-
-    audits = {
-        "gcd_skips": sum(gcd_skips),
-        "u_zero_discards": sum(u0_discards),
-        "degenerate_filtered": degenerate,
-        "verify_failures": verify_failures,
-        "coprime_b_min_fraction": min(cb / len(b_values) for cb in coprime_b_counts),
-        "u_range_observed": [int(keys[:, 0].min()), int(keys[:, 0].max())],
-        # large multiplicities here would already be solutions in disguise,
-        # so the maxima feed the error-term side of the report
-        "pair_collision_b": list(pair_collision_stats(b_values))
-        if len(b_values) ** 2 <= 4_000_000
-        else None,
-        "pair_collision_c": list(pair_collision_stats(c_values))
-        if len(c_values) ** 2 <= 4_000_000
-        else None,
-    }
-    if x is not None and y is not None and z is not None and delta is not None:
-        audits["u_range_theoretical"] = [
-            -y / z ** (1 - delta),
-            x * W / z ** (1 - delta),
-        ]
+    gcd_skips, u0_discards, coprime_b_counts = zip(*per_modulus)
     return HarvestReport(
         equation="thm2",
         s_prime=s_prime.primes,
@@ -493,9 +441,22 @@ def thm2_harvest(
         solution_rows=rows,
         bucket_stats=stats,
         set_sizes={"A": len(a_values), "B": len(b_values), "C": len(c_values)},
-        audits=audits,
-        bound_comparison=compare_bounds(len(S), "thm2", epsilon, len(rows)),
-        config_echo=config_echo,
+        audits={
+            "gcd_skips": sum(gcd_skips),
+            "u_zero_discards": sum(u0_discards),
+            "degenerate_filtered": len(candidates) - len(nondegenerate),
+            "verify_failures": verify_failures,
+            "coprime_b_min_fraction": min(cb / len(b_values) for cb in coprime_b_counts),
+            "u_range_observed": [int(keys[:, 0].min()), int(keys[:, 0].max())],
+            # large multiplicities here would already be solutions in disguise,
+            # so the maxima feed the error-term side of the report
+            "pair_collision_b": list(pair_collision_stats(b_values))
+            if len(b_values) ** 2 <= 4_000_000
+            else None,
+            "pair_collision_c": list(pair_collision_stats(c_values))
+            if len(c_values) ** 2 <= 4_000_000
+            else None,
+        },
     )
 
 
@@ -504,23 +465,13 @@ def thm2_run(config: HarvestConfig) -> HarvestReport:
     c_values, b_values, a_values = _window_sets(
         config, "thm2", (_range(s, config.delta) for s in (config.x, config.y, config.z))
     )
-
     if len(a_values) * len(c_values) * len(b_values) > config.hit_cap:
         raise ResourceLimit("a x c x b triple count beyond hit cap")
 
-    return thm2_harvest(
-        a_values,
-        b_values,
-        c_values,
-        config.w_max,
-        config.t1.union(config.t2).union(config.t3),
-        x=config.x,
-        y=config.y,
-        z=config.z,
-        delta=config.delta,
-        epsilon=config.epsilon,
-        config_echo=config.echo(),
-    )
+    report = thm2_harvest(a_values, b_values, c_values, config.w_max, config.t1.union(config.t2).union(config.t3))
+    scale = config.z ** (1 - config.delta)
+    report.audits["u_range_theoretical"] = [-config.y / scale, config.x * config.w_max / scale]
+    return _with_config(report, config)
 
 
 def prop1_run(config: HarvestConfig) -> HarvestReport:

@@ -136,12 +136,16 @@ def test_cli_exit_codes(tmp_path):
         ("prop1", "x=1000000", "x=abc"),
         ("prop1", "x=1000000", "x=600\nhit_cap=lots"),
         ("prop1", "t1=2,3,17,19,23,29,31,37,41,43\n", "t_interval=2\n"),
+        ("thm1", "x=1000000", "x=0"),
+        ("thm2", "x=1000000", "x=-5"),
+        ("thm1", "x=1000000", "x=1000000\nw=0"),
     ],
 )
 def test_cli_bad_config_value(tmp_path, capsys, command, old, new):
     # every malformed numeric value ends as a one-line config error, exit 1, naming its key
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text({"thm1": THM1_CFG, "prop1": PROP1_CFG}[command].replace(old, new))
+    base = {"thm1": THM1_CFG, "thm2": THM1_CFG.replace("equation=thm1", "equation=thm2"), "prop1": PROP1_CFG}
+    cfg.write_text(base[command].replace(old, new))
     assert main([command, "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     bad_key = new.splitlines()[-1].split("=")[0]

@@ -19,7 +19,7 @@ from conftest import brute_trial_division, smoothset
 from sunit_harvest.arith import PrimeSet
 from sunit_harvest.characters import multiplicative_decomposition
 from sunit_harvest.circle import additive_decomposition
-from sunit_harvest.errors import EmptyHarvest, ResourceLimit
+from sunit_harvest.errors import DomainError, EmptyHarvest, ResourceLimit
 from sunit_harvest.oracle import brute_linear_count
 from sunit_harvest.pipelines import (
     pair_collision_stats,
@@ -87,8 +87,9 @@ def assert_matches_tally(rep, tally: Counter):
 
 @PROFILE
 @given(moduli, coefficients, w_bounds)
+@example([3], [1, 4], 5)  # c = 1: the u = 0 hit c*w = 1 is not keyed
 def test_thm1_matches_brute_tally(a_values, c_values, W):
-    tally, _ = brute_tally(a_values, c_values, W, [1])
+    tally, u_zero = brute_tally(a_values, c_values, W, [1])
     S = primes_of(a_values, c_values)
     if not tally:
         with pytest.raises(EmptyHarvest):
@@ -96,7 +97,7 @@ def test_thm1_matches_brute_tally(a_values, c_values, W):
         return
     rep = thm1_harvest(a_values, c_values, W, S)
     assert_matches_tally(rep, tally)
-    assert rep.bucket_stats["total_hits"] == brute_linear_count(a_values, c_values, W, 1).count
+    assert rep.bucket_stats["total_hits"] + u_zero == brute_linear_count(a_values, c_values, W, 1).count
     for A, C, a, c, u, w in rep.solution_rows:
         assert (A, C) == (a * u, c * w)
 
@@ -125,30 +126,52 @@ def test_thm2_matches_brute_tally(sets):
 @example([6], [9, 18, 22, 29, 31], [7, 11, 16, 18], 2)  # u < 0, W below a; (6, 29, 18) skipped: 6 | 30
 @example([4, 10], [4, 23, 25, 27, 33], [2, 7, 13, 18], 15)  # u < 0, W above a; (10, 23, 2) skipped
 @example([12, 13], [13, 14, 31, 36], [9, 14, 15], 3)  # u > 0, W below a; (12, 14, 9) skipped: 3 | 15
+@example([3], [4], [1, 4], 5)  # c = 1: thm1's u = 0 hit c*w = 1 is not keyed, and its bucket is (1, 1)
 def test_thm2_rows_match_brute_triples(a_values, b_values, c_values, W):
     # c may share a factor g with a, and g | b + 1 then solves the equation
-    # although the walk skips c: the listed bucket must skip it too
-    tally = Counter()
-    for a, b, c in product(a_values, b_values, c_values):
-        for w in range(1, W + 1):
-            u, r = divmod(c * w - b - 1, a)
-            if not r and u and gcd(c, a) == 1:
-                tally[(u, w)] += 1
-    S = primes_of(a_values, b_values, c_values)
-    if not tally:
-        with pytest.raises(EmptyHarvest):
-            thm2_harvest(a_values, b_values, c_values, W, S)
-        return
-    rep = thm2_harvest(a_values, b_values, c_values, W, S)
-    u, w = rep.popular_key
-    assert rep.popular_key == min(tally, key=lambda k: (-tally[k], k))
-    assert rep.bucket_stats["max_load"] == tally[(u, w)]
-    brute = [
-        (a * u, b, c * w, a, b, c, u, w)
-        for a, b, c in product(a_values, b_values, c_values)
-        if a * u + b + 1 == c * w and gcd(c, a) == 1
-    ]
-    assert rep.solution_rows == tuple(sorted(brute))
+    # although the walk skips c: the listed bucket must skip it too.  thm1 is
+    # the same harvest at B = {0}, and its rows lack the b columns
+    for harvest, sets, B in (
+        (thm2_harvest, (a_values, b_values, c_values), b_values),
+        (thm1_harvest, (a_values, c_values), [0]),
+    ):
+        tally = Counter()
+        for a, b, c in product(a_values, B, c_values):
+            for w in range(1, W + 1):
+                u, r = divmod(c * w - b - 1, a)
+                if not r and u and gcd(c, a) == 1:
+                    tally[(u, w)] += 1
+        S = primes_of(*sets)
+        if not tally:
+            with pytest.raises(EmptyHarvest):
+                harvest(*sets, W, S)
+            continue
+        rep = harvest(*sets, W, S)
+        u, w = rep.popular_key
+        assert rep.popular_key == min(tally, key=lambda k: (-tally[k], k))
+        assert rep.bucket_stats["max_load"] == tally[(u, w)]
+        brute = [
+            (a * u, b, c * w, a, b, c, u, w)
+            for a, b, c in product(a_values, B, c_values)
+            if a * u + b + 1 == c * w and gcd(c, a) == 1
+        ]
+        if harvest is thm1_harvest:
+            brute = [(A, C, a, c, u, w) for A, _, C, a, _, c, u, w in brute]
+        assert rep.solution_rows == tuple(sorted(brute))
+
+
+@pytest.mark.parametrize(
+    "harvest, sets, name, value",
+    [
+        (thm1_harvest, ([3, 3], [2, 5]), "A", 3),  # counted and listed twice
+        (thm1_harvest, ([3], [2, 5, 2]), "C", 2),  # counted twice, listed once
+        (thm2_harvest, ([3], [1, 1], [2, 5]), "B", 1),  # counted twice, listed once
+        (thm2_harvest, ([3], [1], [2, 5, 5]), "C", 5),  # counted and listed twice
+    ],
+)
+def test_repeated_coefficients_refused(harvest, sets, name, value):
+    with pytest.raises(DomainError, match=f"^{name} repeats {value}$"):
+        harvest(*sets, 6, primes_of(*sets))
 
 
 @pytest.mark.parametrize(

@@ -33,6 +33,8 @@ def test_thm1_micro():
     assert rep.solutions == ((7, 8),)
     assert set(rep.s_full) >= {2, 7}
     assert rep.bucket_stats["total_hits"] == 1
+    # the config decides these, and a direct harvest has none
+    assert rep.bound_comparison is None and rep.config_echo is None
 
 
 def test_thm1_multi_hit_bucket():
