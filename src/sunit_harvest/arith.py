@@ -15,6 +15,8 @@ from .errors import DomainError, FactorizationLimit
 # far beyond anything the pipelines produce.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
+TRIAL_EFFORT = 10**6  # largest divisor trial_factor tries before the primality check
+
 
 def is_prime(n: int) -> bool:
     """Deterministic primality test for the supported integer width."""
@@ -91,9 +93,6 @@ class FactoredInt:
     def squarefree(self) -> bool:
         return all(e == 1 for _, e in self.factors)
 
-    def prime_support(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.factors)
-
 
 def primes_in_range(lo: int, hi: int) -> PrimeSet:
     """All primes p with lo <= p <= hi (sieve of the interval)."""
@@ -143,8 +142,8 @@ def factor_over(n: int, T: PrimeSet) -> FactoredInt | None:
     return FactoredInt(n, tuple(factors))
 
 
-def trial_factor(n: int, effort: int = 10**6) -> tuple[tuple[int, int], ...]:
-    """Full factorization by trial division up to `effort`, then a primality check.
+def trial_factor(n: int) -> tuple[tuple[int, int], ...]:
+    """Full factorization by trial division up to TRIAL_EFFORT, then a primality check.
 
     Raises FactorizationLimit when the unfactored remainder is composite with
     no factor below the effort bound.
@@ -154,6 +153,7 @@ def trial_factor(n: int, effort: int = 10**6) -> tuple[tuple[int, int], ...]:
     factors = []
     rem = n
     d = 2
+    effort = TRIAL_EFFORT  # a local: the loop compares it once per divisor
     while d * d <= rem and d <= effort:
         if rem % d == 0:
             e = 0
@@ -169,20 +169,20 @@ def trial_factor(n: int, effort: int = 10**6) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(factors))
 
 
-def prime_support(n: int, effort: int = 10**6) -> tuple[int, ...]:
+def prime_support(n: int) -> tuple[int, ...]:
     """Distinct prime factors of |n|; empty for n in {-1, 1}."""
     n = abs(n)
     if n == 1:
         return ()
-    return tuple(p for p, _ in trial_factor(n, effort))
+    return tuple(p for p, _ in trial_factor(n))
 
 
-def multiplicative_functions(n: int, effort: int = 10**6) -> tuple[int, int, int]:
+def multiplicative_functions(n: int) -> tuple[int, int, int]:
     """(Euler phi, Moebius mu, divisor count) of n."""
     if n < 1:
         raise DomainError("n must be >= 1")
     phi, mu, d = 1, 1, 1
-    for p, e in trial_factor(n, effort):
+    for p, e in trial_factor(n):
         phi *= (p - 1) * p ** (e - 1)
         mu = 0 if e > 1 else -mu
         d *= e + 1

@@ -12,7 +12,6 @@ or factorization limit, 1 malformed config or usage.
 from __future__ import annotations
 
 import argparse
-import json
 import random
 import sys
 import time
@@ -46,7 +45,7 @@ from .pipelines import (
     thm1_run,
     thm2_run,
 )
-from .report import SOLUTION_HEADERS, write_csv, write_json_report
+from .report import SOLUTION_HEADERS, json_text, write_csv, write_json_report
 from .smooth import DEFAULT_CAP, enumerate_squarefree_smooth, split_disjoint_prime_sets
 from .siegel import siegel_small_solution
 
@@ -59,7 +58,7 @@ EXIT_RESOURCE = 4
 # the config keys each equation reads; a key its equation does not read is refused
 _SHARED_KEYS = {"equation", "x", "t1", "t2", "t3", "t_interval", "t_split", "enum_cap", "hit_cap"}
 _REGIME_KEYS = _SHARED_KEYS | {"alpha", "variant", "delta", "epsilon", "w", "z"}
-_KEYS = {"thm1": _REGIME_KEYS | {"q", "r"}, "thm2": _REGIME_KEYS | {"y"}, "prop1": _SHARED_KEYS}
+_KEYS = {"thm1": _REGIME_KEYS | {"q"}, "thm2": _REGIME_KEYS | {"y"}, "prop1": _SHARED_KEYS}
 
 _SHARED_FLAGS = {  # the flags several commands read; each command declares only those it reads
     "out": {"help": "write the JSON report here"},
@@ -140,22 +139,17 @@ def build_harvest_config(params: dict) -> HarvestConfig:
     if "x" not in params:
         raise ConfigError("x", "missing scale X")
     x = _number(params, "x", kind=int)
+    # the caps, and the scales W, Z, Q and Y that replace the ones derived from alpha
     kwargs = {key: _number(params, key, kind=int) for key in ("enum_cap", "hit_cap") if key in params}
-    if equation == "prop1":
-        cfg = prop1_config(x, t1, t2, t3, **kwargs)
-    else:
-        alpha = _number(params, "alpha", "0.1666666666666667" if equation == "thm1" else "0.52")
-        variant = params.get("variant", "unconditional")
-        delta, epsilon = _number(params, "delta", "0.1"), _number(params, "epsilon", "0.01")
-        cfg = config_from_exponents(equation, x, alpha, variant, delta, t1, t2, t3, epsilon=epsilon, **kwargs)
-    # explicit scale overrides after derivation
+    kwargs.update((key, _number(params, key)) for key in ("z", "q", "y") if key in params)
     if "w" in params:
-        cfg.w_max = _number(params, "w", kind=int)
-    for key in ("z", "q", "r", "y"):
-        if key in params:
-            setattr(cfg, key, _number(params, key))
-    cfg.validate()
-    return cfg
+        kwargs["w_max"] = _number(params, "w", kind=int)
+    if equation == "prop1":
+        return prop1_config(x, t1, t2, t3, **kwargs)
+    alpha = _number(params, "alpha", "0.1666666666666667" if equation == "thm1" else "0.52")
+    variant = params.get("variant", "unconditional")
+    delta, epsilon = _number(params, "delta", "0.1"), _number(params, "epsilon", "0.01")
+    return config_from_exponents(equation, x, alpha, variant, delta, t1, t2, t3, epsilon=epsilon, **kwargs)
 
 
 def _timing(t0: float) -> dict:
@@ -166,8 +160,7 @@ def _emit(payload: dict, out: str | None):
     if out:
         write_json_report(payload, out)
     else:
-        json.dump(payload, sys.stdout, indent=2, sort_keys=True, default=str)
-        sys.stdout.write("\n")
+        sys.stdout.write(json_text(payload))
 
 
 def _run_pipeline(args) -> int:
@@ -177,7 +170,7 @@ def _run_pipeline(args) -> int:
         raise ConfigError("equation", f"config says {cfg.equation}, command is {args.command}")
     # looked up at call time, so the names can be wrapped or patched on the module
     report = {"thm1": thm1_run, "thm2": thm2_run, "prop1": prop1_run}[cfg.equation](cfg)
-    payload = {"run": report.as_dict(), "timing": _timing(t0), "seed": args.seed}
+    payload = {"run": report.as_dict(), "timing": _timing(t0)}
     _emit(payload, args.out)
     if args.solutions:
         write_csv(args.solutions, SOLUTION_HEADERS[report.equation], report.solution_rows)
@@ -191,7 +184,6 @@ def _oracle_report(args, t0: float, res) -> None:
         "effort": res.effort,
         "solutions": [list(s) for s in res.solutions],
         "timing": _timing(t0),
-        "seed": args.seed,
     }
     _emit(payload, args.out)
 
@@ -406,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     for name in ("thm1", "thm2", "prop1"):
-        p = command(sub, name, _run_pipeline, f"run the {name} harvest pipeline", "out", "solutions", "seed")
+        p = command(sub, name, _run_pipeline, f"run the {name} harvest pipeline", "out", "solutions")
         p.add_argument("--config", required=True)
         p.add_argument("--threads", type=int, default=1, help="accepted and ignored")
 
@@ -416,12 +408,12 @@ def build_parser() -> argparse.ArgumentParser:
         ("sunit_pairs", brute_sunit_pairs, "thm1", "S-unit pairs (A, A + 1)"),
         ("prop1_triples", brute_prop1_triples, "prop1", "coprime S-unit triples a + b = c"),
     ):
-        p = command(kinds, kind, _run_oracle, f"all {what} up to --bound", "out", "solutions", "seed",
+        p = command(kinds, kind, _run_oracle, f"all {what} up to --bound", "out", "solutions",
                     brute=brute, headers=SOLUTION_HEADERS[equation])
         p.add_argument("--primes", required=True, help="comma-separated prime set S")
         p.add_argument("--bound", type=int, required=True, help="enumeration bound")
         p.add_argument("--cap", type=int, default=DEFAULT_BUDGET, help="most enumeration steps")
-    p = command(kinds, "linear_count", _run_linear_count, "count c*w == shift (mod a)", "out", "seed")
+    p = command(kinds, "linear_count", _run_linear_count, "count c*w == shift (mod a)", "out")
     p.add_argument("--a-set", dest="a_set", required=True, help="comma-separated moduli")
     p.add_argument("--c-set", dest="c_set", required=True, help="comma-separated coefficients")
     p.add_argument("--bound", type=int, required=True, help="W, the largest w counted")

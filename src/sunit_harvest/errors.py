@@ -10,7 +10,7 @@ class DomainError(SunitHarvestError):
 
 
 class FactorizationLimit(SunitHarvestError):
-    """Integer did not factor within the configured trial-division effort."""
+    """Integer did not factor by trial division up to arith.TRIAL_EFFORT."""
 
 
 class EnumerationCap(SunitHarvestError):

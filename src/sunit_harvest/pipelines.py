@@ -73,9 +73,9 @@ class HarvestConfig:
     """Scales, prime sets and caps for one pipeline run.
 
     Prime intervals at paper scale are degenerate on a desk, so the prime sets
-    are given explicitly while Z, W (and Y, Q, R) are derived from X through
-    the regime exponent formulas (see `config_from_exponents`); prop1 reads
-    only X, the prime sets and the caps.  hit_cap bounds the
+    are given explicitly while Z, W (and Y, Q) are derived from X through
+    the regime exponent formulas (see `config_from_exponents`), and R is X / Q;
+    prop1 reads only X, the prime sets and the caps.  hit_cap bounds the
     coefficient tuples a pipeline walks.
     """
 
@@ -88,13 +88,17 @@ class HarvestConfig:
     w_max: int | None = None
     z: float | None = None
     q: float | None = None
-    r: float | None = None
     y: float | None = None
     alpha: float | None = None
     variant: str | None = None
     epsilon: float = 0.01
     enum_cap: int = 2_000_000
     hit_cap: int = 50_000_000
+
+    @property
+    def r(self) -> float | None:
+        """thm1's factor scale R = X / Q, so that Q * R = X."""
+        return None if self.q is None else self.x / self.q
 
     def validate(self):
         if self.equation not in ("thm1", "thm2", "prop1"):
@@ -106,6 +110,8 @@ class HarvestConfig:
             raise ConfigError("x", f"need X >= 2, got {self.x}")
         if not 0 < self.delta < 1:
             raise ConfigError("delta", "need 0 < delta < 1")
+        if self.epsilon <= 0:  # the paper's epsilon is positive; compare_bounds overflows far below 0
+            raise ConfigError("epsilon", f"need epsilon > 0, got {self.epsilon}")
         if self.equation != "prop1" and (self.w_max is None or self.z is None):
             raise ConfigError("w", f"{self.equation} needs the W and Z scales")
         if self.equation != "prop1" and self.w_max < 1:
@@ -115,10 +121,8 @@ class HarvestConfig:
                 raise ConfigError("w", "need W <= min(X, Z)")
             if not (self.x ** (1 / 100) <= self.z <= self.x**100):
                 raise ConfigError("z", "need X^(1/100) <= Z <= X^100")
-            if self.q is None or self.r is None:
-                raise ConfigError("q", "thm1 needs the Q, R factorization scales")
-            if abs(self.q * self.r - self.x) > 1e-6 * self.x:
-                raise ConfigError("q", "need Q * R = X")
+            if self.q is None or self.q <= 0:  # R = X / Q
+                raise ConfigError("q", f"thm1 needs a Q scale > 0, got {self.q}")
         if self.equation == "thm2":
             if self.y is None:
                 raise ConfigError("y", "thm2 needs the Y scale")
@@ -157,21 +161,22 @@ def config_from_exponents(
     t3: PrimeSet,
     **kwargs,
 ) -> HarvestConfig:
-    """Instantiate concrete scales from the regime exponent formulas."""
+    """Instantiate concrete scales from the regime exponent formulas.
+
+    kwargs set other fields; a scale among them (w_max, z, q or y) replaces the
+    derived one, and Q and Y are still derived from the derived Z and W.
+    """
     if x < 2:  # before any power of X: 0 ** -e divides by zero, (-5) ** e is complex
         raise ConfigError("x", f"need X >= 2, got {x}")
     theorem = "thm1" if equation == "thm1" else "thm2"
     exps = regime_exponents(theorem, variant, alpha)
     z = float(x) ** exps.z_exp
     w = max(1, int(float(x) ** exps.w_exp))
-    q = r = y = None
     if equation == "thm1":
-        q = z ** (1 - delta)
-        r = x / q
+        derived = {"q": z ** (1 - delta)}
     else:
-        y = float(x) ** exps.y_exp
         # exponent arithmetic gives Y = X * W exactly; rounding W down keeps Y <= X*W
-        y = min(y, float(x) * w)
+        derived = {"y": min(float(x) ** exps.y_exp, float(x) * w)}
     cfg = HarvestConfig(
         equation=equation,
         t1=t1,
@@ -179,23 +184,20 @@ def config_from_exponents(
         t3=t3,
         x=x,
         delta=delta,
-        w_max=w,
-        z=z,
-        q=q,
-        r=r,
-        y=y,
         alpha=alpha,
         variant=variant,
-        **kwargs,
+        **{"w_max": w, "z": z, **derived, **kwargs},
     )
     cfg.validate()
     return cfg
 
 
 def prop1_config(x: int, t1: PrimeSet, t2: PrimeSet, t3: PrimeSet, **kwargs) -> HarvestConfig:
-    """A prop1 config.  Each coefficient triple costs a kernel-vector search,
-    so the tuple cap defaults to 2,000,000 rather than the thm1/thm2 50,000,000."""
-    return HarvestConfig("prop1", t1, t2, t3, x, **{"delta": 0.1, "hit_cap": 2_000_000, **kwargs})
+    """A validated prop1 config.  Each coefficient triple costs a kernel-vector
+    search, so the tuple cap defaults to 2,000,000 rather than the thm1/thm2 50,000,000."""
+    cfg = HarvestConfig("prop1", t1, t2, t3, x, **{"delta": 0.1, "hit_cap": 2_000_000, **kwargs})
+    cfg.validate()
+    return cfg
 
 
 def _range(scale: float, delta: float) -> tuple[int, int]:
@@ -451,10 +453,10 @@ def thm2_harvest(
             # large multiplicities here would already be solutions in disguise,
             # so the maxima feed the error-term side of the report
             "pair_collision_b": list(pair_collision_stats(b_values))
-            if len(b_values) ** 2 <= 4_000_000
+            if len(b_values) ** 2 <= PAIR_CAP
             else None,
             "pair_collision_c": list(pair_collision_stats(c_values))
-            if len(c_values) ** 2 <= 4_000_000
+            if len(c_values) ** 2 <= PAIR_CAP
             else None,
         },
     )
@@ -534,7 +536,7 @@ def prop1_run(config: HarvestConfig) -> HarvestReport:
     )
 
 
-PAIR_CAP = 100_000_000  # most (c, c') pairs pair_collision_stats compares
+PAIR_CAP = 4_000_000  # most (c, c') pairs pair_collision_stats compares; thm2 audits no more
 
 
 def pair_collision_stats(values: Sequence[int]) -> tuple[int, int]:

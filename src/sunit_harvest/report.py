@@ -1,8 +1,8 @@
 """Structured run reports: bound comparisons, JSON serialization, CSV dumps.
 
-Reports are deterministic for a fixed config and seed: keys are sorted, the
-only nondeterministic field is the timing block, which comparison helpers
-strip.
+Reports are deterministic for fixed inputs (the config, or the flags and the
+seed of a `verify` run): keys are sorted, the only nondeterministic field is
+the timing block, which comparison helpers strip.
 """
 
 from __future__ import annotations
@@ -42,20 +42,13 @@ def compare_bounds(s: int, equation: str, epsilon: float, observed: int) -> dict
     }
 
 
+def json_text(payload: dict) -> str:
+    """The JSON text of a report, as written to a file or printed."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def write_json_report(payload: dict, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True, default=_coerce) + "\n")
-
-
-def _coerce(obj):
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
-    if isinstance(obj, (set, frozenset, tuple)):
-        return sorted(obj) if isinstance(obj, (set, frozenset)) else list(obj)
-    if hasattr(obj, "as_dict"):
-        return obj.as_dict()
-    if hasattr(obj, "item"):  # numpy scalars
-        return obj.item()
-    raise TypeError(f"cannot serialize {type(obj)}")
+    Path(path).write_text(json_text(payload))
 
 
 def strip_timing(report: dict) -> dict:

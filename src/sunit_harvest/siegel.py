@@ -19,9 +19,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, ResourceLimit
 
 INT64_MAX = 2**63 - 1
+SCAN_BUDGET = 1_000_000  # most points a scalar scan walks: y in [0, C]^n, or (|z1|, |z2|) cells for n = 3
 
 
 @dataclass(frozen=True)
@@ -42,6 +43,8 @@ def siegel_small_solution(alpha: tuple[int, ...], B: int) -> SmallSolution:
     Deterministic: first collision in a lexicographic scan of y in [0, C]^n.
     For n = 3 with a3 != 0 the third coordinate is solved for instead: the
     least (|z1|, |z2|, |z3|, signs) solution, which pigeonhole puts in [-C, C]^3.
+    Raises ResourceLimit when C + 1 exceeds SCAN_BUDGET, or the scan walks
+    more than SCAN_BUDGET points.
     """
     n = len(alpha)
     if n < 2:
@@ -52,17 +55,21 @@ def siegel_small_solution(alpha: tuple[int, ...], B: int) -> SmallSolution:
         raise DomainError("alpha must not be all zero")
     if max(abs(a) for a in alpha) > B:
         raise DomainError("coefficients must be bounded by B")
+    if n * B >= SCAN_BUDGET ** (n - 1):  # C + 1 > SCAN_BUDGET, in integers: a huge B overflows a float
+        raise ResourceLimit(f"scan side (nB)^(1/(n-1)) + 1 beyond budget {SCAN_BUDGET}")
     bound = float(n * B) ** (1.0 / (n - 1))
     C = floor(bound)
     if n == 3 and alpha[2] != 0:
         return SmallSolution(_third_coordinate_scan(alpha, C, 0), bound)
     seen: dict[int, tuple[int, ...]] = {}
-    for y in itertools.product(range(C + 1), repeat=n):
+    for y in itertools.islice(itertools.product(range(C + 1), repeat=n), SCAN_BUDGET):
         v = sum(a * yi for a, yi in zip(alpha, y))
         if v in seen:
             prev = seen[v]
             return SmallSolution(tuple(yi - pi for yi, pi in zip(y, prev)), bound)
         seen[v] = y
+    if len(seen) == SCAN_BUDGET:  # no collision, so each point walked left its own value
+        raise ResourceLimit(f"collision scan beyond budget {SCAN_BUDGET} points")
     raise DomainError("pigeonhole scan found no collision; B out of contract")
 
 
@@ -72,7 +79,8 @@ def siegel_nonzero_coords(alpha: tuple[int, ...], cap: float) -> SmallSolution |
 
     Returns None when no such solution exists in the window.  Selection is the
     lexicographically smallest (|z_1|, |z_2|, |z_3|, sign pattern), signs
-    ordered + before -.
+    ordered + before -.  Raises ResourceLimit when the scan walks more than
+    SCAN_BUDGET points, which needs cap >= 1001.
     """
     if len(alpha) != 3 or alpha[2] == 0:
         raise DomainError("need three coefficients with a3 != 0")
@@ -85,9 +93,12 @@ def siegel_nonzero_coords(alpha: tuple[int, ...], cap: float) -> SmallSolution |
 def _third_coordinate_scan(alpha: tuple[int, ...], M: int, low: int) -> tuple[int, int, int] | None:
     """The least (|z1|, |z2|, |z3|, z1 < 0, z2 < 0) nonzero solution with every
     low <= |z_i| <= M, or None; a3 != 0.  z3 is solved for, so its sign never
-    decides.  low = 0 admits zero coordinates, low = 1 refuses them."""
+    decides.  low = 0 admits zero coordinates, low = 1 refuses them.  Walks
+    rows of (m1, m2) cells, and refuses a row that would pass SCAN_BUDGET cells."""
     a1, a2, a3 = alpha
     for m1 in range(low, M + 1):
+        if (m1 + 1 - low) * (M + 1 - low) > SCAN_BUDGET:
+            raise ResourceLimit(f"scan beyond budget {SCAN_BUDGET} cells")
         for m2 in range(low, M + 1):
             best = None
             for s1, s2 in ((1, 1), (1, -1), (-1, 1), (-1, -1)):

@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +17,8 @@ from sunit_harvest.report import (
     strip_timing,
     write_csv,
 )
+
+CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
 THM1_CFG = """\
 # comment line
@@ -39,9 +42,9 @@ t3=53,59,61,67,71,73,79,83,89,97
 
 # the keys of the other equations that each equation does not read
 UNREAD_KEYS = {
-    "prop1": ("alpha", "variant", "delta", "epsilon", "w", "z", "q", "r", "y"),
+    "prop1": ("alpha", "variant", "delta", "epsilon", "w", "z", "q", "y"),
     "thm1": ("y",),
-    "thm2": ("q", "r"),
+    "thm2": ("q",),
 }
 
 
@@ -139,6 +142,13 @@ def test_cli_exit_codes(tmp_path):
         ("thm1", "x=1000000", "x=0"),
         ("thm2", "x=1000000", "x=-5"),
         ("thm1", "x=1000000", "x=1000000\nw=0"),
+        ("thm1", "x=1000000", "x=1000000\nq=0"),
+        ("thm1", "x=1000000", "x=1000000\nepsilon=-5"),
+        ("thm1", "x=1000000", "x=1000000\nepsilon=0"),
+        # R is X / Q: r is no key of any equation
+        ("thm1", "x=1000000", "x=1000000\nr=1"),
+        ("thm2", "x=1000000", "x=1000000\nr=1"),
+        ("prop1", "x=1000000", "x=1000000\nr=1"),
     ],
 )
 def test_cli_bad_config_value(tmp_path, capsys, command, old, new):
@@ -165,7 +175,7 @@ def test_cli_refuses_keys_the_equation_does_not_read(tmp_path, capsys, equation,
 
 def test_scale_overrides_reach_the_config():
     base = {"x": "1000000", "t_interval": "2,113"}
-    cfg = build_harvest_config({**base, "equation": "thm1", "q": "1000", "r": "1000", "z": "120", "w": "3"})
+    cfg = build_harvest_config({**base, "equation": "thm1", "q": "1000", "z": "120", "w": "3"})
     assert (cfg.q, cfg.r, cfg.z, cfg.w_max) == (1000, 1000, 120, 3)
     cfg = build_harvest_config({**base, "equation": "thm2", "y": "2000000"})
     assert cfg.y == 2_000_000
@@ -322,16 +332,17 @@ def test_verify_csv_artifacts(tmp_path, capsys):
     assert len(lines) > 10
 
 
-# the flags each leaf command reads; --threads is the one flag accepted and ignored
-_PIPELINE_FLAGS = {"--config", "--out", "--solutions", "--seed", "--threads"}
-_SUNIT_ORACLE_FLAGS = {"--primes", "--bound", "--out", "--solutions", "--seed", "--cap"}
+# the flags each leaf command reads; --threads is the one flag accepted and ignored,
+# and --seed is read by the verify commands alone, which draw random numbers
+_PIPELINE_FLAGS = {"--config", "--out", "--solutions", "--threads"}
+_SUNIT_ORACLE_FLAGS = {"--primes", "--bound", "--out", "--solutions", "--cap"}
 FLAG_TABLE = {
     "thm1": _PIPELINE_FLAGS,
     "thm2": _PIPELINE_FLAGS,
     "prop1": _PIPELINE_FLAGS,
     "oracle sunit_pairs": _SUNIT_ORACLE_FLAGS,
     "oracle prop1_triples": _SUNIT_ORACLE_FLAGS,
-    "oracle linear_count": {"--a-set", "--c-set", "--bound", "--shift", "--out", "--seed", "--cap"},
+    "oracle linear_count": {"--a-set", "--c-set", "--bound", "--shift", "--out", "--cap"},
     "exponents": {"--theorem", "--variant", "--alpha", "--out"},
     "frontier": {"--kmax", "--out"},
     "verify charsums": {"--qmax", "--trials", "--seed", "--out", "--solutions"},
@@ -355,7 +366,7 @@ def _leaf_flags(parser, prefix=()):
 def test_cli_flag_table():
     table = dict(_leaf_flags(cli.build_parser()))
     assert table == FLAG_TABLE
-    assert sum(len(flags) for flags in table.values()) == 60
+    assert sum(len(flags) for flags in table.values()) == 54
 
 
 @pytest.mark.parametrize(
@@ -377,6 +388,12 @@ def test_cli_flag_table():
         "oracle sunit_pairs --primes 2,3 --bound 100 --shift 2",
         "oracle prop1_triples --primes 2,3 --bound 100 --threads 2",
         "oracle --kind sunit_pairs --primes 2,3 --bound 100",
+        "thm1 --config demos/configs/thm1_desk.cfg --seed 1",
+        "thm2 --config demos/configs/thm2_desk.cfg --seed 1",
+        "prop1 --config demos/configs/prop1_desk.cfg --seed 1",
+        "oracle sunit_pairs --primes 2,3 --bound 100 --seed 1",
+        "oracle prop1_triples --primes 2,3 --bound 100 --seed 1",
+        "oracle linear_count --a-set 3 --c-set 1,2 --bound 5 --seed 1",
     ],
 )
 def test_cli_refuses_flags_the_command_does_not_read(capsys, argv):
@@ -407,6 +424,38 @@ def test_cli_frontier_kmax_bound(capsys):
     assert main(["frontier", "--kmax", "21"]) == 4
     err = capsys.readouterr().err
     assert err.startswith("resource limit:") and "--kmax 21" in err and err.count("\n") == 1
+
+
+def test_cli_siegel_budget(capsys):
+    # the collision scan's side C + 1 = 2 * 10^12 + 1 is refused before an axis is listed
+    assert main(["siegel", "--alpha", "1,2", "--bound", str(10**12)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("resource limit:") and "budget" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(f"{name} --config {CONFIGS / name}_desk.cfg" for name in ("thm1", "thm2", "prop1")),
+        "oracle sunit_pairs --primes 2,3 --bound 100",
+        "oracle prop1_triples --primes 2,3,5 --bound 100",
+        "oracle linear_count --a-set 3,5 --c-set 1,2 --bound 5",
+        "exponents --theorem thm2 --variant unconditional --alpha 0.52",
+        "verify charsums --qmax 10 --trials 2",
+        "verify sieve --trials 2",
+        "verify circle --qmax 8",
+        "smooth --primes 2,3,5 --lo 2 --hi 30",
+        "siegel --alpha 3,5,7 --bound 7",
+    ],
+)
+def test_cli_stdout_matches_out_file(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.setattr(cli, "_timing", lambda t0: {})  # the one block that differs run to run
+    code = main(argv.split())
+    printed = capsys.readouterr().out
+    out = tmp_path / "report.json"
+    assert main([*argv.split(), "--out", str(out)]) == code == 0
+    assert capsys.readouterr().out == ""
+    assert printed == out.read_text()
 
 
 @pytest.mark.parametrize("argv", ["verify charsums --qmax 1001", "verify circle --qmax 100001"])

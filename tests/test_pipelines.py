@@ -229,6 +229,10 @@ def test_pair_collision_stats():
     assert pair_collision_stats([2, 3, 5, 6]) == (2, 1)
     assert pair_collision_stats([2, 4]) == (1, 2)
     assert pair_collision_stats([9]) == (0, 0)
+    # PAIR_CAP = 2000^2 pairs, the same cap under which thm2 runs the audits
+    assert pair_collision_stats(range(0, 4000, 2)) == (1999, 2)
+    with pytest.raises(ResourceLimit):
+        pair_collision_stats(range(2001))
 
 
 def test_config_validation():
@@ -248,7 +252,6 @@ def test_config_validation():
         w_max=4,
         z=100.0,
         q=63.1,
-        r=10**6 / 63.1,
     )
     with pytest.raises(ConfigError):
         bad.validate()

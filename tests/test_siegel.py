@@ -7,8 +7,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sunit_harvest import siegel
-from sunit_harvest.errors import DomainError
-from sunit_harvest.siegel import INT64_MAX, NonzeroSearch, siegel_nonzero_coords, siegel_small_solution
+from sunit_harvest.errors import DomainError, ResourceLimit
+from sunit_harvest.siegel import (
+    INT64_MAX,
+    SCAN_BUDGET,
+    NonzeroSearch,
+    siegel_nonzero_coords,
+    siegel_small_solution,
+)
 
 PROFILE = settings(derandomize=True, max_examples=60, deadline=None)
 
@@ -45,6 +51,37 @@ def test_preconditions():
         siegel_small_solution((0, 0), 3)
     with pytest.raises(DomainError):
         siegel_small_solution((1,), 3)
+
+
+def test_scan_side_budget():
+    # n = 3: the side C + 1 = floor(sqrt(3B)) + 1 reaches the budget, and the
+    # scan stops in its first row; one more B is refused before any scan
+    B = (SCAN_BUDGET**2 - 1) // 3
+    assert siegel_small_solution((1, 1, 1), B).z == (0, 1, -1)
+    with pytest.raises(ResourceLimit):
+        siegel_small_solution((1, 1, 1), B + 1)
+    # n = 2: the side 2B + 1 would be listed per axis before the scan's first point
+    assert siegel_small_solution((1, 0), (SCAN_BUDGET - 1) // 2).z == (0, 1)
+    for B in (SCAN_BUDGET // 2, 10**12, 10**400):
+        with pytest.raises(ResourceLimit):
+            siegel_small_solution((1, 2), B)
+
+
+@pytest.mark.parametrize(
+    "alpha, B, walked",
+    [
+        ((1, 2), 3, 15),  # y = (0, 0..6) and (1, 0..6) differ in value, then (2, 0) meets (0, 1)
+        ((1, 5, 7), 7, 10),  # C = 4: the rows m1 = 0 and m1 = 1 of (m1, m2) cells
+    ],
+)
+def test_scan_walk_budget(monkeypatch, alpha, B, walked):
+    # the scan counts its points as it walks: a budget of exactly its walk runs, one less stops it
+    monkeypatch.setattr(siegel, "SCAN_BUDGET", walked)
+    sol = siegel_small_solution(alpha, B)
+    assert sum(a * z for a, z in zip(alpha, sol.z)) == 0
+    monkeypatch.setattr(siegel, "SCAN_BUDGET", walked - 1)
+    with pytest.raises(ResourceLimit):
+        siegel_small_solution(alpha, B)
 
 
 def test_random_instances_respect_contract():
