@@ -22,16 +22,8 @@ from sunit_harvest import (
     polya_vinogradov_check,
     primitive_decomposition_check,
 )
-from sunit_harvest.arith import FactoredInt, PrimeSet, trial_factor
-from sunit_harvest.smooth import SmoothSet
 
 rng = random.Random(20240601)
-
-
-def smoothset(values):
-    members = tuple(FactoredInt(v, trial_factor(v)) for v in sorted(values))
-    primes = sorted({p for m in members for p, _ in m.factors})
-    return SmoothSet(PrimeSet(tuple(primes)), min(values), max(values), members)
 
 
 print("== character table mod 15 ==")
@@ -69,8 +61,8 @@ print(f"  modulus 15 induced from the quadratic mod 5, W = 10:"
       f" lhs = {lhs:.6f}, rhs = {rhs:.6f}, equal = {equal}")
 
 print("\n== congruence count = main term + character remainder ==")
-A = smoothset([101, 103, 107])
-C = smoothset(rng.sample(range(2, 900), 60))
+A = [101, 103, 107]
+C = rng.sample(range(2, 900), 60)
 W = 300
 main, remainder, exact = multiplicative_decomposition(A, C, W)
 print(f"  main {main:.4f} + remainder {remainder:.4f} = {main + remainder:.4f}"

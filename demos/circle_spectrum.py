@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""The additive-character view: spectra of congruence counts and Kloosterman sums.
+"""The additive-character view: the exact spectrum of a congruence count.
 
 The count of (a, w <= mu*a, c) with c*w == 1 (mod a) decomposes exactly over
 frequencies h in the symmetric window (-a/2, a/2]: the h = 0 term is the main
@@ -12,25 +12,11 @@ Run: python demos/circle_spectrum.py
 
 import random
 
-from sunit_harvest import (
-    additive_decomposition,
-    kloosterman_sum,
-    s_mu_weight,
-    trilinear_kloosterman_bound,
-    trilinear_ratio_probe,
-)
-from sunit_harvest.arith import multiplicative_functions
+from sunit_harvest import additive_decomposition, s_mu_weight
 
 rng = random.Random(7)
 
-print("== Kloosterman sums ==")
-for m, n, c in ((0, 0, 12), (1, 1, 5), (1, 0, 30), (2, 3, 97)):
-    val = kloosterman_sum(m, n, c)
-    print(f"  S({m},{n};{c}) = {val.real:12.6f}  (imag {val.imag:.1e})")
-print(f"  sanity: S(0,0;12) = phi(12) = {multiplicative_functions(12)[0]},"
-      f" S(1,0;30) = mu(30) = {multiplicative_functions(30)[1]}")
-
-print("\n== frequency weights ==")
+print("== frequency weights ==")
 for h in (1, 2, 5, 100):
     w = s_mu_weight(h, 0.5)
     print(f"  s_mu({h}) = {w:.6f}, |s_mu| = {abs(w):.6f} <= min(mu, 1/(pi h))")
@@ -47,15 +33,8 @@ print(f"  main term      = {dec.main:.6f}")
 print(f"  full recombine = {dec.recombined:.6f}")
 print(f"  truncation at |h| <= {dec.cutoff:.1f} (lambda = {dec.lambda_cut:.4f}):"
       f" kept {dec.truncated_sum:.4f}, tail {dec.tail_sum:.4f}")
-print(f"  reference error shapes: {dec.error_reference}")
 
 print("\n  largest spectrum lines:")
 top = sorted(dec.spectrum.items(), key=lambda kv: -abs(kv[1]))[:8]
 for h, term in top:
     print(f"    h = {h:5}: contribution {term.real:10.6f}")
-
-print("\n== trilinear fraction-sum probe vs the K(C,D,N,R) shape (exploratory) ==")
-probe = trilinear_ratio_probe(8, 8, 8, 8, lambda n, r: complex(rng.uniform(-1, 1)))
-print(f"  |sum| = {probe['sum_abs']:.3f}, K*sqrt(sum|b|^2) = {probe['bound']:.3f},"
-      f" ratio = {probe['ratio']:.4f}")
-print(f"  K(1,1,1,1) = {trilinear_kloosterman_bound(1, 1, 1, 1):.6f}")

@@ -1,6 +1,6 @@
-"""Solution harvesting for shifted S-unit equations, with the character-sum and
-Kloosterman-sum machinery that certifies each step, cross-checked by naive
-brute-force oracles.
+"""Solution harvesting for shifted S-unit equations, with the multiplicative- and
+additive-character decompositions of the congruence counts behind each step,
+cross-checked by naive brute-force oracles.
 """
 
 from .arith import (
@@ -22,16 +22,7 @@ from .characters import (
     polya_vinogradov_check,
     primitive_decomposition_check,
 )
-from .circle import (
-    AdditiveDecomposition,
-    WeightedFractionSum,
-    additive_decomposition,
-    fraction_sum,
-    kloosterman_sum,
-    s_mu_weight,
-    trilinear_kloosterman_bound,
-    trilinear_ratio_probe,
-)
+from .circle import AdditiveDecomposition, additive_decomposition, s_mu_weight
 from .errors import (
     ConfigError,
     ConstraintViolation,

@@ -20,13 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import isqrt, prod
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .arith import trial_factor, multiplicative_functions
 from .errors import DomainError, ResourceLimit
-from .smooth import SmoothSet
 from .stepping import _int64, _interval_counts, count_hits
 
 _TWO_PI = 2.0 * np.pi
@@ -259,22 +258,18 @@ def primitive_decomposition_check(a: int, y: int, index: int, W: int) -> tuple[c
     return lhs, rhs, abs(lhs - rhs) <= 1e-9
 
 
-def multiplicative_decomposition(A: SmoothSet, C: SmoothSet, W: int) -> tuple[float, float, int]:
+def multiplicative_decomposition(A: Iterable[int], C: Iterable[int], W: int) -> tuple[float, float, int]:
     """Split the count of {(a, c, w <= W) : c w == 1 (mod a)} into main + remainder.
 
     main is the principal-character term sum_a #{c coprime} #{w coprime} / phi(a);
     remainder collects every non-principal character product.  The exact count
     comes independently from the residue-stepping enumerator, and
-    main + remainder == exact_count up to floating error.
+    main + remainder == exact_count up to floating error.  Every modulus must
+    be squarefree and >= 2: its character table refuses it before any counting.
     """
-    a_values = A.values()
-    c_values = C.values()
-    for m in A.members:
-        if not m.squarefree or m.value < 2:
-            raise DomainError(f"modulus {m.value} must be squarefree and >= 2")
+    a_values = sorted(A)
     # checked first: for a nonempty A, C past int64 is refused
-    c = _int64(c_values if a_values else (), [1], W)
-    exact = count_hits(a_values, c, W, shift=1)
+    c = _int64(list(C) if a_values else (), [1], W)
     main = 0.0
     remainder = 0.0 + 0.0j
     for a in a_values:
@@ -286,4 +281,4 @@ def multiplicative_decomposition(A: SmoothSet, C: SmoothSet, W: int) -> tuple[fl
         prod = Fc * Fw / table.phi
         main += prod[0].real
         remainder += np.sum(prod[1:])
-    return main, float(remainder.real), exact
+    return main, float(remainder.real), count_hits(a_values, c, W, shift=1)

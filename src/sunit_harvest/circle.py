@@ -1,5 +1,5 @@
-"""The additive-character side: Kloosterman sums and fractions, interval weights,
-and the exact spectrum decomposition of the congruence count
+"""The additive-character side: the archimedean interval weight and the exact
+spectrum decomposition of the congruence count
 
     #{(a, w <= mu*a, c) : c w == 1 (mod a)}.
 
@@ -12,14 +12,13 @@ lambda = 1/log Z.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from math import gcd, log, pi, sqrt
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from math import log, pi
+from typing import Iterable
 
 import numpy as np
 
 from .errors import DomainError
-from .smooth import SmoothSet
 from .stepping import _gcd_inverse, _int64, _interval_counts, count_hits
 
 _TWO_PI = 2.0 * np.pi
@@ -28,25 +27,6 @@ _TWO_PI = 2.0 * np.pi
 def _floor_mu_a(mu: float, a: int) -> int:
     # [mu a] with a hair of slack so that e.g. (2/7)*7 floors to 2, not 1
     return int(mu * a + 1e-9)
-
-
-def kloosterman_sum(m: int, n: int, c: int) -> complex:
-    """S(m, n; c) = sum over x coprime to c of e((m x + n x^-1)/c).
-
-    The value is real by conjugate pairing; the imaginary part is kept so
-    callers can audit the numerics.
-    """
-    if c < 1:
-        raise DomainError("need c >= 1")
-    if c == 1:
-        return 1.0 + 0.0j
-    total = 0.0 + 0.0j
-    for x in range(1, c):
-        if gcd(x, c) != 1:
-            continue
-        xinv = pow(x, -1, c)
-        total += np.exp(1j * _TWO_PI * ((m * x + n * xinv) % c) / c)
-    return complex(total)
 
 
 def s_mu_weight(h: int | np.ndarray, mu: float) -> complex | np.ndarray:
@@ -62,31 +42,6 @@ def s_mu_weight(h: int | np.ndarray, mu: float) -> complex | np.ndarray:
         raise DomainError("need 0 < mu <= 1")
     w = (np.exp(-1j * _TWO_PI * h * mu) - 1.0) / (-2j * pi * h)
     return complex(w) if w.ndim == 0 else w
-
-
-@dataclass(frozen=True)
-class WeightedFractionSum:
-    a: int
-    h: int
-    value: complex
-    used: int  # elements with gcd(c, a) = 1
-    skipped: int  # elements dropped by the coprimality audit
-
-
-def fraction_sum(C: SmoothSet | Sequence[int], h: int, a: int) -> WeightedFractionSum:
-    """sum over c in C, gcd(c, a) = 1 of e(h * c^-1 / a)."""
-    if a < 2:
-        raise DomainError("need a >= 2")
-    values = C.values() if isinstance(C, SmoothSet) else tuple(C)
-    total = 0.0 + 0.0j
-    used = skipped = 0
-    for c in values:
-        if gcd(c, a) != 1:
-            skipped += 1
-            continue
-        used += 1
-        total += np.exp(1j * _TWO_PI * (h * pow(c, -1, a) % a) / a)
-    return WeightedFractionSum(a, h, complex(total), used, skipped)
 
 
 @dataclass
@@ -105,16 +60,13 @@ class AdditiveDecomposition:
     cutoff: float
     truncated_sum: float  # main + spectrum restricted to |h| <= cutoff
     tail_sum: float
-    error_reference: dict = field(default_factory=dict)
 
     @property
     def recombined(self) -> float:
         return self.main + sum(v.real for v in self.spectrum.values())
 
 
-def additive_decomposition(
-    A: SmoothSet | Sequence[int], C: SmoothSet | Sequence[int], mu: float
-) -> AdditiveDecomposition:
+def additive_decomposition(A: Iterable[int], C: Iterable[int], mu: float) -> AdditiveDecomposition:
     """Exact additive-character decomposition of the residue count.
 
     exact_count comes from residue stepping; the full spectrum over the
@@ -125,10 +77,11 @@ def additive_decomposition(
     and moduli: the [3Z/4, Z] window and mu >= 1/sqrt(Z) only matter for the
     asymptotic error terms.
     """
-    a_values = A.values() if isinstance(A, SmoothSet) else tuple(sorted(A))
-    c_values = C.values() if isinstance(C, SmoothSet) else tuple(sorted(C))
+    a_values, c_values = sorted(A), sorted(C)
     if not a_values:
         raise DomainError("empty modulus set")
+    if a_values[0] < 1:
+        raise DomainError(f"modulus {a_values[0]} must be >= 1")
     if not 0.0 < mu <= 1.0:
         raise DomainError("need 0 < mu <= 1")
     Z = max(a_values)
@@ -167,13 +120,6 @@ def additive_decomposition(
     inside = np.abs(h) <= cutoff
     truncated = main + float(spectrum_sum.real[inside].sum())
     tail = float(spectrum_sum.real[~inside].sum())
-    nA = len(a_values)
-    nC = len(c_values)
-    X = max(c_values) if c_values else 0
-    err_ref = {
-        "main_term_relative": 1.0 / log(Z) if Z > 1 else float("inf"),
-        "tail_bound_shape": nA * sqrt(nC * X * log(Z) / (mu * Z)) if Z > 1 and nC else 0.0,
-    }
     return AdditiveDecomposition(
         mu=mu,
         Z=Z,
@@ -185,50 +131,4 @@ def additive_decomposition(
         cutoff=cutoff,
         truncated_sum=truncated,
         tail_sum=tail,
-        error_reference=err_ref,
     )
-
-
-def trilinear_kloosterman_bound(C: float, D: float, N: float, R: float) -> float:
-    """K with K^2 = C(R+N)(C+DR) + C^2 D sqrt((R+N)R) + D^2 N R."""
-    if min(C, D, N, R) < 0.5:
-        raise DomainError("arguments must be >= 1/2")
-    k2 = C * (R + N) * (C + D * R) + C * C * D * sqrt((R + N) * R) + D * D * N * R
-    return sqrt(k2)
-
-
-def trilinear_ratio_probe(
-    C: int, D: int, N: int, R: int, b: Callable[[int, int], complex]
-) -> dict:
-    """Exploratory: the trilinear Kloosterman-fraction sum against K * sqrt(sum |b|^2).
-
-    Evaluates  sum_{R<r<=2R} sum_{0<n<=N} b(n,r) sum_{c,d, (rd,c)=1} e(n (rd)^-1 / c)
-    with sharp cutoffs c in (C, 2C], d in (D, 2D].  Implicit constants are
-    unknown, so the ratio is reported, never asserted.
-    """
-    total = 0.0 + 0.0j
-    bsq = 0.0
-    for r in range(R + 1, 2 * R + 1):
-        for n in range(1, N + 1):
-            coeff = b(n, r)
-            bsq += abs(coeff) ** 2
-            if not coeff:
-                continue
-            inner = 0.0 + 0.0j
-            for c in range(C + 1, 2 * C + 1):
-                for d in range(D + 1, 2 * D + 1):
-                    if gcd(r * d, c) != 1:
-                        continue
-                    inv = pow(r * d, -1, c) if c > 1 else 0
-                    inner += np.exp(1j * _TWO_PI * (n * inv % c) / c)
-            total += coeff * inner
-    bound = trilinear_kloosterman_bound(C, D, N, R) * sqrt(bsq) if bsq else 0.0
-    return {
-        "sum_abs": abs(total),
-        "bound": bound,
-        "ratio": abs(total) / bound if bound else 0.0,
-        "C": C,
-        "D": D,
-        "N": N,
-        "R": R,
-    }

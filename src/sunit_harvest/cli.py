@@ -25,7 +25,7 @@ from .characters import (
     large_sieve_check,
     polya_vinogradov_check,
 )
-from .circle import additive_decomposition, trilinear_ratio_probe
+from .circle import additive_decomposition
 from .errors import (
     ConfigError,
     ConstraintViolation,
@@ -330,9 +330,6 @@ def _run_circle(args) -> int:
     c_vals = sorted(rng.sample(range(2, 4 * Z), k=30))
     mu = 0.5
     dec = additive_decomposition(a_vals, c_vals, mu)
-    probe = trilinear_ratio_probe(
-        6, 6, 6, 6, lambda n, r: complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-    )
     payload = {
         "verify": "circle",
         "exact_count": dec.exact_count,
@@ -343,7 +340,6 @@ def _run_circle(args) -> int:
         "cutoff": dec.cutoff,
         "truncated_sum": dec.truncated_sum,
         "tail_sum": dec.tail_sum,
-        "trilinear_probe": probe,
         "timing": _timing(t0),
         "seed": args.seed,
     }

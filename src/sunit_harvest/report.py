@@ -2,7 +2,7 @@
 
 Reports are deterministic for fixed inputs (the config, or the flags and the
 seed of a `verify` run): keys are sorted, the only nondeterministic field is
-the timing block, which comparison helpers strip.
+the timing block.
 """
 
 from __future__ import annotations
@@ -51,10 +51,6 @@ def write_json_report(payload: dict, path: str | Path) -> None:
     Path(path).write_text(json_text(payload))
 
 
-def strip_timing(report: dict) -> dict:
-    return {k: v for k, v in report.items() if k not in ("timing", "timestamp")}
-
-
 SOLUTION_HEADERS = {
     "thm1": ["A", "C", "a", "c", "u", "w"],
     "thm2": ["A", "B", "C", "a", "b", "c", "u", "w"],
@@ -69,16 +65,3 @@ def write_csv(path: str | Path, header, rows) -> None:
         writer.writerow(header)
         writer.writerows(rows)
 
-
-def read_solutions_csv(path: str | Path) -> tuple[str, list[tuple[int, ...]]]:
-    """(equation, rows) back from a solutions CSV; rows are integer tuples."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        equation = next(
-            (eq for eq, h in SOLUTION_HEADERS.items() if h == header), None
-        )
-        if equation is None:
-            raise DomainError(f"unrecognized CSV header {header}")
-        rows = [tuple(int(v) for v in row) for row in reader]
-    return equation, rows

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb, exp, floor, log, sqrt
+from typing import Iterator
 
 from .arith import FactoredInt, PrimeSet, primes_in_range
 from .errors import DomainError, EnumerationCap, InsufficientPrimes
@@ -25,6 +26,9 @@ class SmoothSet:
 
     def values(self) -> tuple[int, ...]:
         return tuple(m.value for m in self.members)
+
+    def __iter__(self) -> Iterator[int]:
+        return (m.value for m in self.members)
 
     def __len__(self) -> int:
         return len(self.members)

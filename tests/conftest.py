@@ -1,21 +1,11 @@
 import cmath
 import sys
+from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, prod
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-
-from sunit_harvest.arith import FactoredInt, PrimeSet, trial_factor
-from sunit_harvest.smooth import SmoothSet
-
-
-def smoothset(values) -> SmoothSet:
-    """Wrap explicit integers into a SmoothSet for decomposition entry points."""
-    values = sorted(values)
-    members = tuple(FactoredInt(v, trial_factor(v)) for v in values)
-    primes = sorted({p for m in members for p, _ in m.factors})
-    return SmoothSet(PrimeSet(tuple(primes)), values[0], values[-1], members)
 
 
 def brute_trial_division(n: int) -> list[tuple[int, int]]:
@@ -65,3 +55,26 @@ def oracle_gauss_sum(a: int, index: int) -> tuple[complex, int]:
     """(tau, conductor) of character `index` mod a, tau = sum_x chi(x) e(x / a) term by term."""
     chi, cond = oracle_character(a, index)
     return sum(chi(x) * cmath.exp(2j * cmath.pi * x / a) for x in range(a)), cond
+
+
+@dataclass(frozen=True)
+class WeightedFractionSum:
+    a: int
+    h: int
+    value: complex
+    used: int  # elements with gcd(c, a) = 1
+    skipped: int  # elements dropped by the coprimality audit
+
+
+def fraction_sum(C, h: int, a: int) -> WeightedFractionSum:
+    """sum over c in C, gcd(c, a) = 1 of e(h * c^-1 / a), term by term: the scalar
+    oracle of the additive spectrum."""
+    total = 0j
+    used = skipped = 0
+    for c in C:
+        if gcd(c, a) != 1:
+            skipped += 1
+            continue
+        used += 1
+        total += cmath.exp(2j * cmath.pi * (h * pow(c, -1, a) % a) / a)
+    return WeightedFractionSum(a, h, total, used, skipped)

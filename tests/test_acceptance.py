@@ -11,7 +11,7 @@ from math import ceil, gcd
 
 import numpy as np
 
-from conftest import oracle_character, oracle_gauss_sum, smoothset
+from conftest import oracle_character, oracle_gauss_sum
 from sunit_harvest.arith import PrimeSet, trial_factor
 from sunit_harvest.characters import (
     all_characters,
@@ -208,7 +208,7 @@ def test_criterion_6_decomposition_exactness():
         a_vals = sorted(rng.sample(sf1000, k=rng.randint(1, 3)))
         c_vals = sorted(rng.sample(range(2, 1001), k=rng.randint(10, 150)))
         W = rng.randint(1, 1000)
-        main, rem, exact = multiplicative_decomposition(smoothset(a_vals), smoothset(c_vals), W)
+        main, rem, exact = multiplicative_decomposition(a_vals, c_vals, W)
         brute = brute_linear_count(a_vals, c_vals, W, 1).count
         assert exact == brute
         assert abs(main + rem - exact) <= 1e-6 * max(1, exact)
@@ -318,8 +318,8 @@ def test_criterion_9_determinism():
     rng = random.Random(SEED)
     a_vals = sorted(rng.sample([q for q in range(2, 500) if _squarefree(q)], 3))
     c_vals = sorted(rng.sample(range(2, 800), 60))
-    one = multiplicative_decomposition(smoothset(a_vals), smoothset(c_vals), 400)
-    two = multiplicative_decomposition(smoothset(a_vals), smoothset(c_vals), 400)
+    one = multiplicative_decomposition(a_vals, c_vals, 400)
+    two = multiplicative_decomposition(a_vals, c_vals, 400)
     assert one == two
     d1 = additive_decomposition(a_vals, c_vals, 0.25)
     d2 = additive_decomposition(a_vals, c_vals, 0.25)

@@ -1,42 +1,12 @@
 import cmath
 import random
-from math import cos, gcd, pi, sqrt
+from math import gcd, pi, sqrt
 
 import pytest
 
-from sunit_harvest.arith import multiplicative_functions, primes_in_range
-from sunit_harvest.circle import (
-    additive_decomposition,
-    fraction_sum,
-    kloosterman_sum,
-    s_mu_weight,
-    trilinear_kloosterman_bound,
-    trilinear_ratio_probe,
-)
+from conftest import fraction_sum
+from sunit_harvest.circle import additive_decomposition, s_mu_weight
 from sunit_harvest.errors import DomainError
-
-
-def test_kloosterman_examples():
-    for c in (1, 2, 6, 12, 30):
-        phi = multiplicative_functions(c)[0]
-        val = kloosterman_sum(0, 0, c)
-        assert val.real == pytest.approx(phi, abs=1e-9)
-    assert kloosterman_sum(1, 1, 5).real == pytest.approx(2 + 2 * cos(4 * pi / 5), abs=1e-9)
-    for c in (2, 3, 10, 30, 49):
-        mu = multiplicative_functions(c)[1]
-        val = kloosterman_sum(1, 0, c)  # Ramanujan sum at 1
-        assert val.real == pytest.approx(mu, abs=1e-9)
-        assert abs(val.imag) <= 1e-9
-
-
-def test_kloosterman_weil_bound():
-    for p in primes_in_range(2, 200).primes:
-        for m, n in ((1, 1), (1, 2), (3, 5)):
-            if m % p == 0 or n % p == 0:
-                continue
-            val = kloosterman_sum(m, n, p)
-            assert abs(val) <= 2 * sqrt(p) + 1e-9, (m, n, p)
-            assert abs(val.imag) <= 1e-9
 
 
 def test_s_mu_examples():
@@ -114,6 +84,15 @@ def test_additive_decomposition_empty_window():
     assert dec.recombined == pytest.approx(0.0, abs=1e-9)
 
 
+@pytest.mark.filterwarnings("error")  # a numpy warning would mean the kernel saw the modulus
+def test_additive_decomposition_refuses_moduli_below_1():
+    for a in (0, -5):
+        with pytest.raises(DomainError):
+            additive_decomposition([7, a], [3, 4], 0.5)
+    dec = additive_decomposition([1, 7], [3, 4], 0.5)  # every c*w == 1 (mod 1)
+    assert dec.recombined == pytest.approx(dec.exact_count, abs=1e-9)
+
+
 def test_additive_decomposition_vs_brute():
     rng = random.Random(31)
     for _ in range(10):
@@ -167,24 +146,3 @@ def test_additive_rows_and_spectrum_vs_scalar_oracles():
         for h, v in spectrum.items():
             assert type(dec.spectrum[h]) is complex
             assert abs(dec.spectrum[h] - v) <= 1e-9, (mu, h)
-
-
-def test_trilinear_bound_examples():
-    assert trilinear_kloosterman_bound(1, 1, 1, 1) == pytest.approx(
-        sqrt(4 + sqrt(2) + 1), rel=1e-12
-    )
-    with pytest.raises(DomainError):
-        trilinear_kloosterman_bound(0.1, 1, 1, 1)
-
-
-def test_trilinear_bound_monotone():
-    base = trilinear_kloosterman_bound(2, 3, 4, 5)
-    for bump in ((3, 3, 4, 5), (2, 4, 4, 5), (2, 3, 6, 5), (2, 3, 4, 7)):
-        assert trilinear_kloosterman_bound(*bump) >= base
-
-
-def test_trilinear_probe_runs():
-    rng = random.Random(4)
-    probe = trilinear_ratio_probe(4, 4, 4, 4, lambda n, r: complex(rng.uniform(-1, 1)))
-    assert probe["bound"] > 0
-    assert probe["sum_abs"] >= 0

@@ -11,7 +11,6 @@ from pathlib import Path
 import pytest
 
 from sunit_harvest.cli import main
-from sunit_harvest.report import strip_timing
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -21,7 +20,9 @@ NAMES = ("thm1", "thm2", "prop1")
 def desk_report(name: str, out: Path) -> dict:
     config = ROOT / "demos" / "configs" / f"{name}_desk.cfg"
     assert main([name, "--config", str(config), "--out", str(out)]) == 0
-    return strip_timing(json.loads(out.read_text()))
+    report = json.loads(out.read_text())
+    del report["timing"]
+    return report
 
 
 @pytest.mark.parametrize("name", NAMES)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_trial_division, smoothset
+from conftest import brute_trial_division
 from sunit_harvest.arith import PrimeSet
 from sunit_harvest.characters import multiplicative_decomposition
 from sunit_harvest.circle import additive_decomposition
@@ -27,6 +27,7 @@ from sunit_harvest.pipelines import (
     thm2_harvest,
     verify_sunit_solution,
 )
+from sunit_harvest.smooth import enumerate_squarefree_smooth
 from sunit_harvest import pipelines, stepping
 from sunit_harvest.stepping import _gcd_inverse, count_hits, progressions
 
@@ -316,13 +317,26 @@ def test_int64_limit():
         progressions(2**32, [3], [1], 1)  # a^2 passes int64
     # both decompositions count with the kernel before C reaches an int64 array
     with pytest.raises(ResourceLimit):
-        multiplicative_decomposition(smoothset([3]), smoothset([2**63 + 1]), 2)
+        multiplicative_decomposition([3], [2**63 + 1], 2)
     with pytest.raises(ResourceLimit):
         additive_decomposition([3], [2**63 + 1], 0.5)
     # one step below the limit the exact harvest still runs: 2 * 2**61 + 1 = 2**62 + 1
     rep = thm1_harvest([2], [2**62 + 1], 1, S)
     assert rep.popular_key == (2**61, 1)
     assert rep.solutions == ((2**62, 2**62 + 1),)
+
+
+def test_decompositions_take_any_iterable_of_ints():
+    # a sorted list, an unsorted tuple and a SmoothSet of the same values give
+    # identical results: both decompositions sort the moduli they sum over
+    T = PrimeSet((2, 3, 5, 7, 11, 13))
+    A, C = enumerate_squarefree_smooth(T, 60, 200), enumerate_squarefree_smooth(T, 2, 400)
+    inputs = [(A, C), (list(A), list(C)), (tuple(reversed(A.values())), tuple(reversed(C.values())))]
+    mult = [multiplicative_decomposition(a, c, 150) for a, c in inputs]
+    add = [additive_decomposition(a, c, 0.5) for a, c in inputs]
+    assert mult[0][2] > 0 and add[0].exact_count > 0
+    assert mult[0] == mult[1] == mult[2]
+    assert add[0] == add[1] == add[2]
 
 
 def test_empty_coefficient_sets():
