@@ -53,6 +53,7 @@ from .oracle import (
 from .pipelines import (
     HarvestConfig,
     HarvestReport,
+    KeyPacking,
     config_from_exponents,
     pair_collision_stats,
     popular_bucket,

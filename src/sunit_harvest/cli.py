@@ -174,6 +174,9 @@ def _run_pipeline(args) -> int:
     _emit(payload, args.out)
     if args.solutions:
         write_csv(args.solutions, SOLUTION_HEADERS[report.equation], report.solution_rows)
+    if report.bucket_stats["degenerate"]:
+        warning = "every bucket holds one hit, so the popular key is only the least"
+        print(f"warning: degenerate harvest: {warning}", file=sys.stderr)
     return EXIT_OK
 
 

@@ -10,15 +10,16 @@ bucket becomes an actual solution of the target equation:
     thm2   a*u + b + 1 = c*w      ->  A + B + 1 = C    (A, B, C) = (a*u, b, c*w)
     prop1  a1*z1 + a2*z2 + a3*z3 = 0  ->  a + b = c    after gcd reduction
 
-All three run on one core: each walk lists one coefficient's hits as int64
-keys, `popular_bucket` counts them and fixes the popular key, and each equation
-lists that key's bucket from the key alone, as (candidate solution,
-coefficients) pairs in exact integers.  `_harvest` checks that listing against
-the count; `_keep_verified` dedupes, verifies and emits rows solution +
-coefficients + key.  thm1 and thm2 share one linear harvest of a*u + s = c*w,
-at the shift s = 1 and at the shifts s = b + 1, walked with the kernel of
-`stepping`; prop1 walks with the batched kernel-vector search
-`siegel.NonzeroSearch`.
+All three run on one core: each walk emits one packed int64 key per hit of
+one coefficient (a `KeyPacking` of the small free variables, in ranges known
+from the sets), `popular_bucket` counts the 1-D key array and unpacks the
+popular key, and each equation lists that key's bucket from the key alone, as
+(candidate solution, coefficients) pairs in exact integers.  `_harvest`
+checks that listing against the count; `_keep_verified` dedupes, verifies and
+emits rows solution + coefficients + key.  thm1 and thm2 share one linear
+harvest of a*u + s = c*w, at the shift s = 1 and at the shifts s = b + 1,
+walked with the kernel of `stepping`; prop1 walks with the batched
+kernel-vector search `siegel.NonzeroSearch`.
 """
 
 from __future__ import annotations
@@ -223,24 +224,46 @@ def _window_sets(config: HarvestConfig, equation: str, windows: Iterable) -> lis
     ]
 
 
-def popular_bucket(keys: np.ndarray) -> tuple[tuple, dict]:
-    """The key of maximal count over the hit keys, as Python ints, and the
-    bucket statistics; ties go to the lexicographically smallest key.
+class KeyPacking:
+    """Integer keys with lows[i] <= key[i] < lows[i] + sizes[i], packed into one
+    int64 each in mixed radix, so packed order is lexicographic key order.
 
-    The keys are packed into one int64 in lexicographic mixed-radix order and
-    counted, and the popular key is unpacked from its packed value.
+    Raises ResourceLimit, before any key array is built, when the
+    prod(sizes) packed values pass int64.
+    """
+
+    def __init__(self, lows: Sequence[int], sizes: Sequence[int], what: str):
+        if prod(sizes) > 2**63:  # the largest packed key is prod(sizes) - 1
+            raise ResourceLimit(f"{what} keys pack into {prod(sizes)} values, beyond int64")
+        self.lows, self.sizes = tuple(lows), tuple(sizes)
+
+    def pack(self, *columns: np.ndarray) -> np.ndarray:
+        packed = columns[0] - self.lows[0]
+        for column, low, size in zip(columns[1:], self.lows[1:], self.sizes[1:]):
+            packed *= size  # in place: one array for the whole pack
+            packed += column
+            packed -= low
+        return packed
+
+    def unpack(self, packed: int) -> tuple[int, ...]:
+        digits = []
+        for low, size in zip(self.lows[::-1], self.sizes[::-1]):
+            packed, digit = divmod(packed, size)
+            digits.append(low + digit)
+        return tuple(digits[::-1])
+
+
+def popular_bucket(keys: np.ndarray, unpack: Callable[[int], tuple]) -> tuple[tuple, dict]:
+    """The key of maximal count over the packed hit keys, unpacked as Python
+    ints, and the bucket statistics; ties go to the smallest packed key.
+
+    keys is a 1-D int64 array, one packed key per hit, and unpack maps a packed
+    key (a Python int) to its key.  A KeyPacking keeps key order, so the
+    tie-break is the lexicographically smallest key.
     """
     if not len(keys):
         raise EmptyHarvest("no nonempty bucket")
-    # one reduction per column: keys.min(axis=0) across the rows is about 20x slower
-    cols = keys.T
-    lo = np.array([col.min() for col in cols])
-    dims = tuple(np.array([col.max() for col in cols]) - lo + 1)
-    try:
-        packed = np.ravel_multi_index(tuple(col - v for col, v in zip(cols, lo)), dims)
-    except ValueError as err:
-        raise ResourceLimit(f"bucket keys do not pack into int64: {err}") from None
-    values, counts = np.unique(packed, return_counts=True)
+    values, counts = np.unique(keys, return_counts=True)
     best = np.argmax(counts)
     stats = {
         "total_hits": len(keys),
@@ -248,7 +271,7 @@ def popular_bucket(keys: np.ndarray) -> tuple[tuple, dict]:
         "max_load": int(counts[best]),
         "pigeonhole_floor": ceil(len(keys) / len(counts)),
     }
-    return tuple((lo + np.unravel_index(values[best], dims)).tolist()), stats
+    return unpack(int(values[best])), stats
 
 
 def verify_sunit_solution(tup: Sequence[int], equation: str, S: PrimeSet) -> bool:
@@ -283,23 +306,31 @@ def verify_sunit_solution(tup: Sequence[int], equation: str, S: PrimeSet) -> boo
     raise DomainError(f"unknown equation {equation!r}")
 
 
-def _harvest(items: Sequence, walk: Callable, listing: Callable) -> tuple[np.ndarray, dict, tuple, list, list]:
+def _harvest(
+    items: Sequence, walk: Callable, listing: Callable, packing: KeyPacking, possible_buckets: int
+) -> tuple[tuple, dict, tuple, list, list]:
     """Walk every item, fix the popular key of all hits and list its bucket.
 
-    walk(item) returns (keys, audit), one int64 key row per hit; listing(key)
-    returns that key's bucket, one entry per hit.  Returns the keys, the
-    bucket statistics, the key, the listed bucket and the audits; raises
-    RuntimeError when the listing and the count disagree.
+    walk(item) returns (keys, audit), one int64 key per hit packed by packing;
+    listing(key) returns that key's bucket, one entry per hit.
+    possible_buckets counts the keys the equation admits.
+    Returns the least and greatest hit keys, the bucket statistics, the key,
+    the listed bucket and the audits; raises RuntimeError when the listing
+    and the count disagree.
     """
     if not items:
         raise EmptyHarvest("no coefficients to walk")
     keys, audits = zip(*map(walk, items))
     keys = np.concatenate(keys)
-    key, stats = popular_bucket(keys)
+    key, stats = popular_bucket(keys, packing.unpack)
+    stats["possible_buckets"] = possible_buckets
+    stats["expected_load"] = stats["total_hits"] / possible_buckets
+    stats["degenerate"] = stats["max_load"] == 1
     bucket = listing(key)
     if len(bucket) != stats["max_load"]:
         raise RuntimeError(f"popular key {key}: counted {stats['max_load']} hits, listed {len(bucket)}")
-    return keys, stats, key, bucket, audits
+    span = packing.unpack(int(keys.min())), packing.unpack(int(keys.max()))
+    return span, stats, key, bucket, audits
 
 
 def _keep_verified(
@@ -334,16 +365,26 @@ def _linear_harvest(
     """The harvest of a*u + s = c*w, u != 0, over a in A, s in shifts, c in C
     coprime to a and 1 <= w <= W, keyed by (u, w).
 
-    The shifts are b + 1 over B, so thm1 is B = {0}.  Returns `_harvest`'s
+    The shifts are b + 1 over B, so thm1 is B = {0}.  With every a, c >= 1
+    and b >= 0, u lies in [u_lo, u_hi] = [-(max s // min a) - 1,
+    max c * W // min a], and the walk packs each key into the one int64
+    (u - u_lo) * W + (w - 1), lexicographic in (u, w).  Returns `_harvest`'s
     tuple: the bucket lists (a, s, c) triples, and the audit of each modulus
     a is (c skipped as gcd(c, a) > 1, u = 0 hits, shifts coprime to a).
-    Raises DomainError when A, B or C repeats a value.
+    Raises DomainError when A, B or C repeats a value or holds one below its
+    least, and ResourceLimit when the packing passes int64.
     """
-    for name, values in (("A", a_values), ("B", [s - 1 for s in shifts]), ("C", c_values)):
+    for name, values, least in (("A", a_values, 1), ("B", [s - 1 for s in shifts], 0), ("C", c_values, 1)):
         ordered = sorted(values)
+        if ordered and ordered[0] < least:
+            raise DomainError(f"{name} holds {ordered[0]}, below {least}")
         for v, v_next in zip(ordered, ordered[1:]):
             if v == v_next:
                 raise DomainError(f"{name} repeats {v}")
+    # an empty set has no hits, which `_harvest` reports; its defaults only keep the bounds finite
+    a_min = min(a_values, default=1)
+    u_lo, u_hi = -(max(shifts, default=0) // a_min) - 1, max(c_values, default=0) * W // a_min
+    packing = KeyPacking((u_lo, 1), (u_hi - u_lo + 1, W), "(u, w)")
     shift_array = np.array(shifts, dtype=np.int64)
     c_set = set(c_values)
 
@@ -352,7 +393,7 @@ def _linear_harvest(
         i, j, w = progressions(a, coprime, shifts, W)
         u = (np.array(coprime, dtype=np.int64)[i] * w - shift_array[j]) // a
         keep = u != 0
-        keys = np.column_stack((u[keep], w[keep]))
+        keys = packing.pack(u[keep], w[keep])
         coprime_shifts = sum(gcd(s, a) == 1 for s in shifts)
         return keys, (len(c_values) - len(coprime), len(u) - len(keys), coprime_shifts)
 
@@ -365,7 +406,7 @@ def _linear_harvest(
                 bucket.append((a, s, c))
         return bucket
 
-    return _harvest(sorted(a_values), walk, listing)
+    return _harvest(sorted(a_values), walk, listing, packing, (u_hi - u_lo) * W)  # u = 0 left out
 
 
 def _with_config(report: HarvestReport, config: HarvestConfig) -> HarvestReport:
@@ -429,7 +470,7 @@ def thm2_harvest(
     A values); the per-modulus count of b with gcd(b+1, a) = 1 is recorded as
     an audit statistic rather than used as a filter.
     """
-    keys, stats, key, bucket, per_modulus = _linear_harvest(a_values, [b + 1 for b in b_values], c_values, W)
+    span, stats, key, bucket, per_modulus = _linear_harvest(a_values, [b + 1 for b in b_values], c_values, W)
     u, w = key
     candidates = [((a * u, s - 1, c * w), (a, s - 1, c)) for a, s, c in bucket]
     nondegenerate = [(t, p) for t, p in candidates if t[0] != -1 and t[1] != -1 and t[2] != 1]
@@ -449,7 +490,7 @@ def thm2_harvest(
             "degenerate_filtered": len(candidates) - len(nondegenerate),
             "verify_failures": verify_failures,
             "coprime_b_min_fraction": min(cb / len(b_values) for cb in coprime_b_counts),
-            "u_range_observed": [int(keys[:, 0].min()), int(keys[:, 0].max())],
+            "u_range_observed": [span[0][0], span[1][0]],
             # large multiplicities here would already be solutions in disguise,
             # so the maxima feed the error-term side of the report
             "pair_collision_b": list(pair_collision_stats(b_values))
@@ -493,11 +534,13 @@ def prop1_run(config: HarvestConfig) -> HarvestReport:
         raise ResourceLimit(f"{n_triples} coefficient triples beyond hit cap {config.hit_cap}")
     cap = sqrt(3.0 * x)
     search = NonzeroSearch([(a2, a3) for a2 in sets[1] for a3 in sets[2]], cap)
+    M = search.M  # z1 in [1, M], z2 and z3 in [-M, M]
+    packing = KeyPacking((1, -M, -M), (M, 2 * M + 1, 2 * M + 1), "kernel vector")
     a3_set = set(sets[2])
 
     def scan(a1: int) -> tuple[np.ndarray, int]:
         z, found = search(a1)
-        return z[found], len(found) - int(found.sum())
+        return packing.pack(*z[found].T), len(found) - int(found.sum())
 
     def listing(z: tuple) -> list:
         # the triples with a.z = 0 whose vector, by the scalar search, is z
@@ -513,7 +556,8 @@ def prop1_run(config: HarvestConfig) -> HarvestReport:
                 bucket.append((tuple(v // g for v in t), (a1, a2, a3)))
         return bucket
 
-    _, stats, key, bucket, skipped = _harvest(sets[0], scan, listing)
+    # z2 and z3 are nonzero
+    _, stats, key, bucket, skipped = _harvest(sets[0], scan, listing, packing, M * (2 * M) ** 2)
     skipped_triples = sum(skipped)
     s_prime = config.t1.union(config.t2).union(config.t3)
     S, rows, duplicates, verify_failures = _keep_verified(bucket, "prop1", s_prime, key)

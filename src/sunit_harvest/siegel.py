@@ -12,7 +12,6 @@ many (a2, a3) pairs per a1, which is what prop1 runs.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import floor, gcd
 from typing import Sequence
@@ -40,7 +39,8 @@ class SmallSolution:
 def siegel_small_solution(alpha: tuple[int, ...], B: int) -> SmallSolution:
     """Nonzero integer z with sum(alpha_i z_i) = 0 and max|z_i| <= (nB)^(1/(n-1)).
 
-    Deterministic: first collision in a lexicographic scan of y in [0, C]^n.
+    Deterministic: first collision in a lexicographic scan of y in [0, C]^n,
+    which keeps one point index per value seen and lists no axis.
     For n = 3 with a3 != 0 the third coordinate is solved for instead: the
     least (|z1|, |z2|, |z3|, signs) solution, which pigeonhole puts in [-C, C]^3.
     Raises ResourceLimit when C + 1 exceeds SCAN_BUDGET, or the scan walks
@@ -61,16 +61,31 @@ def siegel_small_solution(alpha: tuple[int, ...], B: int) -> SmallSolution:
     C = floor(bound)
     if n == 3 and alpha[2] != 0:
         return SmallSolution(_third_coordinate_scan(alpha, C, 0), bound)
-    seen: dict[int, tuple[int, ...]] = {}
-    for y in itertools.islice(itertools.product(range(C + 1), repeat=n), SCAN_BUDGET):
-        v = sum(a * yi for a, yi in zip(alpha, y))
+    # point k of the scan is y = the n base-(C + 1) digits of k, most significant
+    # first; the leading n - 1 digits are decoded once per run of C + 1 points
+    side = C + 1
+    seen: dict[int, int] = {}  # value -> index of the first point with it
+    for k in range(min(side**n, SCAN_BUDGET)):
+        last = k % side
+        if not last:
+            row = sum(a * yi for a, yi in zip(alpha, _digits(k // side, side, n - 1)))
+        v = row + alpha[-1] * last
         if v in seen:
-            prev = seen[v]
+            y, prev = _digits(k, side, n), _digits(seen[v], side, n)
             return SmallSolution(tuple(yi - pi for yi, pi in zip(y, prev)), bound)
-        seen[v] = y
+        seen[v] = k
     if len(seen) == SCAN_BUDGET:  # no collision, so each point walked left its own value
         raise ResourceLimit(f"collision scan beyond budget {SCAN_BUDGET} points")
     raise DomainError("pigeonhole scan found no collision; B out of contract")
+
+
+def _digits(k: int, base: int, n: int) -> tuple[int, ...]:
+    """The n base-`base` digits of k, most significant first."""
+    digits = []
+    for _ in range(n):
+        k, d = divmod(k, base)
+        digits.append(d)
+    return tuple(digits[::-1])
 
 
 def siegel_nonzero_coords(alpha: tuple[int, ...], cap: float) -> SmallSolution | None:

@@ -244,6 +244,19 @@ def test_cli_int64_limit_exit(tmp_path, capsys):
     assert err.startswith("resource limit:") and "beyond int64" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("name, degenerate", [("thm1", True), ("thm2", False)])
+def test_cli_degenerate_harvest_warns(tmp_path, capsys, name, degenerate):
+    # every bucket of the thm1 desk run holds one hit: one stderr line, still exit 0
+    out = tmp_path / "report.json"
+    assert main([name, "--config", str(CONFIGS / f"{name}_desk.cfg"), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["run"]["bucket_stats"]["degenerate"] is degenerate
+    err = capsys.readouterr().err
+    if degenerate:
+        assert err.startswith("warning: degenerate harvest:") and err.count("\n") == 1
+    else:
+        assert err == ""
+
+
 def test_cli_report_determinism(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(THM1_CFG)

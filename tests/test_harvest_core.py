@@ -8,7 +8,7 @@ bounded so the suite stays deterministic and quick.
 
 from collections import Counter
 from itertools import count, product
-from math import gcd, prod
+from math import ceil, floor, gcd, prod, sqrt
 
 import numpy as np
 import pytest
@@ -22,11 +22,16 @@ from sunit_harvest.circle import additive_decomposition
 from sunit_harvest.errors import DomainError, EmptyHarvest, ResourceLimit
 from sunit_harvest.oracle import brute_linear_count
 from sunit_harvest.pipelines import (
+    KeyPacking,
+    _linear_harvest,
     pair_collision_stats,
+    prop1_config,
+    prop1_run,
     thm1_harvest,
     thm2_harvest,
     verify_sunit_solution,
 )
+from sunit_harvest.siegel import siegel_nonzero_coords
 from sunit_harvest.smooth import enumerate_squarefree_smooth
 from sunit_harvest import pipelines, stepping
 from sunit_harvest.stepping import _gcd_inverse, count_hits, progressions
@@ -161,6 +166,84 @@ def test_thm2_rows_match_brute_triples(a_values, b_values, c_values, W):
         assert rep.solution_rows == tuple(sorted(brute))
 
 
+def assert_stats_match_tally(stats: dict, tally: Counter, possible_buckets: int):
+    """The bucket statistics of a harvest against a naive tally of its keys."""
+    total = sum(tally.values())
+    assert stats == {
+        "total_hits": total,
+        "nonempty_buckets": len(tally),
+        "max_load": max(tally.values()),
+        "pigeonhole_floor": ceil(total / len(tally)),
+        "possible_buckets": possible_buckets,
+        "expected_load": total / possible_buckets,
+        "degenerate": max(tally.values()) == 1,
+    }
+
+
+@PROFILE
+@given(moduli, st.sets(st.integers(0, 80), min_size=1, max_size=8).map(sorted), coefficients, w_bounds)
+@example([2], [0], [3, 5], 4)  # thm1's B = {0}
+@example([3], [2], [1, 4], 5)  # c = 1
+def test_linear_harvest_packed_key_matches_tuple_counter(a_values, b_values, c_values, W):
+    # the packed (u, w) keys against a Counter of (u, w) tuples, c coprime to a
+    shifts = [b + 1 for b in b_values]
+    tally = Counter()
+    for a, s, c in product(a_values, shifts, c_values):
+        for w in range(1, W + 1):
+            u, r = divmod(c * w - s, a)
+            if not r and u and gcd(c, a) == 1:
+                tally[(u, w)] += 1
+    if not tally:
+        with pytest.raises(EmptyHarvest):
+            _linear_harvest(a_values, shifts, c_values, W)
+        return
+    span, stats, key, bucket, _ = _linear_harvest(a_values, shifts, c_values, W)
+    assert key == min(tally, key=lambda k: (-tally[k], k))
+    u_lo, u_hi = -(max(shifts) // min(a_values)) - 1, max(c_values) * W // min(a_values)
+    assert u_lo <= min(tally)[0] and max(tally)[0] <= u_hi
+    assert_stats_match_tally(stats, tally, (u_hi - u_lo) * W)
+    assert span == (min(tally), max(tally))
+    assert len(bucket) == tally[key]
+
+
+@st.composite
+def prop1_prime_sets(draw):
+    """Three nonempty disjoint prime sets from the primes up to 13, and x."""
+    primes = draw(st.permutations([2, 3, 5, 7, 11, 13]))
+    i = draw(st.integers(1, 4))
+    j = draw(st.integers(i + 1, 5))
+    return [PrimeSet(tuple(sorted(part))) for part in (primes[:i], primes[i:j], primes[j:])], draw(st.integers(6, 300))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(prop1_prime_sets())
+@example(([PrimeSet((2,)), PrimeSet((3,)), PrimeSet((5,))], 30))
+@example(([PrimeSet((2, 7)), PrimeSet((3, 11)), PrimeSet((5, 13))], 300))
+def test_prop1_packed_key_matches_tuple_counter(case):
+    # the packed kernel vectors against a Counter of the scalar search's (z1, z2, z3)
+    prime_sets, x = case
+    sets = [
+        [v for v in range(2, x + 1) if all(e == 1 and p in t.primes for p, e in brute_trial_division(v))]
+        for t in prime_sets
+    ]
+    cap = sqrt(3.0 * x)
+    tally = Counter()
+    for alpha in product(*sets):
+        sol = siegel_nonzero_coords(alpha, cap)
+        if sol is not None:
+            tally[sol.z] += 1
+    config = prop1_config(x, *prime_sets)
+    if not tally:
+        with pytest.raises(EmptyHarvest):
+            prop1_run(config)
+        return
+    rep = prop1_run(config)
+    assert rep.popular_key == min(tally, key=lambda k: (-tally[k], k))
+    M = floor(cap + 1e-12)
+    assert_stats_match_tally(rep.bucket_stats, tally, M * (2 * M) ** 2)
+    assert rep.audits["skipped_triples"] == prod(map(len, sets)) - sum(tally.values())
+
+
 @pytest.mark.parametrize(
     "harvest, sets, name, value",
     [
@@ -173,6 +256,20 @@ def test_thm2_rows_match_brute_triples(a_values, b_values, c_values, W):
 def test_repeated_coefficients_refused(harvest, sets, name, value):
     with pytest.raises(DomainError, match=f"^{name} repeats {value}$"):
         harvest(*sets, 6, primes_of(*sets))
+
+
+@pytest.mark.parametrize(
+    "harvest, sets, message",
+    [
+        (thm1_harvest, ([0, 3], [2, 5]), "A holds 0, below 1"),
+        (thm1_harvest, ([3], [-2, 5]), "C holds -2, below 1"),
+        (thm2_harvest, ([3], [-1, 4], [2, 5]), "B holds -1, below 0"),
+    ],
+)
+def test_coefficients_below_the_packed_range_refused(harvest, sets, message):
+    # the (u, w) packing bounds u from the sets only for a, c >= 1 and b >= 0
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        harvest(*sets, 6, PrimeSet((2, 3, 5)))
 
 
 @pytest.mark.parametrize(
@@ -324,6 +421,47 @@ def test_int64_limit():
     rep = thm1_harvest([2], [2**62 + 1], 1, S)
     assert rep.popular_key == (2**61, 1)
     assert rep.solutions == ((2**62, 2**62 + 1),)
+
+
+@pytest.mark.parametrize(
+    "a_values, c_values, W, key",
+    [
+        # u in [-2, 2^63 - 4]: (u_hi - u_lo + 1) * W = 2^63 values exactly
+        ([1], [2**63 - 3], 1, (2**63 - 4, 1)),
+        # (2^62 - 1) * 2 = 2^63 - 2 values, for u in [-1, 2^62 - 3]
+        ([2], [2**62 - 3], 2, (2**61 - 2, 1)),
+    ],
+)
+def test_pack_range_at_int64_limit_runs(a_values, c_values, W, key):
+    _, stats, popular, bucket, _ = _linear_harvest(a_values, [1], c_values, W)
+    assert popular == key and bucket == [(a_values[0], 1, c_values[0])]
+    assert stats["total_hits"] == stats["max_load"] == 1
+
+
+@pytest.mark.parametrize(
+    "a_values, c_values, W",
+    [
+        ([1], [2**63 - 2], 1),  # 2^63 + 1 values
+        ([2], [2**62 - 1], 2),  # 2^63 + 2 values
+        ([2], [2**40 + 1], 2**22),  # c*W = 2^62 + 2^22 fits in int64, the 2^83 packed values do not
+    ],
+)
+def test_pack_range_past_int64_refused(a_values, c_values, W):
+    # the residue kernel accepts each of these (max c * W + 1 < 2^63); the packing refuses
+    with pytest.raises(ResourceLimit, match=r"^\(u, w\) keys pack into \d+ values, beyond int64$"):
+        _linear_harvest(a_values, [1], c_values, W)
+
+
+def test_prop1_pack_range_past_int64_refused():
+    # M * (2M + 1)^2 kernel-vector keys: 2^63 falls between M = 1,321,122 and 1,321,123
+    M = 1_321_122
+    KeyPacking((1, -M, -M), (M, 2 * M + 1, 2 * M + 1), "kernel vector")
+    with pytest.raises(ResourceLimit, match="beyond int64"):
+        KeyPacking((1, -M - 1, -M - 1), (M + 1, 2 * M + 3, 2 * M + 3), "kernel vector")
+    # prop1 at floor(sqrt(3x)) = M + 1 is refused before any search
+    x = (M + 1) ** 2 // 3 + 1
+    with pytest.raises(ResourceLimit, match="^kernel vector keys pack into"):
+        prop1_run(prop1_config(x, PrimeSet((2,)), PrimeSet((3,)), PrimeSet((5,))))
 
 
 def test_decompositions_take_any_iterable_of_ints():

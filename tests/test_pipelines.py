@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from sunit_harvest.errors import ConfigError, ConstraintViolation, EmptyHarvest,
 from sunit_harvest.oracle import brute_linear_count
 from sunit_harvest.pipelines import (
     HarvestConfig,
+    KeyPacking,
     _range,
     config_from_exponents,
     pair_collision_stats,
@@ -112,33 +115,53 @@ def test_thm2_degenerate_filter():
 
 
 def test_popular_bucket_tiebreak():
-    keys = np.array([(1, 2)] * 3 + [(0, 1)] * 3)
-    key, _ = popular_bucket(keys)
+    pairs = KeyPacking((-3, 1), (6, 7), "(u, w)")  # u in [-3, 2], w in [1, 7]
+    keys = pairs.pack(np.array([1] * 3 + [0] * 3), np.array([2] * 3 + [1] * 3))
+    key, _ = popular_bucket(keys, pairs.unpack)
     assert key == (0, 1)
     # lexicographic order holds with a negative first column
-    key, _ = popular_bucket(np.array([(2, 1), (-3, 7), (2, 1), (-3, 7)]))
+    key, _ = popular_bucket(pairs.pack(np.array([2, -3, 2, -3]), np.array([1, 7, 1, 7])), pairs.unpack)
     assert key == (-3, 7)
     assert all(type(v) is int for v in key)
     # a 3-column key, as prop1's kernel vectors give
-    keys = np.array([(1, -2, 1), (2, 1, -1), (-1, 2, -1), (1, -2, 1), (-1, 2, -1)])
-    key, stats = popular_bucket(keys)
+    vectors = KeyPacking((-1, -2, -1), (4, 5, 3), "kernel vector")
+    rows = np.array([(1, -2, 1), (2, 1, -1), (-1, 2, -1), (1, -2, 1), (-1, 2, -1)])
+    key, stats = popular_bucket(vectors.pack(*rows.T), vectors.unpack)
     assert key == (-1, 2, -1)
     assert stats == {"total_hits": 5, "nonempty_buckets": 3, "max_load": 2, "pigeonhole_floor": 2}
     assert all(type(v) is int for v in stats.values())
-    only, stats = popular_bucket(np.array([(5, 5)]))
-    assert only == (5, 5) and stats["max_load"] == 1
+    only, stats = popular_bucket(pairs.pack(np.array([2]), np.array([5])), pairs.unpack)
+    assert only == (2, 5) and stats["max_load"] == 1
+    # unpack receives the smallest packed key of maximal count as a Python int
+    received = []
+    popular_bucket(np.array([9, 4, 9, 4, 7], dtype=np.int64), lambda k: received.append(k) or (k,))
+    assert received == [4] and type(received[0]) is int
     with pytest.raises(EmptyHarvest):
-        popular_bucket(np.empty((0, 2), dtype=np.int64))
+        popular_bucket(np.empty(0, dtype=np.int64), pairs.unpack)
     # keys whose mixed-radix pack would pass int64
     with pytest.raises(ResourceLimit):
-        popular_bucket(np.array([(0, 0), (2**40, 2**40)]))
+        KeyPacking((0, 0), (2**40 + 1, 2**40 + 1), "(u, w)")
 
 
 def test_popular_bucket_pigeonhole():
-    keys = np.array([[0]] * 5 + [[1]] * 3 + [[2]] * 2)
-    key, stats = popular_bucket(keys)
+    keys = np.array([0] * 5 + [1] * 3 + [2] * 2, dtype=np.int64)
+    key, stats = popular_bucket(keys, KeyPacking((0,), (3,), "one-column").unpack)
     assert key == (0,) and stats["max_load"] == 5
     assert stats["max_load"] >= -(-10 // 3) == stats["pigeonhole_floor"]  # ceil(total / nonempty)
+
+
+def test_key_packing_order_and_int64_edge():
+    packing = KeyPacking((-2, 1, -1), (4, 3, 3), "three-column")
+    keys = list(product(range(-2, 2), range(1, 4), range(-1, 2)))  # lexicographic
+    packed = packing.pack(*np.array(keys).T)
+    assert packed.tolist() == list(range(len(keys)))
+    assert [packing.unpack(k) for k in range(len(keys))] == keys
+    # prod(sizes) = 2^63 packs: the largest key is INT64_MAX, reached without overflow
+    edge = KeyPacking((-(2**31), 1), (2**32, 2**31), "(u, w)")
+    assert edge.pack(np.array([2**31 - 1]), np.array([2**31])).tolist() == [2**63 - 1]
+    assert edge.unpack(2**63 - 1) == (2**31 - 1, 2**31)
+    with pytest.raises(ResourceLimit, match="beyond int64"):
+        KeyPacking((0, 1), (2**32, 2**31 + 1), "(u, w)")
 
 
 def test_verify_sunit_solution():

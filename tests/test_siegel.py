@@ -60,7 +60,8 @@ def test_scan_side_budget():
     assert siegel_small_solution((1, 1, 1), B).z == (0, 1, -1)
     with pytest.raises(ResourceLimit):
         siegel_small_solution((1, 1, 1), B + 1)
-    # n = 2: the side 2B + 1 would be listed per axis before the scan's first point
+    # n = 2: the side 2B + 1 reaches the budget, and the scan collides at its second point;
+    # past it the side is refused before any point is walked
     assert siegel_small_solution((1, 0), (SCAN_BUDGET - 1) // 2).z == (0, 1)
     for B in (SCAN_BUDGET // 2, 10**12, 10**400):
         with pytest.raises(ResourceLimit):
@@ -82,6 +83,30 @@ def test_scan_walk_budget(monkeypatch, alpha, B, walked):
     monkeypatch.setattr(siegel, "SCAN_BUDGET", walked - 1)
     with pytest.raises(ResourceLimit):
         siegel_small_solution(alpha, B)
+
+
+def product_scan(alpha, B):
+    """The collision scan over itertools.product of [0, C]^n, keeping one y tuple per value."""
+    n = len(alpha)
+    seen = {}
+    for y in itertools.product(range(floor((n * B) ** (1 / (n - 1))) + 1), repeat=n):
+        v = sum(a * yi for a, yi in zip(alpha, y))
+        if v in seen:
+            return tuple(yi - pi for yi, pi in zip(y, seen[v]))
+        seen[v] = y
+
+
+@pytest.mark.parametrize("n, B", [(2, 1), (2, 3), (2, 5), (3, 2), (3, 4), (4, 2), (4, 3)])
+def test_collision_scan_matches_product_scan(n, B):
+    # every alpha in [-B, B]^n (a3 = 0 for n = 3, which takes the collision scan):
+    # the index walk returns the z the tuple-keeping product scan did
+    checked = 0
+    for alpha in itertools.product(range(-B, B + 1), repeat=n):
+        if not any(alpha) or (n == 3 and alpha[2]):
+            continue
+        assert siegel_small_solution(alpha, B).z == product_scan(alpha, B), alpha
+        checked += 1
+    assert checked >= 2 * B
 
 
 def test_random_instances_respect_contract():
