@@ -270,11 +270,11 @@ def multiplicative_decomposition(A: Iterable[int], C: Iterable[int], W: int) -> 
     a_values = sorted(A)
     # checked first: for a nonempty A, C past int64 is refused
     c = _int64(list(C) if a_values else (), [1], W)
+    if a_values and a_values[-1] > TABLE_CAP:  # before any table is built
+        raise ResourceLimit(f"modulus {a_values[-1]} beyond table cap {TABLE_CAP}")
     main = 0.0
     remainder = 0.0 + 0.0j
     for a in a_values:
-        if a > TABLE_CAP:
-            raise ResourceLimit(f"modulus {a} beyond table cap {TABLE_CAP}")
         table = all_characters(a)
         Fc = table.sums_over_counts(np.bincount(c % a, minlength=a))
         Fw = table.sums_over_counts(_interval_counts(a, W))

@@ -12,14 +12,14 @@ lambda = 1/log Z.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import log, pi
 from typing import Iterable
 
 import numpy as np
 
 from .errors import DomainError
-from .stepping import _gcd_inverse, _int64, _interval_counts, count_hits
+from .stepping import _check_moduli, _gcd_inverse, _int64, _interval_counts, count_hits
 
 _TWO_PI = 2.0 * np.pi
 
@@ -54,16 +54,22 @@ class AdditiveDecomposition:
     exact_count: int
     # aggregated over moduli: spectrum[h] = sum_a (1/a) W_a(h) F_a(h)
     spectrum: dict[int, complex]
-    # per-modulus rows (a, h, |s_mu(h)|, |fraction sum|, Re term) for CSV dumps
-    rows: list[tuple[int, int, float, float, float]]
     lambda_cut: float
     cutoff: float
     truncated_sum: float  # main + spectrum restricted to |h| <= cutoff
     tail_sum: float
+    # the per-modulus CSV columns a, h, |s_mu(h)|, |fraction sum|, Re term, one
+    # array each; left out of == (compare rows instead)
+    columns: tuple[np.ndarray, ...] = field(repr=False, compare=False)
 
     @property
     def recombined(self) -> float:
         return self.main + sum(v.real for v in self.spectrum.values())
+
+    @property
+    def rows(self) -> list[tuple[int, int, float, float, float]]:
+        """The CSV rows (a, h, |s_mu(h)|, |fraction sum|, Re term), built when read."""
+        return list(zip(*(col.tolist() for col in self.columns)))
 
 
 def additive_decomposition(A: Iterable[int], C: Iterable[int], mu: float) -> AdditiveDecomposition:
@@ -80,8 +86,7 @@ def additive_decomposition(A: Iterable[int], C: Iterable[int], mu: float) -> Add
     a_values, c_values = sorted(A), sorted(C)
     if not a_values:
         raise DomainError("empty modulus set")
-    if a_values[0] < 1:
-        raise DomainError(f"modulus {a_values[0]} must be >= 1")
+    _check_moduli(a_values)
     if not 0.0 < mu <= 1.0:
         raise DomainError("need 0 < mu <= 1")
     Z = max(a_values)
@@ -97,22 +102,23 @@ def additive_decomposition(A: Iterable[int], C: Iterable[int], mu: float) -> Add
     smu = np.abs(s_mu_weight(h, mu))
     spectrum_sum = np.zeros(h.size, dtype=complex)
     main = 0.0
-    rows: list[tuple[int, int, float, float, float]] = []
+    parts = []
     for a in a_values:
         wa = _floor_mu_a(mu, a)
-        # c^-1 mod a for each c coprime to a; a c with gcd(c, a) > 1 has none
-        g, inv = _gcd_inverse(c, a)
-        inv = inv[g == 1]
-        main += wa * len(inv) / a
+        # r^-1 mod a for each distinct residue r of C coprime to a, mult[i] c's at
+        # r[i]; a c with gcd(c, a) > 1 has no inverse
+        r, mult = np.unique(c % a, return_counts=True)
+        g, inv = _gcd_inverse(r, a)
+        unit = g == 1
+        main += wa * int(mult[unit].sum()) / a
         # F[h] = sum_c e(h c^-1 / a) and Wsum[h] = sum_{w=1..wa} e(-h w / a), all h mod a
-        F = np.fft.ifft(np.bincount(inv, minlength=a)) * a
+        F = np.fft.ifft(np.bincount(inv[unit], weights=mult[unit], minlength=a)) * a
         terms = np.fft.fft(_interval_counts(a, wa)) * F / a
         start = (Z - 1) // 2 - (a - 1) // 2
         window = slice(start, start + a - 1)
         k = h[window] % a
         spectrum_sum[window] += terms[k]
-        rows += zip([a] * (a - 1), h[window].tolist(), smu[window].tolist(),
-                    np.abs(F[k]).tolist(), terms[k].real.tolist())
+        parts.append((np.full(a - 1, a), h[window], smu[window], np.abs(F[k]), terms[k].real))
     spectrum = dict(zip(h.tolist(), spectrum_sum.tolist()))
 
     lam = 1.0 / log(Z) if Z > 1 else 1.0
@@ -126,9 +132,9 @@ def additive_decomposition(A: Iterable[int], C: Iterable[int], mu: float) -> Add
         main=main,
         exact_count=exact,
         spectrum=spectrum,
-        rows=rows,
         lambda_cut=lam,
         cutoff=cutoff,
         truncated_sum=truncated,
         tail_sum=tail,
+        columns=tuple(np.concatenate(col) for col in zip(*parts)),
     )

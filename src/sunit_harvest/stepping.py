@@ -9,8 +9,10 @@ loop.  The dual walk (`_join`) lists the residue (c mod a)*w mod a of every
 (c, w) with w <= W and joins it against the shifts grouped by residue, at
 O(#C * W + a + #shifts + hits).  `progressions` takes the join exactly when
 its grid is the smaller one, #C * W + a < #C * #shifts: many shifts and a
-short w range, as in thm2.  One shift or a long w range (thm1, and
-`count_hits`, so the decompositions) stays on the start walk.  Either walk
+short w range, as in thm2.  One shift or a long w range (thm1) stays on
+the start walk.  `count_hits`, the decompositions' exact count, takes the
+start walk over the distinct residues of C mod a only, each weighted by how
+many c share it, so one modulus steps at most min(a, #C) cells.  Either walk
 lists the rows grouped by c; within one c the start walk orders them by
 (shift, w) and the join by (w, shift).  No caller reads that order.
 """
@@ -21,7 +23,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ResourceLimit
+from .errors import DomainError, ResourceLimit
+
+
+def _check_moduli(a_values: Sequence[int]) -> None:
+    """DomainError unless every modulus is >= 1."""
+    if min(a_values) < 1:
+        raise DomainError(f"modulus {min(a_values)} must be >= 1")
 
 
 def _int64(c_values, shifts: Sequence[int], W: int) -> np.ndarray:
@@ -118,8 +126,9 @@ def progressions(a: int, c_values: Sequence[int] | np.ndarray, shifts: Sequence[
     within each i are in (w, j) order; otherwise the start walk `_starts`
     runs, in (j, w) order, and refuses a^2 >= 2^63.  Either costs the size of
     its grid plus the hits.  c_values[i]*w - shifts[j] is guaranteed to fit
-    in int64.
+    in int64.  DomainError unless a >= 1.
     """
+    _check_moduli([a])
     c = _int64(c_values, shifts, W)
     if c.size * W + a < c.size * len(shifts):
         return _join(a, c, shifts, W)
@@ -147,10 +156,17 @@ def count_hits(a_values: Iterable[int], c_values: Iterable[int] | np.ndarray, W:
     """Exact number of triples (a, c, w) with c*w == shift (mod a) and 1 <= w <= W.
 
     c_values is checked and converted to int64 once, not once per modulus; with
-    no modulus there is nothing to step, and nothing is refused.
+    no modulus there is nothing to step, and nothing is refused.  Each modulus
+    walks the distinct residues of c mod a, weighted by their multiplicities.
+    DomainError unless every modulus is >= 1.
     """
     a_values = list(a_values)
     if not a_values:
         return 0
+    _check_moduli(a_values)
     c = _int64(c_values if isinstance(c_values, np.ndarray) else list(c_values), [shift], W)
-    return sum(int(_starts(a, c, [shift], W)[2].sum()) for a in a_values)
+    total = 0
+    for a in a_values:
+        r, k = np.unique(c % a, return_counts=True)
+        total += int(k @ _starts(a, r, [shift], W)[2][:, 0])
+    return total

@@ -6,7 +6,9 @@ import pytest
 
 from conftest import oracle_character, oracle_gauss_sum
 from sunit_harvest.arith import multiplicative_functions
+from sunit_harvest import characters
 from sunit_harvest.characters import (
+    TABLE_CAP,
     all_characters,
     fourth_moment_ratio,
     large_sieve_check,
@@ -14,7 +16,7 @@ from sunit_harvest.characters import (
     polya_vinogradov_check,
     primitive_decomposition_check,
 )
-from sunit_harvest.errors import DomainError
+from sunit_harvest.errors import DomainError, ResourceLimit
 
 
 def char_sum(chi, values) -> complex:
@@ -301,6 +303,18 @@ def test_multiplicative_decomposition_rejects_bad_moduli():
     for a in (12, 0, -5, 1):
         with pytest.raises(DomainError):
             multiplicative_decomposition([7, a], [5], 10)
+
+
+def test_multiplicative_decomposition_checks_table_cap_first(monkeypatch):
+    # a modulus past the cap is refused before any smaller modulus's table is built
+    built = []
+    real = characters.all_characters
+    monkeypatch.setattr(characters, "all_characters", lambda a: built.append(a) or real(a))
+    with pytest.raises(ResourceLimit):
+        multiplicative_decomposition([7, 30, TABLE_CAP + 1], [5], 10)
+    assert built == []
+    multiplicative_decomposition([7, 30], [5], 10)
+    assert built == [7, 30]
 
 
 def test_bulk_sums_align_with_character_indexing():

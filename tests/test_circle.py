@@ -119,8 +119,9 @@ def test_additive_decomposition_vs_brute():
 
 
 def test_additive_rows_and_spectrum_vs_scalar_oracles():
-    # each (a, h) row against fraction_sum and s_mu_weight, and the spectrum as
-    # the sum over moduli of the rows' terms; mu = 1 and [mu a] = 0 included
+    # each (a, h) row, built from the column arrays when read, against
+    # fraction_sum and s_mu_weight, and the spectrum as the sum over moduli of
+    # the rows' terms; mu = 1 and [mu a] = 0 included
     rng = random.Random(12)
     for mu in (1.0, 0.05, 0.5, rng.uniform(0.1, 1.0)):
         Z = rng.randint(8, 19)

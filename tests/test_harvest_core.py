@@ -351,6 +351,32 @@ def test_gcd_inverse_matches_pow(case):
     assert inv.tolist() == [pow(c // gcd(c, a), -1, a // gcd(c, a)) for c in c_values]
 
 
+@PROFILE
+@given(moduli_and_coefficients(), st.integers(0, 400), st.integers(0, 10**6))
+@example((6, [5, 11, -1, 17, 5]), 20, 0)  # one residue: its weight 5 multiplies, not 1
+@example((12, [0, 24, -36, 6, 9, -4]), 30, 3)  # c == 0 (mod a) and gcd(c, a) > 1
+@example((1, [-3, 0, 5]), 4, 0)  # a == 1: every (c, w) is a hit
+@example((7, []), 10, 0)
+def test_count_hits_matches_brute(case, W, pick):
+    # the distinct-residue walk weights each residue by its multiplicity
+    a, c_values = case
+    divisors = [d for d in range(1, a + 1) if a % d == 0]
+    d = divisors[pick % len(divisors)]
+    for shift in (0, 1, d, -d, -(pick % 50) - 1):
+        assert count_hits([a], c_values, W, shift) == brute_linear_count([a], c_values, W, shift).count
+
+
+@pytest.mark.filterwarnings("error")  # a numpy warning would mean the kernel saw the modulus
+def test_kernel_refuses_moduli_below_1():
+    for a in (0, -5):
+        with pytest.raises(DomainError):
+            count_hits([7, a], [3, 4], 10)
+        with pytest.raises(DomainError):
+            progressions(a, [3], [1], 5)
+        with pytest.raises(DomainError):
+            progressions(a, [3, 4], list(range(20)), 1)  # many shifts: the join walk
+
+
 def progression_rows(a, c_values, shifts, W):
     """The rows of progressions(a, c_values, shifts, W) in Python ints, one
     pow per (c, shift) cell."""
@@ -475,6 +501,7 @@ def test_decompositions_take_any_iterable_of_ints():
     assert mult[0][2] > 0 and add[0].exact_count > 0
     assert mult[0] == mult[1] == mult[2]
     assert add[0] == add[1] == add[2]
+    assert add[0].rows == add[1].rows == add[2].rows
 
 
 def test_empty_coefficient_sets():
