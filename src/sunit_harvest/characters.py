@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import isqrt, prod
+from math import isqrt, lcm, prod
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -63,11 +63,12 @@ class CharacterTable:
         x = np.arange(a)
         logs = []
         for p in self.primes:
-            g, t, acc = _primitive_root(p), [0] * p, 1
-            for e in range(p - 1):
-                t[acc] = e
-                acc = acc * g % p
-            logs.append(np.asarray(t)[x % p])
+            g, powers = _primitive_root(p), np.ones(1, dtype=np.int64)
+            while powers.size < p - 1:  # g^0..g^(2s-1) from g^0..g^(s-1), s = powers.size
+                powers = np.concatenate([powers, powers * pow(g, powers.size, p) % p])
+            t = np.zeros(p, dtype=np.int64)
+            t[powers[: p - 1]] = np.arange(p - 1)
+            logs.append(t[x % p])
         self._slot = np.ravel_multi_index(logs, self.orders)
         self._coprime = np.gcd(x, a) == 1
         self._value_matrix: np.ndarray | None = None
@@ -90,9 +91,11 @@ class CharacterTable:
     def value_matrix(self) -> np.ndarray:
         """Complex [phi, a] array V with V[i, x] = chi_i(x); rows in index order."""
         if self._value_matrix is None:
-            E = self.exponents()
+            # chi_i(x) = w^(phase mod L) with w = e(1 / L), L = lcm(orders), in exact integers
+            L = lcm(*self.orders)
             logs = np.stack(np.unravel_index(self._slot, self.orders))
-            V = np.exp(1j * _TWO_PI * (E.astype(float) @ (logs / np.array(self.orders)[:, None])))
+            phase = (self.exponents() * (L // np.array(self.orders))) @ logs % L
+            V = np.exp(1j * _TWO_PI * np.arange(L) / L)[phase]
             V[:, ~self._coprime] = 0.0
             self._value_matrix = V
         return self._value_matrix
@@ -142,9 +145,12 @@ def polya_vinogradov_check(q: int, scan_M: int, scan_N: int) -> PolyaVinogradovR
     A non-principal chi sums to 0 over a period, so its prefix sums S(n) have
     period q and a window sum is S((M + N) mod q) - S(M).  Only M < min(scan_M, q)
     and N <= min(scan_N, q) are swept, as a running max per offset N over all
-    characters at once, and only N <= q // 2 when both scans cover a period (N
-    and q - N give the same pairs).  conj(chi) has the same window sums, so one
-    character of each conjugate pair is swept.
+    characters at once.  When both scans cover a period, every pair of the q
+    prefix points is a window, and S(q - 1 - n) = -chi(-1) S(n) folds them onto
+    S(0..h-1), h = (q + 1) // 2: an even chi's points are symmetric about 0, so
+    its largest window is 2 max |S(n)|, and an odd chi's points are S(0..h-1)
+    itself, so only pairs inside that half are swept.  conj(chi) has the same
+    window sums, so one character of each conjugate pair is swept.
     Ties: ratios within 1e-9 relative go to the smallest character index, then
     windows within 1e-9 of that character's max |sum| to the smallest M, then N.
     """
@@ -160,12 +166,14 @@ def polya_vinogradov_check(q: int, scan_M: int, scan_N: int) -> PolyaVinogradovR
     # S over two periods (column M + N wraps), real and imaginary parts apart
     re, im = (np.tile(np.cumsum(part, axis=1), 2) for part in (V.real, V.imag))
     Mm, Nn = min(scan_M, q), min(scan_N, q)
-    best = np.zeros(len(V))
-    d2, e2 = np.empty((len(V), Mm)), np.empty((len(V), Mm))  # reused, so each pass stays in cache
-    for k in range(1, (q // 2 if Mm == Nn == q else Nn) + 1):
-        np.square(np.subtract(re[:, k : k + Mm], re[:, :Mm], out=d2), out=d2)
-        d2 += np.square(np.subtract(im[:, k : k + Mm], im[:, :Mm], out=e2), out=e2)
-        np.maximum(best, d2.max(axis=1), out=best)
+    if Mm == Nn == q:
+        h = (q + 1) // 2
+        odd = V[:, q - 1].real < 0  # chi(-1) = -1
+        best = np.empty(len(V))
+        best[~odd] = 4.0 * (re[~odd, :h] ** 2 + im[~odd, :h] ** 2).max(axis=1)
+        best[odd] = _max_window_sq(re[odd, :h], im[odd, :h], [(k, h - k) for k in range(1, h)])
+    else:
+        best = _max_window_sq(re, im, [(k, Mm) for k in range(1, Nn + 1)])
     # q squarefree: d(q/r) = 2^(untwisted primes)
     r = table.conductors()[1:]
     bound = 2.0 ** (len(table.primes) - (E != 0).sum(axis=1)) * np.sqrt(r) * np.log(r)
@@ -177,6 +185,17 @@ def polya_vinogradov_check(q: int, scan_M: int, scan_N: int) -> PolyaVinogradovR
     m, n = divmod(int(np.argmax(d >= max_abs[i] - 1e-9)), Nn)
     rows = tuple(zip(range(1, table.phi), max_abs.tolist(), bound.tolist(), ratio.tolist()))
     return PolyaVinogradovReport(q, scan_M, scan_N, rows[i][3], i + 1, m, n + 1, *rows[i][1:3], rows)
+
+
+def _max_window_sq(re: np.ndarray, im: np.ndarray, spans: list[tuple[int, int]]) -> np.ndarray:
+    """Per row, the max of |S(m + k) - S(m)|^2 over (k, width) in spans and m < width,
+    as a running max over all rows at once; S's real and imaginary parts come apart."""
+    best = np.zeros(len(re))
+    for k, width in spans:
+        d2 = np.square(re[:, k : k + width] - re[:, :width])
+        d2 += np.square(im[:, k : k + width] - im[:, :width])
+        np.maximum(best, d2.max(axis=1), out=best)
+    return best
 
 
 def large_sieve_check(

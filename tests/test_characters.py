@@ -1,5 +1,5 @@
 import random
-from math import gcd, log, sqrt
+from math import gcd, isqrt, log, sqrt
 
 import numpy as np
 import pytest
@@ -49,6 +49,27 @@ def test_character_values_multiplicative():
                 assert v == 0
             else:
                 assert abs(v) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_value_matrix_matches_oracle():
+    for q in (a for a in SQUAREFREE_SMALL if a <= 60):
+        V = all_characters(q).value_matrix()
+        units = np.array([gcd(x, q) == 1 for x in range(q)])
+        for i in range(len(V)):
+            chi = oracle_character(q, i)[0]
+            assert np.abs(V[i] - [chi(x) for x in range(q)]).max() <= 1e-12, (q, i)
+            assert (V[i, ~units] == 0).all(), (q, i)
+
+
+def test_slot_is_the_discrete_log_table():
+    """For a prime p, _slot[x] is log_g(x) for g = _primitive_root(p), and 0 at x = 0."""
+    for p in (x for x in range(2, 3000) if all(x % d for d in range(2, isqrt(x) + 1))):
+        g = characters._primitive_root(p)
+        expect = [0] * p
+        for e in range(p - 1):
+            expect[pow(g, e, p)] = e
+        assert sorted(expect[1:]) == list(range(p - 1)), p  # g generates the units
+        assert all_characters(p)._slot.tolist() == expect, p
 
 
 def test_char_sum_examples():

@@ -57,6 +57,10 @@ def scans(draw):
 @given(scans())
 @example((5, 5, 10))  # the CLI's scan: both cover a period
 @example((30, 30, 60))
+@example((3, 3, 3))  # full-period scans take the parity fold; q = 3 has h = 2
+@example((6, 6, 12))
+@example((10, 10, 10))
+@example((42, 42, 84))
 @example((7, 7, 2))  # scan_N < q // 2: sweeping every offset up to q // 2 overshoots
 @example((13, 40, 12))  # scan_N = q - 1 with scan_M past q
 @example((11, 1, 33))
@@ -86,6 +90,24 @@ def test_sweep_matches_window_oracle(case):
     chi = oracle_character(q, rep.argmax_character)[0]
     window = sum(chi(n) for n in range(rep.argmax_M + 1, rep.argmax_M + rep.argmax_N + 1))
     assert abs(abs(window) - rep.argmax_abs_sum) <= 1e-9
+
+
+@pytest.mark.parametrize("q", SQUAREFREE_60)
+def test_prefix_sums_fold_by_parity(q):
+    """S(q - 1 - n) == -chi(-1) S(n) for every non-principal chi, from term-by-term values."""
+    for i in range(1, all_characters(q).phi):
+        chi = oracle_character(q, i)[0]
+        S = np.cumsum([chi(m) for m in range(q)])  # S[n] = sum_{m <= n} chi(m), chi(0) = 0
+        assert np.abs(S[::-1] + chi(q - 1) * S).max() <= 1e-9, (q, i)
+
+
+@pytest.mark.parametrize("q", SQUAREFREE_60)
+def test_folded_scan_matches_general_sweep(q):
+    """(q, q, q) takes the parity fold; (q, q, q - 1) sweeps every pair of prefix points."""
+    folded, general = polya_vinogradov_check(q, q, q), polya_vinogradov_check(q, q, q - 1)
+    assert [row[0] for row in folded.rows] == [row[0] for row in general.rows]
+    for a, b in zip(folded.rows, general.rows):
+        assert a[1:] == pytest.approx(b[1:], rel=1e-12), (q, a[0])
 
 
 @pytest.mark.parametrize("scan_M, scan_N", [(0, 10), (5, 0), (-1, 10), (5, -3), (0, 0)])
