@@ -39,7 +39,7 @@ for i, (exps, tau, cond) in enumerate(zip(table.exponents(), table.gauss_sums(),
 
 print("\n== incomplete character sums vs d(q/r) sqrt(r) log(r) ==")
 for q in (5, 105, 210):
-    rep = polya_vinogradov_check(q, q, 2 * q)
+    rep = polya_vinogradov_check(q)
     print(f"  q = {q:3}: max ratio {rep.max_ratio:.4f} at character {rep.argmax_character},"
           f" window M = {rep.argmax_M}, N = {rep.argmax_N}")
 

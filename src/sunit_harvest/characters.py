@@ -71,7 +71,6 @@ class CharacterTable:
             logs.append(t[x % p])
         self._slot = np.ravel_multi_index(logs, self.orders)
         self._coprime = np.gcd(x, a) == 1
-        self._value_matrix: np.ndarray | None = None
 
     def __len__(self) -> int:
         return self.phi
@@ -90,15 +89,13 @@ class CharacterTable:
 
     def value_matrix(self) -> np.ndarray:
         """Complex [phi, a] array V with V[i, x] = chi_i(x); rows in index order."""
-        if self._value_matrix is None:
-            # chi_i(x) = w^(phase mod L) with w = e(1 / L), L = lcm(orders), in exact integers
-            L = lcm(*self.orders)
-            logs = np.stack(np.unravel_index(self._slot, self.orders))
-            phase = (self.exponents() * (L // np.array(self.orders))) @ logs % L
-            V = np.exp(1j * _TWO_PI * np.arange(L) / L)[phase]
-            V[:, ~self._coprime] = 0.0
-            self._value_matrix = V
-        return self._value_matrix
+        # chi_i(x) = w^(phase mod L) with w = e(1 / L), L = lcm(orders), in exact integers
+        L = lcm(*self.orders)
+        logs = np.stack(np.unravel_index(self._slot, self.orders))
+        phase = (self.exponents() * (L // np.array(self.orders))) @ logs % L
+        V = np.exp(1j * _TWO_PI * np.arange(L) / L)[phase]
+        V[:, ~self._coprime] = 0.0
+        return V
 
     def sums_over_counts(self, counts_by_residue: np.ndarray) -> np.ndarray:
         """F[i] = sum_x counts[x] * chi_i(x) for every character at once; the
@@ -121,7 +118,7 @@ def all_characters(a: int) -> CharacterTable:
 @dataclass(frozen=True)
 class PolyaVinogradovReport:
     q: int
-    scan_M: int
+    scan_M: int  # the windows swept are 0 <= M < scan_M, 1 <= N <= scan_N; both are q
     scan_N: int
     max_ratio: float
     argmax_character: int
@@ -136,19 +133,18 @@ class PolyaVinogradovReport:
         return self.max_ratio <= 1.0
 
 
-def polya_vinogradov_check(q: int, scan_M: int, scan_N: int) -> PolyaVinogradovReport:
-    """Scan every non-principal chi mod q and every window 0 <= M < scan_M, 1 <= N <= scan_N.
+def polya_vinogradov_check(q: int) -> PolyaVinogradovReport:
+    """Scan every non-principal chi mod q and every window 0 <= M < q, 1 <= N <= q.
 
     Ratio recorded is  |sum_{n=M+1}^{M+N} chi(n)|  /  (d(q/r) sqrt(r) log r)
     with r the conductor of chi; the check passes iff the max ratio is <= 1.
 
     A non-principal chi sums to 0 over a period, so its prefix sums S(n) have
-    period q and a window sum is S((M + N) mod q) - S(M).  Only M < min(scan_M, q)
-    and N <= min(scan_N, q) are swept, as a running max per offset N over all
-    characters at once.  When both scans cover a period, every pair of the q
-    prefix points is a window, and S(q - 1 - n) = -chi(-1) S(n) folds them onto
-    S(0..h-1), h = (q + 1) // 2: an even chi's points are symmetric about 0, so
-    its largest window is 2 max |S(n)|, and an odd chi's points are S(0..h-1)
+    period q and a window sum is S((M + N) mod q) - S(M): these windows give
+    every window sum, one for each pair of the q prefix points.
+    S(q - 1 - n) = -chi(-1) S(n) folds those points onto S(0..h-1),
+    h = (q + 1) // 2: an even chi's points are symmetric about 0, so its
+    largest window is 2 max |S(n)|, and an odd chi's points are S(0..h-1)
     itself, so only pairs inside that half are swept.  conj(chi) has the same
     window sums, so one character of each conjugate pair is swept.
     Ties: ratios within 1e-9 relative go to the smallest character index, then
@@ -156,8 +152,6 @@ def polya_vinogradov_check(q: int, scan_M: int, scan_N: int) -> PolyaVinogradovR
     """
     if q < 3:
         raise DomainError("need q >= 3")
-    if scan_M < 1 or scan_N < 1:
-        raise DomainError("need scan_M >= 1 and scan_N >= 1")
     table = all_characters(q)
     E = table.exponents()[1:]
     conj = np.ravel_multi_index((-E % table.orders).T, table.orders)
@@ -165,35 +159,32 @@ def polya_vinogradov_check(q: int, scan_M: int, scan_N: int) -> PolyaVinogradovR
     V = table.value_matrix()[swept]
     # S over two periods (column M + N wraps), real and imaginary parts apart
     re, im = (np.tile(np.cumsum(part, axis=1), 2) for part in (V.real, V.imag))
-    Mm, Nn = min(scan_M, q), min(scan_N, q)
-    if Mm == Nn == q:
-        h = (q + 1) // 2
-        odd = V[:, q - 1].real < 0  # chi(-1) = -1
-        best = np.empty(len(V))
-        best[~odd] = 4.0 * (re[~odd, :h] ** 2 + im[~odd, :h] ** 2).max(axis=1)
-        best[odd] = _max_window_sq(re[odd, :h], im[odd, :h], [(k, h - k) for k in range(1, h)])
-    else:
-        best = _max_window_sq(re, im, [(k, Mm) for k in range(1, Nn + 1)])
+    h = (q + 1) // 2
+    odd = V[:, q - 1].real < 0  # chi(-1) = -1
+    best = np.empty(len(V))
+    best[~odd] = 4.0 * (re[~odd, :h] ** 2 + im[~odd, :h] ** 2).max(axis=1)
+    best[odd] = _max_window_sq(re[odd, :h], im[odd, :h])
     # q squarefree: d(q/r) = 2^(untwisted primes)
     r = table.conductors()[1:]
     bound = 2.0 ** (len(table.primes) - (E != 0).sum(axis=1)) * np.sqrt(r) * np.log(r)
     max_abs = np.sqrt(best[pair])
     ratio = max_abs / bound
     i = int(np.argmax(ratio >= ratio.max() * (1 - 1e-9)))
-    M, N, j = np.arange(Mm)[:, None], np.arange(1, Nn + 1), pair[i]
+    M, N, j = np.arange(q)[:, None], np.arange(1, q + 1), pair[i]
     d = np.sqrt((re[j, M + N] - re[j, M]) ** 2 + (im[j, M + N] - im[j, M]) ** 2)
-    m, n = divmod(int(np.argmax(d >= max_abs[i] - 1e-9)), Nn)
+    m, n = divmod(int(np.argmax(d >= max_abs[i] - 1e-9)), q)
     rows = tuple(zip(range(1, table.phi), max_abs.tolist(), bound.tolist(), ratio.tolist()))
-    return PolyaVinogradovReport(q, scan_M, scan_N, rows[i][3], i + 1, m, n + 1, *rows[i][1:3], rows)
+    return PolyaVinogradovReport(q, q, q, rows[i][3], i + 1, m, n + 1, *rows[i][1:3], rows)
 
 
-def _max_window_sq(re: np.ndarray, im: np.ndarray, spans: list[tuple[int, int]]) -> np.ndarray:
-    """Per row, the max of |S(m + k) - S(m)|^2 over (k, width) in spans and m < width,
-    as a running max over all rows at once; S's real and imaginary parts come apart."""
+def _max_window_sq(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """Per row, the max of |S(m + k) - S(m)|^2 over every pair of columns m < m + k, as a
+    running max per offset k over all rows at once; S's real and imaginary parts come apart."""
+    h = re.shape[1]
     best = np.zeros(len(re))
-    for k, width in spans:
-        d2 = np.square(re[:, k : k + width] - re[:, :width])
-        d2 += np.square(im[:, k : k + width] - im[:, :width])
+    for k in range(1, h):
+        d2 = np.square(re[:, k:] - re[:, : h - k])
+        d2 += np.square(im[:, k:] - im[:, : h - k])
         np.maximum(best, d2.max(axis=1), out=best)
     return best
 

@@ -244,7 +244,7 @@ def _verify_charsums(args) -> tuple[dict, list]:
     worst = {"ratio": 0.0}
     squarefree = [q for q in range(3, args.qmax + 1) if _is_squarefree(q)]
     for q in squarefree:
-        rep = polya_vinogradov_check(q, q, 2 * q)
+        rep = polya_vinogradov_check(q)
         for idx, stat, bound, ratio in rep.rows:
             rows.append((q, idx, stat, bound, ratio))
         if rep.max_ratio > worst["ratio"]:
@@ -259,7 +259,7 @@ def _verify_charsums(args) -> tuple[dict, list]:
     trials = _sieve_trials(random.Random(args.seed), pool, 40, 60, args.trials)
     fm_max = 0.0
     for q in squarefree[:40]:
-        for N in (1, q // 2 or 1, q, 2 * q):
+        for N in (1, q // 2, q, 2 * q):
             fm_max = max(fm_max, fourth_moment_ratio(q, N))
     summary = {
         "polya_vinogradov_max": worst,
@@ -464,7 +464,8 @@ def main(argv=None) -> int:
     except (ResourceLimit, EnumerationCap, FactorizationLimit) as err:
         print(f"resource limit: {err}", file=sys.stderr)
         return EXIT_RESOURCE
-    except SunitHarvestError as err:
+    # OSError, UnicodeDecodeError: reading --config, writing --out or --solutions
+    except (SunitHarvestError, OSError, UnicodeDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -41,7 +41,7 @@ from .errors import (
 from .exponents import regime_exponents
 from .report import compare_bounds
 from .siegel import NonzeroSearch, siegel_nonzero_coords
-from .smooth import enumerate_squarefree_smooth
+from .smooth import DEFAULT_CAP, enumerate_squarefree_smooth
 from .stepping import progressions
 
 
@@ -93,7 +93,7 @@ class HarvestConfig:
     alpha: float | None = None
     variant: str | None = None
     epsilon: float = 0.01
-    enum_cap: int = 2_000_000
+    enum_cap: int = DEFAULT_CAP
     hit_cap: int = 50_000_000
 
     @property

@@ -166,7 +166,7 @@ def test_criterion_5_character_identities():
     # Polya-Vinogradov with conductor refinement: all squarefree q <= 300
     pv_worst = 0.0
     for q in (q for q in range(3, 301) if _squarefree(q)):
-        rep = polya_vinogradov_check(q, q, 2 * q)
+        rep = polya_vinogradov_check(q)
         pv_worst = max(pv_worst, rep.max_ratio)
         assert rep.passes, q
     assert pv_worst <= 1.0

@@ -132,16 +132,16 @@ def _squarefree(a):
 def test_polya_vinogradov_q5_oracle_value():
     # exhaustive-scan oracle: the quadratic character's run chi(2) = chi(3) = -1
     # gives |sum| = 2, so the max ratio is 2 / (sqrt(5) log 5)
-    rep = polya_vinogradov_check(5, 5, 10)
+    rep = polya_vinogradov_check(5)
     assert rep.max_ratio == pytest.approx(2.0 / (sqrt(5) * log(5)), rel=1e-9)
     assert rep.passes
-    rep3 = polya_vinogradov_check(3, 3, 6)
+    rep3 = polya_vinogradov_check(3)
     assert rep3.max_ratio == pytest.approx(1.0 / (sqrt(3) * log(3)), rel=1e-9)
 
 
 def test_polya_vinogradov_matches_direct_scan():
     for q in (5, 7, 15, 30):
-        rep = polya_vinogradov_check(q, q, 2 * q)
+        rep = polya_vinogradov_check(q)
         t = all_characters(q)
         best = 0.0
         for i in range(1, t.phi):
@@ -360,7 +360,7 @@ def test_bulk_sums_align_with_character_indexing():
 
 
 def test_polya_vinogradov_argmax_reproduces():
-    rep = polya_vinogradov_check(30, 30, 60)
+    rep = polya_vinogradov_check(30)
     chi = oracle_character(30, rep.argmax_character)[0]
     window = sum(
         chi(n) for n in range(rep.argmax_M + 1, rep.argmax_M + rep.argmax_N + 1)

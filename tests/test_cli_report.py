@@ -213,6 +213,24 @@ def test_cli_bad_input_is_one_line(capsys, argv):
     assert code == 1 and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "thm1 --config {tmp}/missing.cfg",
+        "thm1 --config {tmp}",  # a directory
+        "thm1 --config {tmp}/latin1.cfg",  # not UTF-8
+        "verify charsums --qmax 10 --out {tmp}/missing/summary.json",
+        "verify charsums --qmax 10 --solutions {tmp}/missing/ratios.csv",
+    ],
+)
+def test_cli_file_errors_are_one_line(tmp_path, capsys, argv):
+    (tmp_path / "latin1.cfg").write_bytes("# café\nequation=thm1\n".encode("latin-1"))
+    code = main(argv.format(tmp=tmp_path).split())
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
 def test_cli_prop1_caps(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("equation=prop1\nx=30\nt1=2\nt2=3\nt3=5\nhit_cap=0\n")
