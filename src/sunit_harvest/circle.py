@@ -19,7 +19,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import DomainError
-from .stepping import _check_moduli, _gcd_inverse, _int64, _interval_counts, count_hits
+from .stepping import _check_moduli, _int64, _interval_counts, _unit_inverse, count_hits
 
 _TWO_PI = 2.0 * np.pi
 
@@ -108,8 +108,7 @@ def additive_decomposition(A: Iterable[int], C: Iterable[int], mu: float) -> Add
         # r^-1 mod a for each distinct residue r of C coprime to a, mult[i] c's at
         # r[i]; a c with gcd(c, a) > 1 has no inverse
         r, mult = np.unique(c % a, return_counts=True)
-        g, inv = _gcd_inverse(r, a)
-        unit = g == 1
+        inv, unit = _unit_inverse(r, a)
         main += wa * int(mult[unit].sum()) / a
         # F[h] = sum_c e(h c^-1 / a) and Wsum[h] = sum_{w=1..wa} e(-h w / a), all h mod a
         F = np.fft.ifft(np.bincount(inv[unit], weights=mult[unit], minlength=a)) * a

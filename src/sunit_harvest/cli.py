@@ -70,7 +70,11 @@ _SHARED_FLAGS = {  # the flags several commands read; each command declares only
 def parse_config_file(path: str | Path) -> dict:
     """key=value per line; '#' starts a comment; unknown keys are rejected."""
     params: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as err:
+        raise SunitHarvestError(f"config {str(path)!r} is not UTF-8: {err}") from None
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -451,6 +455,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for flag in ("out", "solutions"):  # before the run prints or writes anything
+            path = getattr(args, flag, None)
+            if path and (Path(path).is_dir() or not Path(path).parent.is_dir()):
+                raise OSError(f"--{flag} {path!r} is not a file in an existing directory")
         return args.run(args)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
@@ -464,8 +472,8 @@ def main(argv=None) -> int:
     except (ResourceLimit, EnumerationCap, FactorizationLimit) as err:
         print(f"resource limit: {err}", file=sys.stderr)
         return EXIT_RESOURCE
-    # OSError, UnicodeDecodeError: reading --config, writing --out or --solutions
-    except (SunitHarvestError, OSError, UnicodeDecodeError) as err:
+    # OSError: reading --config, writing --out or --solutions
+    except (SunitHarvestError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
 

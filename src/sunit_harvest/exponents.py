@@ -79,7 +79,7 @@ def check_constraints(theorem: str, variant: str, alpha: float) -> list[tuple[st
 
     Margins are oriented so that satisfied == (margin >= 0), with a hair of
     slack so the exact thresholds (including the cubic roots, which are only
-    float approximations) count as satisfied.
+    float approximations) count as satisfied; only alpha_positive is strict.
     """
     if theorem not in THEOREMS or variant not in VARIANTS:
         raise DomainError(f"unknown regime {theorem}/{variant}")
@@ -87,7 +87,7 @@ def check_constraints(theorem: str, variant: str, alpha: float) -> list[tuple[st
     def sat(margin: float) -> bool:
         return margin >= -_BOUNDARY_SLACK
 
-    out = [("alpha_positive", alpha, sat(alpha))]
+    out = [("alpha_positive", alpha, alpha > 0)]
     if theorem == "thm1":
         thresh = 0.2 if variant == "conditional" else 1.0 / 6.0
         name = "alpha_le_one_fifth" if variant == "conditional" else "alpha_le_one_sixth"

@@ -111,6 +111,9 @@ class HarvestConfig:
             raise ConfigError("x", f"need X >= 2, got {self.x}")
         if not 0 < self.delta < 1:
             raise ConfigError("delta", "need 0 < delta < 1")
+        for key in ("enum_cap", "hit_cap"):
+            if getattr(self, key) < 0:
+                raise ConfigError(key, f"need a cap >= 0, got {getattr(self, key)}")
         if self.epsilon <= 0:  # the paper's epsilon is positive; compare_bounds overflows far below 0
             raise ConfigError("epsilon", f"need epsilon > 0, got {self.epsilon}")
         if self.equation != "prop1" and (self.w_max is None or self.z is None):
@@ -274,36 +277,20 @@ def popular_bucket(keys: np.ndarray, unpack: Callable[[int], tuple]) -> tuple[tu
     return unpack(int(values[best])), stats
 
 
+_EQUATIONS = {  # the equation a solution tuple satisfies; prop1's terms are also coprime
+    "thm1": lambda t: len(t) == 2 and t[0] + 1 == t[1],
+    "thm2": lambda t: len(t) == 3 and t[0] + t[1] + 1 == t[2],
+    "prop1": lambda t: len(t) == 3 and t[0] + t[1] == t[2] and min(t[:2]) >= 1 and gcd(t[0], t[1]) == 1,
+}
+
+
 def verify_sunit_solution(tup: Sequence[int], equation: str, S: PrimeSet) -> bool:
-    """Equation holds exactly and every component factors over S (|1| admitted).
-
-    prop1 solutions must also be coprime.
+    """Equation holds exactly and every component factors over S (|1| admitted,
+    as the empty product).  prop1 solutions must also be coprime.
     """
-
-    def smooth_ok(v: int) -> bool:
-        if v == 0:
-            return False
-        return factor_over(abs(v), S) is not None  # 1 factors as the empty product
-
-    if equation == "thm1":
-        if len(tup) != 2:
-            return False
-        A, C = tup
-        return A + 1 == C and smooth_ok(A) and smooth_ok(C)
-    if equation == "thm2":
-        if len(tup) != 3:
-            return False
-        A, B, C = tup
-        return A + B + 1 == C and all(smooth_ok(v) for v in tup)
-    if equation == "prop1":
-        if len(tup) != 3:
-            return False
-        a, b, c = tup
-        return (
-            a + b == c and a >= 1 and b >= 1 and gcd(a, b) == 1
-            and all(smooth_ok(v) for v in tup)
-        )
-    raise DomainError(f"unknown equation {equation!r}")
+    if equation not in _EQUATIONS:
+        raise DomainError(f"unknown equation {equation!r}")
+    return _EQUATIONS[equation](tup) and all(v != 0 and factor_over(abs(v), S) is not None for v in tup)
 
 
 def _harvest(
@@ -493,12 +480,8 @@ def thm2_harvest(
             "u_range_observed": [span[0][0], span[1][0]],
             # large multiplicities here would already be solutions in disguise,
             # so the maxima feed the error-term side of the report
-            "pair_collision_b": list(pair_collision_stats(b_values))
-            if len(b_values) ** 2 <= PAIR_CAP
-            else None,
-            "pair_collision_c": list(pair_collision_stats(c_values))
-            if len(c_values) ** 2 <= PAIR_CAP
-            else None,
+            **{f"pair_collision_{name}": list(pair_collision_stats(v)) if len(v) ** 2 <= PAIR_CAP else None
+               for name, v in (("b", b_values), ("c", c_values))},
         },
     )
 

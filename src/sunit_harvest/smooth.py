@@ -57,9 +57,7 @@ def enumerate_squarefree_smooth(T: PrimeSet, lo: int, hi: int, cap: int = DEFAUL
                 break  # primes sorted, so all later branches overflow too
             grow(nxt, i + 1, chain + ((primes[i], 1),))
 
-    grow(1, 0, ())
-    if lo > 1 and out and out[0][0] == 1:
-        out = out[1:]
+    grow(1, 0, ())  # 1 is listed only when lo <= 1
     out.sort()
     members = tuple(FactoredInt(v, ch) for v, ch in out)
     return SmoothSet(T, lo, hi, members)

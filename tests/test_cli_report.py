@@ -140,6 +140,9 @@ def test_cli_exit_codes(tmp_path):
         ("thm1", "x=1000000", "x=1000000\nq=0"),
         ("thm1", "x=1000000", "x=1000000\nepsilon=-5"),
         ("thm1", "x=1000000", "x=1000000\nepsilon=0"),
+        # a negative cap is a config error, not a resource limit of -1
+        ("thm1", "x=1000000", "x=1000000\nenum_cap=-1"),
+        ("prop1", "x=1000000", "x=600\nhit_cap=-1"),
         # R is X / Q: r is no key of any equation
         ("thm1", "x=1000000", "x=1000000\nr=1"),
         ("thm2", "x=1000000", "x=1000000\nr=1"),
@@ -229,6 +232,35 @@ def test_cli_file_errors_are_one_line(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert code == 1 and err.startswith("error: ") and err.count("\n") == 1, err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("alpha", ["0", "-1"])
+def test_cli_alpha_must_be_positive(tmp_path, capsys, alpha):
+    # alpha = 0 fails alpha_positive as alpha = -1 does, before any window is derived
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(THM1_CFG.replace("alpha=0.16666666666666666", f"alpha={alpha}"))
+    assert main(["thm1", "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("constraint violation:") and "alpha_positive" in err and err.count("\n") == 1
+
+
+def test_cli_decode_error_names_the_config(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes("# café\nequation=thm1\n".encode("latin-1"))
+    assert main(["thm1", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(cfg) in err and "utf-8" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag, target", [("--out", "missing/x.json"), ("--solutions", "missing/x.csv"), ("--out", ".")])
+def test_cli_output_paths_are_checked_before_the_run(tmp_path, capsys, monkeypatch, flag, target):
+    # nothing is computed or printed for an output path that cannot be written
+    scans = []
+    monkeypatch.setattr(cli, "polya_vinogradov_check", scans.append)
+    assert main(["verify", "charsums", "--qmax", "10", flag, str(tmp_path / target)]) == 1
+    out, err = capsys.readouterr()
+    assert not scans and out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+    assert flag in err
 
 
 def test_cli_prop1_caps(tmp_path, capsys):

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_trial_division
-from sunit_harvest.arith import PrimeSet
+from sunit_harvest.arith import PrimeSet, multiplicative_functions
 from sunit_harvest.characters import multiplicative_decomposition
 from sunit_harvest.circle import additive_decomposition
 from sunit_harvest.errors import DomainError, EmptyHarvest, ResourceLimit
@@ -34,7 +34,7 @@ from sunit_harvest.pipelines import (
 from sunit_harvest.siegel import siegel_nonzero_coords
 from sunit_harvest.smooth import enumerate_squarefree_smooth
 from sunit_harvest import pipelines, stepping
-from sunit_harvest.stepping import _gcd_inverse, count_hits, progressions
+from sunit_harvest.stepping import _gcd_inverse, _powmod, _unit_inverse, count_hits, progressions
 
 PROFILE = settings(derandomize=True, max_examples=60, deadline=None)
 
@@ -351,6 +351,58 @@ def test_gcd_inverse_matches_pow(case):
     assert inv.tolist() == [pow(c // gcd(c, a), -1, a // gcd(c, a)) for c in c_values]
 
 
+@st.composite
+def moduli_and_residues(draw):
+    """(a, x): a = 1, a prime power, or the largest a with a^2 < 2^63; residues x mod a."""
+    prime_power = st.tuples(st.sampled_from([2, 3, 7, 101, 46_337]), st.integers(1, 6)).map(lambda pe: pe[0] ** pe[1])
+    a = draw(st.one_of(st.just(1), prime_power.filter(lambda a: a * a < 2**63), st.just(3_037_000_499)))
+    return a, draw(st.lists(st.one_of(st.integers(0, a - 1), st.sampled_from([0, 1, a - 1])), max_size=30))
+
+
+@PROFILE
+@given(moduli_and_residues())
+@example((1, [0, 0]))  # every residue is 0, a unit whose inverse is 0
+@example((2, [0, 1]))  # phi(2) - 1 = 0: x^0 is 1, and 0 is no unit
+@example((3_037_000_499, [1, 2, 13, 233_615_423, 3_037_000_498]))  # products near 2^63
+def test_powmod_inverts_units(case):
+    a, x = case
+    xs = np.array(x, dtype=np.int64)
+    e = multiplicative_functions(a)[0] - 1
+    expected = [pow(v, -1, a) if gcd(v, a) == 1 else pow(v, e, a) for v in x]
+    assert _powmod(xs, e, a).tolist() == expected
+    assert _powmod(xs, e, np.full_like(xs, a)).tolist() == expected  # one modulus per residue
+    inv, unit = _unit_inverse(xs, a)
+    assert inv.tolist() == expected and unit.tolist() == [gcd(v, a) == 1 for v in x]
+
+
+def test_powmod_zero_exponent_is_reduced():
+    # x^0 is 1 mod m: 0 when m == 1, for a scalar and for an array modulus
+    assert _powmod(np.array([0, 0]), 0, 1).tolist() == [0, 0]
+    assert _powmod(np.array([0, 1]), 0, 2).tolist() == [1, 1]
+    assert _powmod(np.array([0, 0, 1]), 0, np.array([1, 2, 2])).tolist() == [0, 1, 1]
+
+
+def test_count_hits_refuses_moduli_past_int64():
+    # a^2 >= 2^63: refused before a is factored, with or without a coefficient
+    for c_values in ([3], []):
+        with pytest.raises(ResourceLimit):
+            count_hits([2**32], c_values, 1)
+    with pytest.raises(ResourceLimit):
+        additive_decomposition([2**32], [3], 0.5)
+
+
+def test_count_hits_takes_the_start_walk_only_for_shared_factors(monkeypatch):
+    # a residue sharing a factor with a reaches shift only if gcd(shift, a) > 1
+    starts, calls = stepping._starts, []
+    monkeypatch.setattr(stepping, "_starts", lambda *args: calls.append(args) or starts(*args))
+    c_values = [2, 3, 4, 5, 6, 9, 10, 35]
+    for a in (1, 6, 7, 12):
+        for shift in (1, -1, 5, 2, 3, -4, 0, 12):
+            calls.clear()
+            assert count_hits([a], c_values, 20, shift) == brute_linear_count([a], c_values, 20, shift).count
+            assert bool(calls) == (gcd(shift, a) > 1), (a, shift)
+
+
 @PROFILE
 @given(moduli_and_coefficients(), st.integers(0, 400), st.integers(0, 10**6))
 @example((6, [5, 11, -1, 17, 5]), 20, 0)  # one residue: its weight 5 multiplies, not 1
@@ -392,8 +444,8 @@ def progression_rows(a, c_values, shifts, W):
 
 
 def test_kernel_at_largest_modulus():
-    # the largest a with a^2 < 2^63, where the Euclid's q*r and q*t products
-    # are largest (c = 1 gives q = a); a = 13 * 233,615,423
+    # the largest a with a^2 < 2^63, where the Euler power's products of two
+    # residues come closest to int64; a = 13 * 233,615,423
     a = 3_037_000_499
     assert a**2 < 2**63 <= (a + 1) ** 2
     # c*w - shift stays within int64 for w <= W = a and |c| < a
