@@ -87,12 +87,13 @@ class CharacterTable:
         """tau(chi_i) = sum_x chi_i(x) e(x / a) for every i; |tau|^2 == cond."""
         return self.sums_over_counts(np.exp(1j * _TWO_PI * np.arange(self.modulus) / self.modulus))
 
-    def value_matrix(self) -> np.ndarray:
-        """Complex [phi, a] array V with V[i, x] = chi_i(x); rows in index order."""
+    def value_matrix(self, rows: slice | Sequence[int] = slice(None)) -> np.ndarray:
+        """Complex array V with V[k, x] = chi_i(x) for the k-th index i in rows;
+        by default every row, in index order, so V is [phi, a]."""
         # chi_i(x) = w^(phase mod L) with w = e(1 / L), L = lcm(orders), in exact integers
         L = lcm(*self.orders)
         logs = np.stack(np.unravel_index(self._slot, self.orders))
-        phase = (self.exponents() * (L // np.array(self.orders))) @ logs % L
+        phase = (self.exponents()[rows] * (L // np.array(self.orders))) @ logs % L
         V = np.exp(1j * _TWO_PI * np.arange(L) / L)[phase]
         V[:, ~self._coprime] = 0.0
         return V
@@ -145,8 +146,9 @@ def polya_vinogradov_check(q: int) -> PolyaVinogradovReport:
     S(q - 1 - n) = -chi(-1) S(n) folds those points onto S(0..h-1),
     h = (q + 1) // 2: an even chi's points are symmetric about 0, so its
     largest window is 2 max |S(n)|, and an odd chi's points are S(0..h-1)
-    itself, so only pairs inside that half are swept.  conj(chi) has the same
-    window sums, so one character of each conjugate pair is swept.
+    itself, so its largest window is their diameter (_max_window_sq).
+    conj(chi) has the same window sums, so one character of each conjugate
+    pair is swept.
     Ties: ratios within 1e-9 relative go to the smallest character index, then
     windows within 1e-9 of that character's max |sum| to the smallest M, then N.
     """
@@ -156,12 +158,11 @@ def polya_vinogradov_check(q: int) -> PolyaVinogradovReport:
     E = table.exponents()[1:]
     conj = np.ravel_multi_index((-E % table.orders).T, table.orders)
     swept, pair = np.unique(np.minimum(np.arange(1, table.phi), conj), return_inverse=True)
-    V = table.value_matrix()[swept]
-    # S over two periods (column M + N wraps), real and imaginary parts apart
-    re, im = (np.tile(np.cumsum(part, axis=1), 2) for part in (V.real, V.imag))
-    h = (q + 1) // 2
-    odd = V[:, q - 1].real < 0  # chi(-1) = -1
-    best = np.empty(len(V))
+    S = table.value_matrix(swept)
+    odd = S[:, q - 1].real < 0  # chi(-1) = -1
+    np.cumsum(S, axis=1, out=S)  # the prefix sums S(0..q-1)
+    re, im, h = S.real, S.imag, (q + 1) // 2
+    best = np.empty(len(S))
     best[~odd] = 4.0 * (re[~odd, :h] ** 2 + im[~odd, :h] ** 2).max(axis=1)
     best[odd] = _max_window_sq(re[odd, :h], im[odd, :h])
     # q squarefree: d(q/r) = 2^(untwisted primes)
@@ -170,22 +171,69 @@ def polya_vinogradov_check(q: int) -> PolyaVinogradovReport:
     max_abs = np.sqrt(best[pair])
     ratio = max_abs / bound
     i = int(np.argmax(ratio >= ratio.max() * (1 - 1e-9)))
-    M, N, j = np.arange(q)[:, None], np.arange(1, q + 1), pair[i]
-    d = np.sqrt((re[j, M + N] - re[j, M]) ** 2 + (im[j, M + N] - im[j, M]) ** 2)
-    m, n = divmod(int(np.argmax(d >= max_abs[i] - 1e-9)), q)
+    P, top = np.tile(S[pair[i]], 2), max_abs[i] - 1e-9  # S over two periods: M + N wraps
+    # a window from M reaches top only if |S(M) - c| + max_x |S(x) - c| >= top, c the centroid
+    rho = np.abs(P[:q] - P[:q].mean())
+    starts = np.flatnonzero(rho + rho.max() >= top * (1 - 1e-9))
+    ends = np.lib.stride_tricks.sliding_window_view(P[1:], q)[starts]  # P[M + N], N = 1..q
+    d = np.sqrt((ends.real - P.real[starts, None]) ** 2 + (ends.imag - P.imag[starts, None]) ** 2)
+    k, n = divmod(int(np.argmax(d >= top)), q)
+    m = int(starts[k])
     rows = tuple(zip(range(1, table.phi), max_abs.tolist(), bound.tolist(), ratio.tolist()))
     return PolyaVinogradovReport(q, q, q, rows[i][3], i + 1, m, n + 1, *rows[i][1:3], rows)
 
 
+_BLOCK = 65_536  # pair cells compared at once by _max_window_sq
+_PAD = 4_096  # pad cells a block may add before a new block costs less
+
+
 def _max_window_sq(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """Per row, the max of |S(m + k) - S(m)|^2 over every pair of columns m < m + k, as a
-    running max per offset k over all rows at once; S's real and imaginary parts come apart."""
-    h = re.shape[1]
-    best = np.zeros(len(re))
-    for k in range(1, h):
-        d2 = np.square(re[:, k:] - re[:, : h - k])
-        d2 += np.square(im[:, k:] - im[:, : h - k])
-        np.maximum(best, d2.max(axis=1), out=best)
+    """Per row, the max of (re[x] - re[y])^2 + (im[x] - im[y])^2 over every pair of
+    columns: the squared diameter of the row's points S, bit for bit as a sweep
+    over every pair gives it, comparing only the points that can end a diameter.
+
+    With a the point farthest from column 0 and b the one farthest from a,
+    low = |S(a) - S(b)|^2 is a pair value.  Take c = (S(a) + S(b)) / 2,
+    rho_x = |S(x) - c| and R = max rho: a pair (x, y) at least as far apart
+    as low has sqrt(low) <= |S(x) - S(y)| <= rho_x + rho_y <= rho_x + R, so
+    both ends keep rho_x + R >= sqrt(low).  rho comes from the differences
+    S(x) - S(a), so its rounding is relative to the diameter (at most
+    2 sqrt(low)), far inside the 1e-9 slack.  The survivors are compared in
+    blocks of at most _BLOCK pair cells, rows padded with their own a (a pad
+    adds only real pair values); a block takes rows in ascending survivor
+    count while widening it adds at most _PAD cells.
+    """
+    n, h = re.shape
+    rows = np.arange(n)[:, None]
+    a = (np.square(re - re[:, :1]) + np.square(im - im[:, :1])).argmax(axis=1)[:, None]
+    du, dv = re - re[rows, a], im - im[rows, a]
+    d2 = np.square(du) + np.square(dv)
+    b = d2.argmax(axis=1)[:, None]
+    rho = np.sqrt(np.square(du - du[rows, b] / 2) + np.square(dv - dv[rows, b] / 2))
+    r, c = np.nonzero(rho + rho.max(axis=1, keepdims=True) >= np.sqrt(d2[rows, b]) * (1 - 1e-9))
+    count = np.bincount(r, minlength=n)
+    cols = np.repeat(a, count.max(initial=0), axis=1)  # each row's survivors, then pads
+    cols[r, np.arange(len(r)) - (np.cumsum(count) - count)[r]] = c
+    best = np.zeros(n)
+    order = np.argsort(count, kind="stable")
+    width = count[order].tolist()
+    start = 0
+    while start < n:
+        stop = start + 1
+        while (
+            stop < n
+            and (stop + 1 - start) * width[stop] ** 2 <= _BLOCK
+            and (stop - start) * (width[stop] ** 2 - width[stop - 1] ** 2) <= _PAD
+        ):
+            stop += 1
+        block, k = order[start:stop], width[stop - 1]
+        x, y = re[block[:, None], cols[block, :k]], im[block[:, None], cols[block, :k]]
+        step = max(1, _BLOCK // (len(block) * k))  # below k only for a lone row of k^2 > _BLOCK cells
+        for i in range(0, k, step):
+            d2 = np.square(x[:, i : i + step, None] - x[:, None])
+            d2 += np.square(y[:, i : i + step, None] - y[:, None])
+            best[block] = np.maximum(best[block], d2.max(axis=(1, 2)))
+        start = stop
     return best
 
 
@@ -257,7 +305,7 @@ def primitive_decomposition_check(a: int, y: int, index: int, W: int) -> tuple[c
     if table.conductors()[index] != y:
         raise DomainError(f"character {index} mod {y} is not primitive (twisted at every prime)")
     primes_a = _squarefree_primes(a)
-    chi = table.value_matrix()[index]
+    chi = table.value_matrix([index])[0]
     w = np.arange(1, W + 1)
     lhs = complex(chi[w[np.gcd(w, a) == 1] % y].sum())
     rhs = 0.0 + 0.0j

@@ -217,13 +217,18 @@ def _range(scale: float, delta: float) -> tuple[int, int]:
 
 def _window_sets(config: HarvestConfig, equation: str, windows: Iterable) -> list[tuple[int, ...]]:
     """Validate the config, then list the squarefree smooth numbers over t1, t2
-    and t3 in the three windows (lo, hi), which are only read after validation."""
+    and t3 in the three windows (key, lo, hi), which are only read after
+    validation; an empty window is a ConfigError naming the key that sets it."""
     config.validate()
     if config.equation != equation:
         raise ConfigError("equation", f"config is not a {equation} config")
+    windows = list(windows)
+    for key, lo, hi in windows:
+        if lo > hi:
+            raise ConfigError(key, f"the window [{lo}, {hi}] it sets holds no integer")
     return [
         enumerate_squarefree_smooth(t, lo, hi, config.enum_cap).values()
-        for t, (lo, hi) in zip((config.t1, config.t2, config.t3), windows)
+        for t, (_, lo, hi) in zip((config.t1, config.t2, config.t3), windows)
     ]
 
 
@@ -426,9 +431,8 @@ def thm1_harvest(a_values: Sequence[int], c_values: Sequence[int], W: int, s_pri
 
 def thm1_run(config: HarvestConfig) -> HarvestReport:
     """Harvest solutions of A + 1 = C from near-solutions of a*u + 1 = c*w."""
-    q_values, r_values, a_values = _window_sets(
-        config, "thm1", (_range(s, config.delta) for s in (config.q, config.r, config.z))
-    )
+    scales = (("q", config.q), ("q", config.r), ("z", config.z))  # q sets R = X / Q too
+    q_values, r_values, a_values = _window_sets(config, "thm1", ((k, *_range(s, config.delta)) for k, s in scales))
     c_values = [qv * rv for qv in q_values for rv in r_values]
     if len(a_values) * len(c_values) > config.hit_cap:
         raise ResourceLimit("a x c pair count beyond hit cap")
@@ -488,9 +492,8 @@ def thm2_harvest(
 
 def thm2_run(config: HarvestConfig) -> HarvestReport:
     """Harvest solutions of A + B + 1 = C from near-solutions of a*u + b + 1 = c*w."""
-    c_values, b_values, a_values = _window_sets(
-        config, "thm2", (_range(s, config.delta) for s in (config.x, config.y, config.z))
-    )
+    scales = (("x", config.x), ("y", config.y), ("z", config.z))
+    c_values, b_values, a_values = _window_sets(config, "thm2", ((k, *_range(s, config.delta)) for k, s in scales))
     if len(a_values) * len(c_values) * len(b_values) > config.hit_cap:
         raise ResourceLimit("a x c x b triple count beyond hit cap")
 
@@ -511,7 +514,7 @@ def prop1_run(config: HarvestConfig) -> HarvestReport:
     a <= b add up to the largest c.
     """
     x = config.x
-    sets = _window_sets(config, "prop1", [(2, x)] * 3)
+    sets = _window_sets(config, "prop1", [("x", 2, x)] * 3)
     n_triples = len(sets[0]) * len(sets[1]) * len(sets[2])
     if n_triples > config.hit_cap:
         raise ResourceLimit(f"{n_triples} coefficient triples beyond hit cap {config.hit_cap}")

@@ -5,6 +5,8 @@ from functools import lru_cache
 from math import gcd, prod
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 
@@ -55,6 +57,18 @@ def oracle_gauss_sum(a: int, index: int) -> tuple[complex, int]:
     """(tau, conductor) of character `index` mod a, tau = sum_x chi(x) e(x / a) term by term."""
     chi, cond = oracle_character(a, index)
     return sum(chi(x) * cmath.exp(2j * cmath.pi * x / a) for x in range(a)), cond
+
+
+def max_window_sq_oracle(re, im):
+    """Per row, the max of |S(m + k) - S(m)|^2 over every pair of columns m < m + k:
+    one pass per offset k over all rows at once, comparing every pair."""
+    h = re.shape[1]
+    best = np.zeros(len(re))
+    for k in range(1, h):
+        d2 = np.square(re[:, k:] - re[:, : h - k])
+        d2 += np.square(im[:, k:] - im[:, : h - k])
+        np.maximum(best, d2.max(axis=1), out=best)
+    return best
 
 
 @dataclass(frozen=True)

@@ -61,6 +61,13 @@ def test_value_matrix_matches_oracle():
             assert (V[i, ~units] == 0).all(), (q, i)
 
 
+def test_value_matrix_rows_are_its_row_gather():
+    for q in (3, 30, 35, 210):
+        table = all_characters(q)
+        rows = np.arange(table.phi)[::-3]
+        assert np.array_equal(table.value_matrix(rows), table.value_matrix()[rows]), q
+
+
 def test_slot_is_the_discrete_log_table():
     """For a prime p, _slot[x] is log_g(x) for g = _primitive_root(p), and 0 at x = 0."""
     for p in (x for x in range(2, 3000) if all(x % d for d in range(2, isqrt(x) + 1))):

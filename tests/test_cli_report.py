@@ -138,6 +138,9 @@ def test_cli_exit_codes(tmp_path):
         ("thm2", "x=1000000", "x=-5"),
         ("thm1", "x=1000000", "x=1000000\nw=0"),
         ("thm1", "x=1000000", "x=1000000\nq=0"),
+        # an empty scale window names the key that sets it; q sets R = X / Q, below 2 here
+        ("thm1", "x=1000000", "x=1000000\nq=1e300"),
+        ("thm1", "x=1000000", "x=1000000\nw=1\nz=1.5"),
         ("thm1", "x=1000000", "x=1000000\nepsilon=-5"),
         ("thm1", "x=1000000", "x=1000000\nepsilon=0"),
         # a negative cap is a config error, not a resource limit of -1
@@ -158,6 +161,14 @@ def test_cli_bad_config_value(tmp_path, capsys, command, old, new):
     err = capsys.readouterr().err
     bad_key = new.splitlines()[-1].split("=")[0]
     assert err.startswith("config error:") and repr(bad_key) in err and err.count("\n") == 1
+
+
+def test_cli_empty_thm2_window_names_its_key(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text((CONFIGS / "thm2_desk.cfg").read_text() + "z=1.5\n")
+    assert main(["thm2", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "'z'" in err and "[2, 1]" in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("equation, key", [(eq, key) for eq, keys in UNREAD_KEYS.items() for key in keys])

@@ -4,17 +4,22 @@
 character it gathers every window sum |P[M + N] - P[M]|, 0 <= M < scan_M,
 1 <= N <= scan_N, from complex prefix sums over scan_M + scan_N terms, with no
 use of periodicity.  The sweep covers 0 <= M < q, 1 <= N <= q; the oracle
-also shows that longer scans find no larger window.
+also shows that longer scans find no larger window.  `max_window_sq_oracle`
+compares every pair of points, against which the pruned pair sweep must agree
+bit for bit.
 """
 
+import hashlib
 import json
 from argparse import Namespace
 from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import oracle_character
+from conftest import max_window_sq_oracle, oracle_character
 from sunit_harvest import cli
 from sunit_harvest.arith import multiplicative_functions
 from sunit_harvest.characters import _max_window_sq, all_characters, polya_vinogradov_check
@@ -86,7 +91,7 @@ def test_folded_scan_matches_general_sweep(q):
     points S(0..q-1) of every non-principal chi, conjugate pairs included."""
     rep = polya_vinogradov_check(q)
     V = all_characters(q).value_matrix()[1:]
-    general = np.sqrt(_max_window_sq(np.cumsum(V.real, axis=1), np.cumsum(V.imag, axis=1)))
+    general = np.sqrt(max_window_sq_oracle(np.cumsum(V.real, axis=1), np.cumsum(V.imag, axis=1)))
     assert [row[0] for row in rep.rows] == list(range(1, len(V) + 1))
     for row, stat in zip(rep.rows, general):
         assert row[1] == pytest.approx(stat, rel=1e-12), (q, row[0])
@@ -113,3 +118,85 @@ def test_report_fields_are_python_numbers():
     json.dumps(summary)
     for row in rows:
         assert [type(x) for x in row] == [int, int, float, float, float]
+
+
+def _cloud(kind: str, h: int, seed: int) -> np.ndarray:
+    """h complex points of one kind, from a seeded generator."""
+    rng = np.random.default_rng(seed)
+    z0 = complex(*rng.normal(size=2))
+    if kind == "walk":  # prefix sums of twelfth roots of unity, as a character's are
+        return np.cumsum(np.exp(2j * np.pi * rng.integers(0, 12, h) / 12))
+    if kind == "random":
+        return rng.normal(size=h) + 1j * rng.normal(size=h)
+    if kind == "equal":
+        return np.full(h, z0)
+    if kind == "collinear":
+        return z0 + rng.normal(size=h) * np.exp(2j * np.pi * rng.uniform())
+    if kind == "polygon":  # every vertex ends a diameter (even h): nothing is pruned
+        return z0 + np.exp(2j * np.pi * np.arange(h) / h)
+    if kind == "circle":  # nothing is pruned, and the diameter's ends fall anywhere
+        return z0 + np.exp(2j * np.pi * rng.uniform(size=h))
+    return rng.choice(rng.normal(size=3) + 1j * rng.normal(size=3), size=h)  # duplicated
+
+
+KINDS = ("walk", "random", "equal", "collinear", "polygon", "circle", "duplicated")
+CLOUD_ROWS = st.lists(
+    st.tuples(st.sampled_from(KINDS), st.integers(0, 2**32 - 1), st.integers(-6, 6), st.integers(-3, 9)),
+    min_size=1,
+    max_size=6,
+)
+
+
+def _sweep_matches_oracle(z: np.ndarray) -> None:
+    re, im = np.ascontiguousarray(z.real), np.ascontiguousarray(z.imag)
+    assert np.array_equal(_max_window_sq(re, im), max_window_sq_oracle(re, im))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.integers(1, 90), CLOUD_ROWS)
+@example(1, [("random", 1, 0, 0)])
+@example(2, [("random", 2, 0, 0), ("equal", 3, 0, 0)])
+def test_pruned_sweep_matches_every_pair(h, rows):
+    """Rows of their own kind, scale 10^scale and offset 10^shift, in one call."""
+    z = np.stack([_cloud(kind, h, seed) * 10.0**scale + 10.0**shift for kind, seed, scale, shift in rows])
+    _sweep_matches_oracle(z)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.integers(1, 40).flatmap(
+            lambda h: st.lists(st.floats(-1e6, 1e6), min_size=2 * n * h, max_size=2 * n * h).map(
+                lambda v: np.array(v).reshape(2, n, h)
+            )
+        )
+    )
+)
+def test_pruned_sweep_matches_every_pair_on_raw_floats(parts):
+    _sweep_matches_oracle(parts[0] + 1j * parts[1])
+
+
+@pytest.mark.parametrize(
+    "rows, h",
+    [
+        ([("polygon", 0, 0, 0)], 200),  # all 200 points survive: one row of 40,000 pair cells
+        ([("polygon", 0, 0, 0)], 300),  # 90,000 cells: one row is split across blocks
+        ([("circle", seed, 0, 0) for seed in range(8)], 300),
+        ([("polygon", 0, 0, 0), ("walk", 1, 0, 0), ("equal", 2, 0, 0), ("duplicated", 3, 0, 0)], 257),
+        ([("walk", 4, 6, 0), ("collinear", 5, -6, 8), ("random", 6, 0, 0)] * 30, 120),
+    ],
+)
+def test_pruned_sweep_matches_every_pair_in_wide_blocks(rows, h):
+    z = np.stack([_cloud(kind, h, seed) * 10.0**scale + 10.0**shift for kind, seed, scale, shift in rows])
+    _sweep_matches_oracle(z)
+
+
+def test_charsums_csv_bytes_are_pinned(tmp_path):
+    """The ratios CSV of `verify charsums --qmax 200 --trials 1 --seed 1`, one row per
+    non-principal character mod each squarefree q <= 200, pinned by its sha256."""
+    ratios = tmp_path / "ratios.csv"
+    argv = ["verify", "charsums", "--qmax", "200", "--trials", "1", "--seed", "1"]
+    assert cli.main(argv + ["--solutions", str(ratios), "--out", str(tmp_path / "summary.json")]) == 0
+    data = ratios.read_bytes()
+    assert data.count(b"\n") == 8411
+    assert hashlib.sha256(data).hexdigest() == "bafb015438078a33ce8d08ad8597718d195146eb0c549aff0e160683502dfb39"
