@@ -339,4 +339,4 @@ def multiplicative_decomposition(A: Iterable[int], C: Iterable[int], W: int) -> 
         prod = Fc * Fw / table.phi
         main += prod[0].real
         remainder += np.sum(prod[1:])
-    return main, float(remainder.real), count_hits(a_values, c, W, shift=1)
+    return main, float(remainder.real), count_hits(a_values, c, W)

@@ -93,7 +93,7 @@ def additive_decomposition(A: Iterable[int], C: Iterable[int], mu: float) -> Add
     # checked first: C past int64 is refused at the largest bound [mu Z] on w;
     # w is bounded per modulus (w <= [mu a]), so step each modulus separately
     c = _int64(c_values, [1], _floor_mu_a(mu, Z))
-    exact = sum(count_hits([a], c, _floor_mu_a(mu, a), shift=1) for a in a_values)
+    exact = sum(count_hits([a], c, _floor_mu_a(mu, a)) for a in a_values)
 
     # the frequencies h != 0 of the window -a/2 < h <= a/2 of Z; every modulus's
     # window nests in it, starting (Z - 1) // 2 - (a - 1) // 2 places in

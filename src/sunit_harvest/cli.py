@@ -29,13 +29,15 @@ from .circle import additive_decomposition
 from .errors import (
     ConfigError,
     ConstraintViolation,
+    DomainError,
     EmptyHarvest,
     EnumerationCap,
     FactorizationLimit,
+    InsufficientPrimes,
     ResourceLimit,
     SunitHarvestError,
 )
-from .exponents import check_constraints, optimality_frontier, regime_exponents
+from .exponents import VARIANTS, check_constraints, optimality_frontier, regime_exponents
 from .oracle import DEFAULT_BUDGET, brute_linear_count, brute_prop1_triples, brute_sunit_pairs
 from .pipelines import (
     HarvestConfig,
@@ -113,7 +115,10 @@ def _integers(text: str, key: str) -> tuple[int, ...]:
 
 
 def _parse_primes(text: str, key: str = "primes") -> PrimeSet:
-    return PrimeSet(tuple(sorted(_integers(text, key))))
+    try:
+        return PrimeSet(tuple(sorted(_integers(text, key))))
+    except DomainError as err:  # a repeat or a non-prime
+        raise ConfigError(key, str(err)) from None
 
 
 def _prime_triple(params: dict) -> tuple[PrimeSet, PrimeSet, PrimeSet]:
@@ -125,7 +130,10 @@ def _prime_triple(params: dict) -> tuple[PrimeSet, PrimeSet, PrimeSet]:
         m = _number(params, "t_split", "3", int)
         if m != 3:
             raise ConfigError("t_split", "pipelines need exactly 3 prime sets")
-        return tuple(split_disjoint_prime_sets(lo, hi, 3))
+        try:
+            return tuple(split_disjoint_prime_sets(lo, hi, 3))
+        except InsufficientPrimes as err:
+            raise ConfigError("t_interval", str(err)) from None
     try:
         return tuple(_parse_primes(params[key], key) for key in ("t1", "t2", "t3"))
     except KeyError as missing:
@@ -152,6 +160,8 @@ def build_harvest_config(params: dict) -> HarvestConfig:
         return prop1_config(x, t1, t2, t3, **kwargs)
     alpha = _number(params, "alpha", "0.1666666666666667" if equation == "thm1" else "0.52")
     variant = params.get("variant", "unconditional")
+    if variant not in VARIANTS:
+        raise ConfigError("variant", f"must be {' or '.join(VARIANTS)}, got {variant!r}")
     delta, epsilon = _number(params, "delta", "0.1"), _number(params, "epsilon", "0.01")
     return config_from_exponents(equation, x, alpha, variant, delta, t1, t2, t3, epsilon=epsilon, **kwargs)
 

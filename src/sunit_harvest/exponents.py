@@ -80,6 +80,8 @@ def check_constraints(theorem: str, variant: str, alpha: float) -> list[tuple[st
     Margins are oriented so that satisfied == (margin >= 0), with a hair of
     slack so the exact thresholds (including the cubic roots, which are only
     float approximations) count as satisfied; only alpha_positive is strict.
+    The cubics are in Horner form, which overflows to an infinite margin
+    where a power such as alpha**3 raises OverflowError.
     """
     if theorem not in THEOREMS or variant not in VARIANTS:
         raise DomainError(f"unknown regime {theorem}/{variant}")
@@ -97,10 +99,10 @@ def check_constraints(theorem: str, variant: str, alpha: float) -> list[tuple[st
         if variant == "conditional":
             q = -(alpha * alpha + 3.0 * alpha - 2.0)
             out.append(("quadratic_alpha2_3alpha_2_negative", q, sat(q)))
-            c = alpha**3 - 2.0 * alpha**2 - alpha + 1.0
+            c = ((alpha - 2.0) * alpha - 1.0) * alpha + 1.0
             out.append(("cubic_x3_2x2_x_1_positive", c, sat(c)))
         else:
-            c = -(4.0 * alpha**3 - 5.0 * alpha**2 + 9.0 * alpha - 4.0)
+            c = -(((4.0 * alpha - 5.0) * alpha + 9.0) * alpha - 4.0)
             out.append(("cubic_4x3_5x2_9x_4_negative", c, sat(c)))
     return out
 

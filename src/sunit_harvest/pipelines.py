@@ -130,8 +130,8 @@ class HarvestConfig:
         if self.equation == "thm2":
             if self.y is None:
                 raise ConfigError("y", "thm2 needs the Y scale")
-            if self.z > min(self.x, self.y):
-                raise ConfigError("z", "need Z <= min(X, Y)")
+            if not 0 < self.z <= min(self.x, self.y):  # a power of Z <= 0 is complex or infinite
+                raise ConfigError("z", "need 0 < Z <= min(X, Y)")
             if self.y > self.x * self.w_max * (1 + 1e-9):
                 raise ConfigError("y", "need Y <= X * W")
 
@@ -172,6 +172,8 @@ def config_from_exponents(
     """
     if x < 2:  # before any power of X: 0 ** -e divides by zero, (-5) ** e is complex
         raise ConfigError("x", f"need X >= 2, got {x}")
+    if not 0 < delta < 1:  # before Q = Z^(1 - delta), which overflows for a huge delta
+        raise ConfigError("delta", "need 0 < delta < 1")
     theorem = "thm1" if equation == "thm1" else "thm2"
     exps = regime_exponents(theorem, variant, alpha)
     z = float(x) ** exps.z_exp
@@ -548,7 +550,7 @@ def prop1_run(config: HarvestConfig) -> HarvestReport:
     s_prime = config.t1.union(config.t2).union(config.t3)
     S, rows, duplicates, verify_failures = _keep_verified(bucket, "prop1", s_prime, key)
 
-    return HarvestReport(
+    report = HarvestReport(
         equation="prop1",
         s_prime=s_prime.primes,
         s_full=S.primes,
@@ -562,8 +564,8 @@ def prop1_run(config: HarvestConfig) -> HarvestReport:
             "reduced_duplicates": duplicates,
             "verify_failures": verify_failures,
         },
-        bound_comparison=compare_bounds(len(S), "prop1", config.epsilon, len(rows)),
     )
+    return _with_config(report, config)
 
 
 PAIR_CAP = 4_000_000  # most (c, c') pairs pair_collision_stats compares; thm2 audits no more

@@ -1,26 +1,26 @@
 """The residue-progression kernel: {(c, shift, w) : c*w == shift (mod a), 1 <= w <= W}.
 
-Two walks list the same rows.  The start walk (`_starts`): for each cell
-(c, shift) the admissible w form the progression w0, w0 + a/g, ... with
-g = gcd(c, a), so one modulus costs O(#C * #shifts + hits) instead of the
-naive O(#C * #shifts * W).  The start w0 needs the inverse of c/g mod a/g;
-all of them come from one array Euler power c^(phi(a) - 1), with no per-c
-Python loop.  The dual walk (`_join`) lists the residue (c mod a)*w mod a of every
-(c, w) with w <= W and joins it against the shifts grouped by residue, at
-O(#C * W + a + #shifts + hits).  `progressions` takes the join exactly when
-its grid is the smaller one, #C * W + a < #C * #shifts: many shifts and a
-short w range, as in thm2.  One shift or a long w range (thm1) stays on
-the start walk.  `count_hits`, the decompositions' exact count, inverts the
-distinct residues of C mod a, each weighted by how many c share it, and counts
-each unit's progression of step a directly; the other residues take the start
-walk only when gcd(shift, a) > 1.  Either walk lists the rows grouped by c;
-within one c the start walk orders them by (shift, w) and the join by
-(w, shift).  No caller reads that order.
+Two walks list the same rows.  The start walk (`_starts`) takes units c mod
+a only: the admissible w of each cell (c, shift) form the progression
+w0, w0 + a, ... from w0 == shift * c^-1 (mod a), so one modulus costs
+O(#C * #shifts + hits) instead of the naive O(#C * #shifts * W).  All the
+inverses come from one array Euler power c^(phi(a) - 1), with no per-c
+Python loop, and a c that shares a factor with a is refused, never listed.
+The dual walk (`_join`) lists the residue (c mod a)*w mod a of every (c, w)
+with w <= W and joins it against the shifts grouped by residue, at
+O(#C * W + a + #shifts + hits), for any c.  `progressions` takes the join
+exactly when its grid is the smaller one, #C * W + a < #C * #shifts: many
+shifts and a short w range, as in thm2.  One shift or a long w range (thm1)
+stays on the start walk; both pipelines pass only c coprime to a.
+`count_hits`, the decompositions' exact count of c*w == 1 (mod a), inverts
+the distinct residues of C mod a, each weighted by how many c share it; only
+the units reach 1, each on the one progression `_starts` gives it.  Either
+walk lists the rows grouped by c; within one c the start walk orders them
+by (shift, w) and the join by (w, shift).  No caller reads that order.
 """
 
 from __future__ import annotations
 
-from math import gcd
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -72,36 +72,13 @@ def _unit_inverse(x: np.ndarray, a: int) -> tuple[np.ndarray, np.ndarray]:
     return inv, x * inv % a == 1 % a
 
 
-def _gcd_inverse(c: np.ndarray, a: int) -> tuple[np.ndarray, np.ndarray]:
-    """int64 arrays (g, inv) with g = gcd(c, a) and inv = pow(c // g, -1, a // g)
-    elementwise (0 where a // g == 1), for an int64 array c of any sign.
-
-    Only the non-units take np.gcd and a second power, mod a/g with the same
-    exponent: c/g is a unit mod a/g, and phi(a/g) divides phi(a).
-    """
-    x = c % a
-    inv, unit = _unit_inverse(x, a)
-    g = np.ones_like(x)
-    rest = np.flatnonzero(~unit)
-    g[rest] = gr = np.gcd(x[rest], a)
-    inv[rest] = _powmod(x[rest] // gr, multiplicative_functions(a)[0] - 1, a // gr)
-    return g, inv
-
-
-def _starts(a: int, c: np.ndarray, shifts: Sequence[int], W: int):
-    """int64 grids (w0, step, n) over the cells (c, shift): the first term, step
-    and number of terms up to W of each progression (n = 0 unless g | shift).
-
-    g and the inverse of c/g mod step = a/g come from _gcd_inverse, which
-    refuses a^2 >= 2^63.  c comes from _int64, which checked c*w - shift.
-    """
-    sh = np.array(shifts, dtype=np.int64)[None, :]
-    g, inv = _gcd_inverse(c, a)
-    step = a // g
-    g, step = g[:, None], step[:, None]
-    w0 = (sh // g % step * inv[:, None] - 1) % step + 1  # in [1, step]
-    n = np.where((sh % g == 0) & (w0 <= W), (W - w0) // step + 1, 0)
-    return w0, step, n
+def _starts(a: int, inv: np.ndarray, shifts: Sequence[int], W: int):
+    """int64 grids (w0, n) over the cells (c, shift) of units c mod a with
+    inverses inv: the first term in [1, a] of each progression w == shift/c
+    (mod a) of step a, and its number of terms up to W.  Each product of two
+    residues stays below a^2 < 2^63, which _unit_inverse checked."""
+    w0 = (np.array(shifts, dtype=np.int64)[None, :] % a * inv[:, None] - 1) % a + 1
+    return w0, np.where(w0 <= W, (W - w0) // a + 1, 0)
 
 
 def _join(a: int, c: np.ndarray, shifts: Sequence[int], W: int):
@@ -133,22 +110,26 @@ def progressions(a: int, c_values: Sequence[int] | np.ndarray, shifts: Sequence[
     """int64 arrays (i, j, w), one row per solution of c_values[i]*w == shifts[j]
     (mod a) with 1 <= w <= W, grouped by ascending i.
 
-    The dual walk `_join` runs when #C * W + a < #C * #shifts, and the rows
-    within each i are in (w, j) order; otherwise the start walk `_starts`
-    runs, in (j, w) order, and refuses a^2 >= 2^63.  Either costs the size of
-    its grid plus the hits.  c_values[i]*w - shifts[j] is guaranteed to fit
-    in int64.  DomainError unless a >= 1.
+    The dual walk `_join` runs when #C * W + a < #C * #shifts, for any c, and
+    the rows within each i are in (w, j) order; otherwise the start walk
+    `_starts` runs, in (j, w) order, refuses a^2 >= 2^63 (ResourceLimit) and
+    raises DomainError for a c that shares a factor with a.  Either costs the
+    size of its grid plus the hits.  c_values[i]*w - shifts[j] is guaranteed
+    to fit in int64.  DomainError unless a >= 1.
     """
     _check_moduli([a])
     c = _int64(c_values, shifts, W)
     if c.size * W + a < c.size * len(shifts):
         return _join(a, c, shifts, W)
-    w0, step, n = _starts(a, c, shifts, W)
+    inv, unit = _unit_inverse(c % a, a)
+    if not unit.all():
+        raise DomainError(f"the start walk mod {a} takes units only, got c = {c[~unit][0]}")
+    w0, n = _starts(a, inv, shifts, W)
     n = n.ravel()
     cell = np.repeat(np.arange(n.size), n)
     i, j = np.divmod(cell, w0.shape[1])
     term = np.arange(cell.size) - np.repeat(np.cumsum(n) - n, n)
-    return i, j, w0.ravel()[cell] + term * step[i, 0]
+    return i, j, w0.ravel()[cell] + term * a
 
 
 def _interval_counts(a: int, W: int) -> np.ndarray:
@@ -159,8 +140,8 @@ def _interval_counts(a: int, W: int) -> np.ndarray:
     return counts
 
 
-def count_hits(a_values: Iterable[int], c_values: Iterable[int] | np.ndarray, W: int, shift: int = 1) -> int:
-    """Exact number of triples (a, c, w) with c*w == shift (mod a) and 1 <= w <= W.
+def count_hits(a_values: Iterable[int], c_values: Iterable[int] | np.ndarray, W: int) -> int:
+    """Exact number of triples (a, c, w) with c*w == 1 (mod a) and 1 <= w <= W.
 
     c_values is checked and converted to int64 once, not once per modulus; with
     no modulus there is nothing to step, and nothing is refused.  Each modulus
@@ -171,14 +152,11 @@ def count_hits(a_values: Iterable[int], c_values: Iterable[int] | np.ndarray, W:
     if not a_values:
         return 0
     _check_moduli(a_values)
-    c = _int64(c_values if isinstance(c_values, np.ndarray) else list(c_values), [shift], W)
+    c = _int64(c_values if isinstance(c_values, np.ndarray) else list(c_values), [1], W)
     total = 0
     for a in a_values:
         r, k = np.unique(c % a, return_counts=True)
         inv, unit = _unit_inverse(r, a)
-        # a unit residue reaches shift on one progression of step a, from shift/r mod a
-        w0 = (shift % a * inv[unit] - 1) % a + 1  # in [1, a]
-        total += int(k[unit] @ np.where(w0 <= W, (W - w0) // a + 1, 0))
-        if gcd(shift, a) > 1:  # gcd(r, a) divides shift only if it divides gcd(shift, a)
-            total += int(k[~unit] @ _starts(a, r[~unit], [shift], W)[2][:, 0])
+        # only a unit residue reaches 1, on one progression of step a
+        total += int(k[unit] @ _starts(a, inv[unit], [1], W)[1][:, 0])
     return total

@@ -1,0 +1,106 @@
+"""Fuzz oracle for the pipeline commands: a config file, however malformed,
+ends in a documented exit code and at most one line on stderr.
+
+Each example writes a thm1, thm2 or prop1 config whose scale x is held small,
+so that every run is bounded, and then sets some known keys to numbers, junk,
+huge or negative values, repeats a line, adds a line the parser cannot read
+or breaks the UTF-8.  An exit 1 must name the config key or the file.
+"""
+
+import io
+import re
+import tempfile
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from sunit_harvest import cli
+
+KNOWN_KEYS = sorted(set().union(*cli._KEYS.values()))
+
+# the smallest x at which each base config still harvests (thm1, thm2) or stays quick (prop1)
+BASE = {
+    "thm1": {"equation": "thm1", "x": "100000", "delta": "0.5", "t1": "2,3,5,7", "t2": "11,13,17,19", "t3": "23,29,31,37"},
+    "thm2": {"equation": "thm2", "x": "10000", "delta": "0.5", "t1": "2,3,5,7", "t2": "11,13,17,19", "t3": "23,29,31,37"},
+    "prop1": {"equation": "prop1", "x": "1000", "t_interval": "2,40"},
+}
+
+numbers = st.one_of(st.integers(-5, 60).map(str), st.floats(-2, 2).map(repr))
+huge = st.sampled_from(["1e300", "-1e300", "1e400", "-inf", "nan", "9" * 40, "-" + "9" * 40, "1e-300"])
+junk = st.text(st.characters(codec="utf-8", exclude_characters="#"), max_size=6)
+primes = st.lists(st.sampled_from([-3, 0, 1, 2, 3, 4, 5, 7, 9, 11, 13, 17, 19, 23, 29, 31, 37, 41]), max_size=4)
+# a sieve bound past any desk run must be refused, not sieved
+interval = st.tuples(st.integers(-50, 60), st.one_of(st.integers(-50, 60), st.sampled_from([10**12, 10**30])))
+VALUES = {
+    **{key: st.one_of(numbers, huge, junk) for key in KNOWN_KEYS},
+    "equation": st.one_of(st.sampled_from(sorted(BASE)), junk),
+    "variant": st.one_of(st.sampled_from(["unconditional", "conditional"]), junk),
+    **{key: st.one_of(primes.map(lambda p: ",".join(map(str, p))), numbers, huge, junk) for key in ("t1", "t2", "t3")},
+    "t_interval": st.one_of(interval.map(lambda t: f"{t[0]},{t[1]}"), numbers, huge, junk),
+}
+
+
+@st.composite
+def config_files(draw) -> tuple[str, bytes]:
+    """(command, file bytes): a base config with up to three keys
+    changed (x never upward) and one optional defect in the file itself."""
+    command = draw(st.sampled_from(sorted(BASE)))
+    params = dict(BASE[command])
+    for key in draw(st.lists(st.sampled_from(KNOWN_KEYS), max_size=3, unique=True)):
+        if key == "x":
+            params[key] = draw(st.one_of(st.integers(-5, int(params[key])).map(str), junk, st.just("-1e300")))
+        else:
+            params[key] = draw(VALUES[key])
+    lines = [f"{key}={value}" for key, value in params.items()]
+    defect = draw(st.sampled_from(["none", "duplicate", "unknown key", "no equals sign", "not UTF-8"]))
+    at = draw(st.integers(0, len(lines)))
+    if defect == "duplicate":
+        lines.insert(at, lines[at % len(lines)])
+    elif defect == "unknown key":
+        lines.insert(at, "cap=5")
+    elif defect == "no equals sign":
+        lines.insert(at, "x 5")
+    data = "\n".join(lines).encode()
+    if defect == "not UTF-8":
+        cut = draw(st.integers(0, len(data)))
+        data = data[:cut] + b"\xff" + data[cut:]
+    return command, data
+
+
+def names_a_key(err: str, data: bytes, path: Path) -> bool:
+    """Whether a one-line error message names a config key, a line of the file
+    data or the file."""
+    found = re.match(r"config error: config key '([^']*)': ", err)
+    if found is None:
+        return str(path) in err
+    named = found.group(1)
+    return re.fullmatch(r"line \d+", named) is not None or all(
+        k in KNOWN_KEYS or f"{k}=".encode() in data for k in named.split("/")
+    )
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(config_files())
+@example(("thm1", "\n".join(f"{k}={v}" for k, v in BASE["thm1"].items()).encode()))
+@example(("prop1", b"equation=prop1\nx=1000\nt_interval=2,1000000000000\n"))
+def test_cli_config_fuzz(case):
+    command, data = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.cfg"
+        path.write_bytes(data)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main([command, "--config", str(path)])
+    out, err = out.getvalue(), err.getvalue()
+    assert code in range(5), (code, err)
+    assert "Traceback" not in out + err
+    assert not caught, [str(w.message) for w in caught]  # a warning would print more lines on stderr
+    assert len(err.splitlines()) <= 1, err  # exit 0 may warn of a degenerate harvest
+    if code:
+        assert out == "" and err.count("\n") == 1, (code, out, err)
+    if code == 1:
+        assert names_a_key(err, data, path), err

@@ -150,6 +150,11 @@ def test_cli_exit_codes(tmp_path):
         ("thm1", "x=1000000", "x=1000000\nr=1"),
         ("thm2", "x=1000000", "x=1000000\nr=1"),
         ("prop1", "x=1000000", "x=1000000\nr=1"),
+        # the config fuzz found these four exiting 1 without a key, or with a traceback
+        ("thm1", "variant=unconditional", "variant=both"),
+        ("thm1", "t1=2,3,", "t1=2,4,"),
+        ("prop1", "t1=2,3,17,19,23,29,31,37,41,43\n", "t_interval=50,60\n"),
+        ("thm1", "delta=0.1", "delta=-1e300"),
     ],
 )
 def test_cli_bad_config_value(tmp_path, capsys, command, old, new):
@@ -169,6 +174,15 @@ def test_cli_empty_thm2_window_names_its_key(tmp_path, capsys):
     assert main(["thm2", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "'z'" in err and "[2, 1]" in err and err.count("\n") == 1
+
+
+def test_cli_thm2_z_must_be_positive(tmp_path, capsys):
+    # a window Z^(1 - delta) of a negative Z would be complex
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text((CONFIGS / "thm2_desk.cfg").read_text() + "z=-1\n")
+    assert main(["thm2", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "'z'" in err and "0 < Z" in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("equation, key", [(eq, key) for eq, keys in UNREAD_KEYS.items() for key in keys])
@@ -243,6 +257,24 @@ def test_cli_file_errors_are_one_line(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert code == 1 and err.startswith("error: ") and err.count("\n") == 1, err
     assert "Traceback" not in err
+
+
+def test_cli_huge_alpha_is_a_constraint_violation(tmp_path, capsys):
+    # the cubic margin overflows to -inf, not to an OverflowError
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text((CONFIGS / "thm2_desk.cfg").read_text().replace("alpha=0.52", "alpha=1e300"))
+    assert main(["thm2", "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("constraint violation:") and "margin -inf" in err and err.count("\n") == 1
+
+
+def test_cli_sieve_cap_exit(tmp_path, capsys):
+    # refused before any sieve is built, at 10^12 as at 10^30
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("equation=prop1\nx=600\nt_interval=2,1000000000000000000000000000000\n")
+    assert main(["prop1", "--config", str(cfg)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("resource limit:") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("alpha", ["0", "-1"])

@@ -34,7 +34,7 @@ from sunit_harvest.pipelines import (
 from sunit_harvest.siegel import siegel_nonzero_coords
 from sunit_harvest.smooth import enumerate_squarefree_smooth
 from sunit_harvest import pipelines, stepping
-from sunit_harvest.stepping import _gcd_inverse, _powmod, _unit_inverse, count_hits, progressions
+from sunit_harvest.stepping import _powmod, _unit_inverse, count_hits, progressions
 
 PROFILE = settings(derandomize=True, max_examples=60, deadline=None)
 
@@ -291,16 +291,21 @@ def test_count_checked_against_listing(monkeypatch, harvest, sets):
     st.lists(st.integers(-40, 40), max_size=40),
     st.one_of(st.integers(0, 8), st.integers(0, 70)),  # W below and above #shifts
 )
-@example(6, [4, 9], [2, 3], 20)  # start walk: gcd(c, a) > 1, with and without g | shift
+@example(6, [1, 5, 7], [2, 3, 0, -1], 20)  # start walk: shifts sharing a factor with a
+@example(6, [4, 9, 5], [2, 3], 20)  # start walk: the non-units 4 and 9 are left out
 @example(7, [3, 5], [-5, -14], 20)  # start walk: negative shifts
 @example(25, [3, 7], [1, 4], 5)  # start walk: W below a
 @example(4, [3, 7], [1, 4], 60)  # start walk: W above a
 @example(5, [], [1], 10)  # no c at all
 # join: gcd(c, a) > 1, negative shifts, shifts sharing a residue, W below #shifts
 @example(6, [4, 9, 5], [2, -4, 8, 3, -3, 9, 1, 0, 6, -6, 2], 5)
-@example(4, [3, 6], [1, 5, -3, 2, 9], 3)  # 2*3 + 4 == 2*5: the boundary takes the start walk
-@example(4, [3, 6], [1, 5, -3, 2, 9, 4], 3)  # one shift more: the join
+@example(4, [3, 7], [1, 5, -3, 2, 9], 3)  # 2*3 + 4 == 2*5: the boundary takes the start walk
+@example(4, [3, 7], [1, 5, -3, 2, 9, 4], 3)  # one shift more: the join
 def test_progressions_match_brute(a, c_values, shifts, W):
+    assert count_hits([a], c_values, W) == brute_linear_count([a], c_values, W, 1).count
+    if len(c_values) * W + a >= len(c_values) * len(shifts):
+        # the start walk takes units only; fewer c keep it the start walk
+        c_values = [c for c in c_values if gcd(c, a) == 1]
     brute = [
         (i, j, w)
         for i, c in enumerate(c_values)
@@ -311,8 +316,6 @@ def test_progressions_match_brute(a, c_values, shifts, W):
     i, j, w = progressions(a, c_values, shifts, W)
     # the multiset of rows; no caller reads their order, which differs between the walks
     assert sorted(zip(i.tolist(), j.tolist(), w.tolist())) == brute
-    for shift in shifts:
-        assert count_hits([a], c_values, W, shift) == brute_linear_count([a], c_values, W, shift).count
 
 
 @pytest.mark.parametrize("shifts, joins", [([1, 5, -3, 2, 9], False), ([1, 5, -3, 2, 9, 4], True)])
@@ -321,8 +324,17 @@ def test_progressions_strategy_boundary(monkeypatch, shifts, joins):
     # 2 * #shifts; test_progressions_match_brute checks the rows of both cases
     join, calls = stepping._join, []
     monkeypatch.setattr(stepping, "_join", lambda *args: calls.append(args) or join(*args))
-    progressions(4, [3, 6], shifts, 3)
+    progressions(4, [3, 7], shifts, 3)
     assert bool(calls) == joins
+
+
+def test_start_walk_refuses_non_units():
+    # the start walk steps by a, which would list wrong rows for gcd(c, a) > 1;
+    # the join lists them (test_progressions_match_brute)
+    with pytest.raises(DomainError, match="c = 4$"):
+        progressions(6, [5, 4, 9], [2], 20)
+    with pytest.raises(DomainError, match="c = -13$"):
+        progressions(3_037_000_499, [1, -13], [1], 5)  # 13 divides this a
 
 
 @st.composite
@@ -336,19 +348,6 @@ def moduli_and_coefficients(draw):
         st.integers(-500, 500).map(lambda k: k * d),
     )
     return a, draw(st.lists(c, max_size=40))
-
-
-@PROFILE
-@given(moduli_and_coefficients())
-@example((1, [-3, 0, 5]))  # a == 1: every step is 1 and every inverse 0
-@example((12, [-7, -12, 0, 24, 36]))  # negative c; c a multiple of a (step == 1)
-@example((30, [6, 10, 15, -21, 7, 29]))  # gcd(c, a) > 1
-@example((7, []))
-def test_gcd_inverse_matches_pow(case):
-    a, c_values = case
-    g, inv = _gcd_inverse(np.array(c_values, dtype=np.int64), a)
-    assert g.tolist() == [gcd(c, a) for c in c_values]
-    assert inv.tolist() == [pow(c // gcd(c, a), -1, a // gcd(c, a)) for c in c_values]
 
 
 @st.composite
@@ -391,31 +390,18 @@ def test_count_hits_refuses_moduli_past_int64():
         additive_decomposition([2**32], [3], 0.5)
 
 
-def test_count_hits_takes_the_start_walk_only_for_shared_factors(monkeypatch):
-    # a residue sharing a factor with a reaches shift only if gcd(shift, a) > 1
-    starts, calls = stepping._starts, []
-    monkeypatch.setattr(stepping, "_starts", lambda *args: calls.append(args) or starts(*args))
-    c_values = [2, 3, 4, 5, 6, 9, 10, 35]
-    for a in (1, 6, 7, 12):
-        for shift in (1, -1, 5, 2, 3, -4, 0, 12):
-            calls.clear()
-            assert count_hits([a], c_values, 20, shift) == brute_linear_count([a], c_values, 20, shift).count
-            assert bool(calls) == (gcd(shift, a) > 1), (a, shift)
-
-
 @PROFILE
-@given(moduli_and_coefficients(), st.integers(0, 400), st.integers(0, 10**6))
-@example((6, [5, 11, -1, 17, 5]), 20, 0)  # one residue: its weight 5 multiplies, not 1
-@example((12, [0, 24, -36, 6, 9, -4]), 30, 3)  # c == 0 (mod a) and gcd(c, a) > 1
-@example((1, [-3, 0, 5]), 4, 0)  # a == 1: every (c, w) is a hit
-@example((7, []), 10, 0)
-def test_count_hits_matches_brute(case, W, pick):
+@given(moduli_and_coefficients(), st.integers(0, 400))
+@example((6, [5, 11, -1, 17, 5]), 20)  # one residue: its weight 5 multiplies, not 1
+@example((12, [0, 24, -36, 6, 9, -4, 5]), 30)  # c == 0 (mod a) and gcd(c, a) > 1
+@example((1, [-3, 0, 5]), 4)  # a == 1: every (c, w) is a hit
+@example((7, []), 10)
+def test_count_hits_matches_brute(case, W):
     # the distinct-residue walk weights each residue by its multiplicity
     a, c_values = case
-    divisors = [d for d in range(1, a + 1) if a % d == 0]
-    d = divisors[pick % len(divisors)]
-    for shift in (0, 1, d, -d, -(pick % 50) - 1):
-        assert count_hits([a], c_values, W, shift) == brute_linear_count([a], c_values, W, shift).count
+    assert count_hits([a], c_values, W) == brute_linear_count([a], c_values, W, 1).count
+    # c*w == 1 (mod a) makes c a unit: the others count nothing
+    assert count_hits([a], [c for c in c_values if gcd(c, a) > 1], W) == 0
 
 
 @pytest.mark.filterwarnings("error")  # a numpy warning would mean the kernel saw the modulus
@@ -430,16 +416,13 @@ def test_kernel_refuses_moduli_below_1():
 
 
 def progression_rows(a, c_values, shifts, W):
-    """The rows of progressions(a, c_values, shifts, W) in Python ints, one
-    pow per (c, shift) cell."""
+    """The rows of progressions(a, c_values, shifts, W) for units c mod a, in
+    Python ints, one pow per (c, shift) cell."""
     rows = []
     for i, c in enumerate(c_values):
-        g = gcd(c, a)
-        step = a // g
         for j, shift in enumerate(shifts):
-            if shift % g == 0:
-                w0 = shift // g * pow(c // g, -1, step) % step or step
-                rows += [(i, j, w) for w in range(w0, W + 1, step)]
+            w0 = shift * pow(c, -1, a) % a or a
+            rows += [(i, j, w) for w in range(w0, W + 1, a)]
     return rows
 
 
@@ -449,26 +432,25 @@ def test_kernel_at_largest_modulus():
     a = 3_037_000_499
     assert a**2 < 2**63 <= (a + 1) ** 2
     # c*w - shift stays within int64 for w <= W = a and |c| < a
-    c_values = [1, 2, -1, a - 1, -(a - 2), a * 1000 // 1618, 13, 13 * 7, -13 * 233_615_422, 2**31 - 1]
-    shifts = [1, a - 1, -(a - 2), 13 * 5]
+    c_values = [1, 2, -1, a - 1, -(a - 2), a * 1000 // 1618, 14, 2**31 - 1]
+    shifts = [1, a - 1, -(a - 2), 13 * 5, 233_615_423]
     i, j, w = progressions(a, c_values, shifts, a)
     rows = sorted(zip(i.tolist(), j.tolist(), w.tolist()))
     assert rows == progression_rows(a, c_values, shifts, a)
     assert all((c_values[r[0]] * r[2] - shifts[r[1]]) % a == 0 for r in rows)
-    # step 13 cells: counted, never listed
-    counted = c_values + [233_615_423 * 2, -233_615_423 * 3]
-    for shift in (1, 13 * 5, 233_615_423):
-        as_list = count_hits([a], counted, a, shift)
-        assert count_hits([a], np.array(counted, dtype=np.int64), a, shift) == as_list
-        # w <= W = a holds g terms of each progression of step a / g
-        assert as_list == sum(gcd(c, a) for c in counted if shift % gcd(c, a) == 0)
+    # the non-units are counted, never listed, and reach 1 at no w
+    counted = c_values + [13, 13 * 7, -13 * 233_615_422, 233_615_423 * 2, -233_615_423 * 3]
+    as_list = count_hits([a], counted, a)
+    assert count_hits([a], np.array(counted, dtype=np.int64), a) == as_list
+    # w <= W = a holds one term of each unit's progression of step a
+    assert as_list == sum(gcd(c, a) == 1 for c in counted)
     with pytest.raises(ResourceLimit):
         progressions(a + 1, [1], [1], 1)
     # an int64 array is range-checked as a list is, down to -2^63
     for c in (2**62 + 1, -(2**62) - 1, -(2**63)):
         with pytest.raises(ResourceLimit):
             count_hits([3], np.array([c], dtype=np.int64), 2)
-    assert count_hits([3], np.array([2**62, -(2**62)], dtype=np.int64), 1, 0) == 0
+    assert count_hits([3], np.array([2**62, -(2**62)], dtype=np.int64), 1) == 1  # 2^62 == 1 (mod 3)
 
 
 @PROFILE
