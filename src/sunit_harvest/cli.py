@@ -482,6 +482,9 @@ def main(argv=None) -> int:
     except (ResourceLimit, EnumerationCap, FactorizationLimit) as err:
         print(f"resource limit: {err}", file=sys.stderr)
         return EXIT_RESOURCE
+    except MemoryError as err:  # numpy's message names the array it could not allocate
+        print("resource limit: out of memory" + (f": {err}" if str(err) else ""), file=sys.stderr)
+        return EXIT_RESOURCE
     # OSError: reading --config, writing --out or --solutions
     except (SunitHarvestError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -18,8 +18,8 @@ popular key, and each equation lists that key's bucket from the key alone, as
 checks that listing against the count; `_keep_verified` dedupes, verifies and
 emits rows solution + coefficients + key.  thm1 and thm2 share one linear
 harvest of a*u + s = c*w, at the shift s = 1 and at the shifts s = b + 1,
-walked with the kernel of `stepping`; prop1 walks with the batched
-kernel-vector search `siegel.NonzeroSearch`.
+walked with the kernel of `stepping`; prop1 walks every coefficient triple
+in one batched kernel-vector search, `siegel.NonzeroSearch`.
 """
 
 from __future__ import annotations
@@ -136,7 +136,8 @@ class HarvestConfig:
                 raise ConfigError("y", "need Y <= X * W")
 
     def echo(self) -> dict:
-        return {
+        """The config for the report: for prop1 only x and the prime sets, the keys it reads."""
+        echo = {
             "equation": self.equation,
             "t1": list(self.t1.primes),
             "t2": list(self.t2.primes),
@@ -152,6 +153,7 @@ class HarvestConfig:
             "variant": self.variant,
             "epsilon": self.epsilon,
         }
+        return {key: echo[key] for key in ("equation", "t1", "t2", "t3", "x")} if self.equation == "prop1" else echo
 
 
 def config_from_exponents(
@@ -510,10 +512,10 @@ def prop1_run(config: HarvestConfig) -> HarvestReport:
 
     For each coefficient triple over the three smooth sets up to x, a small
     all-nonzero kernel vector bounded by sqrt(3x) is selected deterministically,
-    for one a1 at a time over every (a2, a3) pair; triples are bucketed by that
-    vector, and the popular vector is fixed.  Its hits are reduced by their gcd
-    to coprime solutions: with every term nonzero, the two smaller magnitudes
-    a <= b add up to the largest c.
+    by one search over every triple; triples are bucketed by that vector, and
+    the popular vector is fixed.  Its hits are reduced by their gcd to coprime
+    solutions: with every term nonzero, the two smaller magnitudes a <= b add
+    up to the largest c.
     """
     x = config.x
     sets = _window_sets(config, "prop1", [("x", 2, x)] * 3)
@@ -526,9 +528,9 @@ def prop1_run(config: HarvestConfig) -> HarvestReport:
     packing = KeyPacking((1, -M, -M), (M, 2 * M + 1, 2 * M + 1), "kernel vector")
     a3_set = set(sets[2])
 
-    def scan(a1: int) -> tuple[np.ndarray, int]:
-        z, found = search(a1)
-        return packing.pack(*z[found].T), len(found) - int(found.sum())
+    def scan(a1_values: Sequence[int]) -> tuple[np.ndarray, int]:
+        z, found = search(a1_values)
+        return packing.pack(*z.T)[found], len(found) - int(found.sum())
 
     def listing(z: tuple) -> list:
         # the triples with a.z = 0 whose vector, by the scalar search, is z
@@ -544,9 +546,9 @@ def prop1_run(config: HarvestConfig) -> HarvestReport:
                 bucket.append((tuple(v // g for v in t), (a1, a2, a3)))
         return bucket
 
-    # z2 and z3 are nonzero
-    _, stats, key, bucket, skipped = _harvest(sets[0], scan, listing, packing, M * (2 * M) ** 2)
-    skipped_triples = sum(skipped)
+    # one scan over all of A1, none when it is empty; z2 and z3 are nonzero
+    _, stats, key, bucket, skipped = _harvest([sets[0]] if sets[0] else [], scan, listing, packing, M * (2 * M) ** 2)
+    (skipped_triples,) = skipped
     s_prime = config.t1.union(config.t2).union(config.t3)
     S, rows, duplicates, verify_failures = _keep_verified(bucket, "prop1", s_prime, key)
 

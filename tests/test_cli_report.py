@@ -277,6 +277,19 @@ def test_cli_sieve_cap_exit(tmp_path, capsys):
     assert err.startswith("resource limit:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("message", ["Unable to allocate 275. MiB for an array with shape (36108276,)", ""])
+def test_cli_out_of_memory_is_a_resource_limit(monkeypatch, capsys, message):
+    # an allocation the run cannot make ends in exit 4 and one line, not a traceback
+    def run(config):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "thm2_run", run)
+    assert main(["thm2", "--config", str(CONFIGS / "thm2_desk.cfg")]) == 4
+    out, err = capsys.readouterr()
+    assert not out and err.startswith("resource limit: out of memory") and err.count("\n") == 1
+    assert message in err
+
+
 @pytest.mark.parametrize("alpha", ["0", "-1"])
 def test_cli_alpha_must_be_positive(tmp_path, capsys, alpha):
     # alpha = 0 fails alpha_positive as alpha = -1 does, before any window is derived

@@ -185,6 +185,15 @@ def test_prop1_micro():
     assert rep.solutions == ((2, 3, 5),)
 
 
+def test_prop1_empty_coefficient_sets():
+    # no a1 <= 5 over {7}: the one scan over A1 is not run at all
+    with pytest.raises(EmptyHarvest, match="^no coefficients to walk$"):
+        prop1_run(prop1_config(5, PrimeSet((7,)), PrimeSet((2,)), PrimeSet((3,))))
+    # A1 walks, but no a2 <= 5 over {7}: no hit to bucket
+    with pytest.raises(EmptyHarvest, match="^no nonempty bucket$"):
+        prop1_run(prop1_config(5, PrimeSet((2,)), PrimeSet((7,)), PrimeSet((3,))))
+
+
 def test_prop1_popular_hits_rederived_by_scalar_search(monkeypatch):
     from sunit_harvest import pipelines
 

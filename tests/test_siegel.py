@@ -224,39 +224,81 @@ coefficient = st.integers(-40, 40)
 
 @st.composite
 def searches(draw):
-    """(a1, [(a2, a3), ...], cap) with every a3 nonzero."""
-    a1 = draw(coefficient)
+    """([a1, ...], [(a2, a3), ...], cap): one to four a1, every a3 nonzero."""
+    a1_values = draw(st.lists(coefficient, min_size=1, max_size=4))
     pairs = draw(st.lists(st.tuples(coefficient, coefficient.filter(bool)), min_size=1, max_size=12))
     cap = draw(st.sampled_from([1.0, 1.5, 2.0]) | st.floats(1.0, 14.0))
-    return a1, pairs, cap
+    return a1_values, pairs, cap
+
+
+def assert_matches_oracle(a1_values, pairs, cap):
+    """NonzeroSearch over a1_values selects, row by (a1, pair) row in a1-major
+    order, what the scalar search selects."""
+    z, found = NonzeroSearch(pairs, cap)(a1_values)
+    rows = [(a1,) + tuple(pair) for a1 in a1_values for pair in pairs]
+    assert z.shape == (len(rows), 3) and found.shape == (len(rows),)
+    for r, alpha in enumerate(rows):
+        sol = siegel_nonzero_coords(alpha, cap)
+        assert found[r] == (sol is not None), alpha
+        assert tuple(z[r].tolist()) == (sol.z if sol else (0, 0, 0)), alpha
 
 
 @PROFILE
 @given(searches())
-@example((1, [(1, 5), (1, 1)], 1.0))  # M = 1; 1 +- 1 +- 5 != 0 leaves no vector
-@example((3, [(3, 3), (3, -3)], 2.0))  # equal coefficients
-@example((1, [(4, 6), (6, 4), (9, -12), (10, 15)], 5.0))  # gcd(a2, a3) > 1
-@example((4, [(4, 2)], 3.0))  # z3 = 0 at the class's first member
-@example((6, [(3, 2)], 5.0))
-@example((0, [(0, 5), (2, 2), (0, -1)], 4.0))  # a1 = 0, a2 = 0: z3 = 0 on the whole class
-@example((40, [(-40, 1), (39, -40)], 13.0))
+@example(([1], [(1, 5), (1, 1)], 1.0))  # M = 1; 1 +- 1 +- 5 != 0 leaves no vector
+@example(([3], [(3, 3), (3, -3)], 2.0))  # equal coefficients
+@example(([1], [(4, 6), (6, 4), (9, -12), (10, 15)], 5.0))  # gcd(a2, a3) > 1
+@example(([4], [(4, 2)], 3.0))  # z3 = 0 at the class's first member
+@example(([6], [(3, 2)], 5.0))
+@example(([0], [(0, 5), (2, 2), (0, -1)], 4.0))  # a1 = 0, a2 = 0: z3 = 0 on the whole class
+@example(([40], [(-40, 1), (39, -40)], 13.0))
+@example(([4, 6, 0, -7], [(4, 2), (3, 2), (0, 5), (9, -12)], 5.0))  # rows solved at different m1 blocks
 def test_batched_search_matches_scalar_oracle(case):
-    a1, pairs, cap = case
-    z, found = NonzeroSearch(pairs, cap)(a1)
-    assert z.shape == (len(pairs), 3) and found.shape == (len(pairs),)
-    for k, (a2, a3) in enumerate(pairs):
-        sol = siegel_nonzero_coords((a1, a2, a3), cap)
-        assert found[k] == (sol is not None), (a1, a2, a3)
-        assert tuple(z[k].tolist()) == (sol.z if sol else (0, 0, 0)), (a1, a2, a3)
+    assert_matches_oracle(*case)
+
+
+def test_batched_search_spans_chunks(monkeypatch):
+    # chunks of three rows: each block splits the pending rows over several chunks
+    sizes = []
+    block = NonzeroSearch._block
+
+    def spied(self, a1, k, first):
+        sizes.append(len(k))
+        return block(self, a1, k, first)
+
+    monkeypatch.setattr(NonzeroSearch, "CHUNK", 3)
+    monkeypatch.setattr(NonzeroSearch, "_block", spied)
+    rng = random.Random(11)
+    for _ in range(40):
+        a1_values = [rng.randint(-40, 40) for _ in range(rng.randint(1, 4))]
+        pairs = [(rng.randint(-40, 40), rng.choice((-1, 1)) * rng.randint(1, 40)) for _ in range(rng.randint(1, 12))]
+        assert_matches_oracle(a1_values, pairs, rng.uniform(1.0, 14.0))
+    assert max(sizes) == 3 and len(sizes) > 40 * 4
+
+
+def test_batched_search_mixes_scalar_and_fast_rows(monkeypatch):
+    # a1 = 2^64 sends its rows to the scalar search, and so does the pair with
+    # a3 past int64 for every a1; the other rows of the same call stay fast
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return siegel_nonzero_coords(*args)
+
+    monkeypatch.setattr(siegel, "siegel_nonzero_coords", counted)
+    a1_values, pairs = [3, 2**64, -5], [(1, 2), (2, 3), (5, 2**64)]
+    assert_matches_oracle(a1_values, pairs, 4.0)
+    # in row order, a1-major
+    assert calls == [(3, 5, 2**64), (2**64, 1, 2), (2**64, 2, 3), (2**64, 5, 2**64), (-5, 5, 2**64)]
 
 
 def test_batched_search_steps_past_z3_zero():
     # 4*1 - 4*m2 = 0 at m2 = 1, the first of its class; the next one, m2 = 2, is
     # selected, as 4*1 + 4*m2 needs |z3| >= 4 > M
-    z, found = NonzeroSearch([(4, 2)], 3.0)(4)
+    z, found = NonzeroSearch([(4, 2)], 3.0)([4])
     assert found[0] and tuple(z[0].tolist()) == (1, -2, 2)
     # 6*1 - 3*m2 = 0 at m2 = 2, then m2 = 4 in steps of 2
-    assert tuple(NonzeroSearch([(3, 2)], 5.0)(6)[0][0].tolist()) == (1, -4, 3)
+    assert tuple(NonzeroSearch([(3, 2)], 5.0)([6])[0][0].tolist()) == (1, -4, 3)
 
 
 def test_batched_search_domain():
@@ -264,7 +306,9 @@ def test_batched_search_domain():
         NonzeroSearch([(1, 3), (2, 0)], 4.0)
     with pytest.raises(DomainError):
         NonzeroSearch([(1, 3)], 0.5)
-    z, found = NonzeroSearch([], 4.0)(3)
+    z, found = NonzeroSearch([], 4.0)([3])
+    assert z.shape == (0, 3) and found.shape == (0,)
+    z, found = NonzeroSearch([(1, 3)], 4.0)([])
     assert z.shape == (0, 3) and found.shape == (0,)
 
 
@@ -292,6 +336,6 @@ def test_batched_search_int64_limit(monkeypatch, alpha, scalar):
 
     monkeypatch.setattr(siegel, "siegel_nonzero_coords", counted)
     a1, a2, a3 = alpha
-    z, found = NonzeroSearch([(a2, a3)], 1.0)(a1)
+    z, found = NonzeroSearch([(a2, a3)], 1.0)([a1])
     assert found[0] and tuple(z[0].tolist()) == (1, 1, -1)
     assert calls == ([alpha] if scalar else [])
