@@ -394,8 +394,9 @@ def _run_siegel(args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        """A usage error exits 1 with one line, like every other input error."""
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+        """A usage error exits 1 with one line, like every other input error; a
+        line break in an echoed argument becomes a space."""
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {' '.join(message.splitlines())}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:

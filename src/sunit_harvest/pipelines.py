@@ -12,8 +12,9 @@ bucket becomes an actual solution of the target equation:
 
 All three run on one core: each walk emits one packed int64 key per hit of
 one coefficient (a `KeyPacking` of the small free variables, in ranges known
-from the sets), `popular_bucket` counts the 1-D key array and unpacks the
-popular key, and each equation lists that key's bucket from the key alone, as
+from the sets), `popular_bucket` sorts the 1-D key array in place, takes
+the popular key from its first longest run of equal keys and unpacks it, and
+each equation lists that key's bucket from the key alone, as
 (candidate solution, coefficients) pairs in exact integers.  `_harvest`
 checks that listing against the count; `_keep_verified` dedupes, verifies and
 emits rows solution + coefficients + key.  thm1 and thm2 share one linear
@@ -136,24 +137,14 @@ class HarvestConfig:
                 raise ConfigError("y", "need Y <= X * W")
 
     def echo(self) -> dict:
-        """The config for the report: for prop1 only x and the prime sets, the keys it reads."""
-        echo = {
-            "equation": self.equation,
-            "t1": list(self.t1.primes),
-            "t2": list(self.t2.primes),
-            "t3": list(self.t3.primes),
-            "x": self.x,
-            "delta": self.delta,
-            "w": self.w_max,
-            "z": self.z,
-            "q": self.q,
-            "r": self.r,
-            "y": self.y,
-            "alpha": self.alpha,
-            "variant": self.variant,
-            "epsilon": self.epsilon,
-        }
-        return {key: echo[key] for key in ("equation", "t1", "t2", "t3", "x")} if self.equation == "prop1" else echo
+        """The config for the report: the keys the equation reads, and thm1's R = X / Q."""
+        echo = {"equation": self.equation, "t1": list(self.t1.primes), "t2": list(self.t2.primes),
+                "t3": list(self.t3.primes), "x": self.x}
+        if self.equation != "prop1":
+            echo.update(delta=self.delta, w=self.w_max, z=self.z, alpha=self.alpha, variant=self.variant,
+                        epsilon=self.epsilon)
+            echo.update({"q": self.q, "r": self.r} if self.equation == "thm1" else {"y": self.y})
+        return echo
 
 
 def config_from_exponents(
@@ -265,25 +256,46 @@ class KeyPacking:
         return tuple(digits[::-1])
 
 
+def _longest_run(s: np.ndarray) -> tuple[int, int]:
+    """(length, start) of the first longest run of equal values in a sorted,
+    nonempty int64 array.  A run of length m exists iff s[i] == s[i + m - 1]
+    for some i, so m gallops and then bisects, one comparison pass per probe;
+    no index array the length of s is made."""
+    n = len(s)
+
+    def ends_equal(m: int) -> np.ndarray:  # at i: s[i] == s[i + m - 1]
+        return s[m - 1 :] == s[: n - m + 1]
+
+    have, over = 1, 2  # a run of length `have` exists; `over` is untested
+    while over <= n and ends_equal(over).any():
+        have, over = over, 2 * over
+    over = min(over, n + 1)  # no run of length `over` exists
+    while over - have > 1:
+        m = (have + over) // 2
+        have, over = (m, over) if ends_equal(m).any() else (have, m)
+    return have, int(np.argmax(ends_equal(have)))
+
+
 def popular_bucket(keys: np.ndarray, unpack: Callable[[int], tuple]) -> tuple[tuple, dict]:
     """The key of maximal count over the packed hit keys, unpacked as Python
     ints, and the bucket statistics; ties go to the smallest packed key.
 
-    keys is a 1-D int64 array, one packed key per hit, and unpack maps a packed
-    key (a Python int) to its key.  A KeyPacking keeps key order, so the
-    tie-break is the lexicographically smallest key.
+    keys is a 1-D int64 array, one packed key per hit, and is sorted in place;
+    unpack maps a packed key (a Python int) to its key.  A KeyPacking keeps key
+    order, so the tie-break is the lexicographically smallest key.
     """
     if not len(keys):
         raise EmptyHarvest("no nonempty bucket")
-    values, counts = np.unique(keys, return_counts=True)
-    best = np.argmax(counts)
+    keys.sort()  # in place: the first longest run is then the smallest popular key
+    max_load, start = _longest_run(keys)
+    buckets = int(np.count_nonzero(keys[1:] != keys[:-1])) + 1
     stats = {
         "total_hits": len(keys),
-        "nonempty_buckets": len(counts),
-        "max_load": int(counts[best]),
-        "pigeonhole_floor": ceil(len(keys) / len(counts)),
+        "nonempty_buckets": buckets,
+        "max_load": max_load,
+        "pigeonhole_floor": ceil(len(keys) / buckets),
     }
-    return unpack(int(values[best])), stats
+    return unpack(int(keys[start])), stats
 
 
 _EQUATIONS = {  # the equation a solution tuple satisfies; prop1's terms are also coprime
@@ -318,14 +330,14 @@ def _harvest(
         raise EmptyHarvest("no coefficients to walk")
     keys, audits = zip(*map(walk, items))
     keys = np.concatenate(keys)
-    key, stats = popular_bucket(keys, packing.unpack)
+    key, stats = popular_bucket(keys, packing.unpack)  # sorts keys
     stats["possible_buckets"] = possible_buckets
     stats["expected_load"] = stats["total_hits"] / possible_buckets
     stats["degenerate"] = stats["max_load"] == 1
     bucket = listing(key)
     if len(bucket) != stats["max_load"]:
         raise RuntimeError(f"popular key {key}: counted {stats['max_load']} hits, listed {len(bucket)}")
-    span = packing.unpack(int(keys.min())), packing.unpack(int(keys.max()))
+    span = packing.unpack(int(keys[0])), packing.unpack(int(keys[-1]))
     return span, stats, key, bucket, audits
 
 
@@ -585,9 +597,12 @@ def pair_collision_stats(values: Sequence[int]) -> tuple[int, int]:
         raise ResourceLimit("pair count or value range beyond cap")
     v = np.array([c - vals[0] for c in vals], dtype=np.int64)
     # the lower-triangle differences v[i] - v[j], j < i, row by row; all >= 0 as v is sorted
-    diffs = np.concatenate([v[i] - v[:i] for i in range(m)]) if m else v
-    n, counts = np.unique(diffs[diffs != 0], return_counts=True)
+    diffs = np.empty(m * (m - 1) // 2, dtype=np.int64)
+    for i in range(1, m):
+        np.subtract(v[i], v[:i], out=diffs[i * (i - 1) // 2 : i * (i + 1) // 2])
+    diffs.sort()
+    n = diffs[np.searchsorted(diffs, 1) :]  # a view: the nonzero differences
     if not len(n):
         return 0, 0
-    best = np.argmax(counts)
-    return int(counts[best]), int(n[best])
+    count, start = _longest_run(n)
+    return count, int(n[start])

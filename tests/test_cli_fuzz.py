@@ -1,10 +1,15 @@
-"""Fuzz oracle for the pipeline commands: a config file, however malformed,
-ends in a documented exit code and at most one line on stderr.
+"""Fuzz oracle for the command line: a config file or an argv, however
+malformed, ends in a documented exit code and at most one line on stderr.
 
-Each example writes a thm1, thm2 or prop1 config whose scale x is held small,
-so that every run is bounded, and then sets some known keys to numbers, junk,
-huge or negative values, repeats a line, adds a line the parser cannot read
-or breaks the UTF-8.  An exit 1 must name the config key or the file.
+Each config example writes a thm1, thm2 or prop1 config whose scale x is held
+small, so that every run is bounded, and then sets some known keys to numbers,
+junk, huge or negative values, repeats a line, adds a line the parser cannot
+read or breaks the UTF-8.  An exit 1 must name the config key or the file.
+
+Each argv example takes a quick run of a command and adds an unknown flag,
+repeats a flag, drops a flag's value or sets a --qmax, --trials, --seed,
+--bound or --threads to a negative or non-numeric value, so that every run
+stays bounded.
 """
 
 import io
@@ -82,6 +87,25 @@ def names_a_key(err: str, data: bytes, path: Path) -> bool:
     )
 
 
+def run_cli(argv: list[str]) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of one in-process run; argparse's usage exit counts as the code."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = cli.main(argv)
+        except SystemExit as stop:
+            code = stop.code
+    out, err = out.getvalue(), err.getvalue()
+    assert code in range(5), (code, err)
+    assert "Traceback" not in out + err
+    assert not caught, [str(w.message) for w in caught]  # a warning would print more lines on stderr
+    assert len(err.splitlines()) <= 1, err  # exit 0 may warn of a degenerate harvest
+    if code:
+        assert out == "" and err.count("\n") == 1, (code, out, err)
+    return code, out, err
+
+
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(config_files())
 @example(("thm1", "\n".join(f"{k}={v}" for k, v in BASE["thm1"].items()).encode()))
@@ -91,16 +115,70 @@ def test_cli_config_fuzz(case):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "run.cfg"
         path.write_bytes(data)
-        out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code = cli.main([command, "--config", str(path)])
-    out, err = out.getvalue(), err.getvalue()
-    assert code in range(5), (code, err)
-    assert "Traceback" not in out + err
-    assert not caught, [str(w.message) for w in caught]  # a warning would print more lines on stderr
-    assert len(err.splitlines()) <= 1, err  # exit 0 may warn of a degenerate harvest
-    if code:
-        assert out == "" and err.count("\n") == 1, (code, out, err)
+        code, _, err = run_cli([command, "--config", str(path)])
     if code == 1:
         assert names_a_key(err, data, path), err
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
+# quick runs of the commands that read an integer flag of NUMERIC_FLAGS
+ARGVS = [
+    ["verify", "charsums", "--qmax", "12", "--trials", "2", "--seed", "5"],
+    ["verify", "sieve", "--trials", "2", "--seed", "5"],
+    ["verify", "circle", "--qmax", "12", "--seed", "5"],
+    ["siegel", "--alpha", "3,5,7", "--bound", "7"],
+    ["oracle", "sunit_pairs", "--primes", "2,3", "--bound", "100"],
+    ["oracle", "prop1_triples", "--primes", "2,3", "--bound", "100"],
+    ["oracle", "linear_count", "--a-set", "5,7", "--c-set", "2,3", "--bound", "10"],
+    ["thm1", "--config", str(CONFIGS / "thm1_desk.cfg"), "--threads", "1"],
+]
+NUMERIC_FLAGS = ("--qmax", "--trials", "--seed", "--bound", "--threads")
+
+
+def _not_a_count(text: str) -> bool:
+    """Whether argparse's int() refuses text or reads it below 0, so that no run grows with it."""
+    try:
+        return int(text) < 0
+    except ValueError:
+        return True
+
+
+bad_values = st.one_of(
+    st.integers(-(10**30), 0).map(str),
+    st.integers(-5, 0).map(str),
+    st.sampled_from(["1e3", "2.5", "nan", "-inf", "0x10", "", "-", "--", "seven"]),
+    junk,
+).filter(_not_a_count)
+
+
+@st.composite
+def argvs(draw) -> list[str]:
+    """A quick argv with one or two defects; values stay negative or non-numeric."""
+    argv = list(draw(st.sampled_from(ARGVS)))
+    for _ in range(draw(st.integers(1, 2))):
+        flags = [i for i, tok in enumerate(argv) if tok.startswith("--")]
+        defect = draw(st.sampled_from(["bad value", "unknown flag", "repeated flag", "missing value"]))
+        numeric = [i for i in flags if argv[i] in NUMERIC_FLAGS and i + 1 < len(argv)]
+        if defect == "bad value" and numeric:
+            argv[draw(st.sampled_from(numeric)) + 1] = draw(bad_values)
+        elif defect == "unknown flag":
+            at = draw(st.sampled_from([len(argv), *flags]))
+            flag = draw(st.sampled_from(["--bogus", "--cap", "--kmax", "--q", "-x", *NUMERIC_FLAGS]))
+            argv[at:at] = [flag, draw(bad_values)] if draw(st.booleans()) else [flag]
+        elif defect == "repeated flag" and numeric:
+            i = draw(st.sampled_from(numeric))
+            argv += [argv[i], draw(st.one_of(st.just(argv[i + 1]), bad_values))]
+        elif defect == "missing value" and flags:
+            i = draw(st.sampled_from(flags))
+            del argv[i + 1 : i + 2]
+    return argv
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(argvs())
+@example(["verify", "charsums", "--qmax", "12", "--trials", "2", "--seed", "-3"])
+@example(["siegel", "--alpha", "3,5,7", "--bound"])
+@example(["verify", "sieve", "--trials", "2", "--trials", "x"])
+@example(["oracle", "sunit_pairs", "--primes", "2,3", "--bound", "100", "--bogus", "a\nb"])
+def test_cli_argv_fuzz(argv):
+    run_cli(argv)

@@ -196,6 +196,15 @@ def test_cli_refuses_keys_the_equation_does_not_read(tmp_path, capsys, equation,
     assert repr(key) in err and "does not read" in err
 
 
+@pytest.mark.parametrize("equation", sorted(UNREAD_KEYS))
+def test_config_echo_holds_only_keys_the_equation_reads(tmp_path, equation):
+    out = tmp_path / "report.json"
+    assert main([equation, "--config", str(CONFIGS / f"{equation}_desk.cfg"), "--out", str(out)]) == 0
+    echo = json.loads(out.read_text())["run"]["config_echo"]
+    derived = {"r"} if equation == "thm1" else set()  # thm1's R = X / Q
+    assert set(echo) <= cli._KEYS[equation] | derived and None not in echo.values()
+
+
 def test_scale_overrides_reach_the_config():
     base = {"x": "1000000", "t_interval": "2,113"}
     cfg = build_harvest_config({**base, "equation": "thm1", "q": "1000", "z": "120", "w": "3"})

@@ -25,6 +25,7 @@ from sunit_harvest.pipelines import (
     KeyPacking,
     _linear_harvest,
     pair_collision_stats,
+    popular_bucket,
     prop1_config,
     prop1_run,
     thm1_harvest,
@@ -461,6 +462,23 @@ def test_pair_collision_stats_matches_brute(values):
     tally = Counter(c - cp for i, c in enumerate(vals) for cp in vals[:i] if c != cp)
     best = min(tally, key=lambda n: (-tally[n], n), default=0)
     assert pair_collision_stats(values) == (tally[best], best)
+
+
+@PROFILE
+@given(st.lists(st.one_of(st.integers(-6, 6), st.sampled_from([-(2**63), 2**63 - 1])), min_size=1, max_size=40))
+@example([7])
+@example([3] * 9)
+@example([1, 1, 1, 2, 3, 3])  # the longest run at the start
+@example([1, 2, 2, 3, 3, 3])  # and at the end
+@example([5, 5, -2, -2, 9])  # a tie: the smaller key wins
+def test_popular_bucket_matches_counter(keys):
+    tally = Counter(keys)
+    best = min(tally, key=lambda k: (-tally[k], k))
+    array = np.array(keys, dtype=np.int64)
+    key, stats = popular_bucket(array, lambda k: (k,))
+    assert key == (best,)
+    assert (stats["max_load"], stats["nonempty_buckets"], stats["total_hits"]) == (tally[best], len(tally), len(keys))
+    assert array.tolist() == sorted(keys)  # sorted in place
 
 
 def test_int64_limit():

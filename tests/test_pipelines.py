@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -148,6 +149,25 @@ def test_popular_bucket_pigeonhole():
     key, stats = popular_bucket(keys, KeyPacking((0,), (3,), "one-column").unpack)
     assert key == (0,) and stats["max_load"] == 5
     assert stats["max_load"] >= -(-10 // 3) == stats["pigeonhole_floor"]  # ceil(total / nonempty)
+
+
+def _traced_peak(f, *args) -> int:
+    """The peak bytes Python and numpy allocate while f(*args) runs."""
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_tally_allocates_little_beyond_its_input():
+    rng = np.random.default_rng(5)
+    keys = rng.integers(0, 10**6, size=10**6, dtype=np.int64)
+    # a sort in place and one boolean pass at a time: no key-sized copy
+    assert _traced_peak(popular_bucket, keys, lambda k: (k,)) < keys.nbytes / 4
+    values = rng.choice(10**6, size=1500, replace=False).tolist()
+    assert _traced_peak(pair_collision_stats, values) <= 1.25 * 8 * (1500 * 1499 // 2)  # the int64 differences
 
 
 def test_key_packing_order_and_int64_edge():
