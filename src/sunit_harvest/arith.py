@@ -90,10 +90,6 @@ class FactoredInt:
         if prod != self.value:
             raise DomainError(f"factorization product {prod} != value {self.value}")
 
-    @property
-    def squarefree(self) -> bool:
-        return all(e == 1 for _, e in self.factors)
-
 
 def primes_in_range(lo: int, hi: int) -> PrimeSet:
     """All primes p with lo <= p <= hi (sieve of the interval).  ResourceLimit

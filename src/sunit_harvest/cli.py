@@ -114,6 +114,13 @@ def _integers(text: str, key: str) -> tuple[int, ...]:
         raise ConfigError(key, f"expected comma-separated integers, got {text!r}") from None
 
 
+def _count(text: str) -> int:
+    """The argparse type of a --cap or --bound that sizes a search: an integer >= 0."""
+    if not text.strip().isdecimal():  # a sign, or no integer at all
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def _parse_primes(text: str, key: str = "primes") -> PrimeSet:
     try:
         return PrimeSet(tuple(sorted(_integers(text, key))))
@@ -372,13 +379,13 @@ def _is_squarefree(q: int) -> bool:
 
 def _run_smooth(args) -> int:
     T = _parse_primes(args.primes)
-    ss = enumerate_squarefree_smooth(T, args.lo, args.hi, args.cap)
+    members = enumerate_squarefree_smooth(T, args.lo, args.hi, args.cap)
     payload = {
         "primes": list(T.primes),
         "lo": args.lo,
         "hi": args.hi,
-        "count": len(ss),
-        "members": list(ss.values()),
+        "count": len(members),
+        "members": list(members),
     }
     _emit(payload, args.out)
     return EXIT_OK
@@ -425,14 +432,14 @@ def build_parser() -> argparse.ArgumentParser:
         p = command(kinds, kind, _run_oracle, f"all {what} up to --bound", "out", "solutions",
                     brute=brute, headers=SOLUTION_HEADERS[equation])
         p.add_argument("--primes", required=True, help="comma-separated prime set S")
-        p.add_argument("--bound", type=int, required=True, help="enumeration bound")
-        p.add_argument("--cap", type=int, default=DEFAULT_BUDGET, help="most enumeration steps")
+        p.add_argument("--bound", type=_count, required=True, help="enumeration bound")
+        p.add_argument("--cap", type=_count, default=DEFAULT_BUDGET, help="most enumeration steps")
     p = command(kinds, "linear_count", _run_linear_count, "count c*w == shift (mod a)", "out")
     p.add_argument("--a-set", dest="a_set", required=True, help="comma-separated moduli")
     p.add_argument("--c-set", dest="c_set", required=True, help="comma-separated coefficients")
-    p.add_argument("--bound", type=int, required=True, help="W, the largest w counted")
+    p.add_argument("--bound", type=_count, required=True, help="W, the largest w counted")
     p.add_argument("--shift", type=int, default=1)
-    p.add_argument("--cap", type=int, default=DEFAULT_BUDGET, help="most (a, c, w) steps")
+    p.add_argument("--cap", type=_count, default=DEFAULT_BUDGET, help="most (a, c, w) steps")
 
     p = command(sub, "exponents", _run_exponents, "regime exponent table and constraint margins", "out")
     p.add_argument("--theorem", choices=["thm1", "thm2"], required=True)
@@ -455,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--primes", required=True)
     p.add_argument("--lo", type=int, required=True)
     p.add_argument("--hi", type=int, required=True)
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP, help="most members listed")
+    p.add_argument("--cap", type=_count, default=DEFAULT_CAP, help="most members listed")
 
     p = command(sub, "siegel", _run_siegel, "small solution of a linear form", "out")
     p.add_argument("--alpha", required=True, help="comma-separated coefficients")

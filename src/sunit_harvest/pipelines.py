@@ -43,7 +43,7 @@ from .exponents import regime_exponents
 from .report import compare_bounds
 from .siegel import NonzeroSearch, siegel_nonzero_coords
 from .smooth import DEFAULT_CAP, enumerate_squarefree_smooth
-from .stepping import progressions
+from .stepping import _int64, progressions
 
 
 @dataclass
@@ -222,7 +222,7 @@ def _window_sets(config: HarvestConfig, equation: str, windows: Iterable) -> lis
         if lo > hi:
             raise ConfigError(key, f"the window [{lo}, {hi}] it sets holds no integer")
     return [
-        enumerate_squarefree_smooth(t, lo, hi, config.enum_cap).values()
+        enumerate_squarefree_smooth(t, lo, hi, config.enum_cap)
         for t, (_, lo, hi) in zip((config.t1, config.t2, config.t3), windows)
     ]
 
@@ -376,11 +376,12 @@ def _linear_harvest(
     The shifts are b + 1 over B, so thm1 is B = {0}.  With every a, c >= 1
     and b >= 0, u lies in [u_lo, u_hi] = [-(max s // min a) - 1,
     max c * W // min a], and the walk packs each key into the one int64
-    (u - u_lo) * W + (w - 1), lexicographic in (u, w).  Returns `_harvest`'s
-    tuple: the bucket lists (a, s, c) triples, and the audit of each modulus
-    a is (c skipped as gcd(c, a) > 1, u = 0 hits, shifts coprime to a).
+    (u - u_lo) * W + (w - 1), lexicographic in (u, w).  C is range-checked
+    and converted to int64 once; the kernel leaves out each c that is no unit
+    mod a.  Returns `_harvest`'s tuple: the bucket lists (a, s, c) triples,
+    and the audit of each modulus a is (u = 0 hits, shifts coprime to a).
     Raises DomainError when A, B or C repeats a value or holds one below its
-    least, and ResourceLimit when the packing passes int64.
+    least, and ResourceLimit when the packing or c*W - s passes int64.
     """
     for name, values, least in (("A", a_values, 1), ("B", [s - 1 for s in shifts], 0), ("C", c_values, 1)):
         ordered = sorted(values)
@@ -394,16 +395,15 @@ def _linear_harvest(
     u_lo, u_hi = -(max(shifts, default=0) // a_min) - 1, max(c_values, default=0) * W // a_min
     packing = KeyPacking((u_lo, 1), (u_hi - u_lo + 1, W), "(u, w)")
     shift_array = np.array(shifts, dtype=np.int64)
+    c_array = _int64(c_values, shifts, W)
     c_set = set(c_values)
 
-    def walk(a: int) -> tuple[np.ndarray, tuple[int, int, int]]:
-        coprime = [c for c in c_values if gcd(c, a) == 1]
-        i, j, w = progressions(a, coprime, shifts, W)
-        u = (np.array(coprime, dtype=np.int64)[i] * w - shift_array[j]) // a
+    def walk(a: int) -> tuple[np.ndarray, tuple[int, int]]:
+        i, j, w = progressions(a, c_array, shifts, W)
+        u = (c_array[i] * w - shift_array[j]) // a
         keep = u != 0
         keys = packing.pack(u[keep], w[keep])
-        coprime_shifts = sum(gcd(s, a) == 1 for s in shifts)
-        return keys, (len(c_values) - len(coprime), len(u) - len(keys), coprime_shifts)
+        return keys, (len(u) - len(keys), sum(gcd(s, a) == 1 for s in shifts))
 
     def listing(key: tuple) -> list:
         u, w = key
@@ -429,7 +429,7 @@ def _with_config(report: HarvestReport, config: HarvestConfig) -> HarvestReport:
 
 def thm1_harvest(a_values: Sequence[int], c_values: Sequence[int], W: int, s_prime: PrimeSet) -> HarvestReport:
     """Core A + 1 = C harvest over explicit coefficient sets: the linear harvest at the shift 1."""
-    _, stats, key, bucket, per_modulus = _linear_harvest(a_values, [1], c_values, W)
+    _, stats, key, bucket, _ = _linear_harvest(a_values, [1], c_values, W)
     u, w = key
     candidates = (((a * u, c * w), (a, c)) for a, _, c in bucket)
     S, rows, _, verify_failures = _keep_verified(candidates, "thm1", s_prime, key)
@@ -441,7 +441,7 @@ def thm1_harvest(a_values: Sequence[int], c_values: Sequence[int], W: int, s_pri
         solution_rows=rows,
         bucket_stats=stats,
         set_sizes={"A": len(a_values), "C": len(c_values)},
-        audits={"gcd_skips": sum(skips for skips, _, _ in per_modulus), "verify_failures": verify_failures},
+        audits={"verify_failures": verify_failures},
     )
 
 
@@ -449,9 +449,10 @@ def thm1_run(config: HarvestConfig) -> HarvestReport:
     """Harvest solutions of A + 1 = C from near-solutions of a*u + 1 = c*w."""
     scales = (("q", config.q), ("q", config.r), ("z", config.z))  # q sets R = X / Q too
     q_values, r_values, a_values = _window_sets(config, "thm1", ((k, *_range(s, config.delta)) for k, s in scales))
+    n_pairs = len(a_values) * len(q_values) * len(r_values)  # #C, before C is built: Q and R share no prime
+    if n_pairs > config.hit_cap:
+        raise ResourceLimit(f"{n_pairs} a x c pairs beyond hit cap {config.hit_cap}")
     c_values = [qv * rv for qv in q_values for rv in r_values]
-    if len(a_values) * len(c_values) > config.hit_cap:
-        raise ResourceLimit("a x c pair count beyond hit cap")
 
     W = config.w_max
     report = thm1_harvest(a_values, c_values, W, config.t1.union(config.t2).union(config.t3))
@@ -482,7 +483,7 @@ def thm2_harvest(
     candidates = [((a * u, s - 1, c * w), (a, s - 1, c)) for a, s, c in bucket]
     nondegenerate = [(t, p) for t, p in candidates if t[0] != -1 and t[1] != -1 and t[2] != 1]
     S, rows, _, verify_failures = _keep_verified(nondegenerate, "thm2", s_prime, key)
-    gcd_skips, u0_discards, coprime_b_counts = zip(*per_modulus)
+    u0_discards, coprime_b_counts = zip(*per_modulus)
     return HarvestReport(
         equation="thm2",
         s_prime=s_prime.primes,
@@ -492,7 +493,6 @@ def thm2_harvest(
         bucket_stats=stats,
         set_sizes={"A": len(a_values), "B": len(b_values), "C": len(c_values)},
         audits={
-            "gcd_skips": sum(gcd_skips),
             "u_zero_discards": sum(u0_discards),
             "degenerate_filtered": len(candidates) - len(nondegenerate),
             "verify_failures": verify_failures,

@@ -17,15 +17,13 @@ DEFAULT_CAP = 2_000_000  # most members enumerate_squarefree_smooth lists
 
 @dataclass(frozen=True)
 class SmoothSet:
-    """Sorted squarefree integers in [lo, hi] whose prime factors all lie in source."""
+    """Squarefree integers in [lo, hi] over source, iterated as plain ints; only
+    perfbench's `_smoothset` builds one, the decompositions take any ints."""
 
     source: PrimeSet
     lo: int
     hi: int
     members: tuple[FactoredInt, ...]
-
-    def values(self) -> tuple[int, ...]:
-        return tuple(m.value for m in self.members)
 
     def __iter__(self) -> Iterator[int]:
         return (m.value for m in self.members)
@@ -34,8 +32,9 @@ class SmoothSet:
         return len(self.members)
 
 
-def enumerate_squarefree_smooth(T: PrimeSet, lo: int, hi: int, cap: int = DEFAULT_CAP) -> SmoothSet:
-    """Exhaustive depth-first enumeration of squarefree subset products in [lo, hi].
+def enumerate_squarefree_smooth(T: PrimeSet, lo: int, hi: int, cap: int = DEFAULT_CAP) -> tuple[int, ...]:
+    """The sorted squarefree products of primes of T in [lo, hi], by exhaustive
+    depth-first enumeration of subset products.
 
     The integer 1 (empty product) is included only when lo <= 1.  Memory is
     proportional to the output, never to the range, so hi may be large as long
@@ -44,23 +43,22 @@ def enumerate_squarefree_smooth(T: PrimeSet, lo: int, hi: int, cap: int = DEFAUL
     if lo > hi:
         raise DomainError(f"empty range [{lo}, {hi}]")
     primes = T.primes
-    out: list[tuple[int, tuple[tuple[int, int], ...]]] = []
+    out: list[int] = []
 
-    def grow(value: int, start: int, chain: tuple[tuple[int, int], ...]):
+    def grow(value: int, start: int):
         if len(out) > cap:
             raise EnumerationCap(f"more than {cap} squarefree smooth numbers in range")
         if value >= lo:
-            out.append((value, chain))
+            out.append(value)
         for i in range(start, len(primes)):
             nxt = value * primes[i]
             if nxt > hi:
                 break  # primes sorted, so all later branches overflow too
-            grow(nxt, i + 1, chain + ((primes[i], 1),))
+            grow(nxt, i + 1)
 
-    grow(1, 0, ())  # 1 is listed only when lo <= 1
+    grow(1, 0)  # 1 is listed only when lo <= 1
     out.sort()
-    members = tuple(FactoredInt(v, ch) for v, ch in out)
-    return SmoothSet(T, lo, hi, members)
+    return tuple(out)
 
 
 def smooth_count_lower_bound(

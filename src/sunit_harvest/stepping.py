@@ -1,22 +1,21 @@
 """The residue-progression kernel: {(c, shift, w) : c*w == shift (mod a), 1 <= w <= W}.
 
-Two walks list the same rows.  The start walk (`_starts`) takes units c mod
-a only: the admissible w of each cell (c, shift) form the progression
-w0, w0 + a, ... from w0 == shift * c^-1 (mod a), so one modulus costs
-O(#C * #shifts + hits) instead of the naive O(#C * #shifts * W).  All the
-inverses come from one array Euler power c^(phi(a) - 1), with no per-c
-Python loop, and a c that shares a factor with a is refused, never listed.
-The dual walk (`_join`) lists the residue (c mod a)*w mod a of every (c, w)
-with w <= W and joins it against the shifts grouped by residue, at
-O(#C * W + a + #shifts + hits), for any c.  `progressions` takes the join
-exactly when its grid is the smaller one, #C * W + a < #C * #shifts: many
-shifts and a short w range, as in thm2.  One shift or a long w range (thm1)
-stays on the start walk; both pipelines pass only c coprime to a.
+One rule decides which c take part: only the units c mod a are listed or
+counted, and a c that shares a factor with a is left out, never refused.  One
+array Euler power c^(phi(a) - 1) mod a, with no per-c Python loop, is c^-1
+exactly where c*c^(phi(a) - 1) == 1, so one pass yields the inverses and the
+unit mask.  Two walks list the same rows.  The start walk (`_starts`) steps
+each cell (c, shift) along w0, w0 + a, ... from w0 == shift * c^-1 (mod a),
+at O(#units * #shifts + hits) instead of the naive O(#C * #shifts * W).  The
+dual walk (`_join`) joins the residue (c mod a)*w mod a of every (c, w) with
+w <= W against the shifts grouped by residue, at O(#units * W + a + #shifts
++ hits).  `progressions` takes the smaller grid: the join for many shifts and
+a short w range (thm2), the start walk for one shift or a long w range (thm1).
 `count_hits`, the decompositions' exact count of c*w == 1 (mod a), inverts
-the distinct residues of C mod a, each weighted by how many c share it; only
-the units reach 1, each on the one progression `_starts` gives it.  Either
-walk lists the rows grouped by c; within one c the start walk orders them
-by (shift, w) and the join by (w, shift).  No caller reads that order.
+the distinct residues of C mod a, each weighted by how many c share it, and
+counts each unit's one progression from `_starts`.  Either walk lists the
+rows grouped by c, within one c in (shift, w) or (w, shift) order; no caller
+reads that order.
 """
 
 from __future__ import annotations
@@ -88,11 +87,9 @@ def _join(a: int, c: np.ndarray, shifts: Sequence[int], W: int):
     (c, w) spread by one repeat.  Rows come grouped by ascending i, in (w, j)
     order within i.
 
-    r multiplies a residue by w, below a*W, never two residues.
-    `progressions` takes this walk only when #C * W + a < #C * #shifts, the
-    start walk's cell count, so a and W are both below that count and a*W
-    below its square.  thm2's hit cap bounds the count (5e7 by default, a
-    square of 2.5e15), so the join needs no int64 guard of its own.
+    r multiplies a residue by w, below a*W, never two residues.  The join runs
+    only when #units * W + a < #units * #shifts, so W < #shifts, and after
+    `_unit_inverse` checked a^2 < 2^63, a*W < 2^63 while #shifts < 2^31.
     """
     sh = np.array(shifts, dtype=np.int64) % a
     order = np.argsort(sh, kind="stable")
@@ -108,28 +105,28 @@ def _join(a: int, c: np.ndarray, shifts: Sequence[int], W: int):
 
 def progressions(a: int, c_values: Sequence[int] | np.ndarray, shifts: Sequence[int], W: int):
     """int64 arrays (i, j, w), one row per solution of c_values[i]*w == shifts[j]
-    (mod a) with 1 <= w <= W, grouped by ascending i.
+    (mod a) with 1 <= w <= W and c_values[i] a unit mod a, grouped by ascending
+    i; a c that shares a factor with a has no row.
 
-    The dual walk `_join` runs when #C * W + a < #C * #shifts, for any c, and
-    the rows within each i are in (w, j) order; otherwise the start walk
-    `_starts` runs, in (j, w) order, refuses a^2 >= 2^63 (ResourceLimit) and
-    raises DomainError for a c that shares a factor with a.  Either costs the
-    size of its grid plus the hits.  c_values[i]*w - shifts[j] is guaranteed
-    to fit in int64.  DomainError unless a >= 1.
+    The Euler power refuses a^2 >= 2^63 (ResourceLimit) before any array of
+    length a is built.  The join runs when #units * W + a < #units * #shifts,
+    in (w, j) order within each i; otherwise the start walk, in (j, w) order.
+    c_values[i]*w - shifts[j] fits in int64.  DomainError unless a >= 1.
     """
     _check_moduli([a])
     c = _int64(c_values, shifts, W)
-    if c.size * W + a < c.size * len(shifts):
-        return _join(a, c, shifts, W)
     inv, unit = _unit_inverse(c % a, a)
-    if not unit.all():
-        raise DomainError(f"the start walk mod {a} takes units only, got c = {c[~unit][0]}")
-    w0, n = _starts(a, inv, shifts, W)
-    n = n.ravel()
-    cell = np.repeat(np.arange(n.size), n)
-    i, j = np.divmod(cell, w0.shape[1])
-    term = np.arange(cell.size) - np.repeat(np.cumsum(n) - n, n)
-    return i, j, w0.ravel()[cell] + term * a
+    units = np.flatnonzero(unit)
+    if units.size * W + a < units.size * len(shifts):
+        i, j, w = _join(a, c[units], shifts, W)
+    else:
+        w0, n = _starts(a, inv[units], shifts, W)
+        n = n.ravel()
+        cell = np.repeat(np.arange(n.size), n)
+        i, j = np.divmod(cell, w0.shape[1])
+        term = np.arange(cell.size) - np.repeat(np.cumsum(n) - n, n)
+        w = w0.ravel()[cell] + term * a
+    return units[i], j, w
 
 
 def _interval_counts(a: int, W: int) -> np.ndarray:

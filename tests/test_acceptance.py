@@ -267,9 +267,9 @@ def test_criterion_8a_thm2_pipeline_soundness():
     def window(scale):
         return max(2, ceil(scale ** (1 - cfg.delta))), int(scale)
 
-    c_vals = list(enumerate_squarefree_smooth(cfg.t1, *window(cfg.x)).values())
-    b_vals = list(enumerate_squarefree_smooth(cfg.t2, *window(cfg.y)).values())
-    a_vals = list(enumerate_squarefree_smooth(cfg.t3, *window(cfg.z)).values())
+    c_vals = list(enumerate_squarefree_smooth(cfg.t1, *window(cfg.x)))
+    b_vals = list(enumerate_squarefree_smooth(cfg.t2, *window(cfg.y)))
+    a_vals = list(enumerate_squarefree_smooth(cfg.t3, *window(cfg.z)))
     oracle_total = sum(
         brute_linear_count(a_vals, c_vals, cfg.w_max, b + 1).count for b in b_vals
     )

@@ -8,8 +8,9 @@ read or breaks the UTF-8.  An exit 1 must name the config key or the file.
 
 Each argv example takes a quick run of a command and adds an unknown flag,
 repeats a flag, drops a flag's value or sets a --qmax, --trials, --seed,
---bound or --threads to a negative or non-numeric value, so that every run
-stays bounded.
+--bound, --cap or --threads to a negative or non-numeric value, so that every
+run stays bounded.  A --cap or --bound that sizes an oracle or the smooth
+enumeration must then be refused as a usage error: exit 1, naming a flag.
 """
 
 import io
@@ -130,9 +131,17 @@ ARGVS = [
     ["oracle", "sunit_pairs", "--primes", "2,3", "--bound", "100"],
     ["oracle", "prop1_triples", "--primes", "2,3", "--bound", "100"],
     ["oracle", "linear_count", "--a-set", "5,7", "--c-set", "2,3", "--bound", "10"],
+    ["smooth", "--primes", "2,3,5", "--lo", "1", "--hi", "100", "--cap", "50"],
     ["thm1", "--config", str(CONFIGS / "thm1_desk.cfg"), "--threads", "1"],
 ]
-NUMERIC_FLAGS = ("--qmax", "--trials", "--seed", "--bound", "--threads")
+NUMERIC_FLAGS = ("--qmax", "--trials", "--seed", "--bound", "--cap", "--threads")
+# the flags that size a search, by command: a negative or non-numeric value is a usage error
+COUNT_FLAGS = {
+    "sunit_pairs": ("--bound", "--cap"),
+    "prop1_triples": ("--bound", "--cap"),
+    "linear_count": ("--bound", "--cap"),
+    "smooth": ("--cap",),
+}
 
 
 def _not_a_count(text: str) -> bool:
@@ -180,5 +189,16 @@ def argvs(draw) -> list[str]:
 @example(["siegel", "--alpha", "3,5,7", "--bound"])
 @example(["verify", "sieve", "--trials", "2", "--trials", "x"])
 @example(["oracle", "sunit_pairs", "--primes", "2,3", "--bound", "100", "--bogus", "a\nb"])
+# a negative --cap or --bound is a usage error: exit 1, naming the flag
+@example(["oracle", "sunit_pairs", "--primes", "2,3", "--bound", "100", "--cap", "-1"])
+@example(["oracle", "prop1_triples", "--primes", "2,3", "--bound", "100", "--cap", "-1"])
+@example(["oracle", "linear_count", "--a-set", "5,7", "--c-set", "2,3", "--bound", "10", "--cap", "-1"])
+@example(["smooth", "--primes", "2,3,5", "--lo", "1", "--hi", "100", "--cap", "-1"])
+@example(["oracle", "sunit_pairs", "--primes", "2,3", "--bound", "-1"])
+@example(["oracle", "prop1_triples", "--primes", "2,3", "--bound", "-1"])
+@example(["oracle", "linear_count", "--a-set", "5,7", "--c-set", "2,3", "--bound", "-1"])
 def test_cli_argv_fuzz(argv):
-    run_cli(argv)
+    code, _, err = run_cli(argv)
+    counts = COUNT_FLAGS.get(argv[1] if argv[0] == "oracle" else argv[0], ())
+    if any(flag in counts and _not_a_count(value) for flag, value in zip(argv, argv[1:])):
+        assert code == 1 and any(flag in err for flag in argv if flag.startswith("--")), err

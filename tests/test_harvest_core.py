@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_trial_division
-from sunit_harvest.arith import PrimeSet, multiplicative_functions
+from sunit_harvest.arith import FactoredInt, PrimeSet, multiplicative_functions, trial_factor
 from sunit_harvest.characters import multiplicative_decomposition
 from sunit_harvest.circle import additive_decomposition
 from sunit_harvest.errors import DomainError, EmptyHarvest, ResourceLimit
@@ -33,7 +33,7 @@ from sunit_harvest.pipelines import (
     verify_sunit_solution,
 )
 from sunit_harvest.siegel import siegel_nonzero_coords
-from sunit_harvest.smooth import enumerate_squarefree_smooth
+from sunit_harvest.smooth import SmoothSet, enumerate_squarefree_smooth
 from sunit_harvest import pipelines, stepping
 from sunit_harvest.stepping import _powmod, _unit_inverse, count_hits, progressions
 
@@ -293,23 +293,24 @@ def test_count_checked_against_listing(monkeypatch, harvest, sets):
     st.one_of(st.integers(0, 8), st.integers(0, 70)),  # W below and above #shifts
 )
 @example(6, [1, 5, 7], [2, 3, 0, -1], 20)  # start walk: shifts sharing a factor with a
-@example(6, [4, 9, 5], [2, 3], 20)  # start walk: the non-units 4 and 9 are left out
+@example(6, [4, 9, 5], [2, 3], 20)  # start walk: the non-units 4 and 9 list no rows
+@example(6, [4, 9], [2, 3], 20)  # no unit at all
 @example(7, [3, 5], [-5, -14], 20)  # start walk: negative shifts
 @example(25, [3, 7], [1, 4], 5)  # start walk: W below a
 @example(4, [3, 7], [1, 4], 60)  # start walk: W above a
 @example(5, [], [1], 10)  # no c at all
-# join: gcd(c, a) > 1, negative shifts, shifts sharing a residue, W below #shifts
+# join: gcd(c, a) > 1 listing no rows, negative shifts, shifts sharing a residue, W below #shifts
 @example(6, [4, 9, 5], [2, -4, 8, 3, -3, 9, 1, 0, 6, -6, 2], 5)
 @example(4, [3, 7], [1, 5, -3, 2, 9], 3)  # 2*3 + 4 == 2*5: the boundary takes the start walk
 @example(4, [3, 7], [1, 5, -3, 2, 9, 4], 3)  # one shift more: the join
+@example(4, [2, 3, 6, 7], [1, 5, -3, 2, 9, 4], 3)  # the join, with non-units between the units
 def test_progressions_match_brute(a, c_values, shifts, W):
     assert count_hits([a], c_values, W) == brute_linear_count([a], c_values, W, 1).count
-    if len(c_values) * W + a >= len(c_values) * len(shifts):
-        # the start walk takes units only; fewer c keep it the start walk
-        c_values = [c for c in c_values if gcd(c, a) == 1]
+    # either walk lists the units c mod a only, with i indexing c_values
     brute = [
         (i, j, w)
         for i, c in enumerate(c_values)
+        if gcd(c, a) == 1
         for j, shift in enumerate(shifts)
         for w in range(1, W + 1)
         if (c * w - shift) % a == 0
@@ -321,21 +322,32 @@ def test_progressions_match_brute(a, c_values, shifts, W):
 
 @pytest.mark.parametrize("shifts, joins", [([1, 5, -3, 2, 9], False), ([1, 5, -3, 2, 9, 4], True)])
 def test_progressions_strategy_boundary(monkeypatch, shifts, joins):
-    # the join runs exactly when #C * W + a < #C * #shifts, here 2*3 + 4 against
-    # 2 * #shifts; test_progressions_match_brute checks the rows of both cases
-    join, calls = stepping._join, []
-    monkeypatch.setattr(stepping, "_join", lambda *args: calls.append(args) or join(*args))
-    progressions(4, [3, 7], shifts, 3)
-    assert bool(calls) == joins
+    # the join runs exactly when #units * W + a < #units * #shifts, here 2*3 + 4
+    # against 2 * #shifts, whether or not the non-unit 2 is passed too;
+    # test_progressions_match_brute checks the rows of both cases
+    join = stepping._join
+    for c_values in ([3, 7], [2, 3, 7]):
+        calls = []
+        monkeypatch.setattr(stepping, "_join", lambda *args: calls.append(args) or join(*args))
+        progressions(4, c_values, shifts, 3)
+        assert bool(calls) == joins, c_values
 
 
-def test_start_walk_refuses_non_units():
-    # the start walk steps by a, which would list wrong rows for gcd(c, a) > 1;
-    # the join lists them (test_progressions_match_brute)
-    with pytest.raises(DomainError, match="c = 4$"):
-        progressions(6, [5, 4, 9], [2], 20)
-    with pytest.raises(DomainError, match="c = -13$"):
-        progressions(3_037_000_499, [1, -13], [1], 5)  # 13 divides this a
+def test_start_walk_lists_no_non_units():
+    # stepping by a from c^-1 has no meaning for gcd(c, a) > 1: such a c lists no rows
+    i, j, w = progressions(6, [5, 4, 9], [2], 20)
+    assert sorted(zip(i.tolist(), j.tolist(), w.tolist())) == progression_rows(6, [5], [2], 20)
+    i, j, w = progressions(3_037_000_499, [1, -13], [1], 5)  # 13 divides this a
+    assert sorted(zip(i.tolist(), j.tolist(), w.tolist())) == [(0, 0, 1)]
+
+
+def test_join_refuses_moduli_past_int64_before_any_walk(monkeypatch):
+    # many shifts and a short w range; the join's bincount would have length a,
+    # but the Euler power refuses a^2 >= 2^63 before either walk builds anything
+    for walk in ("_join", "_starts"):
+        monkeypatch.setattr(stepping, walk, lambda *args: pytest.fail("a walk ran"))
+    with pytest.raises(ResourceLimit, match="beyond int64"):
+        progressions(2**32, [3, 4], range(20), 1)
 
 
 @st.composite
@@ -542,18 +554,26 @@ def test_prop1_pack_range_past_int64_refused():
         prop1_run(prop1_config(x, PrimeSet((2,)), PrimeSet((3,)), PrimeSet((5,))))
 
 
+def smooth_set(values):
+    """A SmoothSet of explicit sorted values, each member trial-factored, as
+    perfbench's `_smoothset` builds one."""
+    members = tuple(FactoredInt(v, trial_factor(v)) for v in values)
+    primes = sorted({p for m in members for p, _ in m.factors})
+    return SmoothSet(PrimeSet(tuple(primes)), values[0], values[-1], members)
+
+
 def test_decompositions_take_any_iterable_of_ints():
-    # a sorted list, an unsorted tuple and a SmoothSet of the same values give
-    # identical results: both decompositions sort the moduli they sum over
+    # a sorted tuple, a list, an unsorted tuple and a SmoothSet of the same
+    # values give identical results: both decompositions sort the moduli they sum over
     T = PrimeSet((2, 3, 5, 7, 11, 13))
     A, C = enumerate_squarefree_smooth(T, 60, 200), enumerate_squarefree_smooth(T, 2, 400)
-    inputs = [(A, C), (list(A), list(C)), (tuple(reversed(A.values())), tuple(reversed(C.values())))]
+    inputs = [(A, C), (list(A), list(C)), (A[::-1], C[::-1]), (smooth_set(A), smooth_set(C))]
     mult = [multiplicative_decomposition(a, c, 150) for a, c in inputs]
     add = [additive_decomposition(a, c, 0.5) for a, c in inputs]
     assert mult[0][2] > 0 and add[0].exact_count > 0
-    assert mult[0] == mult[1] == mult[2]
-    assert add[0] == add[1] == add[2]
-    assert add[0].rows == add[1].rows == add[2].rows
+    assert mult[0] == mult[1] == mult[2] == mult[3]
+    assert add[0] == add[1] == add[2] == add[3]
+    assert add[0].rows == add[1].rows == add[2].rows == add[3].rows
 
 
 def test_empty_coefficient_sets():

@@ -61,9 +61,9 @@ def test_thm1_hit_conservation():
     cfg = desk_thm1_config()
     from sunit_harvest.smooth import enumerate_squarefree_smooth
 
-    q = enumerate_squarefree_smooth(cfg.t1, *_range(cfg.q, cfg.delta)).values()
-    r = enumerate_squarefree_smooth(cfg.t2, *_range(cfg.r, cfg.delta)).values()
-    a = enumerate_squarefree_smooth(cfg.t3, *_range(cfg.z, cfg.delta)).values()
+    q = enumerate_squarefree_smooth(cfg.t1, *_range(cfg.q, cfg.delta))
+    r = enumerate_squarefree_smooth(cfg.t2, *_range(cfg.r, cfg.delta))
+    a = enumerate_squarefree_smooth(cfg.t3, *_range(cfg.z, cfg.delta))
     c = sorted(qv * rv for qv in q for rv in r)
     oracle = brute_linear_count(list(a), c, cfg.w_max, 1)
     assert stats["total_hits"] == oracle.count

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sunit_harvest.arith import PrimeSet, primes_in_range
+from sunit_harvest.arith import PrimeSet, primes_in_range, trial_factor
 from sunit_harvest.errors import DomainError, EnumerationCap, InsufficientPrimes
 from sunit_harvest.smooth import (
     binomial_lower_bound_check,
@@ -43,22 +43,22 @@ def brute_squarefree_smooth(primes, lo, hi):
 def test_enumeration_property_vs_brute(primes, lo, width):
     hi = lo + width
     got = enumerate_squarefree_smooth(PrimeSet(tuple(primes)), lo, hi)
-    assert got.values() == tuple(brute_squarefree_smooth(primes, lo, hi))
-    assert all(m.value == prod(p**e for p, e in m.factors) for m in got.members)
+    assert got == tuple(brute_squarefree_smooth(primes, lo, hi))
+    # an independent factorization: every member is squarefree over the primes
+    assert all(all(p in primes and e == 1 for p, e in trial_factor(v)) for v in got)
 
 
 def test_enumeration_examples():
-    got = enumerate_squarefree_smooth(PrimeSet((2, 3, 5)), 2, 30)
-    assert got.values() == (2, 3, 5, 6, 10, 15, 30)
-    assert len(got) == 7
-    assert enumerate_squarefree_smooth(PrimeSet((7,)), 1, 6).values() == (1,)
-    assert enumerate_squarefree_smooth(PrimeSet((2, 3)), 5, 6).values() == (6,)
+    assert enumerate_squarefree_smooth(PrimeSet((2, 3, 5)), 2, 30) == (2, 3, 5, 6, 10, 15, 30)
+    assert enumerate_squarefree_smooth(PrimeSet((7,)), 1, 6) == (1,)
+    assert enumerate_squarefree_smooth(PrimeSet((2, 3)), 5, 6) == (6,)
+    assert all(type(v) is int for v in enumerate_squarefree_smooth(PrimeSet((2, 3)), 1, 6))
 
 
 def test_enumeration_vs_brute():
     for primes, lo, hi in [((2, 3, 5, 7), 1, 500), ((3, 11, 13), 10, 400), ((2,), 1, 64)]:
-        got = enumerate_squarefree_smooth(PrimeSet(primes), lo, hi).values()
-        assert list(got) == brute_squarefree_smooth(primes, lo, hi)
+        got = enumerate_squarefree_smooth(PrimeSet(primes), lo, hi)
+        assert got == tuple(brute_squarefree_smooth(primes, lo, hi))
 
 
 def test_enumeration_counts_all_subsets():
@@ -77,12 +77,11 @@ def test_enumeration_cap():
 
 
 def test_members_are_sorted_squarefree_in_range():
-    ss = enumerate_squarefree_smooth(PrimeSet((2, 5, 11, 13)), 10, 2000)
-    vals = ss.values()
+    vals = enumerate_squarefree_smooth(PrimeSet((2, 5, 11, 13)), 10, 2000)
     assert list(vals) == sorted(set(vals))
-    for m in ss.members:
-        assert m.squarefree
-        assert 10 <= m.value <= 2000
+    for v in vals:
+        assert all(p in (2, 5, 11, 13) and e == 1 for p, e in trial_factor(v))
+        assert 10 <= v <= 2000
 
 
 def test_lower_bound_example():
