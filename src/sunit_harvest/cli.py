@@ -3,7 +3,8 @@
 Subcommands: thm1, thm2, prop1, oracle {sunit_pairs|prop1_triples|linear_count},
 exponents, frontier, verify {charsums|sieve|circle}, smooth, siegel; each takes
 only the flags it reads.  Pipeline runs read a plain-text key=value config file (one
-pair per line, '#' comments); every run writes a JSON report and, when asked, CSV artifacts.
+pair per line, '#' comments).  Every command but frontier returns a payload that `main`
+alone stamps with `timing` and writes as the JSON report.
 
 Exit codes: 0 success, 2 empty harvest, 3 constraint violation, 4 resource
 or factorization limit, 1 malformed config or usage.
@@ -12,6 +13,7 @@ or factorization limit, 1 malformed config or usage.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import random
 import sys
 import time
@@ -114,11 +116,15 @@ def _integers(text: str, key: str) -> tuple[int, ...]:
         raise ConfigError(key, f"expected comma-separated integers, got {text!r}") from None
 
 
-def _count(text: str) -> int:
-    """The argparse type of a --cap or --bound that sizes a search: an integer >= 0."""
-    if not text.strip().isdecimal():  # a sign, or no integer at all
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
-    return int(text)
+def _at_least(least: int):
+    """The argparse type of an unsigned integer flag whose value must be at least least."""
+
+    def parse(text: str) -> int:
+        if not text.strip().isdecimal() or int(text) < least:  # a sign, no integer, or too small
+            raise argparse.ArgumentTypeError(f"expected an integer >= {least}, got {text!r}")
+        return int(text)
+
+    return parse
 
 
 def _parse_primes(text: str, key: str = "primes") -> PrimeSet:
@@ -177,61 +183,34 @@ def _timing(t0: float) -> dict:
     return {"wall_seconds": time.time() - t0, "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S")}
 
 
-def _emit(payload: dict, out: str | None):
-    if out:
-        write_json_report(payload, out)
-    else:
-        sys.stdout.write(json_text(payload))
-
-
-def _run_pipeline(args) -> int:
-    t0 = time.time()
+def _run_pipeline(args) -> tuple[dict, int]:
     cfg = build_harvest_config(parse_config_file(args.config))
     if cfg.equation != args.command:
         raise ConfigError("equation", f"config says {cfg.equation}, command is {args.command}")
     # looked up at call time, so the names can be wrapped or patched on the module
     report = {"thm1": thm1_run, "thm2": thm2_run, "prop1": prop1_run}[cfg.equation](cfg)
-    payload = {"run": report.as_dict(), "timing": _timing(t0)}
-    _emit(payload, args.out)
     if args.solutions:
         write_csv(args.solutions, SOLUTION_HEADERS[report.equation], report.solution_rows)
     if report.bucket_stats["degenerate"]:
         warning = "every bucket holds one hit, so the popular key is only the least"
         print(f"warning: degenerate harvest: {warning}", file=sys.stderr)
-    return EXIT_OK
+    return {"run": report.as_dict()}, EXIT_OK
 
 
-def _oracle_report(args, t0: float, res) -> None:
-    payload = {
-        "query": res.query,
-        "count": res.count,
-        "effort": res.effort,
-        "solutions": [list(s) for s in res.solutions],
-        "timing": _timing(t0),
-    }
-    _emit(payload, args.out)
-
-
-def _run_oracle(args) -> int:
+def _run_oracle(args) -> tuple[dict, int]:
     """oracle sunit_pairs|prop1_triples: args.brute over the S-units up to --bound."""
-    t0 = time.time()
     res = args.brute(_parse_primes(args.primes), args.bound, args.cap)
-    _oracle_report(args, t0, res)
     if args.solutions:  # the pipeline's CSV layout, blank past the solution's own columns
         write_csv(args.solutions, args.headers, [(*s, *[""] * (len(args.headers) - len(s))) for s in res.solutions])
-    return EXIT_OK
+    return dataclasses.asdict(res), EXIT_OK
 
 
-def _run_linear_count(args) -> int:
-    t0 = time.time()
+def _run_linear_count(args) -> tuple[dict, int]:
     a_vals, c_vals = _integers(args.a_set, "a-set"), _integers(args.c_set, "c-set")
-    _oracle_report(args, t0, brute_linear_count(a_vals, c_vals, args.bound, args.shift, args.cap))
-    return EXIT_OK
+    return dataclasses.asdict(brute_linear_count(a_vals, c_vals, args.bound, args.shift, args.cap)), EXIT_OK
 
 
-def _run_frontier(args) -> int:
-    if args.kmax < 2:  # the frontier starts at k = 2: a smaller value lists nothing
-        raise ConfigError("kmax", f"needs --kmax >= 2, got {args.kmax}")
+def _run_frontier(args) -> tuple[None, int]:
     if args.kmax > 20:  # 2^kmax - 2 rows, about 1M at 20
         raise ResourceLimit(f"--kmax {args.kmax} beyond 20: the frontier has 2^kmax - 2 rows")
     rows = []
@@ -244,10 +223,10 @@ def _run_frontier(args) -> int:
     else:
         for row in rows:
             print(",".join(str(v) for v in row))
-    return EXIT_OK
+    return None, EXIT_OK
 
 
-def _run_exponents(args) -> int:
+def _run_exponents(args) -> tuple[dict, int]:
     exps = regime_exponents(args.theorem, args.variant, args.alpha)
     payload = {
         "exponents": exps.as_dict(),
@@ -256,8 +235,7 @@ def _run_exponents(args) -> int:
             for n, v, ok in check_constraints(args.theorem, args.variant, args.alpha)
         ],
     }
-    _emit(payload, args.out)
-    return EXIT_OK
+    return payload, EXIT_OK
 
 
 def _verify_charsums(args) -> tuple[dict, list]:
@@ -306,46 +284,24 @@ def _sieve_trials(rng: random.Random, pool: list, y_max: int, span_max: int, tri
     return results
 
 
-def _check_trials(trials: int) -> None:
-    if trials < 1:  # zero trials would hold vacuously
-        raise ConfigError("trials", f"needs --trials >= 1, got {trials}")
-
-
-def _run_charsums(args) -> int:
-    t0 = time.time()
-    if args.qmax < 3:  # the squarefree moduli from 3
-        raise ConfigError("qmax", "verify charsums needs --qmax >= 3")
+def _run_charsums(args) -> tuple[dict, int]:
     if args.qmax > 1000:  # 1000 takes about 4.6 s and 94 MiB on a 2-core machine
         raise ResourceLimit(f"--qmax {args.qmax} beyond 1000 for verify charsums")
-    _check_trials(args.trials)
     summary, rows = _verify_charsums(args)
-    payload = {"verify": "charsums", "summary": summary, "timing": _timing(t0), "seed": args.seed}
-    _emit(payload, args.out)
     if args.solutions:
         write_csv(args.solutions, ["modulus", "character_index", "statistic", "bound", "ratio"], rows)
-    return EXIT_OK if summary["polya_vinogradov_all_pass"] and summary["large_sieve_all_hold"] else EXIT_CONSTRAINT
+    passed = summary["polya_vinogradov_all_pass"] and summary["large_sieve_all_hold"]
+    return {"verify": "charsums", "summary": summary}, EXIT_OK if passed else EXIT_CONSTRAINT
 
 
-def _run_sieve(args) -> int:
-    t0 = time.time()
-    _check_trials(args.trials)
+def _run_sieve(args) -> tuple[dict, int]:
     pool = [q for q in range(3, 50) if _is_squarefree(q)]
     results = _sieve_trials(random.Random(args.seed), pool, 50, 200, args.trials)
-    payload = {
-        "verify": "sieve",
-        "all_hold": all(r["holds"] for r in results),
-        "trials": results,
-        "timing": _timing(t0),
-        "seed": args.seed,
-    }
-    _emit(payload, args.out)
-    return EXIT_OK if payload["all_hold"] else EXIT_CONSTRAINT
+    all_hold = all(r["holds"] for r in results)
+    return {"verify": "sieve", "all_hold": all_hold, "trials": results}, EXIT_OK if all_hold else EXIT_CONSTRAINT
 
 
-def _run_circle(args) -> int:
-    t0 = time.time()
-    if args.qmax < 8:  # 30 distinct c < 4 * qmax
-        raise ConfigError("qmax", "verify circle needs --qmax >= 8")
+def _run_circle(args) -> tuple[dict, int]:
     if args.qmax > 100_000:  # arrays and transforms of length up to qmax per modulus
         raise ResourceLimit(f"--qmax {args.qmax} beyond 100000 for verify circle")
     rng = random.Random(args.seed)
@@ -364,20 +320,17 @@ def _run_circle(args) -> int:
         "cutoff": dec.cutoff,
         "truncated_sum": dec.truncated_sum,
         "tail_sum": dec.tail_sum,
-        "timing": _timing(t0),
-        "seed": args.seed,
     }
-    _emit(payload, args.out)
     if args.solutions:
         write_csv(args.solutions, ["a", "h", "s_mu_abs", "fraction_sum_abs", "term"], dec.rows)
-    return EXIT_OK if payload["exact_match"] else EXIT_CONSTRAINT
+    return payload, EXIT_OK if payload["exact_match"] else EXIT_CONSTRAINT
 
 
 def _is_squarefree(q: int) -> bool:
     return all(e == 1 for _, e in trial_factor(q))
 
 
-def _run_smooth(args) -> int:
+def _run_smooth(args) -> tuple[dict, int]:
     T = _parse_primes(args.primes)
     members = enumerate_squarefree_smooth(T, args.lo, args.hi, args.cap)
     payload = {
@@ -387,16 +340,13 @@ def _run_smooth(args) -> int:
         "count": len(members),
         "members": list(members),
     }
-    _emit(payload, args.out)
-    return EXIT_OK
+    return payload, EXIT_OK
 
 
-def _run_siegel(args) -> int:
+def _run_siegel(args) -> tuple[dict, int]:
     alpha = _integers(args.alpha, "alpha")
     sol = siegel_small_solution(alpha, args.bound)
-    payload = {"alpha": list(alpha), "B": args.bound, "z": list(sol.z), "bound": sol.bound}
-    _emit(payload, args.out)
-    return EXIT_OK
+    return {"alpha": list(alpha), "B": args.bound, "z": list(sol.z), "bound": sol.bound}, EXIT_OK
 
 
 class _Parser(argparse.ArgumentParser):
@@ -407,7 +357,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """Each leaf command declares only the flags it reads and runs args.run(args)."""
+    """Each leaf command declares only the flags it reads; args.run(args) returns
+    (payload, exit code), the payload None when the command writes no JSON report."""
     parser = _Parser(prog="sunit-harvest")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -432,37 +383,37 @@ def build_parser() -> argparse.ArgumentParser:
         p = command(kinds, kind, _run_oracle, f"all {what} up to --bound", "out", "solutions",
                     brute=brute, headers=SOLUTION_HEADERS[equation])
         p.add_argument("--primes", required=True, help="comma-separated prime set S")
-        p.add_argument("--bound", type=_count, required=True, help="enumeration bound")
-        p.add_argument("--cap", type=_count, default=DEFAULT_BUDGET, help="most enumeration steps")
+        p.add_argument("--bound", type=_at_least(0), required=True, help="enumeration bound")
+        p.add_argument("--cap", type=_at_least(0), default=DEFAULT_BUDGET, help="most enumeration steps")
     p = command(kinds, "linear_count", _run_linear_count, "count c*w == shift (mod a)", "out")
     p.add_argument("--a-set", dest="a_set", required=True, help="comma-separated moduli")
     p.add_argument("--c-set", dest="c_set", required=True, help="comma-separated coefficients")
-    p.add_argument("--bound", type=_count, required=True, help="W, the largest w counted")
+    p.add_argument("--bound", type=_at_least(0), required=True, help="W, the largest w counted")
     p.add_argument("--shift", type=int, default=1)
-    p.add_argument("--cap", type=_count, default=DEFAULT_BUDGET, help="most (a, c, w) steps")
+    p.add_argument("--cap", type=_at_least(0), default=DEFAULT_BUDGET, help="most (a, c, w) steps")
 
     p = command(sub, "exponents", _run_exponents, "regime exponent table and constraint margins", "out")
     p.add_argument("--theorem", choices=["thm1", "thm2"], required=True)
     p.add_argument("--variant", choices=["conditional", "unconditional"], required=True)
     p.add_argument("--alpha", type=float, required=True)
     p = command(sub, "frontier", _run_frontier, "the factorization frontier for k <= --kmax", "out")
-    p.add_argument("--kmax", type=int, default=12)
+    p.add_argument("--kmax", type=_at_least(2), default=12)  # the frontier starts at k = 2
 
     p = sub.add_parser("verify", help="analytic identity and inequality suites")
     whats = p.add_subparsers(dest="what", required=True)
     p = command(whats, "charsums", _run_charsums, "character sums and the large sieve", "out", "solutions", "seed")
-    p.add_argument("--qmax", type=int, default=50)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--qmax", type=_at_least(3), default=50)  # the squarefree moduli from 3
+    p.add_argument("--trials", type=_at_least(1), default=100)  # zero trials would hold vacuously
     p = command(whats, "sieve", _run_sieve, "large-sieve trials", "out", "seed")
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_at_least(1), default=100)
     p = command(whats, "circle", _run_circle, "additive decomposition", "out", "solutions", "seed")
-    p.add_argument("--qmax", type=int, default=50)
+    p.add_argument("--qmax", type=_at_least(8), default=50)  # 30 distinct c < 4 * qmax
 
     p = command(sub, "smooth", _run_smooth, "enumerate squarefree smooth numbers", "out")
     p.add_argument("--primes", required=True)
     p.add_argument("--lo", type=int, required=True)
     p.add_argument("--hi", type=int, required=True)
-    p.add_argument("--cap", type=_count, default=DEFAULT_CAP, help="most members listed")
+    p.add_argument("--cap", type=_at_least(0), default=DEFAULT_CAP, help="most members listed")
 
     p = command(sub, "siegel", _run_siegel, "small solution of a linear form", "out")
     p.add_argument("--alpha", required=True, help="comma-separated coefficients")
@@ -472,12 +423,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    t0 = time.time()
     try:
         for flag in ("out", "solutions"):  # before the run prints or writes anything
             path = getattr(args, flag, None)
             if path and (Path(path).is_dir() or not Path(path).parent.is_dir()):
                 raise OSError(f"--{flag} {path!r} is not a file in an existing directory")
-        return args.run(args)
+        payload, code = args.run(args)
+        if payload is not None:
+            payload["timing"] = _timing(t0)
+            if "seed" in args:  # the commands that draw random numbers echo their seed
+                payload["seed"] = args.seed
+            if args.out:
+                write_json_report(payload, args.out)
+            else:
+                sys.stdout.write(json_text(payload))
+        return code
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_USAGE

@@ -77,8 +77,10 @@ class HarvestConfig:
     Prime intervals at paper scale are degenerate on a desk, so the prime sets
     are given explicitly while Z, W (and Y, Q) are derived from X through
     the regime exponent formulas (see `config_from_exponents`), and R is X / Q;
-    prop1 reads only X, the prime sets and the caps.  hit_cap bounds the
-    coefficient tuples a pipeline walks.
+    prop1 reads only X, the prime sets and the caps.  hit_cap bounds the hits
+    of a run, before its walk: thm1 and thm2 refuse a run whose hits may pass
+    it (see `_check_hits`), prop1 one whose coefficient triples do, since each
+    triple gives at most one hit.
     """
 
     equation: str
@@ -193,7 +195,7 @@ def config_from_exponents(
 
 def prop1_config(x: int, t1: PrimeSet, t2: PrimeSet, t3: PrimeSet, **kwargs) -> HarvestConfig:
     """A validated prop1 config.  Each coefficient triple costs a kernel-vector
-    search, so the tuple cap defaults to 2,000,000 rather than the thm1/thm2 50,000,000."""
+    search, so the hit cap defaults to 2,000,000 rather than the thm1/thm2 50,000,000."""
     cfg = HarvestConfig("prop1", t1, t2, t3, x, **{"delta": 0.1, "hit_cap": 2_000_000, **kwargs})
     cfg.validate()
     return cfg
@@ -417,6 +419,15 @@ def _linear_harvest(
     return _harvest(sorted(a_values), walk, listing, packing, (u_hi - u_lo) * W)  # u = 0 left out
 
 
+def _check_hits(n_pairs: int, a_values: Sequence[int], W: int, hit_cap: int) -> None:
+    """Raise ResourceLimit, before any walk, when a linear harvest over the moduli
+    a_values, with n_pairs (s, c) pairs per modulus and 1 <= w <= W, may pass
+    hit_cap hits: c*w = s (mod a) holds on at most ceil(W / a) of the w."""
+    hits = n_pairs * sum(-(-W // a) for a in a_values)
+    if hits > hit_cap:
+        raise ResourceLimit(f"up to {hits} hits beyond hit cap {hit_cap}")
+
+
 def _with_config(report: HarvestReport, config: HarvestConfig) -> HarvestReport:
     """The report with the fields its config decides: the bound comparison at
     the config's epsilon and the config echo."""
@@ -449,12 +460,9 @@ def thm1_run(config: HarvestConfig) -> HarvestReport:
     """Harvest solutions of A + 1 = C from near-solutions of a*u + 1 = c*w."""
     scales = (("q", config.q), ("q", config.r), ("z", config.z))  # q sets R = X / Q too
     q_values, r_values, a_values = _window_sets(config, "thm1", ((k, *_range(s, config.delta)) for k, s in scales))
-    n_pairs = len(a_values) * len(q_values) * len(r_values)  # #C, before C is built: Q and R share no prime
-    if n_pairs > config.hit_cap:
-        raise ResourceLimit(f"{n_pairs} a x c pairs beyond hit cap {config.hit_cap}")
-    c_values = [qv * rv for qv in q_values for rv in r_values]
-
     W = config.w_max
+    _check_hits(len(q_values) * len(r_values), a_values, W, config.hit_cap)  # #C, before C is built
+    c_values = [qv * rv for qv in q_values for rv in r_values]  # distinct: Q and R share no prime
     report = thm1_harvest(a_values, c_values, W, config.t1.union(config.t2).union(config.t3))
     s = len(report.s_full)
     additive_cap = len(report.s_prime) + log2(W) + log2(config.x * W / config.z ** (1 - config.delta))
@@ -510,8 +518,7 @@ def thm2_run(config: HarvestConfig) -> HarvestReport:
     """Harvest solutions of A + B + 1 = C from near-solutions of a*u + b + 1 = c*w."""
     scales = (("x", config.x), ("y", config.y), ("z", config.z))
     c_values, b_values, a_values = _window_sets(config, "thm2", ((k, *_range(s, config.delta)) for k, s in scales))
-    if len(a_values) * len(c_values) * len(b_values) > config.hit_cap:
-        raise ResourceLimit("a x c x b triple count beyond hit cap")
+    _check_hits(len(b_values) * len(c_values), a_values, config.w_max, config.hit_cap)
 
     report = thm2_harvest(a_values, b_values, c_values, config.w_max, config.t1.union(config.t2).union(config.t3))
     scale = config.z ** (1 - config.delta)

@@ -7,10 +7,10 @@ junk, huge or negative values, repeats a line, adds a line the parser cannot
 read or breaks the UTF-8.  An exit 1 must name the config key or the file.
 
 Each argv example takes a quick run of a command and adds an unknown flag,
-repeats a flag, drops a flag's value or sets a --qmax, --trials, --seed,
---bound, --cap or --threads to a negative or non-numeric value, so that every
-run stays bounded.  A --cap or --bound that sizes an oracle or the smooth
-enumeration must then be refused as a usage error: exit 1, naming a flag.
+repeats a flag, drops a flag's value or sets a --qmax, --trials, --kmax,
+--seed, --bound, --cap or --threads to a negative or non-numeric value, so
+that every run stays bounded.  A flag with a lower bound given a value below
+it, or no integer, must then be refused as a usage error: exit 1, naming a flag.
 """
 
 import io
@@ -132,22 +132,27 @@ ARGVS = [
     ["oracle", "prop1_triples", "--primes", "2,3", "--bound", "100"],
     ["oracle", "linear_count", "--a-set", "5,7", "--c-set", "2,3", "--bound", "10"],
     ["smooth", "--primes", "2,3,5", "--lo", "1", "--hi", "100", "--cap", "50"],
+    ["frontier", "--kmax", "4"],
     ["thm1", "--config", str(CONFIGS / "thm1_desk.cfg"), "--threads", "1"],
 ]
-NUMERIC_FLAGS = ("--qmax", "--trials", "--seed", "--bound", "--cap", "--threads")
-# the flags that size a search, by command: a negative or non-numeric value is a usage error
-COUNT_FLAGS = {
-    "sunit_pairs": ("--bound", "--cap"),
-    "prop1_triples": ("--bound", "--cap"),
-    "linear_count": ("--bound", "--cap"),
-    "smooth": ("--cap",),
+NUMERIC_FLAGS = ("--qmax", "--trials", "--kmax", "--seed", "--bound", "--cap", "--threads")
+# the lower bound of each bounded flag, by command: a value below it, or no integer, is a usage error
+LEAST = {
+    "sunit_pairs": {"--bound": 0, "--cap": 0},
+    "prop1_triples": {"--bound": 0, "--cap": 0},
+    "linear_count": {"--bound": 0, "--cap": 0},
+    "smooth": {"--cap": 0},
+    "charsums": {"--qmax": 3, "--trials": 1},
+    "sieve": {"--trials": 1},
+    "circle": {"--qmax": 8},
+    "frontier": {"--kmax": 2},
 }
 
 
-def _not_a_count(text: str) -> bool:
-    """Whether argparse's int() refuses text or reads it below 0, so that no run grows with it."""
+def _below(text: str, least: int = 0) -> bool:
+    """Whether int() refuses text or reads it below least, so that no run grows with it."""
     try:
-        return int(text) < 0
+        return int(text) < least
     except ValueError:
         return True
 
@@ -157,7 +162,7 @@ bad_values = st.one_of(
     st.integers(-5, 0).map(str),
     st.sampled_from(["1e3", "2.5", "nan", "-inf", "0x10", "", "-", "--", "seven"]),
     junk,
-).filter(_not_a_count)
+).filter(_below)
 
 
 @st.composite
@@ -197,8 +202,13 @@ def argvs(draw) -> list[str]:
 @example(["oracle", "sunit_pairs", "--primes", "2,3", "--bound", "-1"])
 @example(["oracle", "prop1_triples", "--primes", "2,3", "--bound", "-1"])
 @example(["oracle", "linear_count", "--a-set", "5,7", "--c-set", "2,3", "--bound", "-1"])
+# a value below a flag's lower bound is a usage error too: one line, naming the flag
+@example(["verify", "sieve", "--trials", "0"])
+@example(["frontier", "--kmax", "1"])
+@example(["verify", "charsums", "--qmax", "2"])
+@example(["verify", "circle", "--qmax", "7"])
 def test_cli_argv_fuzz(argv):
     code, _, err = run_cli(argv)
-    counts = COUNT_FLAGS.get(argv[1] if argv[0] == "oracle" else argv[0], ())
-    if any(flag in counts and _not_a_count(value) for flag, value in zip(argv, argv[1:])):
+    least = LEAST.get(argv[1] if argv[0] in ("oracle", "verify") else argv[0], {})
+    if any(flag in least and _below(value, least[flag]) for flag, value in zip(argv, argv[1:])):
         assert code == 1 and any(flag in err for flag in argv if flag.startswith("--")), err

@@ -2,14 +2,15 @@ import argparse
 import csv
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
 
 from sunit_harvest.arith import PrimeSet
 from sunit_harvest.cli import build_harvest_config, main, parse_config_file
-from sunit_harvest import cli
-from sunit_harvest.errors import ConfigError, DomainError, FactorizationLimit
+from sunit_harvest import cli, pipelines
+from sunit_harvest.errors import ConfigError, DomainError, FactorizationLimit, ResourceLimit
 from sunit_harvest.pipelines import verify_sunit_solution
 from sunit_harvest.report import SOLUTION_HEADERS, compare_bounds, write_csv
 
@@ -359,6 +360,36 @@ def test_cli_int64_limit_exit(tmp_path, capsys):
     assert err.startswith("resource limit:") and "beyond int64" in err and err.count("\n") == 1
 
 
+def test_cli_hit_bound_before_walk(tmp_path, capsys, monkeypatch):
+    # the thm2 desk config at w=300000 may make 108,338,769 hits: refused before any key array
+    def walk(*args):
+        raise AssertionError("the walk started")
+
+    monkeypatch.setattr(pipelines, "progressions", walk)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text((CONFIGS / "thm2_desk.cfg").read_text() + "w=300000\n")
+    assert main(["thm2", "--config", str(cfg)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("resource limit: up to 108338769 hits beyond hit cap 50000000") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name, w", [("thm1", 99), ("thm2", 300)])  # min A is 64 and 63
+def test_hit_bound_covers_hits(name, w):
+    # with W above min A a coefficient tuple may make several hits: the bound counts hits, not tuples
+    def run(hit_cap):
+        params = {**parse_config_file(CONFIGS / f"{name}_desk.cfg"), "w": str(w), "hit_cap": str(hit_cap)}
+        return getattr(pipelines, f"{name}_run")(build_harvest_config(params))
+
+    report = run(50_000_000)
+    with pytest.raises(ResourceLimit, match="beyond hit cap 0") as refused:
+        run(0)
+    bound = int(re.search(r"up to (\d+) hits", str(refused.value)).group(1))
+    tuples = report.set_sizes["A"] * report.set_sizes.get("B", 1) * report.set_sizes["C"]
+    hits = report.bucket_stats["total_hits"] + report.audits.get("u_zero_discards", 0)
+    assert tuples < hits <= bound
+    assert run(bound).solutions == report.solutions
+
+
 @pytest.mark.parametrize("name, degenerate", [("thm1", True), ("thm2", False)])
 def test_cli_degenerate_harvest_warns(tmp_path, capsys, name, degenerate):
     # every bucket of the thm1 desk run holds one hit: one stderr line, still exit 0
@@ -556,21 +587,32 @@ def test_cli_siegel_budget(capsys):
     assert err.startswith("resource limit:") and "budget" in err and err.count("\n") == 1
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        *(f"{name} --config {CONFIGS / name}_desk.cfg" for name in ("thm1", "thm2", "prop1")),
-        "oracle sunit_pairs --primes 2,3 --bound 100",
-        "oracle prop1_triples --primes 2,3,5 --bound 100",
-        "oracle linear_count --a-set 3,5 --c-set 1,2 --bound 5",
-        "exponents --theorem thm2 --variant unconditional --alpha 0.52",
-        "verify charsums --qmax 10 --trials 2",
-        "verify sieve --trials 2",
-        "verify circle --qmax 8",
-        "smooth --primes 2,3,5 --lo 2 --hi 30",
-        "siegel --alpha 3,5,7 --bound 7",
-    ],
-)
+# a quick run of every command that writes a JSON report: all but frontier
+REPORT_ARGVS = [
+    *(f"{name} --config {CONFIGS / name}_desk.cfg" for name in ("thm1", "thm2", "prop1")),
+    "oracle sunit_pairs --primes 2,3 --bound 100",
+    "oracle prop1_triples --primes 2,3,5 --bound 100",
+    "oracle linear_count --a-set 3,5 --c-set 1,2 --bound 5",
+    "exponents --theorem thm2 --variant unconditional --alpha 0.52",
+    "verify charsums --qmax 10 --trials 2",
+    "verify sieve --trials 2",
+    "verify circle --qmax 8",
+    "smooth --primes 2,3,5 --lo 2 --hi 30",
+    "siegel --alpha 3,5,7 --bound 7",
+]
+
+
+@pytest.mark.parametrize("argv", REPORT_ARGVS)
+def test_cli_report_carries_timing(tmp_path, argv):
+    out = tmp_path / "report.json"
+    assert main([*argv.split(), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert set(report["timing"]) == {"wall_seconds", "timestamp"}
+    # only the commands that draw random numbers echo a seed
+    assert ("seed" in report) == argv.startswith("verify ")
+
+
+@pytest.mark.parametrize("argv", REPORT_ARGVS)
 def test_cli_stdout_matches_out_file(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.setattr(cli, "_timing", lambda t0: {})  # the one block that differs run to run
     code = main(argv.split())
