@@ -429,6 +429,8 @@ def main(argv=None) -> int:
             path = getattr(args, flag, None)
             if path and (Path(path).is_dir() or not Path(path).parent.is_dir()):
                 raise OSError(f"--{flag} {path!r} is not a file in an existing directory")
+        if getattr(args, "trials", 0) > 10_000:  # each trial takes about 0.37 ms and goes into the report
+            raise ResourceLimit(f"--trials {args.trials} beyond 10000")
         payload, code = args.run(args)
         if payload is not None:
             payload["timing"] = _timing(t0)

@@ -10,9 +10,9 @@ bucket becomes an actual solution of the target equation:
     thm2   a*u + b + 1 = c*w      ->  A + B + 1 = C    (A, B, C) = (a*u, b, c*w)
     prop1  a1*z1 + a2*z2 + a3*z3 = 0  ->  a + b = c    after gcd reduction
 
-All three run on one core: each walk emits one packed int64 key per hit of
-one coefficient (a `KeyPacking` of the small free variables, in ranges known
-from the sets), `popular_bucket` sorts the 1-D key array in place, takes
+All three run on one core: the walk emits one packed int64 key per hit (a
+`KeyPacking` of the small free variables, in ranges known from the sets),
+into one array, `popular_bucket` sorts that array in place, takes
 the popular key from its first longest run of equal keys and unpacks it, and
 each equation lists that key's bucket from the key alone, as
 (candidate solution, coefficients) pairs in exact integers.  `_harvest`
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from itertools import product
-from math import ceil, floor, gcd, log2, prod, sqrt
+from math import ceil, floor, gcd, inf, log2, prod, sqrt
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -79,7 +79,7 @@ class HarvestConfig:
     the regime exponent formulas (see `config_from_exponents`), and R is X / Q;
     prop1 reads only X, the prime sets and the caps.  hit_cap bounds the hits
     of a run, before its walk: thm1 and thm2 refuse a run whose hits may pass
-    it (see `_check_hits`), prop1 one whose coefficient triples do, since each
+    it (see `_hit_bound`), prop1 one whose coefficient triples do, since each
     triple gives at most one hit.
     """
 
@@ -242,8 +242,8 @@ class KeyPacking:
             raise ResourceLimit(f"{what} keys pack into {prod(sizes)} values, beyond int64")
         self.lows, self.sizes = tuple(lows), tuple(sizes)
 
-    def pack(self, *columns: np.ndarray) -> np.ndarray:
-        packed = columns[0] - self.lows[0]
+    def pack(self, *columns: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        packed = np.subtract(columns[0], self.lows[0], out=out)
         for column, low, size in zip(columns[1:], self.lows[1:], self.sizes[1:]):
             packed *= size  # in place: one array for the whole pack
             packed += column
@@ -317,21 +317,15 @@ def verify_sunit_solution(tup: Sequence[int], equation: str, S: PrimeSet) -> boo
 
 
 def _harvest(
-    items: Sequence, walk: Callable, listing: Callable, packing: KeyPacking, possible_buckets: int
-) -> tuple[tuple, dict, tuple, list, list]:
-    """Walk every item, fix the popular key of all hits and list its bucket.
+    keys: np.ndarray, listing: Callable, packing: KeyPacking, possible_buckets: int
+) -> tuple[tuple, dict, tuple, list]:
+    """Fix the popular key of all hits, packed by packing into keys, and list its bucket.
 
-    walk(item) returns (keys, audit), one int64 key per hit packed by packing;
-    listing(key) returns that key's bucket, one entry per hit.
-    possible_buckets counts the keys the equation admits.
-    Returns the least and greatest hit keys, the bucket statistics, the key,
-    the listed bucket and the audits; raises RuntimeError when the listing
-    and the count disagree.
+    keys is sorted in place; listing(key) returns that key's bucket, one entry
+    per hit.  possible_buckets counts the keys the equation admits.
+    Returns the least and greatest hit keys, the bucket statistics, the key and
+    the listed bucket; raises RuntimeError when listing and count disagree.
     """
-    if not items:
-        raise EmptyHarvest("no coefficients to walk")
-    keys, audits = zip(*map(walk, items))
-    keys = np.concatenate(keys)
     key, stats = popular_bucket(keys, packing.unpack)  # sorts keys
     stats["possible_buckets"] = possible_buckets
     stats["expected_load"] = stats["total_hits"] / possible_buckets
@@ -340,7 +334,7 @@ def _harvest(
     if len(bucket) != stats["max_load"]:
         raise RuntimeError(f"popular key {key}: counted {stats['max_load']} hits, listed {len(bucket)}")
     span = packing.unpack(int(keys[0])), packing.unpack(int(keys[-1]))
-    return span, stats, key, bucket, audits
+    return span, stats, key, bucket
 
 
 def _keep_verified(
@@ -371,7 +365,7 @@ def _keep_verified(
 
 def _linear_harvest(
     a_values: Sequence[int], shifts: Sequence[int], c_values: Sequence[int], W: int
-) -> tuple[np.ndarray, dict, tuple, list, list]:
+) -> tuple[tuple, dict, tuple, list, int]:
     """The harvest of a*u + s = c*w, u != 0, over a in A, s in shifts, c in C
     coprime to a and 1 <= w <= W, keyed by (u, w).
 
@@ -380,10 +374,12 @@ def _linear_harvest(
     max c * W // min a], and the walk packs each key into the one int64
     (u - u_lo) * W + (w - 1), lexicographic in (u, w).  C is range-checked
     and converted to int64 once; the kernel leaves out each c that is no unit
-    mod a.  Returns `_harvest`'s tuple: the bucket lists (a, s, c) triples,
-    and the audit of each modulus a is (u = 0 hits, shifts coprime to a).
+    mod a.  Each modulus writes its keys into the next slice of one array of
+    `_hit_bound` entries.  Returns `_harvest`'s tuple, whose bucket lists
+    (a, s, c) triples, and the number of u = 0 hits left out.
     Raises DomainError when A, B or C repeats a value or holds one below its
-    least, and ResourceLimit when the packing or c*W - s passes int64.
+    least, ResourceLimit when the packing or c*W - s passes int64, and
+    RuntimeError when the kernel yields more keys than the bound.
     """
     for name, values, least in (("A", a_values, 1), ("B", [s - 1 for s in shifts], 0), ("C", c_values, 1)):
         ordered = sorted(values)
@@ -392,20 +388,27 @@ def _linear_harvest(
         for v, v_next in zip(ordered, ordered[1:]):
             if v == v_next:
                 raise DomainError(f"{name} repeats {v}")
-    # an empty set has no hits, which `_harvest` reports; its defaults only keep the bounds finite
+    # an empty set has no hits, which `popular_bucket` reports; its defaults only keep the bounds finite
     a_min = min(a_values, default=1)
     u_lo, u_hi = -(max(shifts, default=0) // a_min) - 1, max(c_values, default=0) * W // a_min
     packing = KeyPacking((u_lo, 1), (u_hi - u_lo + 1, W), "(u, w)")
     shift_array = np.array(shifts, dtype=np.int64)
     c_array = _int64(c_values, shifts, W)
     c_set = set(c_values)
-
-    def walk(a: int) -> tuple[np.ndarray, tuple[int, int]]:
+    keys = np.empty(_hit_bound(len(shifts) * len(c_values), a_values, W), dtype=np.int64)
+    n = rows = 0
+    for a in sorted(a_values):
         i, j, w = progressions(a, c_array, shifts, W)
-        u = (c_array[i] * w - shift_array[j]) // a
+        u = np.multiply(c_array[i], w, out=i)  # u = (c*w - s) // a, in place of i
+        u -= shift_array[j]
+        del j
+        u //= a
         keep = u != 0
-        keys = packing.pack(u[keep], w[keep])
-        return keys, (len(u) - len(keys), sum(gcd(s, a) == 1 for s in shifts))
+        k = int(np.count_nonzero(keep))
+        if n + k > len(keys):
+            raise RuntimeError(f"the walk made at least {n + k} keys, beyond its bound of {len(keys)} hits")
+        packing.pack(u[keep], w[keep], out=keys[n : n + k])
+        n, rows = n + k, rows + len(u)
 
     def listing(key: tuple) -> list:
         u, w = key
@@ -416,16 +419,17 @@ def _linear_harvest(
                 bucket.append((a, s, c))
         return bucket
 
-    return _harvest(sorted(a_values), walk, listing, packing, (u_hi - u_lo) * W)  # u = 0 left out
+    return *_harvest(keys[:n], listing, packing, (u_hi - u_lo) * W), rows - n  # no key has u = 0; rows - n hits did
 
 
-def _check_hits(n_pairs: int, a_values: Sequence[int], W: int, hit_cap: int) -> None:
-    """Raise ResourceLimit, before any walk, when a linear harvest over the moduli
-    a_values, with n_pairs (s, c) pairs per modulus and 1 <= w <= W, may pass
-    hit_cap hits: c*w = s (mod a) holds on at most ceil(W / a) of the w."""
+def _hit_bound(n_pairs: int, a_values: Sequence[int], W: int, hit_cap: float = inf) -> int:
+    """The most hits of a linear harvest over the moduli a_values, with n_pairs
+    (s, c) pairs per modulus and 1 <= w <= W: c*w = s (mod a) holds on at most
+    ceil(W / a) of the w.  Raises ResourceLimit when that passes hit_cap."""
     hits = n_pairs * sum(-(-W // a) for a in a_values)
     if hits > hit_cap:
         raise ResourceLimit(f"up to {hits} hits beyond hit cap {hit_cap}")
+    return hits
 
 
 def _with_config(report: HarvestReport, config: HarvestConfig) -> HarvestReport:
@@ -461,7 +465,7 @@ def thm1_run(config: HarvestConfig) -> HarvestReport:
     scales = (("q", config.q), ("q", config.r), ("z", config.z))  # q sets R = X / Q too
     q_values, r_values, a_values = _window_sets(config, "thm1", ((k, *_range(s, config.delta)) for k, s in scales))
     W = config.w_max
-    _check_hits(len(q_values) * len(r_values), a_values, W, config.hit_cap)  # #C, before C is built
+    _hit_bound(len(q_values) * len(r_values), a_values, W, config.hit_cap)  # refused before C is built
     c_values = [qv * rv for qv in q_values for rv in r_values]  # distinct: Q and R share no prime
     report = thm1_harvest(a_values, c_values, W, config.t1.union(config.t2).union(config.t3))
     s = len(report.s_full)
@@ -486,12 +490,12 @@ def thm2_harvest(
     A values); the per-modulus count of b with gcd(b+1, a) = 1 is recorded as
     an audit statistic rather than used as a filter.
     """
-    span, stats, key, bucket, per_modulus = _linear_harvest(a_values, [b + 1 for b in b_values], c_values, W)
+    span, stats, key, bucket, u0_discards = _linear_harvest(a_values, [b + 1 for b in b_values], c_values, W)
+    coprime_b = min(sum(gcd(b + 1, a) == 1 for b in b_values) for a in a_values)  # over the moduli
     u, w = key
     candidates = [((a * u, s - 1, c * w), (a, s - 1, c)) for a, s, c in bucket]
     nondegenerate = [(t, p) for t, p in candidates if t[0] != -1 and t[1] != -1 and t[2] != 1]
     S, rows, _, verify_failures = _keep_verified(nondegenerate, "thm2", s_prime, key)
-    u0_discards, coprime_b_counts = zip(*per_modulus)
     return HarvestReport(
         equation="thm2",
         s_prime=s_prime.primes,
@@ -501,10 +505,10 @@ def thm2_harvest(
         bucket_stats=stats,
         set_sizes={"A": len(a_values), "B": len(b_values), "C": len(c_values)},
         audits={
-            "u_zero_discards": sum(u0_discards),
+            "u_zero_discards": u0_discards,
             "degenerate_filtered": len(candidates) - len(nondegenerate),
             "verify_failures": verify_failures,
-            "coprime_b_min_fraction": min(cb / len(b_values) for cb in coprime_b_counts),
+            "coprime_b_min_fraction": coprime_b / len(b_values),
             "u_range_observed": [span[0][0], span[1][0]],
             # large multiplicities here would already be solutions in disguise,
             # so the maxima feed the error-term side of the report
@@ -518,7 +522,7 @@ def thm2_run(config: HarvestConfig) -> HarvestReport:
     """Harvest solutions of A + B + 1 = C from near-solutions of a*u + b + 1 = c*w."""
     scales = (("x", config.x), ("y", config.y), ("z", config.z))
     c_values, b_values, a_values = _window_sets(config, "thm2", ((k, *_range(s, config.delta)) for k, s in scales))
-    _check_hits(len(b_values) * len(c_values), a_values, config.w_max, config.hit_cap)
+    _hit_bound(len(b_values) * len(c_values), a_values, config.w_max, config.hit_cap)  # refused before the walk
 
     report = thm2_harvest(a_values, b_values, c_values, config.w_max, config.t1.union(config.t2).union(config.t3))
     scale = config.z ** (1 - config.delta)
@@ -547,10 +551,6 @@ def prop1_run(config: HarvestConfig) -> HarvestReport:
     packing = KeyPacking((1, -M, -M), (M, 2 * M + 1, 2 * M + 1), "kernel vector")
     a3_set = set(sets[2])
 
-    def scan(a1_values: Sequence[int]) -> tuple[np.ndarray, int]:
-        z, found = search(a1_values)
-        return packing.pack(*z.T)[found], len(found) - int(found.sum())
-
     def listing(z: tuple) -> list:
         # the triples with a.z = 0 whose vector, by the scalar search, is z
         bucket = []
@@ -565,9 +565,13 @@ def prop1_run(config: HarvestConfig) -> HarvestReport:
                 bucket.append((tuple(v // g for v in t), (a1, a2, a3)))
         return bucket
 
-    # one scan over all of A1, none when it is empty; z2 and z3 are nonzero
-    _, stats, key, bucket, skipped = _harvest([sets[0]] if sets[0] else [], scan, listing, packing, M * (2 * M) ** 2)
-    (skipped_triples,) = skipped
+    if not sets[0]:  # no scan at all
+        raise EmptyHarvest("no coefficients to walk")
+    z, found = search(sets[0])  # one scan over all of A1
+    keys, skipped_triples = packing.pack(*z.T)[found], len(found) - int(found.sum())
+    del z, found  # freed before the listing, and the keys after the harvest
+    _, stats, key, bucket = _harvest(keys, listing, packing, M * (2 * M) ** 2)  # z2, z3 != 0
+    del keys
     s_prime = config.t1.union(config.t2).union(config.t3)
     S, rows, duplicates, verify_failures = _keep_verified(bucket, "prop1", s_prime, key)
 

@@ -4,18 +4,18 @@ One rule decides which c take part: only the units c mod a are listed or
 counted, and a c that shares a factor with a is left out, never refused.  One
 array Euler power c^(phi(a) - 1) mod a, with no per-c Python loop, is c^-1
 exactly where c*c^(phi(a) - 1) == 1, so one pass yields the inverses and the
-unit mask.  Two walks list the same rows.  The start walk (`_starts`) steps
-each cell (c, shift) along w0, w0 + a, ... from w0 == shift * c^-1 (mod a),
-at O(#units * #shifts + hits) instead of the naive O(#C * #shifts * W).  The
-dual walk (`_join`) joins the residue (c mod a)*w mod a of every (c, w) with
-w <= W against the shifts grouped by residue, at O(#units * W + a + #shifts
-+ hits).  `progressions` takes the smaller grid: the join for many shifts and
-a short w range (thm2), the start walk for one shift or a long w range (thm1).
-`count_hits`, the decompositions' exact count of c*w == 1 (mod a), inverts
-the distinct residues of C mod a, each weighted by how many c share it, and
-counts each unit's one progression from `_starts`.  Either walk lists the
-rows grouped by c, within one c in (shift, w) or (w, shift) order; no caller
-reads that order.
+unit mask; with a <= #C it runs once per residue mod a.  Two walks list the
+same rows.  The start walk (`_starts`) steps each cell (c, shift) along w0,
+w0 + a, ... from w0 == shift * c^-1 (mod a), at O(#units * #shifts + hits)
+instead of the naive O(#C * #shifts * W).  The dual walk (`_join`) joins the
+residue (c mod a)*w mod a of every (c, w) with w <= W against the shifts
+grouped by residue, at O(#units * W + a + #shifts + hits).  `progressions`
+takes the smaller grid: the join for many shifts and a short w range (thm2),
+the start walk for one shift or a long w range (thm1).  `count_hits`, the
+decompositions' exact count of c*w == 1 (mod a), weights each distinct
+residue by how many c share it and counts each unit's one progression from
+`_starts`.  Either walk lists the rows grouped by c, within one c in
+(shift, w) or (w, shift) order; no caller reads that order.
 """
 
 from __future__ import annotations
@@ -98,9 +98,11 @@ def _join(a: int, c: np.ndarray, shifts: Sequence[int], W: int):
     n = counts[r]
     cell = np.repeat(np.arange(r.size), n)
     # the k-th match of cell (c, w) is the k-th shift of the group of its residue
-    skip = (np.cumsum(counts) - counts)[r] - (np.cumsum(n) - n)
-    i, w = np.divmod(cell, max(W, 1))
-    return i, order[np.arange(cell.size) + skip[cell]], w + 1
+    j = ((np.cumsum(counts) - counts)[r] - (np.cumsum(n) - n))[cell]
+    j += np.arange(cell.size)
+    i = np.empty_like(cell)  # the remainder then overwrites cell
+    np.divmod(cell, max(W, 1), out=(i, cell))
+    return i, order[j], np.add(cell, 1, out=cell)
 
 
 def progressions(a: int, c_values: Sequence[int] | np.ndarray, shifts: Sequence[int], W: int):
@@ -115,7 +117,8 @@ def progressions(a: int, c_values: Sequence[int] | np.ndarray, shifts: Sequence[
     """
     _check_moduli([a])
     c = _int64(c_values, shifts, W)
-    inv, unit = _unit_inverse(c % a, a)
+    x = c % a  # with a <= #C, each of the a residues is inverted once, into a table that x indexes
+    inv, unit = (v[x] for v in _unit_inverse(np.arange(a), a)) if a <= x.size else _unit_inverse(x, a)
     units = np.flatnonzero(unit)
     if units.size * W + a < units.size * len(shifts):
         i, j, w = _join(a, c[units], shifts, W)

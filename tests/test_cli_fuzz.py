@@ -11,6 +11,8 @@ repeats a flag, drops a flag's value or sets a --qmax, --trials, --kmax,
 --seed, --bound, --cap or --threads to a negative or non-numeric value, so
 that every run stays bounded.  A flag with a lower bound given a value below
 it, or no integer, must then be refused as a usage error: exit 1, naming a flag.
+Examples set a --trials above its upper bound, which must exit 4 before any
+trial, naming the flag.
 """
 
 import io
@@ -147,6 +149,13 @@ LEAST = {
     "circle": {"--qmax": 8},
     "frontier": {"--kmax": 2},
 }
+# the upper bound of each flag that has one, by command: a value above it exits 4 before the run
+MOST = {
+    "charsums": {"--qmax": 1000, "--trials": 10_000},
+    "sieve": {"--trials": 10_000},
+    "circle": {"--qmax": 100_000},
+    "frontier": {"--kmax": 20},
+}
 
 
 def _below(text: str, least: int = 0) -> bool:
@@ -207,8 +216,15 @@ def argvs(draw) -> list[str]:
 @example(["frontier", "--kmax", "1"])
 @example(["verify", "charsums", "--qmax", "2"])
 @example(["verify", "circle", "--qmax", "7"])
+# a value above a flag's upper bound exits 4 before the work it bounds: one line, naming the flag
+@example(["verify", "sieve", "--trials", "100000000", "--seed", "5"])
+@example(["verify", "charsums", "--qmax", "12", "--trials", "10001", "--seed", "5"])
 def test_cli_argv_fuzz(argv):
     code, _, err = run_cli(argv)
-    least = LEAST.get(argv[1] if argv[0] in ("oracle", "verify") else argv[0], {})
-    if any(flag in least and _below(value, least[flag]) for flag, value in zip(argv, argv[1:])):
+    command = argv[1] if argv[0] in ("oracle", "verify") else argv[0]
+    least, most = LEAST.get(command, {}), MOST.get(command, {})
+    pairs = list(zip(argv, argv[1:]))
+    if any(flag in least and _below(value, least[flag]) for flag, value in pairs):
         assert code == 1 and any(flag in err for flag in argv if flag.startswith("--")), err
+    elif any(flag in most and not _below(value, most[flag] + 1) for flag, value in pairs):
+        assert code == 4 and any(flag in err for flag in most), err

@@ -6,6 +6,7 @@ share no residue stepping with the kernel.  Examples are derandomized and
 bounded so the suite stays deterministic and quick.
 """
 
+import tracemalloc
 from collections import Counter
 from itertools import count, product
 from math import ceil, floor, gcd, prod, sqrt
@@ -278,11 +279,60 @@ def test_coefficients_below_the_packed_range_refused(harvest, sets, message):
     [(thm1_harvest, ([3, 5], [2, 7, 11])), (thm2_harvest, ([3, 5], [1, 4, 6], [2, 7, 11]))],
 )
 def test_count_checked_against_listing(monkeypatch, harvest, sets):
-    # every hit walked twice: the count doubles, the bucket listed from the key does not
+    # every hit walked twice: the doubled count passes the hit bound of the one key array
     real = pipelines.progressions
     monkeypatch.setattr(pipelines, "progressions", lambda *args: tuple(np.tile(v, 2) for v in real(*args)))
-    with pytest.raises(RuntimeError, match="counted .* listed"):
+    with pytest.raises(RuntimeError, match=r"^the walk made at least \d+ keys, beyond its bound of \d+ hits$"):
         harvest(*sets, 10, primes_of(*sets))
+
+
+def test_walk_past_hit_bound_is_a_kernel_fault(monkeypatch):
+    # A = {5, 7}, C = {2}, W = 5: one hit per modulus, so the bound of 2 is exact; a
+    # kernel that repeats its first row fills the array at a = 5 and passes it at a = 7
+    real = pipelines.progressions
+    monkeypatch.setattr(pipelines, "progressions", lambda *args: tuple(np.append(v, v[:1]) for v in real(*args)))
+    with pytest.raises(RuntimeError, match=r"^the walk made at least 4 keys, beyond its bound of 2 hits$"):
+        _linear_harvest([5, 7], [1], [2], 5)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: thm1_harvest([3, 5], [2, 7, 11], 10, primes_of([3, 5], [2, 7, 11])),
+        lambda: thm2_harvest([3, 5], [1, 4, 6], [2, 7, 11], 10, primes_of([3, 5], [1, 4, 6], [2, 7, 11])),
+        lambda: prop1_run(prop1_config(30, PrimeSet((2,)), PrimeSet((3,)), PrimeSet((5,)))),
+    ],
+    ids=["thm1", "thm2", "prop1"],
+)
+def test_listing_checked_against_count(monkeypatch, run):
+    # a tally that counts one hit more than the bucket listed from its key holds
+    real = pipelines.popular_bucket
+
+    def overcounted(keys, unpack):
+        key, stats = real(keys, unpack)
+        return key, {**stats, "max_load": stats["max_load"] + 1}
+
+    monkeypatch.setattr(pipelines, "popular_bucket", overcounted)
+    with pytest.raises(RuntimeError, match=r"^popular key .*: counted \d+ hits, listed \d+$"):
+        run()
+
+
+def test_linear_harvest_makes_no_second_key_array():
+    # the keys go into one array of bound entries; beside it, the walk holds only
+    # arrays of one modulus's rows, never a second array of every key
+    a_values = list(range(60, 121))
+    c_values = [c for c in range(127, 400) if all(c % p for p in range(2, 20))]  # coprime to every a
+    shifts, W = list(range(1, 31)), 600
+    bound = len(shifts) * len(c_values) * sum(-(-W // a) for a in a_values)
+    row_bytes = max(progressions(a, c_values, shifts, W)[0].nbytes for a in a_values)
+    tracemalloc.start()
+    try:
+        _, stats, *_ = _linear_harvest(a_values, shifts, c_values, W)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 2 * stats["total_hits"] * 8 > bound * 8 + 16 * row_bytes  # a second key array would show
+    assert peak <= bound * 8 + 16 * row_bytes, (peak, bound * 8, row_bytes)
 
 
 @PROFILE
