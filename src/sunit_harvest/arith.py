@@ -92,31 +92,18 @@ class FactoredInt:
 
 
 def primes_in_range(lo: int, hi: int) -> PrimeSet:
-    """All primes p with lo <= p <= hi (sieve of the interval).  ResourceLimit
+    """All primes p with lo <= p <= hi (one sieve of [0, hi]).  ResourceLimit
     past hi = SIEVE_CAP, before any sieve is built."""
     if hi > SIEVE_CAP:
         raise ResourceLimit(f"sieving primes up to {hi} beyond {SIEVE_CAP}")
     lo = max(lo, 2)
     if hi < lo:
         return PrimeSet(())
-    width = hi - lo + 1
-    flags = bytearray([1]) * width
-    for p in _small_primes(isqrt(hi)):
-        start = max(p * p, ((lo + p - 1) // p) * p)
-        for m in range(start, hi + 1, p):
-            flags[m - lo] = 0
-    return PrimeSet(tuple(lo + i for i in range(width) if flags[i]))
-
-
-def _small_primes(limit: int) -> list[int]:
-    if limit < 2:
-        return []
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [i for i in range(2, limit + 1) if sieve[i]]
+    flags = bytearray([1]) * (hi + 1)
+    for p in range(2, isqrt(hi) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytes((hi - p * p) // p + 1)
+    return PrimeSet(tuple(p for p in range(lo, hi + 1) if flags[p]))
 
 
 def factor_over(n: int, T: PrimeSet) -> FactoredInt | None:

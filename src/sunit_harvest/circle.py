@@ -105,13 +105,12 @@ def additive_decomposition(A: Iterable[int], C: Iterable[int], mu: float) -> Add
     parts = []
     for a in a_values:
         wa = _floor_mu_a(mu, a)
-        # r^-1 mod a for each distinct residue r of C coprime to a, mult[i] c's at
-        # r[i]; a c with gcd(c, a) > 1 has no inverse
-        r, mult = np.unique(c % a, return_counts=True)
-        inv, unit = _unit_inverse(r, a)
-        main += wa * int(mult[unit].sum()) / a
+        # c^-1 mod a for each c of C, by the kernel's one inversion; a c with
+        # gcd(c, a) > 1 has no inverse and drops out
+        inv, unit = _unit_inverse(c, a)
+        main += wa * int(np.count_nonzero(unit)) / a
         # F[h] = sum_c e(h c^-1 / a) and Wsum[h] = sum_{w=1..wa} e(-h w / a), all h mod a
-        F = np.fft.ifft(np.bincount(inv[unit], weights=mult[unit], minlength=a)) * a
+        F = np.fft.ifft(np.bincount(inv[unit], minlength=a)) * a
         terms = np.fft.fft(_interval_counts(a, wa)) * F / a
         start = (Z - 1) // 2 - (a - 1) // 2
         window = slice(start, start + a - 1)

@@ -2,20 +2,21 @@
 
 One rule decides which c take part: only the units c mod a are listed or
 counted, and a c that shares a factor with a is left out, never refused.  One
-array Euler power c^(phi(a) - 1) mod a, with no per-c Python loop, is c^-1
-exactly where c*c^(phi(a) - 1) == 1, so one pass yields the inverses and the
-unit mask; with a <= #C it runs once per residue mod a.  Two walks list the
-same rows.  The start walk (`_starts`) steps each cell (c, shift) along w0,
-w0 + a, ... from w0 == shift * c^-1 (mod a), at O(#units * #shifts + hits)
-instead of the naive O(#C * #shifts * W).  The dual walk (`_join`) joins the
-residue (c mod a)*w mod a of every (c, w) with w <= W against the shifts
-grouped by residue, at O(#units * W + a + #shifts + hits).  `progressions`
-takes the smaller grid: the join for many shifts and a short w range (thm2),
-the start walk for one shift or a long w range (thm1).  `count_hits`, the
-decompositions' exact count of c*w == 1 (mod a), weights each distinct
-residue by how many c share it and counts each unit's one progression from
-`_starts`.  Either walk lists the rows grouped by c, within one c in
-(shift, w) or (w, shift) order; no caller reads that order.
+array Euler power c^(phi(a) - 1) mod a (`_unit_inverse`, no per-c Python loop)
+is c^-1 exactly where c*c^(phi(a) - 1) == 1, so one pass yields the inverses
+and the unit mask for both walks, the exact count and the additive spectrum.
+Two walks list the same rows.  The start walk lists the terms w0 + a*k,
+k < ceil(W / a), of every cell (c, shift) from w0 == shift * c^-1 (mod a), as
+one grid masked by w <= W, at O(#units * #shifts + hits) instead of the naive
+O(#C * #shifts * W).  The dual walk (`_join`) joins the residue
+(c mod a)*w mod a of every (c, w) with w <= W against the shifts grouped by
+residue, at O(#units * W + a + #shifts + hits).  `progressions` takes the
+smaller grid: the join for many shifts and a short w range (thm2), the start
+walk for one shift or a long w range (thm1).  `count_hits`, the
+decompositions' exact count of c*w == 1 (mod a), counts each unit's one
+progression w == c^-1 (mod a) in closed form.  Either walk lists the rows
+grouped by c, within one c in (shift, w) or (w, shift) order; no caller reads
+that order.
 """
 
 from __future__ import annotations
@@ -61,23 +62,19 @@ def _powmod(x: np.ndarray, e: int, m) -> np.ndarray:
     return out
 
 
-def _unit_inverse(x: np.ndarray, a: int) -> tuple[np.ndarray, np.ndarray]:
-    """(inv, unit) for an int64 array x of residues in [0, a): inv = x^(phi(a) - 1)
-    mod a is x^-1 mod a exactly where unit, x*inv == 1 (mod a), so units need no
-    gcd.  Refuses a^2 >= 2^63 (ResourceLimit) before factoring a for phi(a)."""
+def _unit_inverse(c: np.ndarray, a: int) -> tuple[np.ndarray, np.ndarray]:
+    """(inv, unit) for an int64 array c: inv = c^(phi(a) - 1) mod a is c^-1 mod a
+    exactly where unit, c*inv == 1 (mod a), so units need no gcd.  With a <= #c
+    the power runs once over the a residues, into a table that c mod a indexes;
+    otherwise over c mod a itself.  Refuses a^2 >= 2^63 (ResourceLimit) before
+    factoring a for phi(a) or building any array of length a."""
     if int(a) ** 2 >= 2**63:
         raise ResourceLimit(f"residue stepping mod {a} beyond int64")
-    inv = _powmod(x, multiplicative_functions(a)[0] - 1, a)
-    return inv, x * inv % a == 1 % a
-
-
-def _starts(a: int, inv: np.ndarray, shifts: Sequence[int], W: int):
-    """int64 grids (w0, n) over the cells (c, shift) of units c mod a with
-    inverses inv: the first term in [1, a] of each progression w == shift/c
-    (mod a) of step a, and its number of terms up to W.  Each product of two
-    residues stays below a^2 < 2^63, which _unit_inverse checked."""
-    w0 = (np.array(shifts, dtype=np.int64)[None, :] % a * inv[:, None] - 1) % a + 1
-    return w0, np.where(w0 <= W, (W - w0) // a + 1, 0)
+    x = c % a
+    base = np.arange(a) if a <= x.size else x
+    inv = _powmod(base, multiplicative_functions(a)[0] - 1, a)
+    unit = base * inv % a == 1 % a
+    return (inv[x], unit[x]) if a <= x.size else (inv, unit)
 
 
 def _join(a: int, c: np.ndarray, shifts: Sequence[int], W: int):
@@ -117,18 +114,23 @@ def progressions(a: int, c_values: Sequence[int] | np.ndarray, shifts: Sequence[
     """
     _check_moduli([a])
     c = _int64(c_values, shifts, W)
-    x = c % a  # with a <= #C, each of the a residues is inverted once, into a table that x indexes
-    inv, unit = (v[x] for v in _unit_inverse(np.arange(a), a)) if a <= x.size else _unit_inverse(x, a)
+    inv, unit = _unit_inverse(c, a)
     units = np.flatnonzero(unit)
     if units.size * W + a < units.size * len(shifts):
         i, j, w = _join(a, c[units], shifts, W)
     else:
-        w0, n = _starts(a, inv[units], shifts, W)
-        n = n.ravel()
-        cell = np.repeat(np.arange(n.size), n)
-        i, j = np.divmod(cell, w0.shape[1])
-        term = np.arange(cell.size) - np.repeat(np.cumsum(n) - n, n)
-        w = w0.ravel()[cell] + term * a
+        # the terms w0 + a*k, k < ceil(W / a), of every cell (c, shift) from its
+        # first term w0 == shift * c^-1 (mod a) in [1, a], kept where w <= W;
+        # shift mod a times a residue stays below a^2 < 2^63
+        K = -(-W // a)
+        w0 = (np.array(shifts, dtype=np.int64) % a * inv[units, None] - 1) % a + 1
+        w = (w0[:, :, None] + a * np.arange(K)).ravel()
+        cell = np.flatnonzero(w <= W)
+        w = w[cell]
+        cell //= K
+        i = np.empty_like(cell)  # the remainder then overwrites cell
+        np.divmod(cell, len(shifts), out=(i, cell))
+        j = cell
     return units[i], j, w
 
 
@@ -144,9 +146,9 @@ def count_hits(a_values: Iterable[int], c_values: Iterable[int] | np.ndarray, W:
     """Exact number of triples (a, c, w) with c*w == 1 (mod a) and 1 <= w <= W.
 
     c_values is checked and converted to int64 once, not once per modulus; with
-    no modulus there is nothing to step, and nothing is refused.  Each modulus
-    inverts the distinct residues of c mod a, weighted by their multiplicities,
-    and refuses a^2 >= 2^63.  DomainError unless every modulus is >= 1.
+    no modulus there is nothing to step, and nothing is refused.  Each unit c mod
+    a reaches 1 on the one progression w == c^-1 (mod a), counted in closed
+    form.  Refuses a^2 >= 2^63.  DomainError unless every modulus is >= 1.
     """
     a_values = list(a_values)
     if not a_values:
@@ -155,8 +157,9 @@ def count_hits(a_values: Iterable[int], c_values: Iterable[int] | np.ndarray, W:
     c = _int64(c_values if isinstance(c_values, np.ndarray) else list(c_values), [1], W)
     total = 0
     for a in a_values:
-        r, k = np.unique(c % a, return_counts=True)
-        inv, unit = _unit_inverse(r, a)
-        # only a unit residue reaches 1, on one progression of step a
-        total += int(k[unit] @ _starts(a, inv[unit], [1], W)[1][:, 0])
+        inv, unit = _unit_inverse(c, a)
+        inv = inv[unit]
+        # w <= W holds `full` terms of each residue class mod a, one more for 1 <= r <= rem
+        full, rem = divmod(max(W, 0), a)
+        total += full * inv.size + int(np.count_nonzero((inv > 0) & (inv <= rem)))
     return total

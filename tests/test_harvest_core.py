@@ -348,6 +348,9 @@ def test_linear_harvest_makes_no_second_key_array():
 @example(7, [3, 5], [-5, -14], 20)  # start walk: negative shifts
 @example(25, [3, 7], [1, 4], 5)  # start walk: W below a
 @example(4, [3, 7], [1, 4], 60)  # start walk: W above a
+@example(7, [3, 5, 14], [1, -2], 21)  # start walk: W == 3a, a grid with no partial column
+@example(1, [3, 0, -4], [2, -1], 6)  # start walk: a == 1, every (c, shift, w) is a row
+@example(7, [3, 5], [1], 0)  # W == 0: an empty grid
 @example(5, [], [1], 10)  # no c at all
 # join: gcd(c, a) > 1 listing no rows, negative shifts, shifts sharing a residue, W below #shifts
 @example(6, [4, 9, 5], [2, -4, 8, 3, -3, 9, 1, 0, 6, -6, 2], 5)
@@ -391,11 +394,25 @@ def test_start_walk_lists_no_non_units():
     assert sorted(zip(i.tolist(), j.tolist(), w.tolist())) == [(0, 0, 1)]
 
 
+def test_start_walk_peak_is_four_row_arrays():
+    # one shift and a long w range take the start walk; at its peak it holds
+    # (i, j, w) and the units[i] it returns, beside no other row-sized array
+    c = np.array([c for c in range(1, 40_000) if c % 7], dtype=np.int64)  # 34,285 units mod 7
+    tracemalloc.start()
+    try:
+        i, j, w = progressions(7, c, [1], 700)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert i.size == c.size * 100
+    assert peak <= 4.25 * i.nbytes, peak / i.nbytes
+
+
 def test_join_refuses_moduli_past_int64_before_any_walk(monkeypatch):
     # many shifts and a short w range; the join's bincount would have length a,
-    # but the Euler power refuses a^2 >= 2^63 before either walk builds anything
-    for walk in ("_join", "_starts"):
-        monkeypatch.setattr(stepping, walk, lambda *args: pytest.fail("a walk ran"))
+    # but a^2 >= 2^63 is refused before the Euler power or either walk runs
+    for name in ("_join", "_powmod"):
+        monkeypatch.setattr(stepping, name, lambda *args, name=name: pytest.fail(f"{name} ran"))
     with pytest.raises(ResourceLimit, match="beyond int64"):
         progressions(2**32, [3, 4], range(20), 1)
 
@@ -454,13 +471,18 @@ def test_count_hits_refuses_moduli_past_int64():
 
 
 @PROFILE
-@given(moduli_and_coefficients(), st.integers(0, 400))
-@example((6, [5, 11, -1, 17, 5]), 20)  # one residue: its weight 5 multiplies, not 1
+@given(moduli_and_coefficients(), st.integers(-50, 400))
+@example((6, [5, 11, -1, 17, 5]), 20)  # one residue, five c: each c counts
 @example((12, [0, 24, -36, 6, 9, -4, 5]), 30)  # c == 0 (mod a) and gcd(c, a) > 1
 @example((1, [-3, 0, 5]), 4)  # a == 1: every (c, w) is a hit
+@example((7, [3, 5, 6]), 21)  # W a multiple of a: no partial residue class
+@example((7, [3, 5, 6]), 4)  # W below a
+@example((7, [3, 5, 6]), 0)
+@example((7, [3, 5, 6]), -3)  # W < 0 counts nothing, as W == 0 does
+@example((1, [2, 4]), -1)
 @example((7, []), 10)
 def test_count_hits_matches_brute(case, W):
-    # the distinct-residue walk weights each residue by its multiplicity
+    # the closed form counts each unit's one progression w == c^-1 (mod a)
     a, c_values = case
     assert count_hits([a], c_values, W) == brute_linear_count([a], c_values, W, 1).count
     # c*w == 1 (mod a) makes c a unit: the others count nothing
