@@ -9,7 +9,15 @@ discarded; solutions touching -1 are filtered as degenerate.
 Run: python demos/harvest_shifted_triples.py
 """
 
-from sunit_harvest import PrimeSet, config_from_exponents, thm2_run
+from math import ceil, floor
+
+from sunit_harvest import (
+    PrimeSet,
+    config_from_exponents,
+    enumerate_squarefree_smooth,
+    pair_collision_stats,
+    thm2_run,
+)
 
 T1 = PrimeSet((37, 41, 43, 47, 53, 59, 61, 1097, 1103, 1109))  # factors of c
 T2 = PrimeSet((2, 3, 5, 7, 11, 13, 17, 19, 23, 31))            # factors of b
@@ -30,8 +38,13 @@ print(f"u = 0 discards: {audits['u_zero_discards']},"
 print(f"observed u range {audits['u_range_observed']}"
       f" inside theoretical {audits['u_range_theoretical']}")
 print(f"worst-case coprime-b fraction per modulus: {audits['coprime_b_min_fraction']:.3f}")
-print(f"pair-collision maxima (count, witness): b-set {audits['pair_collision_b']},"
-      f" c-set {audits['pair_collision_c']}")
+
+# the most pairs of B (or of C) sharing one difference n != 0, with the least such n:
+# large multiplicities would already be solutions in disguise, on the error-term side
+B = enumerate_squarefree_smooth(T2, ceil(cfg.y ** (1 - cfg.delta)), floor(cfg.y))
+C = enumerate_squarefree_smooth(T1, ceil(cfg.x ** (1 - cfg.delta)), cfg.x)
+print(f"pair-collision maxima (count, witness): b-set {pair_collision_stats(B)},"
+      f" c-set {pair_collision_stats(C)}")
 
 print("\nverified solutions A + B + 1 = C:")
 for A, B, C, a, b, c, u, w in report.solution_rows:

@@ -346,7 +346,7 @@ def _keep_verified(
     S, the sorted rows solution + coefficients + key of the distinct verified
     solutions, the number of duplicate candidates and the number of failures.
     """
-    S = s_prime.union(PrimeSet(prime_support(prod(key))))
+    S = s_prime.union(prime_support(prod(key)))  # one PrimeSet: each prime of S proven once
     seen = set()
     rows = []
     duplicates = failures = 0
@@ -467,7 +467,7 @@ def thm1_run(config: HarvestConfig) -> HarvestReport:
     W = config.w_max
     _hit_bound(len(q_values) * len(r_values), a_values, W, config.hit_cap)  # refused before C is built
     c_values = [qv * rv for qv in q_values for rv in r_values]  # distinct: Q and R share no prime
-    report = thm1_harvest(a_values, c_values, W, config.t1.union(config.t2).union(config.t3))
+    report = thm1_harvest(a_values, c_values, W, config.t1.union(config.t2, config.t3))
     s = len(report.s_full)
     additive_cap = len(report.s_prime) + log2(W) + log2(config.x * W / config.z ** (1 - config.delta))
     report.s_bound = {
@@ -510,10 +510,6 @@ def thm2_harvest(
             "verify_failures": verify_failures,
             "coprime_b_min_fraction": coprime_b / len(b_values),
             "u_range_observed": [span[0][0], span[1][0]],
-            # large multiplicities here would already be solutions in disguise,
-            # so the maxima feed the error-term side of the report
-            **{f"pair_collision_{name}": list(pair_collision_stats(v)) if len(v) ** 2 <= PAIR_CAP else None
-               for name, v in (("b", b_values), ("c", c_values))},
         },
     )
 
@@ -524,7 +520,7 @@ def thm2_run(config: HarvestConfig) -> HarvestReport:
     c_values, b_values, a_values = _window_sets(config, "thm2", ((k, *_range(s, config.delta)) for k, s in scales))
     _hit_bound(len(b_values) * len(c_values), a_values, config.w_max, config.hit_cap)  # refused before the walk
 
-    report = thm2_harvest(a_values, b_values, c_values, config.w_max, config.t1.union(config.t2).union(config.t3))
+    report = thm2_harvest(a_values, b_values, c_values, config.w_max, config.t1.union(config.t2, config.t3))
     scale = config.z ** (1 - config.delta)
     report.audits["u_range_theoretical"] = [-config.y / scale, config.x * config.w_max / scale]
     return _with_config(report, config)
@@ -572,7 +568,7 @@ def prop1_run(config: HarvestConfig) -> HarvestReport:
     del z, found  # freed before the listing, and the keys after the harvest
     _, stats, key, bucket = _harvest(keys, listing, packing, M * (2 * M) ** 2)  # z2, z3 != 0
     del keys
-    s_prime = config.t1.union(config.t2).union(config.t3)
+    s_prime = config.t1.union(config.t2, config.t3)
     S, rows, duplicates, verify_failures = _keep_verified(bucket, "prop1", s_prime, key)
 
     report = HarvestReport(
@@ -593,7 +589,7 @@ def prop1_run(config: HarvestConfig) -> HarvestReport:
     return _with_config(report, config)
 
 
-PAIR_CAP = 4_000_000  # most (c, c') pairs pair_collision_stats compares; thm2 audits no more
+PAIR_CAP = 4_000_000  # most (c, c') pairs pair_collision_stats compares; no harvest run calls it
 
 
 def pair_collision_stats(values: Sequence[int]) -> tuple[int, int]:

@@ -27,6 +27,28 @@ def test_primes_in_range_vs_naive():
     assert primes_in_range(1000, 1199).primes == naive
 
 
+def test_is_prime_matches_the_sieve():
+    # 61, a base of the small-n test, passes the trial loop: the base it divides is skipped
+    N = 3 * 10**5
+    assert [n for n in range(N + 1) if is_prime(n)] == list(primes_in_range(0, N))
+
+
+def test_is_prime_at_the_small_base_bound():
+    n = 4_759_123_141
+    assert n == 48_781 * 97_561  # the least strong pseudoprime to 2, 7 and 61
+    assert not is_prime(n)
+    assert is_prime(7) and is_prime(61) and not is_prime(61 * 61)
+    assert is_prime(4_759_123_151)  # the least prime past the bound, tested with 12 bases
+
+
+def test_primeset_union_of_several_sets():
+    T = PrimeSet((2, 5)).union(PrimeSet((3, 5)), PrimeSet((7,)), (11, 2))
+    assert T == PrimeSet((2, 3, 5, 7, 11))
+    assert PrimeSet((3,)).union() == PrimeSet((3,))
+    with pytest.raises(DomainError):
+        PrimeSet((2,)).union((9,))
+
+
 def test_primeset_invariants():
     with pytest.raises(DomainError):
         PrimeSet((4,))

@@ -1,10 +1,14 @@
 import tracemalloc
 from itertools import product
+from math import prod
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sunit_harvest.arith import PrimeSet
+from sunit_harvest import arith, pipelines
+from sunit_harvest.arith import PrimeSet, prime_support
+from sunit_harvest.cli import build_harvest_config, parse_config_file
 from sunit_harvest.errors import ConfigError, ConstraintViolation, EmptyHarvest, ResourceLimit
 from sunit_harvest.oracle import brute_linear_count
 from sunit_harvest.pipelines import (
@@ -19,8 +23,11 @@ from sunit_harvest.pipelines import (
     thm1_harvest,
     thm1_run,
     thm2_harvest,
+    thm2_run,
     verify_sunit_solution,
 )
+
+CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
 T1 = PrimeSet((2, 3, 17, 19, 23, 29, 31, 37, 41, 43))
 T2 = PrimeSet((5, 7, 11, 13, 101, 103, 107, 109, 113, 127))
@@ -92,6 +99,33 @@ def test_thm1_report_fields():
 def test_thm1_determinism_across_threads():
     # one thread path: the same config run twice gives the same report
     assert thm1_run(desk_thm1_config()).as_dict() == thm1_run(desk_thm1_config()).as_dict()
+
+
+def test_thm1_run_proves_s_prime_and_s_once(monkeypatch):
+    # S' = t1 | t2 | t3 is one PrimeSet and S = S' | primes of u*w one more, each
+    # proving its primes once; trial division alone proves the moduli's last factors
+    cfg = desk_thm1_config()
+    real, calls = arith.is_prime, []
+    monkeypatch.setattr(arith, "is_prime", lambda n: calls.append(n) or real(n))
+    rep = thm1_run(cfg)
+    n_calls = len(calls)
+    assert n_calls <= 2 * len(rep.s_prime) + len(prime_support(prod(rep.popular_key)))
+
+
+def test_thm2_run_makes_no_pair_collision_pass(monkeypatch):
+    def refuse(values):
+        raise AssertionError("no thm2 report field reads pair collisions")
+
+    monkeypatch.setattr(pipelines, "pair_collision_stats", refuse)
+    rep = thm2_run(build_harvest_config(parse_config_file(CONFIGS / "thm2_desk.cfg")))
+    assert sorted(rep.audits) == [
+        "coprime_b_min_fraction",
+        "degenerate_filtered",
+        "u_range_observed",
+        "u_range_theoretical",
+        "u_zero_discards",
+        "verify_failures",
+    ]
 
 
 def test_thm2_micro_no_hit():
@@ -281,7 +315,7 @@ def test_pair_collision_stats():
     assert pair_collision_stats([2, 3, 5, 6]) == (2, 1)
     assert pair_collision_stats([2, 4]) == (1, 2)
     assert pair_collision_stats([9]) == (0, 0)
-    # PAIR_CAP = 2000^2 pairs, the same cap under which thm2 runs the audits
+    # PAIR_CAP = 2000^2 pairs
     assert pair_collision_stats(range(0, 4000, 2)) == (1999, 2)
     with pytest.raises(ResourceLimit):
         pair_collision_stats(range(2001))
