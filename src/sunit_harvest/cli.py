@@ -13,7 +13,6 @@ or factorization limit, 1 malformed config or usage.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import random
 import sys
 import time
@@ -202,12 +201,12 @@ def _run_oracle(args) -> tuple[dict, int]:
     res = args.brute(_parse_primes(args.primes), args.bound, args.cap)
     if args.solutions:  # the pipeline's CSV layout, blank past the solution's own columns
         write_csv(args.solutions, args.headers, [(*s, *[""] * (len(args.headers) - len(s))) for s in res.solutions])
-    return dataclasses.asdict(res), EXIT_OK
+    return {**vars(res)}, EXIT_OK
 
 
 def _run_linear_count(args) -> tuple[dict, int]:
     a_vals, c_vals = _integers(args.a_set, "a-set"), _integers(args.c_set, "c-set")
-    return dataclasses.asdict(brute_linear_count(a_vals, c_vals, args.bound, args.shift, args.cap)), EXIT_OK
+    return {**vars(brute_linear_count(a_vals, c_vals, args.bound, args.shift, args.cap))}, EXIT_OK
 
 
 def _run_frontier(args) -> tuple[None, int]:

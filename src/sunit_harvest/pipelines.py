@@ -25,7 +25,7 @@ in one batched kernel-vector search, `siegel.NonzeroSearch`.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import product
 from math import ceil, floor, gcd, inf, log2, prod, sqrt
 from typing import Callable, Iterable, Sequence
@@ -67,7 +67,7 @@ class HarvestReport:
         return tuple(row[:width] for row in self.solution_rows)
 
     def as_dict(self) -> dict:
-        return {**asdict(self), "solutions": self.solutions}
+        return {**vars(self), "solutions": self.solutions}  # json writes the tuples as lists
 
 
 @dataclass
@@ -108,7 +108,7 @@ class HarvestConfig:
         if self.equation not in ("thm1", "thm2", "prop1"):
             raise ConfigError("equation", f"unknown equation {self.equation!r}")
         for name, a, b in (("t1/t2", self.t1, self.t2), ("t1/t3", self.t1, self.t3), ("t2/t3", self.t2, self.t3)):
-            if not a.is_disjoint(b):
+            if not set(a.primes).isdisjoint(b.primes):
                 raise ConfigError(name, "prime sets must be pairwise disjoint")
         if self.x < 2:
             raise ConfigError("x", f"need X >= 2, got {self.x}")
@@ -346,7 +346,7 @@ def _keep_verified(
     S, the sorted rows solution + coefficients + key of the distinct verified
     solutions, the number of duplicate candidates and the number of failures.
     """
-    S = s_prime.union(prime_support(prod(key)))  # one PrimeSet: each prime of S proven once
+    S = s_prime.union(PrimeSet(prime_support(prod(key))))  # only the key's few primes are proven again
     seen = set()
     rows = []
     duplicates = failures = 0

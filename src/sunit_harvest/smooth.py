@@ -110,4 +110,4 @@ def split_disjoint_prime_sets(
         raise InsufficientPrimes(
             f"[{interval_lo}, {interval_hi}] holds {len(primes)} primes, need {m}"
         )
-    return [PrimeSet(primes[j::m]) for j in range(m)]
+    return [PrimeSet._proven(primes[j::m]) for j in range(m)]

@@ -42,11 +42,11 @@ def test_is_prime_at_the_small_base_bound():
 
 
 def test_primeset_union_of_several_sets():
-    T = PrimeSet((2, 5)).union(PrimeSet((3, 5)), PrimeSet((7,)), (11, 2))
+    T = PrimeSet((2, 5)).union(PrimeSet((3, 5)), PrimeSet((7,)), PrimeSet((2, 11)))
     assert T == PrimeSet((2, 3, 5, 7, 11))
     assert PrimeSet((3,)).union() == PrimeSet((3,))
-    with pytest.raises(DomainError):
-        PrimeSet((2,)).union((9,))
+    with pytest.raises(DomainError):  # union takes only PrimeSets, so a composite is refused where it enters
+        PrimeSet((2,)).union(PrimeSet((9,)))
 
 
 def test_primeset_invariants():

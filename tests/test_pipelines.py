@@ -101,15 +101,20 @@ def test_thm1_determinism_across_threads():
     assert thm1_run(desk_thm1_config()).as_dict() == thm1_run(desk_thm1_config()).as_dict()
 
 
-def test_thm1_run_proves_s_prime_and_s_once(monkeypatch):
-    # S' = t1 | t2 | t3 is one PrimeSet and S = S' | primes of u*w one more, each
-    # proving its primes once; trial division alone proves the moduli's last factors
-    cfg = desk_thm1_config()
+SIEVE_CAP_THM1 = {"equation": "thm1", "alpha": "0.16666666666666666", "variant": "unconditional",
+                  "delta": "0.1", "epsilon": "0.01", "x": "1000000", "t_interval": "2,1000000"}
+
+
+@pytest.mark.parametrize("build", [desk_thm1_config, lambda: build_harvest_config(SIEVE_CAP_THM1)],
+                         ids=["desk", "sieve_cap"])
+def test_thm1_run_proves_s_prime_and_s_once(monkeypatch, build):
+    # the sieve, its split and every union are trusted, so a run proves only the
+    # popular key's primes; trial division alone proves the moduli's last factors
     real, calls = arith.is_prime, []
     monkeypatch.setattr(arith, "is_prime", lambda n: calls.append(n) or real(n))
-    rep = thm1_run(cfg)
+    rep = thm1_run(build())
     n_calls = len(calls)
-    assert n_calls <= 2 * len(rep.s_prime) + len(prime_support(prod(rep.popular_key)))
+    assert n_calls <= len(prime_support(prod(rep.popular_key)))
 
 
 def test_thm2_run_makes_no_pair_collision_pass(monkeypatch):

@@ -114,10 +114,10 @@ def test_lower_bound_grid_vs_enumeration():
     for x in (1e4, 1e5, 1e6):
         for a in (1.5, 2.0, 2.5):
             T = primes_in_range(2, int(log(x) ** a))
-            if len(T) == 0:
+            if len(T.primes) == 0:
                 skipped.append((x, a, "empty prime set"))
                 continue
-            floor_value, _, b = smooth_count_lower_bound(x, a, T_count=len(T))
+            floor_value, _, b = smooth_count_lower_bound(x, a, T_count=len(T.primes))
             if b <= 0:
                 skipped.append((x, a, "nonpositive b"))
                 continue
@@ -162,4 +162,9 @@ def test_split_disjoint_and_covering():
     assert tuple(union) == primes_in_range(2, 200).primes
     for i, p1 in enumerate(parts):
         for p2 in parts[i + 1 :]:
-            assert p1.is_disjoint(p2)
+            assert not set(p1.primes) & set(p2.primes)
+    whole = parts[0].union(*parts[1:])
+    assert whole == primes_in_range(2, 200)
+    # the parts and their union are built unproven: the proving constructor accepts each
+    for part in (*parts, whole):
+        assert part == PrimeSet(part.primes)
