@@ -61,16 +61,17 @@ class CharacterTable:
         self.phi = prod(self.orders)
         # residue x -> its unit-grid slot (the raveled tuple of logs of x mod each p)
         x = np.arange(a)
-        logs = []
+        logs, self._coprime = [], np.ones(a, dtype=bool)
         for p in self.primes:
             g, powers = _primitive_root(p), np.ones(1, dtype=np.int64)
             while powers.size < p - 1:  # g^0..g^(2s-1) from g^0..g^(s-1), s = powers.size
                 powers = np.concatenate([powers, powers * pow(g, powers.size, p) % p])
             t = np.zeros(p, dtype=np.int64)
             t[powers[: p - 1]] = np.arange(p - 1)
-            logs.append(t[x % p])
+            r = x % p
+            self._coprime &= r != 0  # gcd(x, a) == 1 for squarefree a: no p divides x
+            logs.append(t[r])
         self._slot = np.ravel_multi_index(logs, self.orders)
-        self._coprime = np.gcd(x, a) == 1
 
     def __len__(self) -> int:
         return self.phi

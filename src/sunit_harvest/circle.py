@@ -102,21 +102,27 @@ def additive_decomposition(A: Iterable[int], C: Iterable[int], mu: float) -> Add
     smu = np.abs(s_mu_weight(h, mu))
     spectrum_sum = np.zeros(h.size, dtype=complex)
     main = 0.0
-    parts = []
+    # the CSV columns a, h, |s_mu|, |F|, Re term: one row per (a, h), filled in order
+    columns = tuple(np.empty(sum(a_values) - len(a_values), t) for t in (np.int64, np.int64, float, float, float))
+    row = 0
     for a in a_values:
         wa = _floor_mu_a(mu, a)
         # c^-1 mod a for each c of C, by the kernel's one inversion; a c with
         # gcd(c, a) > 1 has no inverse and drops out
         inv, unit = _unit_inverse(c, a)
         main += wa * int(np.count_nonzero(unit)) / a
-        # F[h] = sum_c e(h c^-1 / a) and Wsum[h] = sum_{w=1..wa} e(-h w / a), all h mod a
-        F = np.fft.ifft(np.bincount(inv[unit], minlength=a)) * a
-        terms = np.fft.fft(_interval_counts(a, wa)) * F / a
+        # F[h] = sum_c e(h c^-1 / a), Wsum[h] = sum_{w=1..wa} e(-h w / a), 0 <= h <= a/2, by real
+        # transforms of real inputs: the term at -h is the conjugate of the one at h
+        F = np.fft.rfft(np.bincount(inv[unit], minlength=a)).conj()
+        terms = np.fft.rfft(_interval_counts(a, wa)) * F / a
         start = (Z - 1) // 2 - (a - 1) // 2
         window = slice(start, start + a - 1)
-        k = h[window] % a
-        spectrum_sum[window] += terms[k]
-        parts.append((np.full(a - 1, a), h[window], smu[window], np.abs(F[k]), terms[k].real))
+        k = np.abs(h[window])
+        t = terms[k]
+        spectrum_sum[window] += np.conjugate(t, out=t, where=h[window] < 0)
+        for col, v in zip(columns, (a, h[window], smu[window], np.abs(F[k]), t.real)):
+            col[row : row + a - 1] = v
+        row += a - 1
     spectrum = dict(zip(h.tolist(), spectrum_sum.tolist()))
 
     lam = 1.0 / log(Z) if Z > 1 else 1.0
@@ -134,5 +140,5 @@ def additive_decomposition(A: Iterable[int], C: Iterable[int], mu: float) -> Add
         cutoff=cutoff,
         truncated_sum=truncated,
         tail_sum=tail,
-        columns=tuple(np.concatenate(col) for col in zip(*parts)),
+        columns=columns,
     )

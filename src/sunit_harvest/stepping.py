@@ -5,6 +5,7 @@ counted, and a c that shares a factor with a is left out, never refused.  One
 array Euler power c^(phi(a) - 1) mod a (`_unit_inverse`, no per-c Python loop)
 is c^-1 exactly where c*c^(phi(a) - 1) == 1, so one pass yields the inverses
 and the unit mask for both walks, the exact count and the additive spectrum.
+It multiplies two residues at most, so it runs in int32 while (a - 1)^2 < 2^31.
 Two walks list the same rows.  The start walk lists the terms w0 + a*k,
 k < ceil(W / a), of every cell (c, shift) from w0 == shift * c^-1 (mod a), as
 one grid masked by w <= W, at O(#units * #shifts + hits) instead of the naive
@@ -48,10 +49,10 @@ def _int64(c_values, shifts: Sequence[int], W: int) -> np.ndarray:
 
 
 def _powmod(x: np.ndarray, e: int, m) -> np.ndarray:
-    """x^e mod m elementwise by square-and-multiply, for int64 residues x in [0, m)
-    and m a Python int or an int64 array with m^2 < 2^63.  Products reduce as
-    y - y // m * m, not y % m: numpy floor-divides by a Python-int scalar at
-    about 1 ns an element, where `%` takes about 4 ns."""
+    """x^e mod m elementwise by square-and-multiply, for residues x in [0, m) and m a
+    Python int or an array; exact in x's dtype (int32 or int64) when its largest
+    product, (m - 1)^2, fits.  Products reduce as y - y // m * m, not y % m: numpy
+    floor-divides by a Python-int scalar at about 1 ns an element, where `%` takes about 4 ns."""
     out = np.ones_like(x)
     for bit in bin(e)[2:]:  # at least one bit, so even x^0 is reduced: 0 when m == 1
         out *= out
@@ -66,12 +67,14 @@ def _unit_inverse(c: np.ndarray, a: int) -> tuple[np.ndarray, np.ndarray]:
     """(inv, unit) for an int64 array c: inv = c^(phi(a) - 1) mod a is c^-1 mod a
     exactly where unit, c*inv == 1 (mod a), so units need no gcd.  With a <= #c
     the power runs once over the a residues, into a table that c mod a indexes;
-    otherwise over c mod a itself.  Refuses a^2 >= 2^63 (ResourceLimit) before
-    factoring a for phi(a) or building any array of length a."""
+    otherwise over c mod a itself.  Its products, at most (a - 1)^2, are exact in int32
+    while (a - 1)^2 < 2^31 (a <= 46,341), else in int64, the dtype of inv.  Refuses
+    a^2 >= 2^63 (ResourceLimit) before factoring a for phi(a) or building any array of length a."""
     if int(a) ** 2 >= 2**63:
         raise ResourceLimit(f"residue stepping mod {a} beyond int64")
+    dtype = np.int32 if (int(a) - 1) ** 2 < 2**31 else np.int64
     x = c % a
-    base = np.arange(a) if a <= x.size else x
+    base = np.arange(a, dtype=dtype) if a <= x.size else x.astype(dtype, copy=False)
     inv = _powmod(base, multiplicative_functions(a)[0] - 1, a)
     unit = base * inv % a == 1 % a
     return (inv[x], unit[x]) if a <= x.size else (inv, unit)

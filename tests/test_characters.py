@@ -366,6 +366,21 @@ def test_bulk_sums_align_with_character_indexing():
             assert abs(weighted[i] - termwise) <= 1e-9, (a, i)
 
 
+def test_coprime_mask_is_the_gcd_mask():
+    # the mask comes from the x % p the log tables already take: gcd(x, a) == 1
+    # for squarefree a exactly when no prime p | a divides x
+    for a in range(2, 1001):
+        if all(a % (p * p) for p in range(2, isqrt(a) + 1)):
+            assert np.array_equal(all_characters(a)._coprime, np.gcd(np.arange(a), a) == 1), a
+    rng = np.random.default_rng(3)
+    for a in (2, 30, 210, 997):
+        t = all_characters(a)
+        counts = rng.integers(0, 5, a) + 1j * rng.integers(-3, 3, a)
+        got = t.sums_over_counts(counts)
+        t._coprime = np.gcd(np.arange(a), a) == 1
+        assert np.array_equal(got, t.sums_over_counts(counts)), a
+
+
 def test_polya_vinogradov_argmax_reproduces():
     rep = polya_vinogradov_check(30)
     chi = oracle_character(30, rep.argmax_character)[0]

@@ -1,7 +1,11 @@
 import cmath
+import importlib.util
 import random
+import tracemalloc
 from math import gcd, pi, sqrt
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import fraction_sum
@@ -46,8 +50,6 @@ def test_additive_orthogonality_identity():
     # congruence indicator; this is what makes the decomposition exact.  The
     # sum depends only on d = (c^-1 - w) mod a, so checking every d covers
     # every valid (c, w) pair.
-    import numpy as np
-
     for a in range(2, 101):
         half = a // 2
         hs = np.arange(half - a + 1, half + 1)
@@ -147,3 +149,65 @@ def test_additive_rows_and_spectrum_vs_scalar_oracles():
         for h, v in spectrum.items():
             assert type(dec.spectrum[h]) is complex
             assert abs(dec.spectrum[h] - v) <= 1e-9, (mu, h)
+
+
+def complex_fft_spectrum(a_vals, c_vals, mu):
+    """The CSV columns and the spectrum by complex FFTs over every residue h mod a,
+    indexed by h % a: the oracle for the real transforms and the column fill."""
+    columns, spectrum = [[] for _ in range(5)], {}
+    for a in a_vals:
+        wa = int(mu * a + 1e-9)
+        F = np.fft.ifft(np.bincount([pow(c, -1, a) for c in c_vals if gcd(c, a) == 1], minlength=a)) * a
+        terms = np.fft.fft(np.bincount(np.arange(1, wa + 1) % a, minlength=a)) * F / a
+        h = np.array([h for h in range(a // 2 - a + 1, a // 2 + 1) if h], dtype=np.int64)
+        k = h % a
+        for col, v in zip(columns, (np.full(h.size, a), h, np.abs(s_mu_weight(h, mu)), np.abs(F[k]), terms[k].real)):
+            col.append(v)
+        for hv, t in zip(h.tolist(), terms[k].tolist()):
+            spectrum[hv] = spectrum.get(hv, 0.0) + t
+    return [np.concatenate(col) for col in columns], spectrum
+
+
+def test_additive_spectrum_at_workload_sizes_vs_complex_ffts():
+    # 2602 = 2 * 1301 is even, so its h = a/2 is its own conjugate; 1 has no frequency
+    rng = random.Random(41)
+    a_vals = [1, 2, 2593, 2602]
+    for mu in (0.5, 1.0):
+        c_vals = sorted(rng.sample(range(2, 2602**2), 300))
+        dec = additive_decomposition(a_vals, c_vals, mu)
+        columns, spectrum = complex_fft_spectrum(a_vals, c_vals, mu)
+        tol = 1e-9 * len(c_vals)
+        assert [col.dtype for col in dec.columns] == [np.int64, np.int64, float, float, float]
+        assert np.array_equal(dec.columns[0], columns[0]) and np.array_equal(dec.columns[1], columns[1])
+        for got, want in zip(dec.columns[2:], columns[2:]):
+            assert got.shape == want.shape and np.abs(got - want).max() <= tol
+        assert sorted(dec.spectrum) == sorted(spectrum)
+        assert max(abs(dec.spectrum[h] - v) for h, v in spectrum.items()) <= tol
+        # each unit c counts the w <= [mu a] on its one class w == c^-1 (mod a)
+        exact = 0
+        for a in a_vals:
+            wa = int(mu * a + 1e-9)
+            exact += sum(wa // a + (1 <= pow(c, -1, a) <= wa % a) for c in c_vals if gcd(c, a) == 1)
+        assert dec.exact_count == exact
+        assert dec.recombined == pytest.approx(exact, abs=1e-9 * exact)
+
+
+def test_additive_decomposition_peak_is_near_its_columns():
+    # the five columns are allocated once and filled in place, so one call on a
+    # benchmark instance peaks near the columns' own bytes
+    spec = importlib.util.spec_from_file_location(
+        "workloads", Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    a_vals, c_vals, _ = workloads.decomposition_instances(1)[0]
+    tracemalloc.start()
+    try:
+        dec = additive_decomposition(a_vals, c_vals, workloads.DECOMP_MU)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [col.size for col in dec.columns] == [sum(a - 1 for a in a_vals)] * 5
+    assert dec.columns[0].dtype == dec.columns[1].dtype == np.int64
+    column_bytes = sum(col.nbytes for col in dec.columns)
+    assert peak <= 1.35 * column_bytes, peak / column_bytes

@@ -443,6 +443,8 @@ def moduli_and_residues(draw):
 @example((1, [0, 0]))  # every residue is 0, a unit whose inverse is 0
 @example((2, [0, 1]))  # phi(2) - 1 = 0: x^0 is 1, and 0 is no unit
 @example((3_037_000_499, [1, 2, 13, 233_615_423, 3_037_000_498]))  # products near 2^63
+@example((46_341, [0, 1, 2, 46_339, 46_340]))  # the last int32 modulus: (a - 1)^2 < 2^31
+@example((46_342, [0, 1, 2, 46_340, 46_341]))  # the first int64 one: (a - 1)^2 passes 2^31
 def test_powmod_inverts_units(case):
     a, x = case
     xs = np.array(x, dtype=np.int64)
@@ -452,6 +454,24 @@ def test_powmod_inverts_units(case):
     assert _powmod(xs, e, np.full_like(xs, a)).tolist() == expected  # one modulus per residue
     inv, unit = _unit_inverse(xs, a)
     assert inv.tolist() == expected and unit.tolist() == [gcd(v, a) == 1 for v in x]
+
+
+@pytest.mark.parametrize("a, dtype", [(46_341, np.int32), (46_342, np.int64)])
+def test_unit_inverse_and_count_hits_at_the_int32_edge(a, dtype):
+    # the Euler power runs in int32 exactly while (a - 1)^2 < 2^31: (a - 1)^2 is the
+    # square of x = a - 1, which wraps int32 at a = 46,342, so a guard one off fails
+    x = [0, 1, 2, a - 2, a - 1]
+    direct = np.array(x, dtype=np.int64)  # #c < a: the power runs over c mod a
+    table = np.resize(direct, a) + a * np.arange(a)  # #c == a: over the a residues
+    W = 2 * a + 3  # two full residue classes and part of a third
+    for c in (direct, table):
+        inv, unit = _unit_inverse(c, a)
+        assert inv.dtype == dtype
+        want = [pow(v, -1, a) if gcd(v, a) == 1 else None for v in c.tolist()]
+        assert [v if u else None for v, u in zip(inv.tolist(), unit.tolist())] == want
+        closed = sum(W // a + (1 <= v <= W % a) for v in want if v is not None)
+        assert count_hits([a], c, W) == closed
+    assert count_hits([a], x, W) == brute_linear_count([a], x, W, 1).count
 
 
 def test_powmod_zero_exponent_is_reduced():
