@@ -6,7 +6,7 @@ by the small free variables, fixes the most popular bucket, and then adjoins
 the primes of that bucket's key to the base prime set so that every hit in the
 bucket becomes an actual solution of the target equation:
 
-    thm1   a*u + 1     = c*w      ->  A + 1 = C        (A, C) = (a*u, c*w)
+    thm1   a*u + 1     = c*w      ->  A + 1 = C        (A, C) = (a*u, c*w), c = q*r
     thm2   a*u + b + 1 = c*w      ->  A + B + 1 = C    (A, B, C) = (a*u, b, c*w)
     prop1  a1*z1 + a2*z2 + a3*z3 = 0  ->  a + b = c    after gcd reduction
 
@@ -18,16 +18,16 @@ each equation lists that key's bucket from the key alone, as
 (candidate solution, coefficients) pairs in exact integers.  `_harvest`
 checks that listing against the count; `_keep_verified` dedupes, verifies and
 emits rows solution + coefficients + key.  thm1 and thm2 share one linear
-harvest of a*u + s = c*w, at the shift s = 1 and at the shifts s = b + 1,
-walked with the kernel of `stepping`; prop1 walks every coefficient triple
-in one batched kernel-vector search, `siegel.NonzeroSearch`.
+harvest of a*u + s = c*r*w: thm1 at s = 1 with c*r over Q*R, thm2 at s = b + 1
+with R = {1}, walked with the kernel of `stepping`; prop1 walks every
+coefficient triple in one batched kernel-vector search, `siegel.NonzeroSearch`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import ceil, floor, gcd, inf, log2, prod, sqrt
+from math import ceil, floor, gcd, log2, prod, sqrt
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -43,7 +43,7 @@ from .exponents import regime_exponents
 from .report import compare_bounds
 from .siegel import NonzeroSearch, siegel_nonzero_coords
 from .smooth import DEFAULT_CAP, enumerate_squarefree_smooth
-from .stepping import _int64, progressions
+from .stepping import _int64, _unit_inverse, count_hits, progressions
 
 
 @dataclass
@@ -77,10 +77,9 @@ class HarvestConfig:
     Prime intervals at paper scale are degenerate on a desk, so the prime sets
     are given explicitly while Z, W (and Y, Q) are derived from X through
     the regime exponent formulas (see `config_from_exponents`), and R is X / Q;
-    prop1 reads only X, the prime sets and the caps.  hit_cap bounds the hits
-    of a run, before its walk: thm1 and thm2 refuse a run whose hits may pass
-    it (see `_hit_bound`), prop1 one whose coefficient triples do, since each
-    triple gives at most one hit.
+    prop1 reads only X, the prime sets and the caps.  hit_cap bounds the hits of
+    a run before any key array: thm1 and thm2 refuse their exact count past it,
+    prop1 its coefficient triples, since each gives at most one hit.
     """
 
     equation: str
@@ -363,73 +362,76 @@ def _keep_verified(
     return S, tuple(rows), duplicates, failures
 
 
-def _linear_harvest(
-    a_values: Sequence[int], shifts: Sequence[int], c_values: Sequence[int], W: int
-) -> tuple[tuple, dict, tuple, list, int]:
-    """The harvest of a*u + s = c*w, u != 0, over a in A, s in shifts, c in C
-    coprime to a and 1 <= w <= W, keyed by (u, w).
-
-    The shifts are b + 1 over B, so thm1 is B = {0}.  With every a, c >= 1
-    and b >= 0, u lies in [u_lo, u_hi] = [-(max s // min a) - 1,
-    max c * W // min a], and the walk packs each key into the one int64
-    (u - u_lo) * W + (w - 1), lexicographic in (u, w).  C is range-checked
-    and converted to int64 once; the kernel leaves out each c that is no unit
-    mod a.  Each modulus writes its keys into the next slice of one array of
-    `_hit_bound` entries.  Returns `_harvest`'s tuple, whose bucket lists
-    (a, s, c) triples, and the number of u = 0 hits left out.
-    Raises DomainError when A, B or C repeats a value or holds one below its
-    least, ResourceLimit when the packing or c*W - s passes int64, and
-    RuntimeError when the kernel yields more keys than the bound.
-    """
-    for name, values, least in (("A", a_values, 1), ("B", [s - 1 for s in shifts], 0), ("C", c_values, 1)):
-        ordered = sorted(values)
+def _check_sets(**sets: Sequence[int]) -> None:
+    """DomainError when a set repeats a value, whose hits would count twice, or holds one below
+    its least (0 for B, 1 for the others), where the (u, w) packing's range of u would not hold."""
+    for name, values in sets.items():
+        ordered, least = sorted(values), 0 if name == "B" else 1
         if ordered and ordered[0] < least:
             raise DomainError(f"{name} holds {ordered[0]}, below {least}")
         for v, v_next in zip(ordered, ordered[1:]):
             if v == v_next:
                 raise DomainError(f"{name} repeats {v}")
+
+
+def _linear_harvest(
+    a_values: Sequence[int], shifts: Sequence[int], c_values: Sequence[int], r_values: Sequence[int], W: int, hit_cap
+) -> tuple[tuple, dict, tuple, list, int]:
+    """The harvest of a*u + s = c*r*w, u != 0, over a in A, s in shifts, c in C and
+    r in R with c*r coprime to a and 1 <= w <= W, keyed by (u, w) packed in one int64.
+
+    For a unit r, c*r*w == s (mod a) iff c*w == s*r^-1 (mod a): the kernel runs C
+    against the columns s*r^-1 mod a, and no product c*r is formed.  The exact
+    count is refused past hit_cap (ResourceLimit) before any key array exists, and
+    sizes the one array; a modulus writes its keys once its walk matched its count
+    (RuntimeError otherwise).  Returns `_harvest`'s tuple, whose bucket lists
+    (a, s, c*r), each product m = (a*u + s) / w split over the smaller of C and R,
+    and the number of u = 0 hits.  ResourceLimit also when the packing or
+    c*r*W - s passes int64.  The callers check the sets (`_check_sets`)."""
     # an empty set has no hits, which `popular_bucket` reports; its defaults only keep the bounds finite
-    a_min = min(a_values, default=1)
-    u_lo, u_hi = -(max(shifts, default=0) // a_min) - 1, max(c_values, default=0) * W // a_min
+    a_min, c_max, r_max = min(a_values, default=1), max(c_values, default=1), max(r_values, default=1)
+    u_lo, u_hi = -(max(shifts, default=0) // a_min) - 1, c_max * r_max * W // a_min
     packing = KeyPacking((u_lo, 1), (u_hi - u_lo + 1, W), "(u, w)")
-    shift_array = np.array(shifts, dtype=np.int64)
-    c_array = _int64(c_values, shifts, W)
-    c_set = set(c_values)
-    keys = np.empty(_hit_bound(len(shifts) * len(c_values), a_values, W), dtype=np.int64)
-    n = rows = 0
-    for a in sorted(a_values):
-        i, j, w = progressions(a, c_array, shifts, W)
-        u = np.multiply(c_array[i], w, out=i)  # u = (c*w - s) // a, in place of i
-        u -= shift_array[j]
+    c_array, r_array = _int64(c_values, shifts, W * r_max), _int64(r_values, shifts, W * c_max)
+    s_array = np.array(shifts, dtype=np.int64)
+
+    def columns(a: int) -> tuple[np.ndarray, np.ndarray]:  # s*r^-1 mod a, s-major, and the units r mod a
+        inv, unit = _unit_inverse(r_array, a)
+        return ((s_array % a)[:, None] * inv[unit] % a).ravel(), r_array[unit]
+
+    counts = [count_hits([a], c_array, W, columns(a)[0]) for a in a_values]
+    if sum(counts) > hit_cap:
+        raise ResourceLimit(f"{sum(counts)} hits beyond hit cap {hit_cap}")
+    keys, n = np.empty(sum(counts), dtype=np.int64), 0
+    for a, count in zip(a_values, counts):
+        cols, units = columns(a)
+        i, j, w = progressions(a, c_array, cols, W)
+        if len(i) != count:
+            raise RuntimeError(f"modulus {a}: counted {count} hits, walked {len(i)}")
+        u = np.multiply(c_array[i], w, out=i)  # u = (c*r*w - s) // a, in place of i
+        if r_max > 1:  # the column j is (s, r) = (j // #units, j % #units); R = {1} multiplies by 1
+            u *= units[j % len(units)]
+            j //= len(units)
+        u -= s_array[j]
         del j
         u //= a
         keep = u != 0
         k = int(np.count_nonzero(keep))
-        if n + k > len(keys):
-            raise RuntimeError(f"the walk made at least {n + k} keys, beyond its bound of {len(keys)} hits")
         packing.pack(u[keep], w[keep], out=keys[n : n + k])
-        n, rows = n + k, rows + len(u)
+        n += k
 
     def listing(key: tuple) -> list:
         u, w = key
+        small, large = sorted((c_values, r_values), key=len)
+        large = set(large)
         bucket = []
         for a, s in product(a_values, shifts):
-            c, r = divmod(a * u + s, w)
-            if not r and c in c_set and gcd(c, a) == 1:
-                bucket.append((a, s, c))
+            m, rem = divmod(a * u + s, w)
+            if not rem and gcd(m, a) == 1:
+                bucket += [(a, s, m) for d in small if m % d == 0 and m // d in large]
         return bucket
 
-    return *_harvest(keys[:n], listing, packing, (u_hi - u_lo) * W), rows - n  # no key has u = 0; rows - n hits did
-
-
-def _hit_bound(n_pairs: int, a_values: Sequence[int], W: int, hit_cap: float = inf) -> int:
-    """The most hits of a linear harvest over the moduli a_values, with n_pairs
-    (s, c) pairs per modulus and 1 <= w <= W: c*w = s (mod a) holds on at most
-    ceil(W / a) of the w.  Raises ResourceLimit when that passes hit_cap."""
-    hits = n_pairs * sum(-(-W // a) for a in a_values)
-    if hits > hit_cap:
-        raise ResourceLimit(f"up to {hits} hits beyond hit cap {hit_cap}")
-    return hits
+    return *_harvest(keys[:n], listing, packing, (u_hi - u_lo) * W), len(keys) - n  # the u = 0 hits have no key
 
 
 def _with_config(report: HarvestReport, config: HarvestConfig) -> HarvestReport:
@@ -442,9 +444,12 @@ def _with_config(report: HarvestReport, config: HarvestConfig) -> HarvestReport:
     return report
 
 
-def thm1_harvest(a_values: Sequence[int], c_values: Sequence[int], W: int, s_prime: PrimeSet) -> HarvestReport:
-    """Core A + 1 = C harvest over explicit coefficient sets: the linear harvest at the shift 1."""
-    _, stats, key, bucket, _ = _linear_harvest(a_values, [1], c_values, W)
+def thm1_harvest(
+    a_values: Sequence[int], q_values: Sequence[int], r_values: Sequence[int], W: int, s_prime: PrimeSet, hit_cap
+) -> HarvestReport:
+    """Core A + 1 = C harvest over A, Q and R, C = Q*R: the linear harvest at the shift 1."""
+    _check_sets(A=a_values, Q=q_values, R=r_values)
+    _, stats, key, bucket, _ = _linear_harvest(a_values, [1], q_values, r_values, W, hit_cap)
     u, w = key
     candidates = (((a * u, c * w), (a, c)) for a, _, c in bucket)
     S, rows, _, verify_failures = _keep_verified(candidates, "thm1", s_prime, key)
@@ -455,19 +460,17 @@ def thm1_harvest(a_values: Sequence[int], c_values: Sequence[int], W: int, s_pri
         popular_key=key,
         solution_rows=rows,
         bucket_stats=stats,
-        set_sizes={"A": len(a_values), "C": len(c_values)},
+        set_sizes={"Q": len(q_values), "R": len(r_values), "A": len(a_values), "C": len(q_values) * len(r_values)},
         audits={"verify_failures": verify_failures},
     )
 
 
 def thm1_run(config: HarvestConfig) -> HarvestReport:
-    """Harvest solutions of A + 1 = C from near-solutions of a*u + 1 = c*w."""
+    """Harvest solutions of A + 1 = C from near-solutions of a*u + 1 = c*w, c in Q*R."""
     scales = (("q", config.q), ("q", config.r), ("z", config.z))  # q sets R = X / Q too
     q_values, r_values, a_values = _window_sets(config, "thm1", ((k, *_range(s, config.delta)) for k, s in scales))
     W = config.w_max
-    _hit_bound(len(q_values) * len(r_values), a_values, W, config.hit_cap)  # refused before C is built
-    c_values = [qv * rv for qv in q_values for rv in r_values]  # distinct: Q and R share no prime
-    report = thm1_harvest(a_values, c_values, W, config.t1.union(config.t2, config.t3))
+    report = thm1_harvest(a_values, q_values, r_values, W, config.t1.union(config.t2, config.t3), config.hit_cap)
     s = len(report.s_full)
     additive_cap = len(report.s_prime) + log2(W) + log2(config.x * W / config.z ** (1 - config.delta))
     report.s_bound = {
@@ -476,12 +479,11 @@ def thm1_run(config: HarvestConfig) -> HarvestReport:
         "additive_cap": additive_cap,
         "holds": s <= additive_cap,
     }
-    report.set_sizes = {"Q": len(q_values), "R": len(r_values), **report.set_sizes}
     return _with_config(report, config)
 
 
 def thm2_harvest(
-    a_values: Sequence[int], b_values: Sequence[int], c_values: Sequence[int], W: int, s_prime: PrimeSet
+    a_values: Sequence[int], b_values: Sequence[int], c_values: Sequence[int], W: int, s_prime: PrimeSet, hit_cap
 ) -> HarvestReport:
     """Core A + B + 1 = C harvest over explicit coefficient sets: the linear
     harvest at the shifts b + 1.
@@ -490,7 +492,9 @@ def thm2_harvest(
     A values); the per-modulus count of b with gcd(b+1, a) = 1 is recorded as
     an audit statistic rather than used as a filter.
     """
-    span, stats, key, bucket, u0_discards = _linear_harvest(a_values, [b + 1 for b in b_values], c_values, W)
+    _check_sets(A=a_values, B=b_values, C=c_values)
+    shifts = [b + 1 for b in b_values]
+    span, stats, key, bucket, u0_discards = _linear_harvest(a_values, shifts, c_values, [1], W, hit_cap)
     coprime_b = min(sum(gcd(b + 1, a) == 1 for b in b_values) for a in a_values)  # over the moduli
     u, w = key
     candidates = [((a * u, s - 1, c * w), (a, s - 1, c)) for a, s, c in bucket]
@@ -518,9 +522,8 @@ def thm2_run(config: HarvestConfig) -> HarvestReport:
     """Harvest solutions of A + B + 1 = C from near-solutions of a*u + b + 1 = c*w."""
     scales = (("x", config.x), ("y", config.y), ("z", config.z))
     c_values, b_values, a_values = _window_sets(config, "thm2", ((k, *_range(s, config.delta)) for k, s in scales))
-    _hit_bound(len(b_values) * len(c_values), a_values, config.w_max, config.hit_cap)  # refused before the walk
-
-    report = thm2_harvest(a_values, b_values, c_values, config.w_max, config.t1.union(config.t2, config.t3))
+    s_prime = config.t1.union(config.t2, config.t3)
+    report = thm2_harvest(a_values, b_values, c_values, config.w_max, s_prime, config.hit_cap)
     scale = config.z ** (1 - config.delta)
     report.audits["u_range_theoretical"] = [-config.y / scale, config.x * config.w_max / scale]
     return _with_config(report, config)

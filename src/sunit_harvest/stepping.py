@@ -1,23 +1,18 @@
 """The residue-progression kernel: {(c, shift, w) : c*w == shift (mod a), 1 <= w <= W}.
 
-One rule decides which c take part: only the units c mod a are listed or
-counted, and a c that shares a factor with a is left out, never refused.  One
-array Euler power c^(phi(a) - 1) mod a (`_unit_inverse`, no per-c Python loop)
-is c^-1 exactly where c*c^(phi(a) - 1) == 1, so one pass yields the inverses
-and the unit mask for both walks, the exact count and the additive spectrum.
-It multiplies two residues at most, so it runs in int32 while (a - 1)^2 < 2^31.
-Two walks list the same rows.  The start walk lists the terms w0 + a*k,
-k < ceil(W / a), of every cell (c, shift) from w0 == shift * c^-1 (mod a), as
-one grid masked by w <= W, at O(#units * #shifts + hits) instead of the naive
-O(#C * #shifts * W).  The dual walk (`_join`) joins the residue
+Only the units c mod a are listed or counted; a c that shares a factor with a
+is left out, never refused.  One array Euler power (`_unit_inverse`) yields the
+inverses and the unit mask for both walks, the exact count and the additive
+spectrum.  Two walks list the same rows.  The start walk lists the terms
+w0 + a*k, k < ceil(W / a), of every cell (c, shift) from w0 == shift * c^-1
+(mod a), as one grid masked by w <= W, at O(#units * #shifts + hits) instead of
+the naive O(#C * #shifts * W).  The dual walk (`_join`) joins the residue
 (c mod a)*w mod a of every (c, w) with w <= W against the shifts grouped by
 residue, at O(#units * W + a + #shifts + hits).  `progressions` takes the
-smaller grid: the join for many shifts and a short w range (thm2), the start
-walk for one shift or a long w range (thm1).  `count_hits`, the
-decompositions' exact count of c*w == 1 (mod a), counts each unit's one
-progression w == c^-1 (mod a) in closed form.  Either walk lists the rows
-grouped by c, within one c in (shift, w) or (w, shift) order; no caller reads
-that order.
+smaller grid: the join for many shifts and a short w range (thm2's b + 1,
+thm1's r^-1 mod a), the start walk for few shifts or a long w range.
+`count_hits` counts the rows on that grid, at its cost and not the hits'.
+Either walk groups the rows by c; no caller reads their order within one c.
 """
 
 from __future__ import annotations
@@ -36,14 +31,13 @@ def _check_moduli(a_values: Sequence[int]) -> None:
         raise DomainError(f"modulus {min(a_values)} must be >= 1")
 
 
-def _int64(c_values, shifts: Sequence[int], W: int) -> np.ndarray:
-    """c_values as an int64 array.  Raises ResourceLimit unless
-    max|c| * W + max|shift| < 2^63, since callers form c*w - shift."""
-    if isinstance(c_values, np.ndarray):
-        top = max(-int(c_values.min()), int(c_values.max())) if c_values.size else 0
-    else:
-        top = max(map(abs, c_values), default=0)
-    if int(top) * max(W, 1) + int(max(map(abs, shifts), default=0)) >= 2**63:
+def _int64(c_values, shifts, W: int) -> np.ndarray:
+    """c_values as an int64 array.  Raises ResourceLimit unless max|c| * W + max|shift|
+    < 2^63, since callers form c*w - shift; an array is bounded by its numpy min and max."""
+    def top(v) -> int:
+        return max(-int(v.min()), int(v.max())) if isinstance(v, np.ndarray) and v.size else max(map(abs, v), default=0)
+
+    if top(c_values) * max(W, 1) + top(shifts) >= 2**63:
         raise ResourceLimit(f"residue stepping up to W = {W} beyond int64")
     return np.asarray(c_values, dtype=np.int64)
 
@@ -145,24 +139,27 @@ def _interval_counts(a: int, W: int) -> np.ndarray:
     return counts
 
 
-def count_hits(a_values: Iterable[int], c_values: Iterable[int] | np.ndarray, W: int) -> int:
-    """Exact number of triples (a, c, w) with c*w == 1 (mod a) and 1 <= w <= W.
-
-    c_values is checked and converted to int64 once, not once per modulus; with
-    no modulus there is nothing to step, and nothing is refused.  Each unit c mod
-    a reaches 1 on the one progression w == c^-1 (mod a), counted in closed
-    form.  Refuses a^2 >= 2^63.  DomainError unless every modulus is >= 1.
-    """
+def count_hits(a_values: Iterable[int], c_values: Iterable[int] | np.ndarray, W: int, shifts=(1,)) -> int:
+    """Exact number of rows progressions(a, c_values, shifts, W) lists, summed over
+    a in a_values, counted on the grid that walk would take.  c_values is checked
+    and converted to int64 once; with no modulus nothing is refused.  Refuses
+    a^2 >= 2^63.  DomainError unless every modulus is >= 1."""
     a_values = list(a_values)
     if not a_values:
         return 0
     _check_moduli(a_values)
-    c = _int64(c_values if isinstance(c_values, np.ndarray) else list(c_values), [1], W)
+    c = _int64(c_values if isinstance(c_values, np.ndarray) else list(c_values), shifts, W)
+    sh = np.asarray(shifts, dtype=np.int64)
     total = 0
     for a in a_values:
         inv, unit = _unit_inverse(c, a)
         inv = inv[unit]
-        # w <= W holds `full` terms of each residue class mod a, one more for 1 <= r <= rem
+        if inv.size * W + a < inv.size * sh.size:  # the join, as `progressions` decides
+            r = ((c[unit] % a)[:, None] * np.arange(1, W + 1) % a).ravel()
+            total += int(np.bincount(r, minlength=a) @ np.bincount(sh % a, minlength=a))
+            continue
+        # the cell (c, shift) steps from x = shift * c^-1 mod a, or a for x = 0: `full` terms, one more for x <= rem
+        x = inv if sh.size == 1 and sh[0] == 1 else sh % a * inv[:, None] % a
         full, rem = divmod(max(W, 0), a)
-        total += full * inv.size + int(np.count_nonzero((inv > 0) & (inv <= rem)))
+        total += full * x.size + int(np.count_nonzero((x > 0) & (x <= rem)))
     return total

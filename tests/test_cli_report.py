@@ -361,7 +361,7 @@ def test_cli_int64_limit_exit(tmp_path, capsys):
 
 
 def test_cli_hit_bound_before_walk(tmp_path, capsys, monkeypatch):
-    # the thm2 desk config at w=300000 may make 108,338,769 hits: refused before any key array
+    # the thm2 desk config at w=300000 makes 108,326,811 hits: counted and refused before any walk
     def walk(*args):
         raise AssertionError("the walk started")
 
@@ -370,12 +370,13 @@ def test_cli_hit_bound_before_walk(tmp_path, capsys, monkeypatch):
     cfg.write_text((CONFIGS / "thm2_desk.cfg").read_text() + "w=300000\n")
     assert main(["thm2", "--config", str(cfg)]) == 4
     err = capsys.readouterr().err
-    assert err.startswith("resource limit: up to 108338769 hits beyond hit cap 50000000") and err.count("\n") == 1
+    assert err == "resource limit: 108326811 hits beyond hit cap 50000000\n"
 
 
 @pytest.mark.parametrize("name, w", [("thm1", 99), ("thm2", 300)])  # min A is 64 and 63
 def test_hit_bound_covers_hits(name, w):
-    # with W above min A a coefficient tuple may make several hits: the bound counts hits, not tuples
+    # with W above min A a coefficient tuple may make several hits: the cap bounds the
+    # exact count of hits, u = 0 hits included, not of tuples; a cap equal to it runs
     def run(hit_cap):
         params = {**parse_config_file(CONFIGS / f"{name}_desk.cfg"), "w": str(w), "hit_cap": str(hit_cap)}
         return getattr(pipelines, f"{name}_run")(build_harvest_config(params))
@@ -383,11 +384,12 @@ def test_hit_bound_covers_hits(name, w):
     report = run(50_000_000)
     with pytest.raises(ResourceLimit, match="beyond hit cap 0") as refused:
         run(0)
-    bound = int(re.search(r"up to (\d+) hits", str(refused.value)).group(1))
+    count = int(re.search(r"^(\d+) hits", str(refused.value)).group(1))
     tuples = report.set_sizes["A"] * report.set_sizes.get("B", 1) * report.set_sizes["C"]
-    hits = report.bucket_stats["total_hits"] + report.audits.get("u_zero_discards", 0)
-    assert tuples < hits <= bound
-    assert run(bound).solutions == report.solutions
+    assert tuples < report.bucket_stats["total_hits"] + report.audits.get("u_zero_discards", 0) == count
+    assert run(count).solutions == report.solutions
+    with pytest.raises(ResourceLimit, match=f"^{count} hits beyond hit cap {count - 1}$"):
+        run(count - 1)
 
 
 @pytest.mark.parametrize("name, degenerate", [("thm1", True), ("thm2", False)])

@@ -6,6 +6,7 @@ share no residue stepping with the kernel.  Examples are derandomized and
 bounded so the suite stays deterministic and quick.
 """
 
+import re
 import tracemalloc
 from collections import Counter
 from itertools import count, product
@@ -23,6 +24,7 @@ from sunit_harvest.circle import additive_decomposition
 from sunit_harvest.errors import DomainError, EmptyHarvest, ResourceLimit
 from sunit_harvest.oracle import brute_linear_count
 from sunit_harvest.pipelines import (
+    HarvestConfig,
     KeyPacking,
     _linear_harvest,
     pair_collision_stats,
@@ -39,6 +41,7 @@ from sunit_harvest import pipelines, stepping
 from sunit_harvest.stepping import _powmod, _unit_inverse, count_hits, progressions
 
 PROFILE = settings(derandomize=True, max_examples=60, deadline=None)
+CAP = HarvestConfig.hit_cap  # the hit cap of a run with none configured
 
 moduli = st.sets(st.integers(2, 30), min_size=1, max_size=5).map(sorted)
 coefficients = st.sets(st.integers(2, 80), min_size=1, max_size=8).map(sorted)
@@ -94,20 +97,29 @@ def assert_matches_tally(rep, tally: Counter):
 
 
 @PROFILE
-@given(moduli, coefficients, w_bounds)
-@example([3], [1, 4], 5)  # c = 1: the u = 0 hit c*w = 1 is not keyed
-def test_thm1_matches_brute_tally(a_values, c_values, W):
+@given(moduli, coefficients, st.sets(st.integers(1, 30), min_size=1, max_size=5).map(sorted), w_bounds)
+@example([3], [1, 4], [1], 5)  # c = 1: the u = 0 hit c*w = 1 is not keyed
+@example([4, 9], [5, 7], [2, 3, 5], 12)  # r = 2 is no unit mod 4, r = 3 none mod 9
+@example([5], [2, 3], [2, 3], 8)  # 2*3 = 3*2: one product from two pairs, a hit for each
+def test_thm1_matches_brute_tally(a_values, q_values, r_values, W):
+    # the brute tally runs over the products c = q*r, one per pair (q, r)
+    c_values = [q * r for q in q_values for r in r_values]
     tally, u_zero = brute_tally(a_values, c_values, W, [1])
-    S = primes_of(a_values, c_values)
+    S = primes_of(a_values, q_values, r_values)
     if not tally:
         with pytest.raises(EmptyHarvest):
-            thm1_harvest(a_values, c_values, W, S)
+            thm1_harvest(a_values, q_values, r_values, W, S, CAP)
         return
-    rep = thm1_harvest(a_values, c_values, W, S)
-    assert_matches_tally(rep, tally)
-    assert rep.bucket_stats["total_hits"] + u_zero == brute_linear_count(a_values, c_values, W, 1).count
-    for A, C, a, c, u, w in rep.solution_rows:
-        assert (A, C) == (a * u, c * w)
+    rep = thm1_harvest(a_values, q_values, r_values, W, S, CAP)
+    stats = rep.bucket_stats
+    assert (stats["total_hits"], stats["nonempty_buckets"]) == (sum(tally.values()), len(tally))
+    assert stats["max_load"] == max(tally.values())
+    assert rep.popular_key == min(tally, key=lambda k: (-tally[k], k))
+    assert stats["total_hits"] + u_zero == brute_linear_count(a_values, c_values, W, 1).count
+    # two pairs with one product list one solution
+    u, w = rep.popular_key
+    brute = {(a * u, c * w, a, c, u, w) for a in a_values for c in c_values if a * u + 1 == c * w}
+    assert rep.solution_rows == tuple(sorted(brute)) and rep.audits["verify_failures"] == 0
 
 
 @PROFILE
@@ -118,9 +130,9 @@ def test_thm2_matches_brute_tally(sets):
     S = primes_of(a_values, b_values, c_values)
     if not tally:
         with pytest.raises(EmptyHarvest):
-            thm2_harvest(a_values, b_values, c_values, W, S)
+            thm2_harvest(a_values, b_values, c_values, W, S, CAP)
         return
-    rep = thm2_harvest(a_values, b_values, c_values, W, S)
+    rep = thm2_harvest(a_values, b_values, c_values, W, S, CAP)
     assert_matches_tally(rep, tally)
     assert rep.audits["u_zero_discards"] == u_zero
     oracle = sum(brute_linear_count(a_values, c_values, W, b + 1).count for b in b_values)
@@ -141,7 +153,7 @@ def test_thm2_rows_match_brute_triples(a_values, b_values, c_values, W):
     # the same harvest at B = {0}, and its rows lack the b columns
     for harvest, sets, B in (
         (thm2_harvest, (a_values, b_values, c_values), b_values),
-        (thm1_harvest, (a_values, c_values), [0]),
+        (thm1_harvest, (a_values, c_values, [1]), [0]),
     ):
         tally = Counter()
         for a, b, c in product(a_values, B, c_values):
@@ -152,9 +164,9 @@ def test_thm2_rows_match_brute_triples(a_values, b_values, c_values, W):
         S = primes_of(*sets)
         if not tally:
             with pytest.raises(EmptyHarvest):
-                harvest(*sets, W, S)
+                harvest(*sets, W, S, CAP)
             continue
-        rep = harvest(*sets, W, S)
+        rep = harvest(*sets, W, S, CAP)
         u, w = rep.popular_key
         assert rep.popular_key == min(tally, key=lambda k: (-tally[k], k))
         assert rep.bucket_stats["max_load"] == tally[(u, w)]
@@ -183,28 +195,42 @@ def assert_stats_match_tally(stats: dict, tally: Counter, possible_buckets: int)
 
 
 @PROFILE
-@given(moduli, st.sets(st.integers(0, 80), min_size=1, max_size=8).map(sorted), coefficients, w_bounds)
-@example([2], [0], [3, 5], 4)  # thm1's B = {0}
-@example([3], [2], [1, 4], 5)  # c = 1
-def test_linear_harvest_packed_key_matches_tuple_counter(a_values, b_values, c_values, W):
-    # the packed (u, w) keys against a Counter of (u, w) tuples, c coprime to a
+@given(
+    moduli,
+    st.sets(st.integers(0, 80), min_size=1, max_size=8).map(sorted),
+    coefficients,
+    st.sets(st.integers(1, 12), min_size=1, max_size=4).map(sorted),
+    w_bounds,
+)
+@example([2], [0], [3, 5], [1], 4)  # thm1's shift 1, R = {1}
+@example([3], [2], [1, 4], [1], 5)  # c = 1
+@example([4, 9], [1, 5], [5, 7], [2, 3], 12)  # 2 | b + 1 = 2 and 2 | r: still no hit mod 4
+@example([5], [0, 3], [2, 3], [2, 3], 8)  # 2*3 = 3*2: one product from two pairs
+def test_linear_harvest_packed_key_matches_tuple_counter(a_values, b_values, c_values, r_values, W):
+    # the packed (u, w) keys against a Counter of (u, w) tuples, c*r coprime to a;
+    # the hit cap bounds the exact count of hits, the u = 0 hits included
     shifts = [b + 1 for b in b_values]
-    tally = Counter()
-    for a, s, c in product(a_values, shifts, c_values):
+    tally, hits = Counter(), 0
+    for a, s, c, r in product(a_values, shifts, c_values, r_values):
         for w in range(1, W + 1):
-            u, r = divmod(c * w - s, a)
-            if not r and u and gcd(c, a) == 1:
-                tally[(u, w)] += 1
+            u, rem = divmod(c * r * w - s, a)
+            if not rem and gcd(c * r, a) == 1:
+                hits += 1
+                if u:
+                    tally[(u, w)] += 1
+    if hits:
+        with pytest.raises(ResourceLimit, match=f"^{hits} hits beyond hit cap {hits - 1}$"):
+            _linear_harvest(a_values, shifts, c_values, r_values, W, hits - 1)
     if not tally:
         with pytest.raises(EmptyHarvest):
-            _linear_harvest(a_values, shifts, c_values, W)
+            _linear_harvest(a_values, shifts, c_values, r_values, W, hits)
         return
-    span, stats, key, bucket, _ = _linear_harvest(a_values, shifts, c_values, W)
+    span, stats, key, bucket, u_zero = _linear_harvest(a_values, shifts, c_values, r_values, W, hits)
     assert key == min(tally, key=lambda k: (-tally[k], k))
-    u_lo, u_hi = -(max(shifts) // min(a_values)) - 1, max(c_values) * W // min(a_values)
+    u_lo, u_hi = -(max(shifts) // min(a_values)) - 1, max(c_values) * max(r_values) * W // min(a_values)
     assert u_lo <= min(tally)[0] and max(tally)[0] <= u_hi
     assert_stats_match_tally(stats, tally, (u_hi - u_lo) * W)
-    assert span == (min(tally), max(tally))
+    assert span == (min(tally), max(tally)) and u_zero == hits - sum(tally.values())
     assert len(bucket) == tally[key]
 
 
@@ -249,57 +275,62 @@ def test_prop1_packed_key_matches_tuple_counter(case):
 @pytest.mark.parametrize(
     "harvest, sets, name, value",
     [
-        (thm1_harvest, ([3, 3], [2, 5]), "A", 3),  # counted and listed twice
-        (thm1_harvest, ([3], [2, 5, 2]), "C", 2),  # counted twice, listed once
+        (thm1_harvest, ([3, 3], [2, 5], [7]), "A", 3),  # counted and listed twice
+        (thm1_harvest, ([3], [2, 5, 2], [7]), "Q", 2),  # counted twice, listed once
         (thm2_harvest, ([3], [1, 1], [2, 5]), "B", 1),  # counted twice, listed once
         (thm2_harvest, ([3], [1], [2, 5, 5]), "C", 5),  # counted and listed twice
+        (thm1_harvest, ([3], [2], [5, 7, 5]), "R", 5),  # counted twice, listed once
     ],
 )
 def test_repeated_coefficients_refused(harvest, sets, name, value):
     with pytest.raises(DomainError, match=f"^{name} repeats {value}$"):
-        harvest(*sets, 6, primes_of(*sets))
+        harvest(*sets, 6, primes_of(*sets), CAP)
 
 
 @pytest.mark.parametrize(
     "harvest, sets, message",
     [
-        (thm1_harvest, ([0, 3], [2, 5]), "A holds 0, below 1"),
-        (thm1_harvest, ([3], [-2, 5]), "C holds -2, below 1"),
+        (thm1_harvest, ([0, 3], [2, 5], [7]), "A holds 0, below 1"),
+        (thm1_harvest, ([3], [-2, 5], [7]), "Q holds -2, below 1"),
         (thm2_harvest, ([3], [-1, 4], [2, 5]), "B holds -1, below 0"),
+        (thm1_harvest, ([3], [2, 5], [0, 7]), "R holds 0, below 1"),
     ],
 )
 def test_coefficients_below_the_packed_range_refused(harvest, sets, message):
-    # the (u, w) packing bounds u from the sets only for a, c >= 1 and b >= 0
+    # the (u, w) packing bounds u from the sets only for a, c, r >= 1 and b >= 0
     with pytest.raises(DomainError, match=f"^{message}$"):
-        harvest(*sets, 6, PrimeSet((2, 3, 5)))
+        harvest(*sets, 6, PrimeSet((2, 3, 5, 7)), CAP)
 
 
 @pytest.mark.parametrize(
     "harvest, sets",
-    [(thm1_harvest, ([3, 5], [2, 7, 11])), (thm2_harvest, ([3, 5], [1, 4, 6], [2, 7, 11]))],
+    [(thm1_harvest, ([3, 5], [2, 7], [11, 13])), (thm2_harvest, ([3, 5], [1, 4, 6], [2, 7, 11]))],
 )
 def test_count_checked_against_listing(monkeypatch, harvest, sets):
-    # every hit walked twice: the doubled count passes the hit bound of the one key array
+    # every hit walked twice: the walk of the first modulus does not match its count
     real = pipelines.progressions
     monkeypatch.setattr(pipelines, "progressions", lambda *args: tuple(np.tile(v, 2) for v in real(*args)))
-    with pytest.raises(RuntimeError, match=r"^the walk made at least \d+ keys, beyond its bound of \d+ hits$"):
-        harvest(*sets, 10, primes_of(*sets))
+    with pytest.raises(RuntimeError, match=r"^modulus 3: counted \d+ hits, walked \d+$") as fault:
+        harvest(*sets, 10, primes_of(*sets), CAP)
+    counted, walked = map(int, re.findall(r"\d+", str(fault.value))[1:])
+    assert walked == 2 * counted > 0
 
 
-def test_walk_past_hit_bound_is_a_kernel_fault(monkeypatch):
-    # A = {5, 7}, C = {2}, W = 5: one hit per modulus, so the bound of 2 is exact; a
-    # kernel that repeats its first row fills the array at a = 5 and passes it at a = 7
+def test_kernel_repeating_a_row_is_caught_before_any_key(monkeypatch):
+    # A = {5, 7}, C = {2}, W = 5: one hit per modulus; a kernel that repeats its
+    # first row is caught at a = 5, before that modulus writes a key
     real = pipelines.progressions
     monkeypatch.setattr(pipelines, "progressions", lambda *args: tuple(np.append(v, v[:1]) for v in real(*args)))
-    with pytest.raises(RuntimeError, match=r"^the walk made at least 4 keys, beyond its bound of 2 hits$"):
-        _linear_harvest([5, 7], [1], [2], 5)
+    monkeypatch.setattr(KeyPacking, "pack", lambda *args, **kwargs: pytest.fail("a key was written"))
+    with pytest.raises(RuntimeError, match=r"^modulus 5: counted 1 hits, walked 2$"):
+        _linear_harvest([5, 7], [1], [2], [1], 5, CAP)
 
 
 @pytest.mark.parametrize(
     "run",
     [
-        lambda: thm1_harvest([3, 5], [2, 7, 11], 10, primes_of([3, 5], [2, 7, 11])),
-        lambda: thm2_harvest([3, 5], [1, 4, 6], [2, 7, 11], 10, primes_of([3, 5], [1, 4, 6], [2, 7, 11])),
+        lambda: thm1_harvest([3, 5], [2, 7], [11, 13], 10, primes_of([3, 5], [2, 7], [11, 13]), CAP),
+        lambda: thm2_harvest([3, 5], [1, 4, 6], [2, 7, 11], 10, primes_of([3, 5], [1, 4, 6], [2, 7, 11]), CAP),
         lambda: prop1_run(prop1_config(30, PrimeSet((2,)), PrimeSet((3,)), PrimeSet((5,)))),
     ],
     ids=["thm1", "thm2", "prop1"],
@@ -318,21 +349,21 @@ def test_listing_checked_against_count(monkeypatch, run):
 
 
 def test_linear_harvest_makes_no_second_key_array():
-    # the keys go into one array of bound entries; beside it, the walk holds only
-    # arrays of one modulus's rows, never a second array of every key
+    # the keys go into one array of exactly the hit count; beside it, the walk holds
+    # only arrays of one modulus's rows, never a second array of every key
     a_values = list(range(60, 121))
     c_values = [c for c in range(127, 400) if all(c % p for p in range(2, 20))]  # coprime to every a
     shifts, W = list(range(1, 31)), 600
-    bound = len(shifts) * len(c_values) * sum(-(-W // a) for a in a_values)
     row_bytes = max(progressions(a, c_values, shifts, W)[0].nbytes for a in a_values)
     tracemalloc.start()
     try:
-        _, stats, *_ = _linear_harvest(a_values, shifts, c_values, W)
+        _, stats, *_, u_zero = _linear_harvest(a_values, shifts, c_values, [1], W, CAP)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert 2 * stats["total_hits"] * 8 > bound * 8 + 16 * row_bytes  # a second key array would show
-    assert peak <= bound * 8 + 16 * row_bytes, (peak, bound * 8, row_bytes)
+    key_bytes = (stats["total_hits"] + u_zero) * 8
+    assert key_bytes > 16 * row_bytes  # a second key array would show
+    assert peak <= key_bytes + 16 * row_bytes, (peak, key_bytes, row_bytes)
 
 
 @PROFILE
@@ -558,6 +589,19 @@ def test_kernel_at_largest_modulus():
     assert count_hits([3], np.array([2**62, -(2**62)], dtype=np.int64), 1) == 1  # 2^62 == 1 (mod 3)
 
 
+@pytest.mark.parametrize("form", [list, lambda v: np.array(v, dtype=np.int64)], ids=["list", "ndarray"])
+def test_shifts_refused_at_the_same_int64_edge(form):
+    # c*w - shift must fit in int64: with c*W = 2 a shift may reach 2^63 - 3 in size,
+    # whether the shifts come as a list or as an int64 array bounded by its min and max
+    for shifts in ([5, 2**63 - 3], [-(2**63) + 3, 1]):
+        assert count_hits([3], [2], 1, form(shifts)) == len(progressions(3, [2], form(shifts), 1)[0])
+    for shifts in ([5, 2**63 - 2], [-(2**63) + 2, 1], [-(2**63)]):
+        with pytest.raises(ResourceLimit, match="beyond int64"):
+            count_hits([3], [2], 1, form(shifts))
+        with pytest.raises(ResourceLimit, match="beyond int64"):
+            progressions(3, [2], form(shifts), 1)
+
+
 @PROFILE
 @given(st.lists(st.integers(-20, 40), max_size=30))
 @example([3, 3, 5, 5, 7, 7])
@@ -586,10 +630,14 @@ def test_popular_bucket_matches_counter(keys):
 
 
 def test_int64_limit():
-    # c*w - 1 passes int64 at w = 2, so the kernel refuses rather than wrap
+    # c*w - 1 passes int64 at w = 2, so the kernel refuses rather than wrap, also
+    # for c = q*r with neither factor near the limit: 2^62 + 1 = 5 * 922,337,203,685,477,581
     S = primes_of([2, 3], [2**62 + 1])
+    r = (2**62 + 1) // 5
     with pytest.raises(ResourceLimit):
-        thm1_harvest([3], [2**62 + 1], 2, S)
+        thm1_harvest([3], [2**62 + 1], [1], 2, S, CAP)
+    with pytest.raises(ResourceLimit):
+        thm1_harvest([3], [5], [r], 2, S, CAP)
     with pytest.raises(ResourceLimit):
         count_hits([3], [2**62 + 1], 2)
     with pytest.raises(ResourceLimit):
@@ -600,9 +648,10 @@ def test_int64_limit():
     with pytest.raises(ResourceLimit):
         additive_decomposition([3], [2**63 + 1], 0.5)
     # one step below the limit the exact harvest still runs: 2 * 2**61 + 1 = 2**62 + 1
-    rep = thm1_harvest([2], [2**62 + 1], 1, S)
-    assert rep.popular_key == (2**61, 1)
-    assert rep.solutions == ((2**62, 2**62 + 1),)
+    for q_values, r_values in (([2**62 + 1], [1]), ([5], [r])):
+        rep = thm1_harvest([2], q_values, r_values, 1, S, CAP)
+        assert rep.popular_key == (2**61, 1)
+        assert rep.solutions == ((2**62, 2**62 + 1),)
 
 
 @pytest.mark.parametrize(
@@ -615,7 +664,7 @@ def test_int64_limit():
     ],
 )
 def test_pack_range_at_int64_limit_runs(a_values, c_values, W, key):
-    _, stats, popular, bucket, _ = _linear_harvest(a_values, [1], c_values, W)
+    _, stats, popular, bucket, _ = _linear_harvest(a_values, [1], c_values, [1], W, CAP)
     assert popular == key and bucket == [(a_values[0], 1, c_values[0])]
     assert stats["total_hits"] == stats["max_load"] == 1
 
@@ -631,7 +680,7 @@ def test_pack_range_at_int64_limit_runs(a_values, c_values, W, key):
 def test_pack_range_past_int64_refused(a_values, c_values, W):
     # the residue kernel accepts each of these (max c * W + 1 < 2^63); the packing refuses
     with pytest.raises(ResourceLimit, match=r"^\(u, w\) keys pack into \d+ values, beyond int64$"):
-        _linear_harvest(a_values, [1], c_values, W)
+        _linear_harvest(a_values, [1], c_values, [1], W, CAP)
 
 
 def test_prop1_pack_range_past_int64_refused():
@@ -670,9 +719,8 @@ def test_decompositions_take_any_iterable_of_ints():
 
 def test_empty_coefficient_sets():
     S = PrimeSet((2, 3, 5))
+    for sets in (([], [3], [2]), ([5], [], [2]), ([5], [3], [])):
+        with pytest.raises(EmptyHarvest):
+            thm1_harvest(*sets, 4, S, CAP)
     with pytest.raises(EmptyHarvest):
-        thm1_harvest([], [3], 4, S)
-    with pytest.raises(EmptyHarvest):
-        thm1_harvest([5], [], 4, S)
-    with pytest.raises(EmptyHarvest):
-        thm2_harvest([5], [], [3], 10, S)
+        thm2_harvest([5], [], [3], 10, S, CAP)

@@ -28,6 +28,7 @@ from sunit_harvest.pipelines import (
 )
 
 CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
+CAP = HarvestConfig.hit_cap  # the hit cap of a run with none configured
 
 T1 = PrimeSet((2, 3, 17, 19, 23, 29, 31, 37, 41, 43))
 T2 = PrimeSet((5, 7, 11, 13, 101, 103, 107, 109, 113, 127))
@@ -39,7 +40,8 @@ def desk_thm1_config():
 
 
 def test_thm1_micro():
-    rep = thm1_harvest([7], [4], 5, PrimeSet((2, 7)))
+    # c = q*r = 2*2: 7*1 + 1 = 4*2
+    rep = thm1_harvest([7], [2], [2], 5, PrimeSet((2, 7)), CAP)
     assert rep.popular_key == (1, 2)
     assert rep.solutions == ((7, 8),)
     assert set(rep.s_full) >= {2, 7}
@@ -49,10 +51,10 @@ def test_thm1_micro():
 
 
 def test_thm1_multi_hit_bucket():
-    # 403 = 67*6 + 1 and 427 = 71*6 + 1, so the pair (u, w) = (6, 1) collects
-    # two hits and both become solutions over the same enlarged prime set
+    # 403 = 67*6 + 1 = 13*31 and 427 = 71*6 + 1 = 7*61, so the pair (u, w) = (6, 1)
+    # collects two hits and both become solutions over the same enlarged prime set
     s_prime = PrimeSet((7, 13, 31, 61, 67, 71))
-    rep = thm1_harvest([67, 71], [403, 427], 1, s_prime)
+    rep = thm1_harvest([67, 71], [7, 13], [31, 61], 1, s_prime, CAP)
     assert rep.popular_key == (6, 1)
     assert rep.bucket_stats["max_load"] == 2
     assert rep.solutions == ((402, 403), (426, 427))
@@ -135,11 +137,11 @@ def test_thm2_run_makes_no_pair_collision_pass(monkeypatch):
 
 def test_thm2_micro_no_hit():
     with pytest.raises(EmptyHarvest):
-        thm2_harvest([5], [2], [3], 4, PrimeSet((2, 3, 5)))
+        thm2_harvest([5], [2], [3], 4, PrimeSet((2, 3, 5)), CAP)
 
 
 def test_thm2_micro_hit():
-    rep = thm2_harvest([5], [4], [3], 10, PrimeSet((2, 3, 5)))
+    rep = thm2_harvest([5], [4], [3], 10, PrimeSet((2, 3, 5)), CAP)
     assert rep.popular_key == (2, 5)
     assert (10, 4, 15) in rep.solutions
     for A, B, C, a, b, c, u, w in rep.solution_rows:
@@ -149,7 +151,7 @@ def test_thm2_micro_hit():
 def test_thm2_degenerate_filter():
     # a hit with u < 0 can produce A = -(b+...) but never A = -1 (A = a*u, a >= 2);
     # the filter remains load-bearing for the emitted set contract
-    rep = thm2_harvest([5], [4], [3], 10, PrimeSet((2, 3, 5)))
+    rep = thm2_harvest([5], [4], [3], 10, PrimeSet((2, 3, 5)), CAP)
     for A, B, C in rep.solutions:
         assert A != -1 and B != -1 and C != 1
 
