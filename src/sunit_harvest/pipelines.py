@@ -10,9 +10,9 @@ bucket becomes an actual solution of the target equation:
     thm2   a*u + b + 1 = c*w      ->  A + B + 1 = C    (A, B, C) = (a*u, b, c*w)
     prop1  a1*z1 + a2*z2 + a3*z3 = 0  ->  a + b = c    after gcd reduction
 
-All three run on one core: the walk emits one packed int64 key per hit (a
-`KeyPacking` of the small free variables, in ranges known from the sets),
-into one array, `popular_bucket` sorts that array in place, takes
+All three run on one core: the walk emits one packed key per hit (a
+`KeyPacking` of the small free variables, in ranges known from the sets: int32
+if they fit, else int64), into one array, `popular_bucket` sorts it in place, takes
 the popular key from its first longest run of equal keys and unpacks it, and
 each equation lists that key's bucket from the key alone, as
 (candidate solution, coefficients) pairs in exact integers.  `_harvest`
@@ -230,7 +230,8 @@ def _window_sets(config: HarvestConfig, equation: str, windows: Iterable) -> lis
 
 class KeyPacking:
     """Integer keys with lows[i] <= key[i] < lows[i] + sizes[i], packed into one
-    int64 each in mixed radix, so packed order is lexicographic key order.
+    value each in mixed radix, so packed order is lexicographic key order, by
+    `pack` into out or a new array of int32 when the packed values fit, else int64.
 
     Raises ResourceLimit, before any key array is built, when the
     prod(sizes) packed values pass int64.
@@ -240,8 +241,11 @@ class KeyPacking:
         if prod(sizes) > 2**63:  # the largest packed key is prod(sizes) - 1
             raise ResourceLimit(f"{what} keys pack into {prod(sizes)} values, beyond int64")
         self.lows, self.sizes = tuple(lows), tuple(sizes)
+        fits = prod(sizes) <= 2**31 and all(abs(v) < 2**31 for v in self.lows[1:] + self.sizes[1:])  # pack's scalars
+        self.dtype = np.dtype(np.int32 if fits else np.int64)
 
     def pack(self, *columns: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        out = np.empty(len(columns[0]), self.dtype) if out is None else out
         packed = np.subtract(columns[0], self.lows[0], out=out)
         for column, low, size in zip(columns[1:], self.lows[1:], self.sizes[1:]):
             packed *= size  # in place: one array for the whole pack
@@ -259,7 +263,7 @@ class KeyPacking:
 
 def _longest_run(s: np.ndarray) -> tuple[int, int]:
     """(length, start) of the first longest run of equal values in a sorted,
-    nonempty int64 array.  A run of length m exists iff s[i] == s[i + m - 1]
+    nonempty int32 or int64 array.  A run of length m exists iff s[i] == s[i + m - 1]
     for some i, so m gallops and then bisects, one comparison pass per probe;
     no index array the length of s is made."""
     n = len(s)
@@ -281,7 +285,8 @@ def popular_bucket(keys: np.ndarray, unpack: Callable[[int], tuple]) -> tuple[tu
     """The key of maximal count over the packed hit keys, unpacked as Python
     ints, and the bucket statistics; ties go to the smallest packed key.
 
-    keys is a 1-D int64 array, one packed key per hit, and is sorted in place;
+    keys is a 1-D int32 or int64 array, one packed key per hit (int32 when the
+    packed range fits, else int64), and is sorted in place;
     unpack maps a packed key (a Python int) to its key.  A KeyPacking keeps key
     order, so the tie-break is the lexicographically smallest key.
     """
@@ -378,7 +383,7 @@ def _linear_harvest(
     a_values: Sequence[int], shifts: Sequence[int], c_values: Sequence[int], r_values: Sequence[int], W: int, hit_cap
 ) -> tuple[tuple, dict, tuple, list, int]:
     """The harvest of a*u + s = c*r*w, u != 0, over a in A, s in shifts, c in C and
-    r in R with c*r coprime to a and 1 <= w <= W, keyed by (u, w) packed in one int64.
+    r in R with c*r coprime to a and 1 <= w <= W, keyed by (u, w) packed in one int32 or int64.
 
     For a unit r, c*r*w == s (mod a) iff c*w == s*r^-1 (mod a): the kernel runs C
     against the columns s*r^-1 mod a, and no product c*r is formed.  The exact
@@ -402,7 +407,7 @@ def _linear_harvest(
     counts = [count_hits([a], c_array, W, columns(a)[0]) for a in a_values]
     if sum(counts) > hit_cap:
         raise ResourceLimit(f"{sum(counts)} hits beyond hit cap {hit_cap}")
-    keys, n = np.empty(sum(counts), dtype=np.int64), 0
+    keys, n = np.empty(sum(counts), dtype=packing.dtype), 0
     for a, count in zip(a_values, counts):
         cols, units = columns(a)
         i, j, w = progressions(a, c_array, cols, W)
@@ -424,10 +429,16 @@ def _linear_harvest(
         u, w = key
         small, large = sorted((c_values, r_values), key=len)
         large = set(large)
-        bucket = []
-        for a, s in product(a_values, shifts):
-            m, rem = divmod(a * u + s, w)
-            if not rem and gcd(m, a) == 1:
+        bucket, s_min, s_max = [], int(s_array.min()), int(s_array.max())
+        for a in a_values:
+            # the shifts with 1 <= a*u + s <= c_max*r_max*w; a*u meets numpy only if one is, and then fits int64
+            lo, hi = max(1 - a * u, s_min), min(c_max * r_max * w - a * u, s_max)
+            if lo > hi:
+                continue
+            inside = s_array[(s_array >= lo) & (s_array <= hi)]
+            ms, rem = np.divmod(inside + a * u, w)
+            ok = (rem == 0) & (np.gcd(ms, a) == 1)
+            for s, m in zip(inside[ok].tolist(), ms[ok].tolist()):
                 bucket += [(a, s, m) for d in small if m % d == 0 and m // d in large]
         return bucket
 
@@ -495,7 +506,8 @@ def thm2_harvest(
     _check_sets(A=a_values, B=b_values, C=c_values)
     shifts = [b + 1 for b in b_values]
     span, stats, key, bucket, u0_discards = _linear_harvest(a_values, shifts, c_values, [1], W, hit_cap)
-    coprime_b = min(sum(gcd(b + 1, a) == 1 for b in b_values) for a in a_values)  # over the moduli
+    s_array = np.array(shifts, dtype=np.int64)
+    coprime_b = min(int(np.count_nonzero(np.gcd(s_array, a) == 1)) for a in a_values)  # over the moduli
     u, w = key
     candidates = [((a * u, s - 1, c * w), (a, s - 1, c)) for a, s, c in bucket]
     nondegenerate = [(t, p) for t, p in candidates if t[0] != -1 and t[1] != -1 and t[2] != 1]

@@ -11,6 +11,7 @@ import tracemalloc
 from collections import Counter
 from itertools import count, product
 from math import ceil, floor, gcd, prod, sqrt
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -137,6 +138,9 @@ def test_thm2_matches_brute_tally(sets):
     assert rep.audits["u_zero_discards"] == u_zero
     oracle = sum(brute_linear_count(a_values, c_values, W, b + 1).count for b in b_values)
     assert rep.bucket_stats["total_hits"] + rep.audits["u_zero_discards"] == oracle
+    # the np.gcd audit against one math.gcd per (a, b)
+    coprime_b = min(sum(gcd(b + 1, a) == 1 for b in b_values) for a in a_values)
+    assert rep.audits["coprime_b_min_fraction"] == coprime_b / len(b_values)
     for A, B, C, a, b, c, u, w in rep.solution_rows:
         assert (A, B, C) == (a * u, b, c * w)
 
@@ -178,6 +182,40 @@ def test_thm2_rows_match_brute_triples(a_values, b_values, c_values, W):
         if harvest is thm1_harvest:
             brute = [(A, C, a, c, u, w) for A, _, C, a, _, c, u, w in brute]
         assert rep.solution_rows == tuple(sorted(brute))
+
+
+def loop_listing(a_values, shifts, c_values, r_values, key) -> list:
+    """The linear harvest's bucket of key by one exact divmod per (a, s), in that order."""
+    u, w = key
+    small, large = sorted((c_values, r_values), key=len)
+    large = set(large)
+    bucket = []
+    for a, s in product(a_values, shifts):
+        m, rem = divmod(a * u + s, w)
+        if not rem and gcd(m, a) == 1:
+            bucket += [(a, s, m) for d in small if m % d == 0 and m // d in large]
+    return bucket
+
+
+@PROFILE
+@given(
+    st.sets(st.integers(1, 30), min_size=1, max_size=5).map(sorted),
+    st.lists(st.integers(-40, 80), min_size=1, max_size=10),  # unsorted, shifts <= 0 among them
+    st.sets(st.integers(1, 80), min_size=1, max_size=8).map(sorted),
+    st.sets(st.integers(1, 12), min_size=1, max_size=4).map(sorted),
+    st.tuples(st.one_of(st.integers(-20, 60), st.integers(-(2**70), 2**70)), st.integers(1, 40)),
+)
+@example([2, 3], [5, -3, 1], [7], [1], (2**62, 1))  # 2 * 2^62 passes int64; no shift is in either window
+@example([2, 3], [9, 1, 5], [4, 5], [1], (-(2**62), 3))  # the window lies above every shift
+@example([5], [4, 9, -1, 4], [2, 3], [2, 3, 6], (2, 3))  # a repeated shift
+@example([1, 7], [15, 0, 6, -6, 18], [3, 9], [2, 5], (0, 1))  # a = 1, shifts <= 0, three listed out of order
+@example([3], [4, 1], [1, 4], [1], (-1, 1))  # a*u + s = 1, the window's least value
+@example([3], [4, 1], [5, 7], [1, 2], (8, 2))  # a*u + s = 28 = c_max*r_max*w, its greatest
+def test_listing_matches_the_loop(a_values, shifts, c_values, r_values, key):
+    # the listing `_linear_harvest` hands to `_harvest`, on any key, against the divmod loop
+    with mock.patch.object(pipelines, "_harvest", lambda keys, listing, *rest: (listing,)):
+        listing, _ = _linear_harvest(a_values, shifts, c_values, r_values, 40, CAP)
+    assert listing(key) == loop_listing(a_values, shifts, c_values, r_values, key)
 
 
 def assert_stats_match_tally(stats: dict, tally: Counter, possible_buckets: int):
@@ -348,20 +386,23 @@ def test_listing_checked_against_count(monkeypatch, run):
         run()
 
 
-def test_linear_harvest_makes_no_second_key_array():
-    # the keys go into one array of exactly the hit count; beside it, the walk holds
-    # only arrays of one modulus's rows, never a second array of every key
+def test_linear_harvest_makes_no_second_key_array(monkeypatch):
+    # the keys go into one array of exactly the hit count, int32 as their range fits;
+    # beside it, the walk holds only arrays of one modulus's rows, never a second array of every key
     a_values = list(range(60, 121))
     c_values = [c for c in range(127, 400) if all(c % p for p in range(2, 20))]  # coprime to every a
     shifts, W = list(range(1, 31)), 600
     row_bytes = max(progressions(a, c_values, shifts, W)[0].nbytes for a in a_values)
+    dtypes, tally = [], pipelines.popular_bucket
+    monkeypatch.setattr(pipelines, "popular_bucket", lambda keys, *rest: dtypes.append(keys.dtype) or tally(keys, *rest))
     tracemalloc.start()
     try:
         _, stats, *_, u_zero = _linear_harvest(a_values, shifts, c_values, [1], W, CAP)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    key_bytes = (stats["total_hits"] + u_zero) * 8
+    assert dtypes == [np.int32]
+    key_bytes = (stats["total_hits"] + u_zero) * dtypes[0].itemsize
     assert key_bytes > 16 * row_bytes  # a second key array would show
     assert peak <= key_bytes + 16 * row_bytes, (peak, key_bytes, row_bytes)
 
@@ -612,17 +653,31 @@ def test_pair_collision_stats_matches_brute(values):
     assert pair_collision_stats(values) == (tally[best], best)
 
 
+@st.composite
+def key_arrays(draw):
+    """(dtype, keys): int32 or int64 keys, the dtype's least and greatest values among the draws."""
+    info = np.iinfo(draw(st.sampled_from([np.int32, np.int64])))
+    keys = st.lists(st.one_of(st.integers(-6, 6), st.sampled_from([info.min, info.max])), min_size=1, max_size=40)
+    return info.dtype, draw(keys)
+
+
+I64, I32 = np.dtype(np.int64), np.dtype(np.int32)
+
+
 @PROFILE
-@given(st.lists(st.one_of(st.integers(-6, 6), st.sampled_from([-(2**63), 2**63 - 1])), min_size=1, max_size=40))
-@example([7])
-@example([3] * 9)
-@example([1, 1, 1, 2, 3, 3])  # the longest run at the start
-@example([1, 2, 2, 3, 3, 3])  # and at the end
-@example([5, 5, -2, -2, 9])  # a tie: the smaller key wins
-def test_popular_bucket_matches_counter(keys):
+@given(key_arrays())
+@example((I64, [7]))
+@example((I64, [3] * 9))
+@example((I64, [1, 1, 1, 2, 3, 3]))  # the longest run at the start
+@example((I64, [1, 2, 2, 3, 3, 3]))  # and at the end
+@example((I64, [5, 5, -2, -2, 9]))  # a tie: the smaller key wins
+@example((I64, [2**63 - 1, -(2**63), 2**63 - 1, 0]))
+@example((I32, [2**31 - 1, -(2**31), 2**31 - 1, 0, -(2**31)]))  # a tie at the int32 ends
+def test_popular_bucket_matches_counter(case):
+    dtype, keys = case
     tally = Counter(keys)
     best = min(tally, key=lambda k: (-tally[k], k))
-    array = np.array(keys, dtype=np.int64)
+    array = np.array(keys, dtype=dtype)
     key, stats = popular_bucket(array, lambda k: (k,))
     assert key == (best,)
     assert (stats["max_load"], stats["nonempty_buckets"], stats["total_hits"]) == (tally[best], len(tally), len(keys))

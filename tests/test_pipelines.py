@@ -205,8 +205,10 @@ def _traced_peak(f, *args) -> int:
 def test_tally_allocates_little_beyond_its_input():
     rng = np.random.default_rng(5)
     keys = rng.integers(0, 10**6, size=10**6, dtype=np.int64)
-    # a sort in place and one boolean pass at a time: no key-sized copy
-    assert _traced_peak(popular_bucket, keys, lambda k: (k,)) < keys.nbytes / 4
+    # a sort in place and one boolean pass (a byte a key) at a time: no copy of the
+    # 4- or 8-byte keys, for either key dtype
+    for array in (keys.astype(np.int32), keys):
+        assert _traced_peak(popular_bucket, array, lambda k: (k,)) < 1.25 * len(array)
     values = rng.choice(10**6, size=1500, replace=False).tolist()
     assert _traced_peak(pair_collision_stats, values) <= 1.25 * 8 * (1500 * 1499 // 2)  # the int64 differences
 
@@ -215,8 +217,20 @@ def test_key_packing_order_and_int64_edge():
     packing = KeyPacking((-2, 1, -1), (4, 3, 3), "three-column")
     keys = list(product(range(-2, 2), range(1, 4), range(-1, 2)))  # lexicographic
     packed = packing.pack(*np.array(keys).T)
-    assert packed.tolist() == list(range(len(keys)))
+    assert packed.dtype == np.int32 and packed.tolist() == list(range(len(keys)))
     assert [packing.unpack(k) for k in range(len(keys))] == keys
+    # prod(sizes) = 2^31 packs int32: the largest key is INT32_MAX, into a given array too
+    edge = KeyPacking((-(2**15), 1), (2**16, 2**15), "(u, w)")
+    out = np.zeros(2, dtype=np.int32)
+    edge.pack(np.array([2**15 - 1, -(2**15)]), np.array([2**15, 1]), out=out)
+    assert edge.dtype == np.int32 and out.tolist() == [2**31 - 1, 0]
+    assert edge.unpack(2**31 - 1) == (2**15 - 1, 2**15)
+    # 3 * 715,827,883 = 2^31 + 1 values pack int64: the largest key is 2^31
+    wide = KeyPacking((0, 1), (3, 715_827_883), "(u, w)").pack(np.array([2]), np.array([715_827_883]))
+    assert wide.dtype == np.int64 and wide.tolist() == [2**31]
+    # so does a range that fits int32 when a later digit's low does not: pack subtracts it in the key dtype
+    far = KeyPacking((0, 10**12), (2, 3), "(u, w)")
+    assert far.dtype == np.int64 and far.pack(np.array([1]), np.array([10**12 + 2])).tolist() == [5]
     # prod(sizes) = 2^63 packs: the largest key is INT64_MAX, reached without overflow
     edge = KeyPacking((-(2**31), 1), (2**32, 2**31), "(u, w)")
     assert edge.pack(np.array([2**31 - 1]), np.array([2**31])).tolist() == [2**63 - 1]
