@@ -16,8 +16,9 @@ if they fit, else int64), into one array, `popular_bucket` sorts it in place, ta
 the popular key from its first longest run of equal keys and unpacks it, and
 each equation lists that key's bucket from the key alone, as
 (candidate solution, coefficients) pairs in exact integers.  `_harvest`
-checks that listing against the count; `_keep_verified` dedupes, verifies and
-emits rows solution + coefficients + key.  thm1 and thm2 share one linear
+checks that listing against the count; `_report` adjoins the key's primes,
+dedupes and verifies, and builds the one report with rows solution +
+coefficients + key.  thm1 and thm2 share one linear
 harvest of a*u + s = c*r*w: thm1 at s = 1 with c*r over Q*R, thm2 at s = b + 1
 with R = {1}, walked with the kernel of `stepping`; prop1 walks every
 coefficient triple in one batched kernel-vector search, `siegel.NonzeroSearch`.
@@ -70,9 +71,10 @@ class HarvestReport:
         return {**vars(self), "solutions": self.solutions}  # json writes the tuples as lists
 
 
-@dataclass
+@dataclass(frozen=True)
 class HarvestConfig:
-    """Scales, prime sets and caps for one pipeline run.
+    """Scales, prime sets and caps for one pipeline run, checked when it is made
+    (ConfigError) and immutable after, so no run checks it again.
 
     Prime intervals at paper scale are degenerate on a desk, so the prime sets
     are given explicitly while Z, W (and Y, Q) are derived from X through
@@ -103,7 +105,7 @@ class HarvestConfig:
         """thm1's factor scale R = X / Q, so that Q * R = X."""
         return None if self.q is None else self.x / self.q
 
-    def validate(self):
+    def __post_init__(self):
         if self.equation not in ("thm1", "thm2", "prop1"):
             raise ConfigError("equation", f"unknown equation {self.equation!r}")
         for name, a, b in (("t1/t2", self.t1, self.t2), ("t1/t3", self.t1, self.t3), ("t2/t3", self.t2, self.t3)):
@@ -177,7 +179,7 @@ def config_from_exponents(
     else:
         # exponent arithmetic gives Y = X * W exactly; rounding W down keeps Y <= X*W
         derived = {"y": min(float(x) ** exps.y_exp, float(x) * w)}
-    cfg = HarvestConfig(
+    return HarvestConfig(
         equation=equation,
         t1=t1,
         t2=t2,
@@ -188,16 +190,12 @@ def config_from_exponents(
         variant=variant,
         **{"w_max": w, "z": z, **derived, **kwargs},
     )
-    cfg.validate()
-    return cfg
 
 
 def prop1_config(x: int, t1: PrimeSet, t2: PrimeSet, t3: PrimeSet, **kwargs) -> HarvestConfig:
-    """A validated prop1 config.  Each coefficient triple costs a kernel-vector
-    search, so the hit cap defaults to 2,000,000 rather than the thm1/thm2 50,000,000."""
-    cfg = HarvestConfig("prop1", t1, t2, t3, x, **{"delta": 0.1, "hit_cap": 2_000_000, **kwargs})
-    cfg.validate()
-    return cfg
+    """A prop1 config.  Each coefficient triple costs a kernel-vector search, so
+    the hit cap defaults to 2,000,000 rather than the thm1/thm2 50,000,000."""
+    return HarvestConfig("prop1", t1, t2, t3, x, **{"delta": 0.1, "hit_cap": 2_000_000, **kwargs})
 
 
 def _range(scale: float, delta: float) -> tuple[int, int]:
@@ -212,10 +210,10 @@ def _range(scale: float, delta: float) -> tuple[int, int]:
 
 
 def _window_sets(config: HarvestConfig, equation: str, windows: Iterable) -> list[tuple[int, ...]]:
-    """Validate the config, then list the squarefree smooth numbers over t1, t2
-    and t3 in the three windows (key, lo, hi), which are only read after
-    validation; an empty window is a ConfigError naming the key that sets it."""
-    config.validate()
+    """List the squarefree smooth numbers over t1, t2 and t3 of a config for
+    equation in the three windows (key, lo, hi); the windows are read only after
+    the equation is checked, and an empty one is a ConfigError naming the key
+    that sets it."""
     if config.equation != equation:
         raise ConfigError("equation", f"config is not a {equation} config")
     windows = list(windows)
@@ -341,22 +339,22 @@ def _harvest(
     return span, stats, key, bucket
 
 
-def _keep_verified(
-    candidates: Iterable[tuple], equation: str, s_prime: PrimeSet, key: tuple
-) -> tuple[PrimeSet, tuple, int, int]:
-    """Adjoin the primes of the popular key to S' and keep the candidates that verify.
+def _report(
+    equation: str, key: tuple, stats: dict, candidates: Iterable[tuple], s_prime: PrimeSet, set_sizes: dict, **audits
+) -> HarvestReport:
+    """The report of a harvest whose popular key is key: adjoin the key's primes
+    to S' and keep the distinct candidates that verify over the enlarged set S.
 
-    candidates yields (solution, coefficients) pairs.  Returns the enlarged set
-    S, the sorted rows solution + coefficients + key of the distinct verified
-    solutions, the number of duplicate candidates and the number of failures.
+    candidates yields (solution, coefficients) pairs; the kept ones become the
+    sorted rows solution + coefficients + key.  A repeated solution is skipped,
+    and audits gains verify_failures, the distinct solutions that fail.
     """
     S = s_prime.union(PrimeSet(prime_support(prod(key))))  # only the key's few primes are proven again
     seen = set()
     rows = []
-    duplicates = failures = 0
+    failures = 0
     for solution, coefficients in candidates:
         if solution in seen:
-            duplicates += 1
             continue
         seen.add(solution)
         if not verify_sunit_solution(solution, equation, S):
@@ -364,7 +362,8 @@ def _keep_verified(
             continue
         rows.append(solution + coefficients + key)
     rows.sort()
-    return S, tuple(rows), duplicates, failures
+    audits["verify_failures"] = failures
+    return HarvestReport(equation, s_prime.primes, S.primes, key, tuple(rows), stats, set_sizes, audits)
 
 
 def _check_sets(**sets: Sequence[int]) -> None:
@@ -395,7 +394,8 @@ def _linear_harvest(
     c*r*W - s passes int64.  The callers check the sets (`_check_sets`)."""
     # an empty set has no hits, which `popular_bucket` reports; its defaults only keep the bounds finite
     a_min, c_max, r_max = min(a_values, default=1), max(c_values, default=1), max(r_values, default=1)
-    u_lo, u_hi = -(max(shifts, default=0) // a_min) - 1, c_max * r_max * W // a_min
+    # from 1 <= a*u + s <= c_max*r_max*W; a shift > 0 lowers only u_lo, a shift < 0 raises only u_hi
+    u_lo, u_hi = -(max([0, *shifts]) // a_min) - 1, (c_max * r_max * W - min([0, *shifts])) // a_min
     packing = KeyPacking((u_lo, 1), (u_hi - u_lo + 1, W), "(u, w)")
     c_array, r_array = _int64(c_values, shifts, W * r_max), _int64(r_values, shifts, W * c_max)
     s_array = np.array(shifts, dtype=np.int64)
@@ -463,17 +463,8 @@ def thm1_harvest(
     _, stats, key, bucket, _ = _linear_harvest(a_values, [1], q_values, r_values, W, hit_cap)
     u, w = key
     candidates = (((a * u, c * w), (a, c)) for a, _, c in bucket)
-    S, rows, _, verify_failures = _keep_verified(candidates, "thm1", s_prime, key)
-    return HarvestReport(
-        equation="thm1",
-        s_prime=s_prime.primes,
-        s_full=S.primes,
-        popular_key=key,
-        solution_rows=rows,
-        bucket_stats=stats,
-        set_sizes={"Q": len(q_values), "R": len(r_values), "A": len(a_values), "C": len(q_values) * len(r_values)},
-        audits={"verify_failures": verify_failures},
-    )
+    set_sizes = {"Q": len(q_values), "R": len(r_values), "A": len(a_values), "C": len(q_values) * len(r_values)}
+    return _report("thm1", key, stats, candidates, s_prime, set_sizes)
 
 
 def thm1_run(config: HarvestConfig) -> HarvestReport:
@@ -511,22 +502,13 @@ def thm2_harvest(
     u, w = key
     candidates = [((a * u, s - 1, c * w), (a, s - 1, c)) for a, s, c in bucket]
     nondegenerate = [(t, p) for t, p in candidates if t[0] != -1 and t[1] != -1 and t[2] != 1]
-    S, rows, _, verify_failures = _keep_verified(nondegenerate, "thm2", s_prime, key)
-    return HarvestReport(
-        equation="thm2",
-        s_prime=s_prime.primes,
-        s_full=S.primes,
-        popular_key=key,
-        solution_rows=rows,
-        bucket_stats=stats,
-        set_sizes={"A": len(a_values), "B": len(b_values), "C": len(c_values)},
-        audits={
-            "u_zero_discards": u0_discards,
-            "degenerate_filtered": len(candidates) - len(nondegenerate),
-            "verify_failures": verify_failures,
-            "coprime_b_min_fraction": coprime_b / len(b_values),
-            "u_range_observed": [span[0][0], span[1][0]],
-        },
+    set_sizes = {"A": len(a_values), "B": len(b_values), "C": len(c_values)}
+    return _report(
+        "thm2", key, stats, nondegenerate, s_prime, set_sizes,
+        u_zero_discards=u0_discards,
+        degenerate_filtered=len(candidates) - len(nondegenerate),
+        coprime_b_min_fraction=coprime_b / len(b_values),
+        u_range_observed=[span[0][0], span[1][0]],
     )
 
 
@@ -584,23 +566,14 @@ def prop1_run(config: HarvestConfig) -> HarvestReport:
     _, stats, key, bucket = _harvest(keys, listing, packing, M * (2 * M) ** 2)  # z2, z3 != 0
     del keys
     s_prime = config.t1.union(config.t2, config.t3)
-    S, rows, duplicates, verify_failures = _keep_verified(bucket, "prop1", s_prime, key)
-
-    report = HarvestReport(
-        equation="prop1",
-        s_prime=s_prime.primes,
-        s_full=S.primes,
-        popular_key=key,
-        solution_rows=rows,
-        bucket_stats=stats,
-        set_sizes={"A1": len(sets[0]), "A2": len(sets[1]), "A3": len(sets[2])},
-        audits={
-            "skipped_triples": skipped_triples,
-            "skip_rate": skipped_triples / n_triples if n_triples else 0.0,
-            "reduced_duplicates": duplicates,
-            "verify_failures": verify_failures,
-        },
+    set_sizes = {"A1": len(sets[0]), "A2": len(sets[1]), "A3": len(sets[2])}
+    report = _report(
+        "prop1", key, stats, bucket, s_prime, set_sizes,
+        skipped_triples=skipped_triples,
+        skip_rate=skipped_triples / n_triples if n_triples else 0.0,
     )
+    # each hit is kept, fails or repeats a reduced solution seen before
+    report.audits["reduced_duplicates"] = len(bucket) - len(report.solution_rows) - report.audits["verify_failures"]
     return _with_config(report, config)
 
 

@@ -235,19 +235,20 @@ def assert_stats_match_tally(stats: dict, tally: Counter, possible_buckets: int)
 @PROFILE
 @given(
     moduli,
-    st.sets(st.integers(0, 80), min_size=1, max_size=8).map(sorted),
+    st.sets(st.integers(-60, 81), min_size=1, max_size=8).map(sorted),
     coefficients,
     st.sets(st.integers(1, 12), min_size=1, max_size=4).map(sorted),
     w_bounds,
 )
-@example([2], [0], [3, 5], [1], 4)  # thm1's shift 1, R = {1}
-@example([3], [2], [1, 4], [1], 5)  # c = 1
-@example([4, 9], [1, 5], [5, 7], [2, 3], 12)  # 2 | b + 1 = 2 and 2 | r: still no hit mod 4
-@example([5], [0, 3], [2, 3], [2, 3], 8)  # 2*3 = 3*2: one product from two pairs
-def test_linear_harvest_packed_key_matches_tuple_counter(a_values, b_values, c_values, r_values, W):
+@example([2], [1], [3, 5], [1], 4)  # thm1's shift 1, R = {1}
+@example([3], [3], [1, 4], [1], 5)  # c = 1
+@example([4, 9], [2, 6], [5, 7], [2, 3], 12)  # 2 | s = 2 and 2 | r: still no hit mod 4
+@example([5], [1, 4], [2, 3], [2, 3], 8)  # 2*3 = 3*2: one product from two pairs
+@example([1, 30], [-5], [1], [1], 40)  # a shift < 0: at a = 1, u = w + 5 reaches 45, past c_max*W // a_min = 40
+def test_linear_harvest_packed_key_matches_tuple_counter(a_values, shifts, c_values, r_values, W):
     # the packed (u, w) keys against a Counter of (u, w) tuples, c*r coprime to a;
-    # the hit cap bounds the exact count of hits, the u = 0 hits included
-    shifts = [b + 1 for b in b_values]
+    # the hit cap bounds the exact count of hits, the u = 0 hits included.  thm1 and
+    # thm2 pass shifts >= 1; shifts <= 0 check the u range at both ends
     tally, hits = Counter(), 0
     for a, s, c, r in product(a_values, shifts, c_values, r_values):
         for w in range(1, W + 1):
@@ -265,7 +266,8 @@ def test_linear_harvest_packed_key_matches_tuple_counter(a_values, b_values, c_v
         return
     span, stats, key, bucket, u_zero = _linear_harvest(a_values, shifts, c_values, r_values, W, hits)
     assert key == min(tally, key=lambda k: (-tally[k], k))
-    u_lo, u_hi = -(max(shifts) // min(a_values)) - 1, max(c_values) * max(r_values) * W // min(a_values)
+    m_max, s_lo, s_hi = max(c_values) * max(r_values) * W, min(0, *shifts), max(0, *shifts)
+    u_lo, u_hi = -(s_hi // min(a_values)) - 1, (m_max - s_lo) // min(a_values)
     assert u_lo <= min(tally)[0] and max(tally)[0] <= u_hi
     assert_stats_match_tally(stats, tally, (u_hi - u_lo) * W)
     assert span == (min(tally), max(tally)) and u_zero == hits - sum(tally.values())

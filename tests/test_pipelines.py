@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 from itertools import product
 from math import prod
@@ -254,6 +255,19 @@ def test_verify_sunit_solution():
     assert not verify_sunit_solution((2, 4, 6), "prop1", PrimeSet((2, 3)))
 
 
+def test_report_counts_failures_once_and_adjoins_the_key_primes():
+    # the key (5, 1) adjoins 5 to S' = {2, 3}, so 4 + 1 = 5 verifies; (2, 3) repeats,
+    # (10, 11) has 11 outside S and (3, 5) breaks A + 1 = C
+    stats = {"max_load": 5}
+    candidates = [((2, 3), (2, 3)), ((10, 11), (2, 11)), ((2, 3), (1, 3)), ((4, 5), (4, 5)), ((3, 5), (3, 5))]
+    rep = pipelines._report("thm1", (5, 1), stats, iter(candidates), PrimeSet((2, 3)), {"A": 1}, other=7)
+    assert rep.solution_rows == ((2, 3, 2, 3, 5, 1), (4, 5, 4, 5, 5, 1))
+    assert rep.solutions == ((2, 3), (4, 5))
+    assert rep.audits == {"other": 7, "verify_failures": 2}
+    assert rep.s_prime == (2, 3) and rep.s_full == (2, 3, 5)
+    assert (rep.equation, rep.popular_key, rep.bucket_stats, rep.set_sizes) == ("thm1", (5, 1), stats, {"A": 1})
+
+
 def test_prop1_micro():
     rep = prop1_run(prop1_config(30, PrimeSet((2,)), PrimeSet((3,)), PrimeSet((5,))))
     assert rep.popular_key == (1, 1, -1)
@@ -345,24 +359,17 @@ def test_pair_collision_stats():
 def test_config_validation():
     with pytest.raises(ConstraintViolation):
         config_from_exponents("thm1", 10**6, 0.25, "unconditional", 0.1, T1, T2, T3)
+    # a config is checked when it is made, a changed copy too, and cannot be changed after
     cfg = desk_thm1_config()
-    cfg.w_max = 10**7
-    with pytest.raises(ConfigError):
-        cfg.validate()
-    bad = HarvestConfig(
-        equation="thm1",
-        t1=T1,
-        t2=T1,
-        t3=T3,
-        x=10**6,
-        delta=0.1,
-        w_max=4,
-        z=100.0,
-        q=63.1,
-    )
-    with pytest.raises(ConfigError):
-        bad.validate()
+    with pytest.raises(ConfigError, match="W <= min"):
+        dataclasses.replace(cfg, w_max=10**7)
+    with pytest.raises(ConfigError, match="disjoint"):
+        dataclasses.replace(cfg, t2=T1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.w_max = 10**7
+    assert cfg.w_max == desk_thm1_config().w_max
+    with pytest.raises(ConfigError, match="disjoint"):
+        HarvestConfig(equation="thm1", t1=T1, t2=T1, t3=T3, x=10**6, delta=0.1, w_max=4, z=100.0, q=63.1)
     # W and Z are optional fields, but thm1 and thm2 need them
-    no_scales = HarvestConfig("thm2", T1, T2, T3, 10**5, 0.1, y=10**6)
-    with pytest.raises(ConfigError):
-        no_scales.validate()
+    with pytest.raises(ConfigError, match="needs the W and Z"):
+        HarvestConfig("thm2", T1, T2, T3, 10**5, 0.1, y=10**6)
