@@ -100,16 +100,25 @@ class CharacterTable:
         return V
 
     def sums_over_counts(self, counts_by_residue: np.ndarray) -> np.ndarray:
-        """F[i] = sum_x counts[x] * chi_i(x) for every character at once; the
-        counts are any real or complex vector indexed by the residues 0 <= x < a.
+        """F[..., i] = sum_x counts[..., x] * chi_i(x) for every character at once; the
+        counts are any real or complex array whose last axis is indexed by the
+        residues 0 <= x < a, so a (..., a) stack is transformed in one call.
 
         Scatters the coprime residues onto the unit-group grid and takes a
-        multidimensional inverse DFT, which matches the chi orientation above.
-        Residues with gcd > 1 are ignored (chi is zero there).
+        multidimensional inverse DFT over its last k axes, which matches the chi
+        orientation above.  Residues with gcd > 1 are ignored (chi is zero there).
+        The axes go last first, as `np.fft.ifftn` takes them, bit for bit; the
+        axis of p = 2 has length 1, where the inverse DFT is the identity.
         """
-        grid = np.zeros(self.phi, dtype=complex)
-        grid[self._slot[self._coprime]] = np.asarray(counts_by_residue)[self._coprime]
-        return np.fft.ifftn(grid.reshape(self.orders)).reshape(-1) * self.phi
+        counts = np.asarray(counts_by_residue)
+        lead = counts.shape[:-1]
+        grid = np.zeros(lead + (self.phi,), dtype=complex)
+        grid[..., self._slot[self._coprime]] = counts[..., self._coprime]
+        grid = grid.reshape(lead + self.orders)
+        for axis in range(grid.ndim - 1, len(lead) - 1, -1):
+            if grid.shape[axis] > 1:
+                grid = np.fft.ifft(grid, axis=axis)
+        return grid.reshape(lead + (self.phi,)) * self.phi
 
 
 def all_characters(a: int) -> CharacterTable:
@@ -335,8 +344,7 @@ def multiplicative_decomposition(A: Iterable[int], C: Iterable[int], W: int) -> 
     remainder = 0.0 + 0.0j
     for a in a_values:
         table = all_characters(a)
-        Fc = table.sums_over_counts(np.bincount(c % a, minlength=a))
-        Fw = table.sums_over_counts(_interval_counts(a, W))
+        Fc, Fw = table.sums_over_counts(np.stack([np.bincount(c % a, minlength=a), _interval_counts(a, W)]))
         prod = Fc * Fw / table.phi
         main += prod[0].real
         remainder += np.sum(prod[1:])

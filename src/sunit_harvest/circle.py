@@ -111,10 +111,11 @@ def additive_decomposition(A: Iterable[int], C: Iterable[int], mu: float) -> Add
         # gcd(c, a) > 1 has no inverse and drops out
         inv, unit = _unit_inverse(c, a)
         main += wa * int(np.count_nonzero(unit)) / a
-        # F[h] = sum_c e(h c^-1 / a), Wsum[h] = sum_{w=1..wa} e(-h w / a), 0 <= h <= a/2, by real
-        # transforms of real inputs: the term at -h is the conjugate of the one at h
-        F = np.fft.rfft(np.bincount(inv[unit], minlength=a)).conj()
-        terms = np.fft.rfft(_interval_counts(a, wa)) * F / a
+        # F[h] = sum_c e(h c^-1 / a), Wsum[h] = sum_{w=1..wa} e(-h w / a), 0 <= h <= a/2, by one real
+        # transform of both real inputs: the term at -h is the conjugate of the one at h
+        F, Wsum = np.fft.rfft(np.stack([np.bincount(inv[unit], minlength=a), _interval_counts(a, wa)]))
+        F = F.conj()
+        terms = Wsum * F / a
         start = (Z - 1) // 2 - (a - 1) // 2
         window = slice(start, start + a - 1)
         k = np.abs(h[window])

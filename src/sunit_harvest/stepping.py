@@ -1,9 +1,12 @@
 """The residue-progression kernel: {(c, shift, w) : c*w == shift (mod a), 1 <= w <= W}.
 
 Only the units c mod a are listed or counted; a c that shares a factor with a
-is left out, never refused.  One array Euler power (`_unit_inverse`) yields the
-inverses and the unit mask for both walks, the exact count and the additive
-spectrum.  Two walks list the same rows.  The start walk lists the terms
+is left out, never refused.  One array power c^(lambda(a) - 1), lambda the
+Carmichael exponent (`_unit_inverse`), yields the inverses and the unit mask
+for both walks, the exact count and the additive spectrum.  When a <= #c it
+runs once over the a residues, and the table is kept for the next call with
+the same a: the tables kept are bounded by TABLE_BYTES (1 MiB), least recently
+used out first.  Two walks list the same rows.  The start walk lists the terms
 w0 + a*k, k < ceil(W / a), of every cell (c, shift) from w0 == shift * c^-1
 (mod a), as one grid masked by w <= W, at O(#units * #shifts + hits) instead of
 the naive O(#C * #shifts * W).  The dual walk (`_join`) joins the residue
@@ -17,12 +20,18 @@ Either walk groups the rows by c; no caller reads their order within one c.
 
 from __future__ import annotations
 
+from collections import OrderedDict
+from math import lcm
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .arith import multiplicative_functions
+from .arith import trial_factor
 from .errors import DomainError, ResourceLimit
+
+TABLE_BYTES = 2**20  # the bytes of inverse tables kept between `_unit_inverse` calls
+_TABLES: OrderedDict[int, tuple[np.ndarray, np.ndarray]] = OrderedDict()  # a -> (inv, unit), oldest first
+_held = 0  # the bytes _TABLES holds
 
 
 def _check_moduli(a_values: Sequence[int]) -> None:
@@ -57,27 +66,60 @@ def _powmod(x: np.ndarray, e: int, m) -> np.ndarray:
     return out
 
 
+def _carmichael(a: int) -> int:
+    """Carmichael's lambda(a), the least e >= 1 with x^e == 1 (mod a) for every unit x:
+    the lcm over p^k || a of (p - 1)*p^(k - 1), halved for 2^k with k >= 3."""
+    return lcm(*((p - 1) * p ** (k - 1) // (2 if p == 2 and k >= 3 else 1) for p, k in trial_factor(a)))
+
+
+def _invert(x: np.ndarray, a: int) -> tuple[np.ndarray, np.ndarray]:
+    """(inv, unit) for residues x mod a: inv = x^(lambda(a) - 1) mod a is x^-1 mod a
+    exactly where unit, x*inv == 1 (mod a), so units need no gcd.  Its products, at
+    most (a - 1)^2, are exact in int32 while (a - 1)^2 < 2^31 (a <= 46,341), else in
+    int64, the dtype of inv."""
+    x = x.astype(np.int32 if (a - 1) ** 2 < 2**31 else np.int64, copy=False)
+    inv = _powmod(x, _carmichael(a) - 1, a)
+    return inv, x * inv % a == 1 % a
+
+
+def _inverse_table(a: int) -> tuple[np.ndarray, np.ndarray]:
+    """`_invert` over the a residues, read-only and kept in _TABLES while it fits TABLE_BYTES;
+    the least recently used tables go first, and a table past the budget is not kept."""
+    global _held
+    if a in _TABLES:
+        _TABLES.move_to_end(a)
+        return _TABLES[a]
+    table = _invert(np.arange(a), a)
+    size = sum(t.nbytes for t in table)
+    if size <= TABLE_BYTES:
+        for t in table:
+            t.flags.writeable = False
+        _TABLES[a] = table
+        _held += size
+        while _held > TABLE_BYTES:
+            _held -= sum(t.nbytes for t in _TABLES.popitem(last=False)[1])
+    return table
+
+
 def _unit_inverse(c: np.ndarray, a: int) -> tuple[np.ndarray, np.ndarray]:
-    """(inv, unit) for an int64 array c: inv = c^(phi(a) - 1) mod a is c^-1 mod a
-    exactly where unit, c*inv == 1 (mod a), so units need no gcd.  With a <= #c
-    the power runs once over the a residues, into a table that c mod a indexes;
-    otherwise over c mod a itself.  Its products, at most (a - 1)^2, are exact in int32
-    while (a - 1)^2 < 2^31 (a <= 46,341), else in int64, the dtype of inv.  Refuses
-    a^2 >= 2^63 (ResourceLimit) before factoring a for phi(a) or building any array of length a."""
+    """(inv, unit) of `_invert` for c mod a, an int64 array c.  With a <= #c the power
+    runs once over the a residues, into a table that c mod a indexes and that
+    `_inverse_table` keeps for the next call with this a; otherwise over c mod a
+    itself.  Refuses a^2 >= 2^63 (ResourceLimit) before factoring a or building any
+    array of length a."""
     if int(a) ** 2 >= 2**63:
         raise ResourceLimit(f"residue stepping mod {a} beyond int64")
-    dtype = np.int32 if (int(a) - 1) ** 2 < 2**31 else np.int64
     x = c % a
-    base = np.arange(a, dtype=dtype) if a <= x.size else x.astype(dtype, copy=False)
-    inv = _powmod(base, multiplicative_functions(a)[0] - 1, a)
-    unit = base * inv % a == 1 % a
-    return (inv[x], unit[x]) if a <= x.size else (inv, unit)
+    if a <= x.size:
+        inv, unit = _inverse_table(int(a))
+        return inv[x], unit[x]
+    return _invert(x, int(a))
 
 
 def _join(a: int, c: np.ndarray, shifts: Sequence[int], W: int):
     """int64 arrays (i, j, w) by the dual walk: the residue r = (c mod a)*w mod a
     of every (c, w) with 1 <= w <= W, joined against the shifts grouped by
-    residue mod a (one stable argsort, one bincount), the matches of each
+    residue mod a (one value sort, one bincount), the matches of each
     (c, w) spread by one repeat.  Rows come grouped by ascending i, in (w, j)
     order within i.
 
@@ -86,7 +128,11 @@ def _join(a: int, c: np.ndarray, shifts: Sequence[int], W: int):
     `_unit_inverse` checked a^2 < 2^63, a*W < 2^63 while #shifts < 2^31.
     """
     sh = np.array(shifts, dtype=np.int64) % a
-    order = np.argsort(sh, kind="stable")
+    m = sh.size
+    # the stable argsort of sh by one value sort of sh*m + k, each index k below its residue:
+    # sh*m + k < a*m < 2^63, as a < 2^31.5 (a^2 < 2^63) and m < 2^31 (16 GiB of int64 shifts)
+    order = np.sort(sh * m + np.arange(m))
+    order -= order // m * m
     counts = np.bincount(sh, minlength=a)
     r = ((c % a)[:, None] * np.arange(1, W + 1) % a).ravel()
     n = counts[r]

@@ -366,6 +366,28 @@ def test_bulk_sums_align_with_character_indexing():
             assert abs(weighted[i] - termwise) <= 1e-9, (a, i)
 
 
+@pytest.mark.parametrize("a", [7, 3 * 5, 2 * 3 * 7, 2 * 3 * 5 * 7, 3 * 5 * 7 * 11])
+def test_sums_over_a_stack_equal_the_rows_bit_for_bit(a):
+    # squarefree moduli of 1 to 4 primes; one call over a (..., a) stack, real and complex rows
+    t = all_characters(a)
+    rng = np.random.default_rng(a)
+    counts, weights = rng.integers(0, 9, a), rng.normal(size=a) + 1j * rng.normal(size=a)
+    for stack in (
+        np.stack([counts, counts[::-1] / 3]),
+        np.stack([counts, weights]),
+        np.stack([[weights, weights.conj()], [counts / 7, weights.real]]),
+    ):
+        got = t.sums_over_counts(stack)
+        assert got.shape == stack.shape[:-1] + (t.phi,)
+        for row, want in zip(got.reshape(-1, t.phi), stack.reshape(-1, a)):
+            assert np.array_equal(row, t.sums_over_counts(want)), a
+            # and each row as one np.fft.ifftn over the whole grid gives it
+            grid = np.zeros(t.phi, dtype=complex)
+            grid[t._slot[t._coprime]] = want[t._coprime]
+            assert np.array_equal(row, np.fft.ifftn(grid.reshape(t.orders)).reshape(-1) * t.phi), a
+    assert t.sums_over_counts(counts).shape == (t.phi,)
+
+
 def test_coprime_mask_is_the_gcd_mask():
     # the mask comes from the x % p the log tables already take: gcd(x, a) == 1
     # for squarefree a exactly when no prime p | a divides x

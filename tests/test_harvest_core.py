@@ -8,9 +8,9 @@ bounded so the suite stays deterministic and quick.
 
 import re
 import tracemalloc
-from collections import Counter
+from collections import Counter, OrderedDict
 from itertools import count, product
-from math import ceil, floor, gcd, prod, sqrt
+from math import ceil, floor, gcd, lcm, prod, sqrt
 from unittest import mock
 
 import numpy as np
@@ -519,6 +519,9 @@ def moduli_and_residues(draw):
 @example((3_037_000_499, [1, 2, 13, 233_615_423, 3_037_000_498]))  # products near 2^63
 @example((46_341, [0, 1, 2, 46_339, 46_340]))  # the last int32 modulus: (a - 1)^2 < 2^31
 @example((46_342, [0, 1, 2, 46_340, 46_341]))  # the first int64 one: (a - 1)^2 passes 2^31
+@example((8, [0, 1, 2, 3, 4, 5, 6, 7]))  # lambda(8) = 2 < phi(8) = 4: 2^1 = 2 but 2^3 = 0 mod 8
+@example((16, [0, 2, 3, 8, 15]))
+@example((30_030, [0, 1, 2, 13, 17, 30_029]))  # lambda = 60 against phi = 5,760
 def test_powmod_inverts_units(case):
     a, x = case
     xs = np.array(x, dtype=np.int64)
@@ -526,8 +529,100 @@ def test_powmod_inverts_units(case):
     expected = [pow(v, -1, a) if gcd(v, a) == 1 else pow(v, e, a) for v in x]
     assert _powmod(xs, e, a).tolist() == expected
     assert _powmod(xs, e, np.full_like(xs, a)).tolist() == expected  # one modulus per residue
+    # the kernel raises to lambda(a) - 1, not phi(a) - 1, so it pins only the inverses of units
     inv, unit = _unit_inverse(xs, a)
-    assert inv.tolist() == expected and unit.tolist() == [gcd(v, a) == 1 for v in x]
+    assert unit.tolist() == [gcd(v, a) == 1 for v in x]
+    assert inv[unit].tolist() == [pow(v, -1, a) for v in x if gcd(v, a) == 1]
+
+
+@pytest.mark.parametrize("a", [1, 2, 4, 8, 16, 2 * 3 * 5 * 7 * 11 * 13, 46_341, 46_342])
+def test_unit_inverse_matches_pow_on_every_residue(a):
+    # every residue, once by the table (a <= #c) and once directly (#c < a), against pow(x, -1, a)
+    x = np.arange(a, dtype=np.int64)
+    for c in (x, x[1:]):
+        inv, unit = _unit_inverse(c, a)
+        units = [v for v in c.tolist() if gcd(v, a) == 1]
+        assert c[unit].tolist() == units and inv[unit].tolist() == [pow(v, -1, a) for v in units]
+
+
+def test_carmichael_is_the_exponent_of_the_unit_group():
+    # lambda(a) is the lcm of the orders of the units mod a; x^(lambda - 1) inverts them
+    for a in range(1, 130):
+        units = [x for x in range(a) if gcd(x, a) == 1]
+        orders = [next(k for k in count(1) if pow(x, k, a) == 1 % a) for x in units]
+        assert stepping._carmichael(a) == lcm(*orders), a
+
+
+@pytest.fixture
+def empty_tables(monkeypatch):
+    """An empty inverse-table cache; the module's own is back after the test."""
+    monkeypatch.setattr(stepping, "_TABLES", OrderedDict())
+    monkeypatch.setattr(stepping, "_held", 0)
+
+
+def test_inverse_tables_cold_and_warm_agree(empty_tables):
+    c = np.arange(-500, 2_500, 7, dtype=np.int64)  # 429 values: every a <= 429 takes the table
+    for a in (1, 2, 8, 30, 97, 210, 420):
+        cold = _unit_inverse(c, a)
+        assert a in stepping._TABLES
+        warm = _unit_inverse(c, a)
+        assert all(np.array_equal(u, v) and u.dtype == v.dtype for u, v in zip(cold, warm)), a
+
+
+def test_inverse_tables_are_read_only(empty_tables):
+    c = np.arange(100, dtype=np.int64)
+    inv, unit = _unit_inverse(c, 30)
+    held = stepping._TABLES[30]
+    assert not any(t.flags.writeable for t in held)
+    with pytest.raises(ValueError):
+        held[0][7] = 0
+    inv[:], unit[:] = 0, False  # the caller's copies
+    inv, unit = _unit_inverse(c, 30)
+    assert unit.tolist() == [gcd(x, 30) == 1 for x in range(100)]
+    assert inv[unit].tolist() == [pow(x, -1, 30) for x in range(100) if gcd(x, 30) == 1]
+
+
+def test_inverse_tables_stay_within_their_budget(empty_tables):
+    # past a = 46,341 a table is int64 and bool, 9 bytes a residue: three fill 1 MiB
+    for a in range(50_000, 100_000, 7_001):
+        _unit_inverse(np.arange(a, dtype=np.int64), a)
+        held = [t.nbytes for table in stepping._TABLES.values() for t in table]
+        assert stepping._held == sum(held) <= stepping.TABLE_BYTES, a
+        assert next(reversed(stepping._TABLES)) == a  # the newest is kept, the oldest went first
+    oversized, held = stepping.TABLE_BYTES // 9 + 1, list(stepping._TABLES)
+    inv, unit = _unit_inverse(np.arange(oversized, dtype=np.int64), oversized)
+    assert list(stepping._TABLES) == held  # neither kept nor pushing the kept tables out
+    assert inv[unit][:3].tolist() == [1, pow(2, -1, oversized), pow(3, -1, oversized)]
+
+
+def test_decompositions_invert_each_modulus_once(monkeypatch, empty_tables):
+    # both decompositions and both count_hits passes share one table per modulus, #C >= a
+    powered = []
+    powmod = stepping._powmod
+    monkeypatch.setattr(stepping, "_powmod", lambda x, e, m: powered.append(m) or powmod(x, e, m))
+    A, C = [30, 77, 105, 105, 143, 210], list(range(2, 800, 3))
+    multiplicative_decomposition(A, C, 60)
+    additive_decomposition(A, C, 0.5)
+    assert sorted(powered) == sorted(set(A))
+
+
+@PROFILE
+@given(
+    st.integers(1, 40),
+    st.lists(st.integers(-60, 60), min_size=1, max_size=30),
+    st.lists(st.integers(-100, 100), min_size=1, max_size=5),
+    st.integers(1, 6),
+)
+@example(7, [3], [1, 2], 4)  # one shift
+@example(5, [4, 4, 4, 4], [1, 3], 6)  # all shifts equal
+@example(5, [4, 9, -1, 2, 7, 4], [2, 5], 3)  # repeated residues, repeated shifts
+@example(99_991, [99_990, -1, 0, 99_990, 1], [1, -1, 99_990], 2)  # residues near a: sh*n + k near a*n
+def test_join_groups_shifts_as_the_stable_argsort(a, shifts, c_values, W):
+    # every (c, w) cell matches its shifts in the order of the stable argsort of the residues
+    order = np.argsort(np.array(shifts) % a, kind="stable").tolist()
+    want = [(i, j, w) for i, c in enumerate(c_values) for w in range(1, W + 1) for j in order if (c * w - shifts[j]) % a == 0]
+    i, j, w = stepping._join(a, np.array(c_values, dtype=np.int64), shifts, W)
+    assert list(zip(i.tolist(), j.tolist(), w.tolist())) == want
 
 
 @pytest.mark.parametrize("a, dtype", [(46_341, np.int32), (46_342, np.int64)])
