@@ -17,7 +17,8 @@ the product of the primes where chi is twisted, and |tau(chi)|^2 = cond(chi).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from math import isqrt, lcm, prod
 from typing import Iterable, Sequence
@@ -26,7 +27,7 @@ import numpy as np
 
 from .arith import trial_factor, multiplicative_functions
 from .errors import DomainError, ResourceLimit
-from .stepping import _int64, _interval_counts, count_hits
+from .stepping import _int64, _interval_counts, _kept, count_hits
 
 _TWO_PI = 2.0 * np.pi
 TABLE_CAP = 2_000_000  # largest modulus multiplicative_decomposition builds a table for
@@ -72,17 +73,22 @@ class CharacterTable:
             self._coprime &= r != 0  # gcd(x, a) == 1 for squarefree a: no p divides x
             logs.append(t[r])
         self._slot = np.ravel_multi_index(logs, self.orders)
+        self._exponents = self._conductors = None  # each computed when first read
 
     def __len__(self) -> int:
         return self.phi
 
     def exponents(self) -> np.ndarray:
         """Int [phi, k] array E: row i is the exponent tuple of chi_i."""
-        return np.stack(np.unravel_index(np.arange(self.phi), self.orders), axis=1)
+        if self._exponents is None:
+            self._exponents = np.stack(np.unravel_index(np.arange(self.phi), self.orders), axis=1)
+        return self._exponents
 
     def conductors(self) -> np.ndarray:
         """cond(chi_i) for every i: the product of the primes where chi_i is twisted."""
-        return np.prod(np.where(self.exponents() != 0, self.primes, 1), axis=1)
+        if self._conductors is None:
+            self._conductors = np.prod(np.where(self.exponents() != 0, self.primes, 1), axis=1)
+        return self._conductors
 
     def gauss_sums(self) -> np.ndarray:
         """tau(chi_i) = sum_x chi_i(x) e(x / a) for every i; |tau|^2 == cond."""
@@ -122,8 +128,15 @@ class CharacterTable:
 
 
 def all_characters(a: int) -> CharacterTable:
-    """The full dual group mod squarefree a; DomainError otherwise."""
-    return CharacterTable(a)
+    """The full dual group mod squarefree a, DomainError otherwise: built once with its
+    exponents and conductors, then read-only and kept with the inverse tables
+    (`stepping._kept`) while they fit the budget."""
+    def build() -> CharacterTable:
+        table = CharacterTable(a)
+        table.conductors()  # and the exponents, so both are kept with the table
+        return table
+
+    return _kept(("characters", int(a)), build)
 
 
 @dataclass(frozen=True)
@@ -133,15 +146,31 @@ class PolyaVinogradovReport:
     scan_N: int
     max_ratio: float
     argmax_character: int
-    argmax_M: int
-    argmax_N: int
     argmax_abs_sum: float
     argmax_bound: float
     rows: tuple[tuple[int, float, float, float], ...]  # (char index, max |sum|, bound, ratio)
+    _prefix: np.ndarray = field(compare=False, repr=False)  # the argmax character's S(0..q-1)
 
     @property
     def passes(self) -> bool:
         return self.max_ratio <= 1.0
+
+    argmax_M = property(lambda self: self._window[0])
+    argmax_N = property(lambda self: self._window[1])
+
+    @cached_property
+    def _window(self) -> tuple[int, int]:
+        """(M, N) of the argmax character's first window in (M, N) order within 1e-9 of
+        its max |sum|, located when first read.  A window from M reaches top only if
+        |S(M) - c| + max_x |S(x) - c| >= top, c the centroid of the prefix points."""
+        q, top = self.q, self.argmax_abs_sum - 1e-9
+        P = np.tile(self._prefix, 2)  # S over two periods: M + N wraps
+        rho = np.abs(P[:q] - P[:q].mean())
+        starts = np.flatnonzero(rho + rho.max() >= top * (1 - 1e-9))
+        ends = np.lib.stride_tricks.sliding_window_view(P[1:], q)[starts]  # P[M + N], N = 1..q
+        d = np.sqrt((ends.real - P.real[starts, None]) ** 2 + (ends.imag - P.imag[starts, None]) ** 2)
+        k, n = divmod(int(np.argmax(d >= top)), q)
+        return int(starts[k]), n + 1
 
 
 def polya_vinogradov_check(q: int) -> PolyaVinogradovReport:
@@ -160,7 +189,8 @@ def polya_vinogradov_check(q: int) -> PolyaVinogradovReport:
     conj(chi) has the same window sums, so one character of each conjugate
     pair is swept.
     Ties: ratios within 1e-9 relative go to the smallest character index, then
-    windows within 1e-9 of that character's max |sum| to the smallest M, then N.
+    windows within 1e-9 of that character's max |sum| to the smallest M, then N;
+    the report locates that window only when argmax_M or argmax_N is read.
     """
     if q < 3:
         raise DomainError("need q >= 3")
@@ -181,16 +211,8 @@ def polya_vinogradov_check(q: int) -> PolyaVinogradovReport:
     max_abs = np.sqrt(best[pair])
     ratio = max_abs / bound
     i = int(np.argmax(ratio >= ratio.max() * (1 - 1e-9)))
-    P, top = np.tile(S[pair[i]], 2), max_abs[i] - 1e-9  # S over two periods: M + N wraps
-    # a window from M reaches top only if |S(M) - c| + max_x |S(x) - c| >= top, c the centroid
-    rho = np.abs(P[:q] - P[:q].mean())
-    starts = np.flatnonzero(rho + rho.max() >= top * (1 - 1e-9))
-    ends = np.lib.stride_tricks.sliding_window_view(P[1:], q)[starts]  # P[M + N], N = 1..q
-    d = np.sqrt((ends.real - P.real[starts, None]) ** 2 + (ends.imag - P.imag[starts, None]) ** 2)
-    k, n = divmod(int(np.argmax(d >= top)), q)
-    m = int(starts[k])
     rows = tuple(zip(range(1, table.phi), max_abs.tolist(), bound.tolist(), ratio.tolist()))
-    return PolyaVinogradovReport(q, q, q, rows[i][3], i + 1, m, n + 1, *rows[i][1:3], rows)
+    return PolyaVinogradovReport(q, q, q, rows[i][3], i + 1, *rows[i][1:3], rows, S[pair[i]].copy())
 
 
 _BLOCK = 65_536  # pair cells compared at once by _max_window_sq
@@ -254,7 +276,11 @@ def large_sieve_check(
 
     lhs = sum_q (1/phi(q)) sum_chi |tau(chi)|^2 |sum_{Y<n<=Z} a_n chi(n)|^2
     rhs = 7 * max d(q) * max{Z - Y, (max q)^2} * sum d(n) |a_n|^2
+
+    |tau(chi)|^2 is read as cond(chi), exact for the squarefree q taken.
     """
+    if len(Q_set) == 0:
+        raise DomainError("need a nonempty Q_set")
     if Y >= Z:
         raise DomainError("need Y < Z")
     if Y < 0:
@@ -266,10 +292,10 @@ def large_sieve_check(
     lhs = 0.0
     for q in Q_set:
         table = all_characters(q)  # DomainError on non-squarefree q
-        folded = np.zeros(q, dtype=complex)
-        np.add.at(folded, n % q, coeffs)
+        folded = np.empty(q, dtype=complex)
+        folded.real, folded.imag = np.bincount(n % q, coeffs.real, q), np.bincount(n % q, coeffs.imag, q)
         sums = table.sums_over_counts(folded)
-        lhs += float(np.sum(np.abs(table.gauss_sums()) ** 2 * np.abs(sums) ** 2)) / table.phi
+        lhs += float(np.sum(table.conductors() * np.abs(sums) ** 2)) / table.phi
     max_d = max(multiplicative_functions(q)[2] for q in Q_set)
     max_q = max(Q_set)
     weight = float(_divisor_counts(Y, Z) @ np.abs(coeffs) ** 2)
@@ -343,7 +369,7 @@ def multiplicative_decomposition(A: Iterable[int], C: Iterable[int], W: int) -> 
     main = 0.0
     remainder = 0.0 + 0.0j
     for a in a_values:
-        table = all_characters(a)
+        table = CharacterTable(a)  # not kept: these moduli rarely repeat
         Fc, Fw = table.sums_over_counts(np.stack([np.bincount(c % a, minlength=a), _interval_counts(a, W)]))
         prod = Fc * Fw / table.phi
         main += prod[0].real

@@ -284,7 +284,7 @@ def _sieve_trials(rng: random.Random, pool: list, y_max: int, span_max: int, tri
 
 
 def _run_charsums(args) -> tuple[dict, int]:
-    if args.qmax > 1000:  # 1000 takes about 4.6 s and 94 MiB on a 2-core machine
+    if args.qmax > 1000:  # 1000 takes about 3.5 s and 96 MiB on a 2-core machine
         raise ResourceLimit(f"--qmax {args.qmax} beyond 1000 for verify charsums")
     summary, rows = _verify_charsums(args)
     if args.solutions:
@@ -428,7 +428,7 @@ def main(argv=None) -> int:
             path = getattr(args, flag, None)
             if path and (Path(path).is_dir() or not Path(path).parent.is_dir()):
                 raise OSError(f"--{flag} {path!r} is not a file in an existing directory")
-        if getattr(args, "trials", 0) > 10_000:  # each trial takes about 0.37 ms and goes into the report
+        if getattr(args, "trials", 0) > 10_000:  # each trial takes about 0.17 ms and goes into the report
             raise ResourceLimit(f"--trials {args.trials} beyond 10000")
         payload, code = args.run(args)
         if payload is not None:

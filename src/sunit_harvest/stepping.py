@@ -5,8 +5,9 @@ is left out, never refused.  One array power c^(lambda(a) - 1), lambda the
 Carmichael exponent (`_unit_inverse`), yields the inverses and the unit mask
 for both walks, the exact count and the additive spectrum.  When a <= #c it
 runs once over the a residues, and the table is kept for the next call with
-the same a: the tables kept are bounded by TABLE_BYTES (1 MiB), least recently
-used out first.  Two walks list the same rows.  The start walk lists the terms
+the same a (`_kept`, the library's one store of tables of every kind, bounded
+by TABLE_BYTES = 1 MiB, least recently used out first).  Two walks list the
+same rows.  The start walk lists the terms
 w0 + a*k, k < ceil(W / a), of every cell (c, shift) from w0 == shift * c^-1
 (mod a), as one grid masked by w <= W, at O(#units * #shifts + hits) instead of
 the naive O(#C * #shifts * W).  The dual walk (`_join`) joins the residue
@@ -22,15 +23,16 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 import numpy as np
 
 from .arith import trial_factor
 from .errors import DomainError, ResourceLimit
 
-TABLE_BYTES = 2**20  # the bytes of inverse tables kept between `_unit_inverse` calls
-_TABLES: OrderedDict[int, tuple[np.ndarray, np.ndarray]] = OrderedDict()  # a -> (inv, unit), oldest first
+TABLE_BYTES = 2**20  # the bytes of tables kept between calls, every kind together
+# oldest first: a -> the inverse table (inv, unit) mod a; (kind, a) -> a table of another kind
+_TABLES: OrderedDict[Hashable, object] = OrderedDict()
 _held = 0  # the bytes _TABLES holds
 
 
@@ -82,38 +84,46 @@ def _invert(x: np.ndarray, a: int) -> tuple[np.ndarray, np.ndarray]:
     return inv, x * inv % a == 1 % a
 
 
-def _inverse_table(a: int) -> tuple[np.ndarray, np.ndarray]:
-    """`_invert` over the a residues, read-only and kept in _TABLES while it fits TABLE_BYTES;
-    the least recently used tables go first, and a table past the budget is not kept."""
+def _arrays(table) -> list[np.ndarray]:
+    """The arrays of a kept table: a tuple's items, or an object's array attributes."""
+    items = table if isinstance(table, tuple) else vars(table).values()
+    return [t for t in items if isinstance(t, np.ndarray)]
+
+
+def _kept(key: Hashable, build: Callable[[], object]):
+    """The table under key in _TABLES, else build(), made read-only and kept while it
+    fits TABLE_BYTES with the others; the least recently used tables go first, and a
+    table past the budget is not kept.  Only the arrays the table holds when build()
+    returns are counted and made read-only."""
     global _held
-    if a in _TABLES:
-        _TABLES.move_to_end(a)
-        return _TABLES[a]
-    table = _invert(np.arange(a), a)
-    size = sum(t.nbytes for t in table)
+    if key in _TABLES:
+        _TABLES.move_to_end(key)
+        return _TABLES[key]
+    table = build()
+    size = sum(t.nbytes for t in _arrays(table))
     if size <= TABLE_BYTES:
-        for t in table:
+        for t in _arrays(table):
             t.flags.writeable = False
-        _TABLES[a] = table
+        _TABLES[key] = table
         _held += size
         while _held > TABLE_BYTES:
-            _held -= sum(t.nbytes for t in _TABLES.popitem(last=False)[1])
+            _held -= sum(t.nbytes for t in _arrays(_TABLES.popitem(last=False)[1]))
     return table
 
 
 def _unit_inverse(c: np.ndarray, a: int) -> tuple[np.ndarray, np.ndarray]:
     """(inv, unit) of `_invert` for c mod a, an int64 array c.  With a <= #c the power
     runs once over the a residues, into a table that c mod a indexes and that
-    `_inverse_table` keeps for the next call with this a; otherwise over c mod a
-    itself.  Refuses a^2 >= 2^63 (ResourceLimit) before factoring a or building any
-    array of length a."""
+    `_kept` keeps for the next call with this a; otherwise over c mod a itself.
+    Refuses a^2 >= 2^63 (ResourceLimit) before factoring a or building any array
+    of length a."""
     if int(a) ** 2 >= 2**63:
         raise ResourceLimit(f"residue stepping mod {a} beyond int64")
-    x = c % a
+    x, a = c % a, int(a)
     if a <= x.size:
-        inv, unit = _inverse_table(int(a))
+        inv, unit = _kept(a, lambda: _invert(np.arange(a), a))
         return inv[x], unit[x]
-    return _invert(x, int(a))
+    return _invert(x, a)
 
 
 def _join(a: int, c: np.ndarray, shifts: Sequence[int], W: int):

@@ -1,13 +1,25 @@
 import cmath
 import sys
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, prod
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from sunit_harvest import stepping  # noqa: E402
+
+
+@pytest.fixture
+def empty_tables(monkeypatch):
+    """An empty table store, for inverse and character tables alike; the module's own
+    is back after the test."""
+    monkeypatch.setattr(stepping, "_TABLES", OrderedDict())
+    monkeypatch.setattr(stepping, "_held", 0)
 
 
 def brute_trial_division(n: int) -> list[tuple[int, int]]:

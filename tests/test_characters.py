@@ -1,4 +1,5 @@
 import random
+from argparse import Namespace
 from math import gcd, isqrt, log, sqrt
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from conftest import oracle_character, oracle_gauss_sum
 from sunit_harvest.arith import multiplicative_functions
-from sunit_harvest import characters
+from sunit_harvest import characters, cli, stepping
 from sunit_harvest.characters import (
     TABLE_CAP,
     all_characters,
@@ -195,6 +196,8 @@ def test_large_sieve_random_trials():
         assert holds, (qs, Y, Z)
     with pytest.raises(DomainError):
         large_sieve_check([4], 0, 2, [1, 0])
+    with pytest.raises(DomainError, match="nonempty"):
+        large_sieve_check([], 0, 2, [1, 0])
 
 
 def test_large_sieve_vs_termwise_oracle():
@@ -336,13 +339,58 @@ def test_multiplicative_decomposition_rejects_bad_moduli():
 def test_multiplicative_decomposition_checks_table_cap_first(monkeypatch):
     # a modulus past the cap is refused before any smaller modulus's table is built
     built = []
-    real = characters.all_characters
-    monkeypatch.setattr(characters, "all_characters", lambda a: built.append(a) or real(a))
+    real = characters.CharacterTable
+    monkeypatch.setattr(characters, "CharacterTable", lambda a: built.append(a) or real(a))
     with pytest.raises(ResourceLimit):
         multiplicative_decomposition([7, 30, TABLE_CAP + 1], [5], 10)
     assert built == []
     multiplicative_decomposition([7, 30], [5], 10)
     assert built == [7, 30]
+
+
+def test_verify_charsums_builds_each_table_once(monkeypatch, empty_tables):
+    # the scan, the sieve trials and the fourth moment read one kept table per modulus
+    built = []
+    real = characters.CharacterTable
+    monkeypatch.setattr(characters, "CharacterTable", lambda a: built.append(a) or real(a))
+    cli._verify_charsums(Namespace(qmax=30, seed=1, trials=3))
+    assert sorted(built) == [q for q in range(3, 31) if _squarefree(q)]
+
+
+def test_character_and_inverse_tables_share_one_budget(empty_tables):
+    def held() -> int:
+        return sum(t.nbytes for table in stepping._TABLES.values() for t in stepping._arrays(table))
+
+    stepping._unit_inverse(np.arange(30, dtype=np.int64), 30)  # keeps the inverse table mod 30
+    t = all_characters(30)
+    assert list(stepping._TABLES) == [30, ("characters", 30)] and all_characters(30) is t
+    assert stepping._held == held()
+    # every array of a kept table is read-only, the exponents and conductors among them
+    arrays = stepping._arrays(t)
+    assert len(arrays) == 4 and not any(x.flags.writeable for x in arrays)
+    for x in (t.exponents(), t.conductors(), t._slot):
+        with pytest.raises(ValueError):
+            x[0] = 0
+    multiplicative_decomposition([7, 30], [5], 10)  # its character tables are not kept
+    assert ("characters", 7) not in stepping._TABLES
+    stepping._unit_inverse(np.arange(30, dtype=np.int64), 30)  # now the most recently used
+    used = [("characters", 30), 30]
+    size = {key: sum(x.nbytes for x in stepping._arrays(stepping._TABLES[key])) for key in used}
+    # character tables of about 47 KB each, built past TABLE_BYTES: the kept tables are
+    # the most recently used that fit, of either kind, the oldest out first
+    for q in (q for q in range(2_000, 3_000) if _squarefree(q)):
+        used.append(("characters", q))
+        size[used[-1]] = sum(x.nbytes for x in stepping._arrays(all_characters(q)))
+        fit = next(k for k in range(len(used) + 1) if sum(size[key] for key in used[k:]) <= stepping.TABLE_BYTES)
+        assert list(stepping._TABLES) == used[fit:], q
+        assert stepping._held == held() <= stepping.TABLE_BYTES, q
+        if 30 not in stepping._TABLES:
+            break
+    assert ("characters", 30) not in stepping._TABLES and 30 not in stepping._TABLES
+    again = all_characters(30)  # rebuilt, equal to the evicted table
+    assert again is not t and next(reversed(stepping._TABLES)) == ("characters", 30)
+    for x, y in zip(stepping._arrays(again), arrays):
+        assert np.array_equal(x, y) and x.dtype == y.dtype
 
 
 def test_bulk_sums_align_with_character_indexing():

@@ -8,7 +8,7 @@ bounded so the suite stays deterministic and quick.
 
 import re
 import tracemalloc
-from collections import Counter, OrderedDict
+from collections import Counter
 from itertools import count, product
 from math import ceil, floor, gcd, lcm, prod, sqrt
 from unittest import mock
@@ -551,13 +551,6 @@ def test_carmichael_is_the_exponent_of_the_unit_group():
         units = [x for x in range(a) if gcd(x, a) == 1]
         orders = [next(k for k in count(1) if pow(x, k, a) == 1 % a) for x in units]
         assert stepping._carmichael(a) == lcm(*orders), a
-
-
-@pytest.fixture
-def empty_tables(monkeypatch):
-    """An empty inverse-table cache; the module's own is back after the test."""
-    monkeypatch.setattr(stepping, "_TABLES", OrderedDict())
-    monkeypatch.setattr(stepping, "_held", 0)
 
 
 def test_inverse_tables_cold_and_warm_agree(empty_tables):

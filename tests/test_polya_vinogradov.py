@@ -27,6 +27,7 @@ from sunit_harvest.characters import _max_window_sq, all_characters, polya_vinog
 TIE = 1e-9
 
 SQUAREFREE_60 = [q for q in range(3, 61) if all(q % (p * p) for p in (2, 3, 5, 7))]
+ORACLE_MODULI = SQUAREFREE_60 + [62, 70, 77, 78, 83, 91, 97, 102, 105, 110, 119]
 
 
 def window_oracle(q: int, scan_M: int, scan_N: int) -> list[tuple[int, np.ndarray, float]]:
@@ -48,7 +49,7 @@ def window_oracle(q: int, scan_M: int, scan_N: int) -> list[tuple[int, np.ndarra
     return out
 
 
-@pytest.mark.parametrize("q", SQUAREFREE_60)
+@pytest.mark.parametrize("q", ORACLE_MODULI)
 def test_sweep_matches_window_oracle(q):
     rep = polya_vinogradov_check(q)
     oracle = window_oracle(q, q, q)
@@ -68,6 +69,12 @@ def test_sweep_matches_window_oracle(q):
     sums = oracle[k][1]
     M, N = divmod(int(np.argmax(sums >= sums.max() - TIE)), q)
     assert (rep.argmax_character, rep.argmax_M, rep.argmax_N) == (oracle[k][0], M, N + 1)
+    # the window is located when first read: M or N first, each read twice, gives it
+    want = {"argmax_M": M, "argmax_N": N + 1}
+    for order in (("argmax_M", "argmax_N"), ("argmax_N", "argmax_M")):
+        fresh = polya_vinogradov_check(q)
+        assert fresh == rep and "_prefix" not in repr(fresh)
+        assert [getattr(fresh, name) for name in order * 2] == [want[name] for name in order * 2]
     assert (rep.argmax_abs_sum, rep.argmax_bound) == rep.rows[k][1:3]
     assert rep.max_ratio == rep.rows[k][3]
 
@@ -108,8 +115,9 @@ def test_longer_scans_find_no_larger_window(q):
 def test_report_fields_are_python_numbers():
     rep = polya_vinogradov_check(30)
     for f in fields(rep):
-        if f.name != "rows":
+        if f.name not in ("rows", "_prefix"):
             assert type(getattr(rep, f.name)) in (int, float), f.name
+    assert type(rep.argmax_M) is int and type(rep.argmax_N) is int
     for row in rep.rows:
         assert [type(x) for x in row] == [int, float, float, float]
     summary, rows = cli._verify_charsums(Namespace(qmax=30, seed=1, trials=3))
