@@ -21,14 +21,14 @@ dedupes and verifies, and builds the one report with rows solution +
 coefficients + key.  thm1 and thm2 share one linear
 harvest of a*u + s = c*r*w: thm1 at s = 1 with c*r over Q*R, thm2 at s = b + 1
 with R = {1}, walked with the kernel of `stepping`; prop1 walks every
-coefficient triple in one batched kernel-vector search, `siegel.NonzeroSearch`.
+coefficient triple in one batched kernel-vector search, `siegel.nonzero_vectors`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import ceil, floor, gcd, log2, prod, sqrt
+from math import ceil, floor, gcd, isqrt, log2, prod
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -42,7 +42,7 @@ from .errors import (
 )
 from .exponents import regime_exponents
 from .report import compare_bounds
-from .siegel import NonzeroSearch, siegel_nonzero_coords
+from .siegel import nonzero_vectors, siegel_nonzero_coords
 from .smooth import DEFAULT_CAP, enumerate_squarefree_smooth
 from .stepping import _int64, _unit_inverse, count_hits, progressions
 
@@ -538,9 +538,7 @@ def prop1_run(config: HarvestConfig) -> HarvestReport:
     n_triples = len(sets[0]) * len(sets[1]) * len(sets[2])
     if n_triples > config.hit_cap:
         raise ResourceLimit(f"{n_triples} coefficient triples beyond hit cap {config.hit_cap}")
-    cap = sqrt(3.0 * x)
-    search = NonzeroSearch([(a2, a3) for a2 in sets[1] for a3 in sets[2]], cap)
-    M = search.M  # z1 in [1, M], z2 and z3 in [-M, M]
+    M = isqrt(3 * x)  # z1 in [1, M], z2 and z3 in [-M, M]
     packing = KeyPacking((1, -M, -M), (M, 2 * M + 1, 2 * M + 1), "kernel vector")
     a3_set = set(sets[2])
 
@@ -551,7 +549,7 @@ def prop1_run(config: HarvestConfig) -> HarvestReport:
             a3, r = divmod(-(a1 * z[0] + a2 * z[1]), z[2])
             if r or a3 not in a3_set:
                 continue
-            sol = siegel_nonzero_coords((a1, a2, a3), cap)
+            sol = siegel_nonzero_coords((a1, a2, a3), M)
             if sol is not None and sol.z == z:
                 t = sorted(abs(a * v) for a, v in zip((a1, a2, a3), z))
                 g = gcd(*t)
@@ -560,7 +558,8 @@ def prop1_run(config: HarvestConfig) -> HarvestReport:
 
     if not sets[0]:  # no scan at all
         raise EmptyHarvest("no coefficients to walk")
-    z, found = search(sets[0])  # one scan over all of A1
+    # one scan over all of A1; the sets' primes are disjoint, so gcd(a2, a3) == 1
+    z, found = nonzero_vectors(sets[0], list(product(sets[1], sets[2])), M)
     keys, skipped_triples = packing.pack(*z.T)[found], len(found) - int(found.sum())
     del z, found  # freed before the listing, and the keys after the harvest
     _, stats, key, bucket = _harvest(keys, listing, packing, M * (2 * M) ** 2)  # z2, z3 != 0

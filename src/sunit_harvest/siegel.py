@@ -6,9 +6,9 @@ and their difference is a nonzero solution bounded by C.
 
 For n = 3 with a3 != 0 one scan serves both searches: it walks (|z1|, |z2|) and
 solves for z3.  `siegel_nonzero_coords` is the scalar all-nonzero search and
-the oracle; `NonzeroSearch` makes the same selection by one array search over
-every (a1, a2, a3) triple, which is what prop1 runs: m1 in blocks of four,
-pending rows in bounded chunks, solved rows retired.
+the oracle; `nonzero_vectors` makes the same selection by one array search over
+the triples prop1 passes (coefficients >= 1, gcd(a2, a3) == 1): m1 in blocks of
+four, pending rows in bounded chunks, solved rows retired.
 """
 
 from __future__ import annotations
@@ -131,93 +131,76 @@ def _third_coordinate_scan(alpha: tuple[int, ...], M: int, low: int) -> tuple[in
     return None
 
 
-class NonzeroSearch:
-    """siegel_nonzero_coords((a1, a2, a3), cap).z over every a1 of a sequence
-    and fixed pairs (a2, a3) with a3 != 0, as one array search.
+BLOCK = 4  # m1 values one block of `nonzero_vectors` walks
+CHUNK = 2048  # most pending rows one block works on, so its cell arrays stay small
+_S2 = np.array([1, -1])  # the sign of z2, ranked s2 > 0 first
 
-    Negating z keeps it a solution, so the selected z1 = m1 is positive.  For
-    fixed (m1, s2) the m2 with s2*a2*m2 == -a1*m1 (mod a3) form one class mod
-    step = |a3| / gcd(a2, a3), |z3| <= M cuts them to an interval and z3 = 0
-    holds at one m2 at most, so the first valid m2 is the class start at or
-    above the interval's low end, stepped once past z3 = 0.  The inverse of
-    a2/g mod step is computed once per pair.  One pending list holds every
-    (a1, pair) row; m1 is walked in blocks of BLOCK values over the pending
-    rows, CHUNK rows at a time, and solved rows retire.  Rows whose arithmetic
-    could leave int64 (the class start multiplies two residues mod step, the
-    interval ends reach (|a1| + |a2| + |a3|) * M) are left to the scalar search.
+
+def nonzero_vectors(a1_values: Sequence[int], pairs: Sequence[tuple[int, int]], M: int) -> tuple[np.ndarray, ...]:
+    """(z, found) over the rows (a1, (a2, a3)), a1-major: row i * len(pairs) + k holds
+    siegel_nonzero_coords((a1_values[i],) + pairs[k], M).z, or zeros where it is None.
+    Takes what prop1 passes, M >= 1, coefficients >= 1 and gcd(a2, a3) == 1; DomainError else.
+
+    Negating z keeps it a solution, so the selected z1 = m1 is positive.  For fixed
+    (m1, s2) the m2 with s2*a2*m2 == -a1*m1 (mod a3) form one class mod a3, |z3| <= M
+    cuts them to an interval and z3 = 0 holds at one m2 at most, so the first valid m2
+    is the class start at or above the interval's low end, stepped once past z3 = 0.
+    m1 is walked in blocks of BLOCK values over the pending rows, CHUNK rows at a time,
+    and solved rows retire.  Rows whose arithmetic could leave int64 (the class start
+    multiplies two residues mod a3, the interval ends reach (a1 + a2 + a3) * M) go to
+    the scalar search.
     """
+    a1_values, pairs, n = list(a1_values), list(pairs), len(pairs)
+    if M < 1 or min(a1_values, default=1) < 1 or any(min(p) < 1 or gcd(*p) != 1 for p in pairs):
+        raise DomainError("need M >= 1, coefficients >= 1 and gcd(a2, a3) == 1")
+    limit = INT64_MAX // (M + 1)  # fast rows keep a1 + a2 + a3 <= limit
+    # a pair or an a1 past the limit gets a stand-in that fits int64 and makes none of its rows fast
+    columns = [(a2, a3, pow(a2, -1, a3)) if (a3 - 1) ** 2 <= INT64_MAX and a2 + a3 <= limit
+               else (limit, 1, 0) for a2, a3 in pairs]
+    a2, a3, inv = np.array(columns, dtype=np.int64).reshape(-1, 3).T
+    a1 = np.array([min(a, limit + 1) for a in a1_values], dtype=np.int64)
+    fast = (a1[:, None] <= limit - a2 - a3).reshape(-1)
+    z, found = np.zeros((len(fast), 3), dtype=np.int64), np.zeros(len(fast), dtype=bool)
+    pending = np.flatnonzero(fast)
+    for first in range(1, M + 1, BLOCK):
+        if not len(pending):
+            break
+        left = []
+        for start in range(0, len(pending), CHUNK):
+            rows = pending[start : start + CHUNK]
+            k = rows % n
+            solved, vectors = _block(a1[rows // n], a2[k], a3[k], inv[k], first, M)
+            z[rows[solved]], found[rows[solved]] = vectors, True
+            left.append(rows[~solved])
+        pending = np.concatenate(left)
+    for row in np.flatnonzero(~fast).tolist():
+        sol = siegel_nonzero_coords((a1_values[row // n],) + tuple(pairs[row % n]), M)
+        if sol is not None:
+            z[row], found[row] = sol.z, True
+    return z, found
 
-    BLOCK = 4
-    CHUNK = 2048  # most pending rows one block works on, so its cell arrays stay small
-    S2 = np.array([1, -1])  # ranked s2 > 0 first
 
-    def __init__(self, pairs: Sequence[tuple[int, int]], cap: float):
-        if cap < 1:
-            raise DomainError("cap must be >= 1")
-        self.cap, self.M, self.pairs = cap, floor(cap + 1e-12), list(pairs)
-        rows = []
-        for a2, a3 in self.pairs:
-            if a3 == 0:
-                raise DomainError("a3 must be nonzero")
-            g = gcd(a2, a3)
-            step, reach = abs(a3) // g, abs(a2) + abs(a3)
-            if (step - 1) ** 2 > INT64_MAX or reach > INT64_MAX:  # a placeholder row, never fast
-                rows.append((0, 1, 1, 1, 0, INT64_MAX))
-            else:
-                rows.append((a2, a3, g, step, pow(a2 // g, -1, step), reach))
-        self.a2, self.a3, self.g, self.step, self.inv, self.reach = np.array(rows, dtype=np.int64).reshape(-1, 6).T
-
-    def __call__(self, a1_values: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-        """(z, found) over the rows (a1, pair), a1-major: row i * len(pairs) + k is the vector
-        selected for (a1_values[i],) + pairs[k], or zeros where no all-nonzero vector lies in the window."""
-        a1_values, n = list(a1_values), len(self.pairs)
-        limits = [INT64_MAX // (self.M + 1) - abs(a1) for a1 in a1_values]
-        fast = np.array([self.reach <= limit for limit in limits], dtype=bool).reshape(-1)
-        # no fast row reads an a1 past its limit, which may not fit int64: 0 stands in
-        a1 = np.array([a1 if limit >= 0 else 0 for a1, limit in zip(a1_values, limits)], dtype=np.int64)
-        z, found = np.zeros((len(fast), 3), dtype=np.int64), np.zeros(len(fast), dtype=bool)
-        pending = np.flatnonzero(fast)
-        for first in range(1, self.M + 1, self.BLOCK):
-            if not len(pending):
-                break
-            left = []
-            for start in range(0, len(pending), self.CHUNK):
-                rows = pending[start : start + self.CHUNK]
-                solved, vectors = self._block(a1[rows // n], rows % n, first)
-                z[rows[solved]], found[rows[solved]] = vectors, True
-                left.append(rows[~solved])
-            pending = np.concatenate(left)
-        for row in np.flatnonzero(~fast).tolist():
-            sol = siegel_nonzero_coords((a1_values[row // n],) + tuple(self.pairs[row % n]), self.cap)
-            if sol is not None:
-                z[row], found[row] = sol.z, True
-        return z, found
-
-    def _block(self, a1: np.ndarray, k: np.ndarray, first: int) -> tuple[np.ndarray, np.ndarray]:
-        """Which rows (a1[j],) + pairs[k[j]] have a vector with m1 in
-        [first, first + BLOCK), and the first such vector of each."""
-        M = self.M
-        # axes: row, m1, s2; t = a1*m1, its divisibility and its class have no s2 axis
-        m1 = np.arange(first, min(first + self.BLOCK, M + 1))[:, None]
-        a2, a3, g, step, inv = (v[k, None, None] for v in (self.a2, self.a3, self.g, self.step, self.inv))
-        t, c, bound = a1[:, None, None] * m1, self.S2 * a2, M * np.abs(a3)
-        # (a2/g)*m2 == -s2*(a1*m1/g) (mod step), solvable when g | a1*m1: m2 is the
-        # first member of that class at or above the low end of |z3| <= M
-        r = t // g % step * inv % step
-        m2 = np.clip(-((bound + t * np.sign(c)) // np.maximum(np.abs(c), 1)), 1, M + 1)
-        m2 += (-self.S2 * r - m2) % step
-        ok = (t % g == 0) & (m2 <= M)
-        v = t + c * np.where(ok, m2, 0)
-        zero = ok & (v == 0)
-        m2 += zero * step
-        ok &= m2 <= M
-        v = np.where(zero, c * step, v)
-        ok &= (v != 0) & (np.abs(v) <= bound)
-        # the first m1, then the least m2, then the least |z3| (|v| / |a3| on a row), then s2 > 0
-        m2 = np.where(ok, m2, M + 1)
-        least = np.minimum(m2[..., 0], m2[..., 1])  # min(axis=2) over two columns is slower
-        has = least <= M
-        solved = has.any(axis=1)
-        i, j = np.flatnonzero(solved), has.argmax(axis=1)[solved]
-        s = np.where(m2[i, j] == least[i, j, None], np.abs(v[i, j]), INT64_MAX).argmin(axis=1)
-        return solved, np.column_stack((m1[j, 0], self.S2[s] * least[i, j], -v[i, j, s] // a3[i, 0, 0]))
+def _block(a1, a2, a3, inv, first: int, M: int) -> tuple[np.ndarray, np.ndarray]:
+    """Which rows (a1[j], a2[j], a3[j]) have a vector with m1 in [first, first + BLOCK),
+    and the first such vector of each; inv[j] is a2[j]^-1 mod a3[j]."""
+    # axes: row, m1, s2; t = a1*m1 and its class have no s2 axis
+    m1 = np.arange(first, min(first + BLOCK, M + 1))[:, None]
+    a2, a3, inv = a2[:, None, None], a3[:, None, None], inv[:, None, None]
+    t, c, bound = a1[:, None, None] * m1, _S2 * a2, M * a3
+    # a2*m2 == -s2*a1*m1 (mod a3): m2 is the first member of that class at or
+    # above the low end of |z3| <= M, and past the one m2 with z3 = 0.  An m2 past
+    # M never ranks, so 0 stands in for it in v, which is then t >= 1, not 0
+    m2 = np.clip(-((bound + _S2 * t) // a2), 1, M + 1)
+    m2 += (-_S2 * (t % a3 * inv % a3) - m2) % a3
+    v = t + c * np.where(m2 <= M, m2, 0)
+    zero = v == 0
+    m2 += zero * a3
+    v = np.where(zero, c * a3, v)
+    # the first m1, then the least m2, then the least |z3| (|v| / a3 on a row), then s2 > 0
+    m2 = np.where(np.abs(v) <= bound, m2, M + 1)
+    least = np.minimum(m2[..., 0], m2[..., 1])  # min(axis=2) over two columns is slower
+    has = least <= M
+    solved = has.any(axis=1)
+    i, j = np.flatnonzero(solved), has.argmax(axis=1)[solved]
+    s = np.where(m2[i, j] == least[i, j, None], np.abs(v[i, j]), INT64_MAX).argmin(axis=1)
+    return solved, np.column_stack((m1[j, 0], _S2[s] * least[i, j], -v[i, j, s] // a3[i, 0, 0]))

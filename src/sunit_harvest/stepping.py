@@ -53,10 +53,10 @@ def _int64(c_values, shifts, W: int) -> np.ndarray:
     return np.asarray(c_values, dtype=np.int64)
 
 
-def _powmod(x: np.ndarray, e: int, m) -> np.ndarray:
-    """x^e mod m elementwise by square-and-multiply, for residues x in [0, m) and m a
-    Python int or an array; exact in x's dtype (int32 or int64) when its largest
-    product, (m - 1)^2, fits.  Products reduce as y - y // m * m, not y % m: numpy
+def _powmod(x: np.ndarray, e: int, m: int) -> np.ndarray:
+    """x^e mod m elementwise by square-and-multiply, for residues x in [0, m) and a
+    Python int m; exact in x's dtype (int32 or int64) when its largest product,
+    (m - 1)^2, fits.  Products reduce as y - y // m * m, not y % m: numpy
     floor-divides by a Python-int scalar at about 1 ns an element, where `%` takes about 4 ns."""
     out = np.ones_like(x)
     for bit in bin(e)[2:]:  # at least one bit, so even x^0 is reduced: 0 when m == 1

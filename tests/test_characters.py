@@ -10,6 +10,7 @@ from sunit_harvest.arith import multiplicative_functions
 from sunit_harvest import characters, cli, stepping
 from sunit_harvest.characters import (
     TABLE_CAP,
+    CharacterTable,
     all_characters,
     fourth_moment_ratio,
     large_sieve_check,
@@ -442,13 +443,16 @@ def test_coprime_mask_is_the_gcd_mask():
     for a in range(2, 1001):
         if all(a % (p * p) for p in range(2, isqrt(a) + 1)):
             assert np.array_equal(all_characters(a)._coprime, np.gcd(np.arange(a), a) == 1), a
+    # a table of its own to write to: the kept tables stay read-only for every later test
     rng = np.random.default_rng(3)
     for a in (2, 30, 210, 997):
-        t = all_characters(a)
+        t = CharacterTable(a)
         counts = rng.integers(0, 5, a) + 1j * rng.integers(-3, 3, a)
         got = t.sums_over_counts(counts)
         t._coprime = np.gcd(np.arange(a), a) == 1
         assert np.array_equal(got, t.sums_over_counts(counts)), a
+    for a in (2, 30, 210, 997):
+        assert not any(x.flags.writeable for x in stepping._arrays(all_characters(a))), a
 
 
 def test_polya_vinogradov_argmax_reproduces():

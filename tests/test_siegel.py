@@ -1,6 +1,6 @@
 import itertools
 import random
-from math import floor
+from math import floor, gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,7 +11,7 @@ from sunit_harvest.errors import DomainError, ResourceLimit
 from sunit_harvest.siegel import (
     INT64_MAX,
     SCAN_BUDGET,
-    NonzeroSearch,
+    nonzero_vectors,
     siegel_nonzero_coords,
     siegel_small_solution,
 )
@@ -157,7 +157,7 @@ def test_nonzero_coords_examples():
     [((1, -1), 1.0), ((1, 2, 3, 4), 4.0), ((1, 0, 0), 4.0), ((2, 3, 0), 4.0), ((2, 3, 5), 0.5)],
 )
 def test_nonzero_coords_domain(alpha, cap):
-    # three coefficients with a3 != 0 and cap >= 1: the domain of prop1 and NonzeroSearch
+    # three coefficients with a3 != 0 and cap >= 1; nonzero_vectors takes only prop1's part of it
     with pytest.raises(DomainError):
         siegel_nonzero_coords(alpha, cap)
 
@@ -219,40 +219,38 @@ def test_small_solution_bound_property(case):
     assert max(map(abs, sol.z)) <= (n * B) ** (1 / (n - 1)) + 1e-9
 
 
-coefficient = st.integers(-40, 40)
+# positive coefficients up to 10^6, small ones weighted so that most rows have a vector
+coefficient = st.integers(1, 40) | st.integers(1, 10**6)
 
 
 @st.composite
 def searches(draw):
-    """([a1, ...], [(a2, a3), ...], cap): one to four a1, every a3 nonzero."""
+    """([a1, ...], [(a2, a3), ...], M): one to four a1, coefficients >= 1, coprime (a2, a3)."""
     a1_values = draw(st.lists(coefficient, min_size=1, max_size=4))
-    pairs = draw(st.lists(st.tuples(coefficient, coefficient.filter(bool)), min_size=1, max_size=12))
-    cap = draw(st.sampled_from([1.0, 1.5, 2.0]) | st.floats(1.0, 14.0))
-    return a1_values, pairs, cap
+    pairs = draw(st.lists(st.tuples(coefficient, coefficient).filter(lambda p: gcd(*p) == 1), min_size=1, max_size=6))
+    return a1_values, pairs, draw(st.integers(1, 60))
 
 
-def assert_matches_oracle(a1_values, pairs, cap):
-    """NonzeroSearch over a1_values selects, row by (a1, pair) row in a1-major
-    order, what the scalar search selects."""
-    z, found = NonzeroSearch(pairs, cap)(a1_values)
+def assert_matches_oracle(a1_values, pairs, M):
+    """nonzero_vectors selects, row by (a1, pair) row in a1-major order, what the
+    scalar search selects."""
+    z, found = nonzero_vectors(a1_values, pairs, M)
     rows = [(a1,) + tuple(pair) for a1 in a1_values for pair in pairs]
     assert z.shape == (len(rows), 3) and found.shape == (len(rows),)
     for r, alpha in enumerate(rows):
-        sol = siegel_nonzero_coords(alpha, cap)
+        sol = siegel_nonzero_coords(alpha, M)
         assert found[r] == (sol is not None), alpha
         assert tuple(z[r].tolist()) == (sol.z if sol else (0, 0, 0)), alpha
 
 
 @PROFILE
 @given(searches())
-@example(([1], [(1, 5), (1, 1)], 1.0))  # M = 1; 1 +- 1 +- 5 != 0 leaves no vector
-@example(([3], [(3, 3), (3, -3)], 2.0))  # equal coefficients
-@example(([1], [(4, 6), (6, 4), (9, -12), (10, 15)], 5.0))  # gcd(a2, a3) > 1
-@example(([4], [(4, 2)], 3.0))  # z3 = 0 at the class's first member
-@example(([6], [(3, 2)], 5.0))
-@example(([0], [(0, 5), (2, 2), (0, -1)], 4.0))  # a1 = 0, a2 = 0: z3 = 0 on the whole class
-@example(([40], [(-40, 1), (39, -40)], 13.0))
-@example(([4, 6, 0, -7], [(4, 2), (3, 2), (0, 5), (9, -12)], 5.0))  # rows solved at different m1 blocks
+@example(([1], [(1, 5), (1, 1)], 1))  # M = 1; 1 +- 1 +- 5 != 0 leaves no vector
+@example(([1, 3], [(1, 1), (3, 1)], 2))  # equal coefficients
+@example(([6], [(3, 2)], 5))  # z3 = 0 at the class's first member
+@example(([40], [(40, 1), (39, 40)], 13))
+@example(([999_983], [(1_000_000, 999_999), (1, 10**6)], 60))
+@example(([1, 4, 5, 2], [(5, 53), (4, 45), (1, 45), (1, 53), (2, 7), (1, 29)], 9))  # rows solved at different m1 blocks
 def test_batched_search_matches_scalar_oracle(case):
     assert_matches_oracle(*case)
 
@@ -260,19 +258,23 @@ def test_batched_search_matches_scalar_oracle(case):
 def test_batched_search_spans_chunks(monkeypatch):
     # chunks of three rows: each block splits the pending rows over several chunks
     sizes = []
-    block = NonzeroSearch._block
+    block = siegel._block
 
-    def spied(self, a1, k, first):
-        sizes.append(len(k))
-        return block(self, a1, k, first)
+    def spied(a1, *args):
+        sizes.append(len(a1))
+        return block(a1, *args)
 
-    monkeypatch.setattr(NonzeroSearch, "CHUNK", 3)
-    monkeypatch.setattr(NonzeroSearch, "_block", spied)
+    monkeypatch.setattr(siegel, "CHUNK", 3)
+    monkeypatch.setattr(siegel, "_block", spied)
     rng = random.Random(11)
     for _ in range(40):
-        a1_values = [rng.randint(-40, 40) for _ in range(rng.randint(1, 4))]
-        pairs = [(rng.randint(-40, 40), rng.choice((-1, 1)) * rng.randint(1, 40)) for _ in range(rng.randint(1, 12))]
-        assert_matches_oracle(a1_values, pairs, rng.uniform(1.0, 14.0))
+        a1_values = [rng.randint(1, 40) for _ in range(rng.randint(1, 4))]
+        pairs = []
+        while len(pairs) < rng.randint(1, 12):
+            a2, a3 = rng.randint(1, 40), rng.randint(1, 40)
+            if gcd(a2, a3) == 1:
+                pairs.append((a2, a3))
+        assert_matches_oracle(a1_values, pairs, rng.randint(1, 14))
     assert max(sizes) == 3 and len(sizes) > 40 * 4
 
 
@@ -286,48 +288,64 @@ def test_batched_search_mixes_scalar_and_fast_rows(monkeypatch):
         return siegel_nonzero_coords(*args)
 
     monkeypatch.setattr(siegel, "siegel_nonzero_coords", counted)
-    a1_values, pairs = [3, 2**64, -5], [(1, 2), (2, 3), (5, 2**64)]
-    assert_matches_oracle(a1_values, pairs, 4.0)
+    a1_values, pairs = [3, 2**64, 5], [(1, 2), (2, 3), (5, 2**64)]
+    assert_matches_oracle(a1_values, pairs, 4)
     # in row order, a1-major
-    assert calls == [(3, 5, 2**64), (2**64, 1, 2), (2**64, 2, 3), (2**64, 5, 2**64), (-5, 5, 2**64)]
+    assert calls == [(3, 5, 2**64), (2**64, 1, 2), (2**64, 2, 3), (2**64, 5, 2**64), (5, 5, 2**64)]
 
 
 def test_batched_search_steps_past_z3_zero():
-    # 4*1 - 4*m2 = 0 at m2 = 1, the first of its class; the next one, m2 = 2, is
-    # selected, as 4*1 + 4*m2 needs |z3| >= 4 > M
-    z, found = NonzeroSearch([(4, 2)], 3.0)([4])
-    assert found[0] and tuple(z[0].tolist()) == (1, -2, 2)
-    # 6*1 - 3*m2 = 0 at m2 = 2, then m2 = 4 in steps of 2
-    assert tuple(NonzeroSearch([(3, 2)], 5.0)([6])[0][0].tolist()) == (1, -4, 3)
+    for alpha, M, want in [
+        ((3, 3, 2), 2, None),  # 3*2 - 3*m2 = 0 at m2 = 2; the next of its class, m2 = 4, is past M
+        ((3, 3, 2), 3, (1, 1, -3)),  # 3*1 - 3*m2 = 0 at m2 = 1, and m2 = 1 with s2 > 0 ranks first
+        ((6, 3, 2), 5, (1, -4, 3)),  # 6*1 - 3*m2 = 0 at m2 = 2, then m2 = 4 in steps of 2
+        ((2, 2, 1), 2, (1, -2, 2)),  # 2*1 + 2*m2 needs |z3| >= 4 > M
+    ]:
+        a1, a2, a3 = alpha
+        z, found = nonzero_vectors([a1], [(a2, a3)], M)
+        assert found[0] == (want is not None), alpha
+        assert tuple(z[0].tolist()) == (want or (0, 0, 0)), alpha
+        assert_matches_oracle([a1], [(a2, a3)], M)
 
 
 def test_batched_search_domain():
-    with pytest.raises(DomainError):
-        NonzeroSearch([(1, 3), (2, 0)], 4.0)
-    with pytest.raises(DomainError):
-        NonzeroSearch([(1, 3)], 0.5)
-    z, found = NonzeroSearch([], 4.0)([3])
+    # coefficients >= 1 with coprime (a2, a3), and M >= 1: what prop1 passes
+    for a1_values, pairs, M in [
+        ([3], [(1, 3), (2, 0)], 4),  # a3 = 0
+        ([3], [(0, 5)], 4),  # a2 = 0
+        ([0, 2], [(1, 3)], 4),  # a1 = 0
+        ([3], [(-1, 3)], 4),
+        ([3], [(1, -3)], 4),
+        ([-3], [(1, 3)], 4),
+        ([3], [(1, 3), (4, 6)], 4),  # gcd(a2, a3) = 2
+        ([1], [(10, 15)], 5),
+        ([3], [(1, 3)], 0),
+    ]:
+        with pytest.raises(DomainError):
+            nonzero_vectors(a1_values, pairs, M)
+    z, found = nonzero_vectors([3], [], 4)
     assert z.shape == (0, 3) and found.shape == (0,)
-    z, found = NonzeroSearch([(1, 3)], 4.0)([])
+    z, found = nonzero_vectors([], [(1, 3)], 4)
     assert z.shape == (0, 3) and found.shape == (0,)
 
 
-N = INT64_MAX // 8
+L = INT64_MAX // 4  # at M = 3 the interval ends reach (a1 + a2 + a3) * (M + 1): the fast rows' limit on the sum
 
 
 @pytest.mark.parametrize(
     "alpha, scalar",
     [
-        # at M = 1 the interval ends reach (|a1| + |a2| + |a3|) * (M + 1) = 8N
-        ((N, N, 2 * N), False),
-        ((N + 1, N + 1, 2 * N + 2), True),
-        ((2**64, 2**64, 2**65), True),  # past int64 altogether
+        # a1 = 2*a2 + a3, so z = (1, -2, -1): the sum at L, then at L + 1
+        ((2 * (L - 4) // 3 + 2, (L - 4) // 3, 2), False),
+        ((2 * (L - 1) // 3 + 1, (L - 1) // 3, 1), True),
+        ((2**64 + 1, 2**64, 1), True),  # past int64 altogether
         # a2 = 1: the class start multiplies two residues mod a3, up to (a3 - 1)^2
         ((3_037_000_499, 1, 3_037_000_500), False),
         ((3_037_000_500, 1, 3_037_000_501), True),
     ],
 )
 def test_batched_search_int64_limit(monkeypatch, alpha, scalar):
+    want = siegel_nonzero_coords(alpha, 3).z
     calls = []
 
     def counted(*args):
@@ -336,6 +354,6 @@ def test_batched_search_int64_limit(monkeypatch, alpha, scalar):
 
     monkeypatch.setattr(siegel, "siegel_nonzero_coords", counted)
     a1, a2, a3 = alpha
-    z, found = NonzeroSearch([(a2, a3)], 1.0)([a1])
-    assert found[0] and tuple(z[0].tolist()) == (1, 1, -1)
+    z, found = nonzero_vectors([a1], [(a2, a3)], 3)
+    assert found[0] and tuple(z[0].tolist()) == want
     assert calls == ([alpha] if scalar else [])
