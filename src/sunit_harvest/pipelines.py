@@ -384,42 +384,41 @@ def _linear_harvest(
     """The harvest of a*u + s = c*r*w, u != 0, over a in A, s in shifts, c in C and
     r in R with c*r coprime to a and 1 <= w <= W, keyed by (u, w) packed in one int32 or int64.
 
-    For a unit r, c*r*w == s (mod a) iff c*w == s*r^-1 (mod a): the kernel runs C
-    against the columns s*r^-1 mod a, and no product c*r is formed.  The exact
-    count is refused past hit_cap (ResourceLimit) before any key array exists, and
-    sizes the one array; a modulus writes its keys once its walk matched its count
-    (RuntimeError otherwise).  Returns `_harvest`'s tuple, whose bucket lists
-    (a, s, c*r), each product m = (a*u + s) / w split over the smaller of C and R,
-    and the number of u = 0 hits.  ResourceLimit also when the packing or
-    c*r*W - s passes int64.  The callers check the sets (`_check_sets`)."""
+    For a unit r, c*r*w == s (mod a) iff c*w == s*r^-1 (mod a): the kernel runs C against
+    the columns rho = s*r^-1 mod a and yields u = r*(c*w // a) + (r*rho - s) / a, so no
+    product c*r and no row index is formed.  The exact count is refused past hit_cap
+    (ResourceLimit) before any key array exists, and sizes the one array; a modulus writes
+    its keys once its walk matched its count (RuntimeError otherwise).  Returns `_harvest`'s
+    tuple, whose bucket lists (a, s, c*r), each product m = (a*u + s) / w split over the
+    smaller of C and R, and the number of u = 0 hits.  ResourceLimit also when the packing,
+    c*r*W - s or r_max*a_max - s passes int64.  The callers check the sets (`_check_sets`)."""
     # an empty set has no hits, which `popular_bucket` reports; its defaults only keep the bounds finite
     a_min, c_max, r_max = min(a_values, default=1), max(c_values, default=1), max(r_values, default=1)
     # from 1 <= a*u + s <= c_max*r_max*W; a shift > 0 lowers only u_lo, a shift < 0 raises only u_hi
     u_lo, u_hi = -(max([0, *shifts]) // a_min) - 1, (c_max * r_max * W - min([0, *shifts])) // a_min
     packing = KeyPacking((u_lo, 1), (u_hi - u_lo + 1, W), "(u, w)")
     c_array, r_array = _int64(c_values, shifts, W * r_max), _int64(r_values, shifts, W * c_max)
+    if r_max * max(a_values, default=1) - min([0, *shifts]) >= 2**63:  # r*rho - s in d below
+        raise ResourceLimit(f"residue columns r*(s*r^-1 mod a) - s, r <= {r_max}, a <= {max(a_values)} beyond int64")
     s_array = np.array(shifts, dtype=np.int64)
 
-    def columns(a: int) -> tuple[np.ndarray, np.ndarray]:  # s*r^-1 mod a, s-major, and the units r mod a
+    def columns(a: int) -> tuple[np.ndarray, np.ndarray]:  # rho = s*r^-1 mod a by (s, unit r mod a), and those r
         inv, unit = _unit_inverse(r_array, a)
-        return ((s_array % a)[:, None] * inv[unit] % a).ravel(), r_array[unit]
+        return (s_array % a)[:, None] * inv[unit] % a, r_array[unit]
 
-    counts = [count_hits([a], c_array, W, columns(a)[0]) for a in a_values]
+    counts = [count_hits([a], c_array, W, columns(a)[0].ravel()) for a in a_values]
     if sum(counts) > hit_cap:
         raise ResourceLimit(f"{sum(counts)} hits beyond hit cap {hit_cap}")
     keys, n = np.empty(sum(counts), dtype=packing.dtype), 0
     for a, count in zip(a_values, counts):
-        cols, units = columns(a)
-        i, j, w = progressions(a, c_array, cols, W)
-        if len(i) != count:
-            raise RuntimeError(f"modulus {a}: counted {count} hits, walked {len(i)}")
-        u = np.multiply(c_array[i], w, out=i)  # u = (c*r*w - s) // a, in place of i
-        if r_max > 1:  # the column j is (s, r) = (j // #units, j % #units); R = {1} multiplies by 1
-            u *= units[j % len(units)]
-            j //= len(units)
-        u -= s_array[j]
-        del j
-        u //= a
+        rho, units = columns(a)
+        d = rho * units  # d = (r*rho - s) / a, in place
+        d -= s_array[:, None]
+        d //= a
+        r = np.tile(units, s_array.size) if r_max > 1 else 1  # R = {1} multiplies by 1
+        u, w = progressions(a, c_array, rho.ravel(), W, d.ravel(), r)
+        if len(u) != count:
+            raise RuntimeError(f"modulus {a}: counted {count} hits, walked {len(u)}")
         keep = u != 0
         k = int(np.count_nonzero(keep))
         packing.pack(u[keep], w[keep], out=keys[n : n + k])

@@ -7,16 +7,18 @@ for both walks, the exact count and the additive spectrum.  When a <= #c it
 runs once over the a residues, and the table is kept for the next call with
 the same a (`_kept`, the library's one store of tables of every kind, bounded
 by TABLE_BYTES = 1 MiB, least recently used out first).  Two walks list the
-same rows.  The start walk lists the terms
-w0 + a*k, k < ceil(W / a), of every cell (c, shift) from w0 == shift * c^-1
-(mod a), as one grid masked by w <= W, at O(#units * #shifts + hits) instead of
-the naive O(#C * #shifts * W).  The dual walk (`_join`) joins the residue
-(c mod a)*w mod a of every (c, w) with w <= W against the shifts grouped by
-residue, at O(#units * W + a + #shifts + hits).  `progressions` takes the
-smaller grid: the join for many shifts and a short w range (thm2's b + 1,
+same rows, one (u, w) per hit with u = r_j*(c*w // a) + d_j for the caller's
+per-shift d and r, and form no index of c or shift per row.  The start walk
+(`_start`) lists the terms w0 + a*k, k < ceil(W / a), of every cell (c, shift)
+from w0 == shift * c^-1 (mod a), as one grid masked by w <= W, at
+O(#units * #shifts + hits) instead of the naive O(#C * #shifts * W).  The join
+(`_join`) matches the residue c*w mod a of every (c, w) with w <= W to the shifts
+grouped by residue, at O(#units * W + a + #shifts + hits).  `progressions` takes
+the smaller grid: the join for many shifts and a short w range (thm2's b + 1,
 thm1's r^-1 mod a), the start walk for few shifts or a long w range.
-`count_hits` counts the rows on that grid, at its cost and not the hits'.
-Either walk groups the rows by c; no caller reads their order within one c.
+`count_hits` counts the rows on that grid, at its cost and not the hits'.  Either
+walk groups the rows by c; no caller reads their order within one c.  `_int64`
+bounds |c|*W + |shift|, so c*w fits int64 for every w <= W; d and r keep u there.
 """
 
 from __future__ import annotations
@@ -126,65 +128,64 @@ def _unit_inverse(c: np.ndarray, a: int) -> tuple[np.ndarray, np.ndarray]:
     return _invert(x, a)
 
 
-def _join(a: int, c: np.ndarray, shifts: Sequence[int], W: int):
-    """int64 arrays (i, j, w) by the dual walk: the residue r = (c mod a)*w mod a
-    of every (c, w) with 1 <= w <= W, joined against the shifts grouped by
-    residue mod a (one value sort, one bincount), the matches of each
-    (c, w) spread by one repeat.  Rows come grouped by ascending i, in (w, j)
-    order within i.
-
-    r multiplies a residue by w, below a*W, never two residues.  The join runs
-    only when #units * W + a < #units * #shifts, so W < #shifts, and after
-    `_unit_inverse` checked a^2 < 2^63, a*W < 2^63 while #shifts < 2^31.
-    """
-    sh = np.array(shifts, dtype=np.int64) % a
-    m = sh.size
-    # the stable argsort of sh by one value sort of sh*m + k, each index k below its residue:
-    # sh*m + k < a*m < 2^63, as a < 2^31.5 (a^2 < 2^63) and m < 2^31 (16 GiB of int64 shifts)
-    order = np.sort(sh * m + np.arange(m))
+def _join(a: int, c: np.ndarray, rho: np.ndarray, W: int, d: np.ndarray, r) -> tuple[np.ndarray, np.ndarray]:
+    """(u, w) by the dual walk: q = c*w // a and c*w - a*q of every (c, w), 1 <= w <= W,
+    joined against the columns grouped by residue rho (one value sort, one bincount),
+    each (c, w) spread over its matches by one repeat, u = r*q + d gathered from d and r
+    put in residue order.  Rows come grouped by c, in (w, column) order within c, and
+    the columns of one residue in their given order."""
+    m = rho.size
+    # the stable argsort of rho by one value sort of rho*m + k, each index k below its residue:
+    # rho*m + k < a*m < 2^63, as a < 2^31.5 (a^2 < 2^63) and m < 2^31 (16 GiB of int64 columns)
+    order = np.sort(rho * m + np.arange(m))
     order -= order // m * m
-    counts = np.bincount(sh, minlength=a)
-    r = ((c % a)[:, None] * np.arange(1, W + 1) % a).ravel()
-    n = counts[r]
-    cell = np.repeat(np.arange(r.size), n)
-    # the k-th match of cell (c, w) is the k-th shift of the group of its residue
-    j = ((np.cumsum(counts) - counts)[r] - (np.cumsum(n) - n))[cell]
-    j += np.arange(cell.size)
-    i = np.empty_like(cell)  # the remainder then overwrites cell
-    np.divmod(cell, max(W, 1), out=(i, cell))
-    return i, order[j], np.add(cell, 1, out=cell)
+    counts = np.bincount(rho, minlength=a)
+    cw = (c[:, None] * np.arange(1, W + 1)).ravel()
+    q = cw // a
+    cw -= q * a  # c*w mod a
+    n = counts[cw]
+    # the k-th match of cell (c, w) is the k-th column of its residue's group, in residue order
+    at = np.repeat((np.cumsum(counts) - counts)[cw] - (np.cumsum(n) - n), n)
+    at += np.arange(at.size)
+    u = np.repeat(q, n)
+    if np.ndim(r):
+        u *= r[order][at]
+    u += d[order][at]
+    return u, np.repeat(np.tile(np.arange(1, W + 1), c.size), n)
 
 
-def progressions(a: int, c_values: Sequence[int] | np.ndarray, shifts: Sequence[int], W: int):
-    """int64 arrays (i, j, w), one row per solution of c_values[i]*w == shifts[j]
-    (mod a) with 1 <= w <= W and c_values[i] a unit mod a, grouped by ascending
-    i; a c that shares a factor with a has no row.
+def _start(a: int, c: np.ndarray, inv: np.ndarray, rho: np.ndarray, W: int, d: np.ndarray, r):
+    """(u, w) by the start walk: the terms w0 + a*k, k < ceil(W / a), of every cell (c, column)
+    from its first term w0 == rho * c^-1 (mod a) in [1, a], kept where w <= W, with
+    u = r*(c*w0 // a) + d + r*c*k, as c*w = c*w0 + a*c*k; a cell with w0 > W keeps no
+    term, and takes W for w0.  Rows come grouped by c, in (column, w) order within c."""
+    k = np.arange(-(-W // a))
+    w0 = (rho * inv[:, None] - 1) % a + 1  # rho * inv < a^2 < 2^63
+    u = np.multiply((c[:, None] * r)[:, :, None], k, out=np.empty(w0.shape + k.shape, dtype=np.int64))
+    u += (c[:, None] * np.minimum(w0, W) // a * r + d)[:, :, None]
+    w = w0[:, :, None] + a * k
+    keep = w <= W
+    u = u[keep]  # the grid of u goes before w's rows are gathered
+    return u, w[keep]
 
-    The Euler power refuses a^2 >= 2^63 (ResourceLimit) before any array of
-    length a is built.  The join runs when #units * W + a < #units * #shifts,
-    in (w, j) order within each i; otherwise the start walk, in (j, w) order.
-    c_values[i]*w - shifts[j] fits in int64.  DomainError unless a >= 1.
-    """
+
+def progressions(a: int, c_values: Sequence[int] | np.ndarray, shifts: Sequence[int], W: int, d: np.ndarray, r):
+    """int64 arrays (u, w), one row per solution of c_values[i]*w == shifts[j] (mod a)
+    with 1 <= w <= W and c_values[i] a unit mod a, u = r[j]*(c_values[i]*w // a) + d[j]
+    for int64 arrays d and r, or r = 1 (d[j] = -(shifts[j] // a) and r = 1 give
+    a*u + shifts[j] = c_values[i]*w).  Rows come grouped by ascending i: in (w, j) order
+    by the join when #units * W + a < #units * #shifts, else in (j, w) order by the
+    start walk.  ResourceLimit when a^2 >= 2^63, before any array of length a, or when
+    c_values[i]*w - shifts[j] passes int64; u fits when d and r keep it there.
+    DomainError unless a >= 1."""
     _check_moduli([a])
     c = _int64(c_values, shifts, W)
     inv, unit = _unit_inverse(c, a)
-    units = np.flatnonzero(unit)
-    if units.size * W + a < units.size * len(shifts):
-        i, j, w = _join(a, c[units], shifts, W)
-    else:
-        # the terms w0 + a*k, k < ceil(W / a), of every cell (c, shift) from its
-        # first term w0 == shift * c^-1 (mod a) in [1, a], kept where w <= W;
-        # shift mod a times a residue stays below a^2 < 2^63
-        K = -(-W // a)
-        w0 = (np.array(shifts, dtype=np.int64) % a * inv[units, None] - 1) % a + 1
-        w = (w0[:, :, None] + a * np.arange(K)).ravel()
-        cell = np.flatnonzero(w <= W)
-        w = w[cell]
-        cell //= K
-        i = np.empty_like(cell)  # the remainder then overwrites cell
-        np.divmod(cell, len(shifts), out=(i, cell))
-        j = cell
-    return units[i], j, w
+    c, rho = c[unit], np.array(shifts, dtype=np.int64)
+    rho -= rho // a * a  # shifts mod a, reduced as `_powmod` reduces
+    if c.size * W + a < c.size * rho.size:
+        return _join(a, c, rho, W, d, r)
+    return _start(a, c, inv[unit], rho, W, d, r)
 
 
 def _interval_counts(a: int, W: int) -> np.ndarray:

@@ -360,6 +360,24 @@ def test_cli_int64_limit_exit(tmp_path, capsys):
     assert err.startswith("resource limit:") and "beyond int64" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("r_max, code", [(2 * (2**31 - 1) + 4, 0), (2 * (2**31 - 1) + 5, 4)])
+def test_cli_column_offset_limit_exit(tmp_path, capsys, monkeypatch, r_max, code):
+    # thm1 at a = 2^31 - 1 runs while r_max * a < 2^63 (test_column_offsets_at_the_int64_edge);
+    # one past, it exits 4 with one line before any count or walk
+    a = 2**31 - 1
+    monkeypatch.setattr(pipelines, "_window_sets", lambda *args: [[2**29, a - 1], [2 * a - 1, r_max], [a]])
+    if code:
+        monkeypatch.setattr(pipelines, "count_hits", lambda *args: pytest.fail("the count started"))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(THM1_CFG + "w=1\n")
+    assert main(["thm1", "--config", str(cfg), "--out", str(tmp_path / "out.json")]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith("resource limit: residue columns") and "beyond int64" in err and err.count("\n") == 1
+    else:
+        assert json.loads((tmp_path / "out.json").read_text())["run"]["bucket_stats"]["total_hits"] == 2
+
+
 def test_cli_hit_bound_before_walk(tmp_path, capsys, monkeypatch):
     # the thm2 desk config at w=300000 makes 108,326,811 hits: counted and refused before any walk
     def walk(*args):

@@ -394,7 +394,7 @@ def test_linear_harvest_makes_no_second_key_array(monkeypatch):
     a_values = list(range(60, 121))
     c_values = [c for c in range(127, 400) if all(c % p for p in range(2, 20))]  # coprime to every a
     shifts, W = list(range(1, 31)), 600
-    row_bytes = max(progressions(a, c_values, shifts, W)[0].nbytes for a in a_values)
+    row_bytes = max(solutions(a, c_values, shifts, W)[0].nbytes for a in a_values)
     dtypes, tally = [], pipelines.popular_bucket
     monkeypatch.setattr(pipelines, "popular_bucket", lambda keys, *rest: dtypes.append(keys.dtype) or tally(keys, *rest))
     tracemalloc.start()
@@ -407,6 +407,26 @@ def test_linear_harvest_makes_no_second_key_array(monkeypatch):
     key_bytes = (stats["total_hits"] + u_zero) * dtypes[0].itemsize
     assert key_bytes > 16 * row_bytes  # a second key array would show
     assert peak <= key_bytes + 16 * row_bytes, (peak, key_bytes, row_bytes)
+
+
+def test_column_offsets_at_the_int64_edge(monkeypatch):
+    # d = (r*rho - s) / a forms r*rho, up to r_max*(a - 1): the linear harvest runs while
+    # r_max * a_max < 2^63, at a = 2^31 - 1 while r_max <= 2a + 4.  Here r = 2a + 4 == 4
+    # meets the shift a - 4 at rho = a - 1, where r*rho = 2^63 - 2^32 - 4
+    a = 2**31 - 1
+    q_values, shifts = [2**29, a - 1], [1, a - 4]
+    assert (2 * a + 4) * a < 2**63 <= (2 * a + 5) * a
+    r_values = [2 * a - 1, 2 * a + 4]  # -1 and 4 (mod a)
+    _, stats, key, _, u_zero = _linear_harvest([a], shifts, q_values, r_values, 1, CAP)
+    tally, zero = brute_tally([a], [q * r for q in q_values for r in r_values], 1, shifts)
+    assert (stats["total_hits"], stats["nonempty_buckets"], u_zero) == (sum(tally.values()), len(tally), zero)
+    assert stats["total_hits"] == 3 and key == min(tally, key=lambda k: (-tally[k], k))
+    # one past the edge c_max*r_max*W + s_max = 2^63 - 11 still passes `_int64`,
+    # but r*rho is refused before any count or walk
+    for name in ("count_hits", "progressions"):
+        monkeypatch.setattr(pipelines, name, lambda *args, name=name: pytest.fail(f"{name} ran"))
+    with pytest.raises(ResourceLimit, match=r"^residue columns .* beyond int64$"):
+        _linear_harvest([a], shifts, q_values, [2 * a - 1, 2 * a + 5], 1, CAP)
 
 
 @PROFILE
@@ -433,18 +453,68 @@ def test_linear_harvest_makes_no_second_key_array(monkeypatch):
 @example(4, [2, 3, 6, 7], [1, 5, -3, 2, 9, 4], 3)  # the join, with non-units between the units
 def test_progressions_match_brute(a, c_values, shifts, W):
     assert count_hits([a], c_values, W) == brute_linear_count([a], c_values, W, 1).count
-    # either walk lists the units c mod a only, with i indexing c_values
-    brute = [
-        (i, j, w)
-        for i, c in enumerate(c_values)
+    # either walk lists the units c mod a only, each row with a*u + shift = c*w
+    assert_rows(solutions(a, c_values, shifts, W), brute_rows(a, c_values, [(s, 1) for s in shifts], W))
+
+
+def solutions(a, c_values, shifts, W):
+    """progressions with d = -(shift // a) and r = 1: the rows (u, w) of a*u + shift = c*w."""
+    return progressions(a, c_values, shifts, W, -(np.asarray(shifts, dtype=np.int64) // a), 1)
+
+
+def brute_rows(a, c_values, pairs, W):
+    """The (u, w) rows of the units c mod a, one list per c: u = (c*r*w - s) / a for
+    every (s, r) of pairs and w <= W with c*r*w == s (mod a), in Python ints."""
+    return [
+        [((c * r * w - s) // a, w) for s, r in pairs for w in range(1, W + 1) if (c * r * w - s) % a == 0]
+        for c in c_values
         if gcd(c, a) == 1
-        for j, shift in enumerate(shifts)
-        for w in range(1, W + 1)
-        if (c * w - shift) % a == 0
     ]
-    i, j, w = progressions(a, c_values, shifts, W)
-    # the multiset of rows; no caller reads their order, which differs between the walks
-    assert sorted(zip(i.tolist(), j.tolist(), w.tolist())) == brute
+
+
+def assert_rows(rows, want):
+    """rows, int64 arrays (u, w), are want's lists one after another, each in any order:
+    no caller reads the order within one c, which differs between the walks."""
+    u, w = rows
+    assert u.dtype == w.dtype == np.int64
+    got, start = list(zip(u.tolist(), w.tolist())), 0
+    assert len(got) == sum(map(len, want))
+    for group in want:
+        assert sorted(got[start : start + len(group)]) == sorted(group)
+        start += len(group)
+
+
+def columns_of(a, pairs):
+    """int64 arrays (rho, d, r) of the (s, r) pairs, each r a unit mod a, as the linear
+    harvest passes them: rho = s*r^-1 mod a and d = (r*rho - s) / a."""
+    rho = [s * pow(r, -1, a) % a for s, r in pairs]
+    d = [(r * x - s) // a for (s, r), x in zip(pairs, rho)]
+    return tuple(np.array(v, dtype=np.int64) for v in (rho, d, [r for _, r in pairs]))
+
+
+@PROFILE
+@given(
+    st.integers(1, 30),
+    st.lists(st.integers(-60, 60), max_size=6),
+    st.lists(st.tuples(st.integers(-40, 40), st.integers(1, 12)), max_size=12),
+    st.integers(0, 70),
+)
+@example(6, [5, 4, 9, 7], [(2, 5), (3, 1), (0, 7), (-1, 11)], 20)  # non-units 4 and 9, r != 1, shifts <= 0
+@example(1, [3, 0, -4], [(2, 3), (-1, 1), (0, 5)], 6)  # a == 1: every (c, shift, w) is a row
+@example(7, [3, 5, 6], [(1, 2), (1, 3), (-13, 4), (8, 2)], 3)  # W below a
+@example(5, [2, 3], [(-5, 2), (0, 3), (4, 4)], 0)  # W == 0
+def test_both_walks_list_the_brute_rows(a, c_values, pairs, W):
+    # each walk forced over the same columns, and progressions' choice over all of c_values
+    pairs = [(s, r) for s, r in pairs if gcd(r, a) == 1]
+    want = brute_rows(a, c_values, pairs, W)
+    rho, d, r = columns_of(a, pairs)
+    units = [c for c in c_values if gcd(c, a) == 1]
+    c, inv = (np.array(v, dtype=np.int64) for v in (units, [pow(x, -1, a) for x in units]))
+    assert_rows(stepping._join(a, c, rho, W, d, r), want)
+    assert_rows(stepping._start(a, c, inv, rho, W, d, r), want)
+    assert_rows(progressions(a, c_values, rho, W, d, r), want)
+    if all(r == 1):  # thm2's r = 1, which gathers nothing
+        assert_rows(progressions(a, c_values, rho, W, d, 1), want)
 
 
 @pytest.mark.parametrize("shifts, joins", [([1, 5, -3, 2, 9], False), ([1, 5, -3, 2, 9, 4], True)])
@@ -452,43 +522,44 @@ def test_progressions_strategy_boundary(monkeypatch, shifts, joins):
     # the join runs exactly when #units * W + a < #units * #shifts, here 2*3 + 4
     # against 2 * #shifts, whether or not the non-unit 2 is passed too;
     # test_progressions_match_brute checks the rows of both cases
-    join = stepping._join
+    calls = []
+    for name in ("_join", "_start"):
+        walk = getattr(stepping, name)
+        monkeypatch.setattr(stepping, name, lambda *args, name=name, walk=walk: calls.append(name) or walk(*args))
     for c_values in ([3, 7], [2, 3, 7]):
-        calls = []
-        monkeypatch.setattr(stepping, "_join", lambda *args: calls.append(args) or join(*args))
-        progressions(4, c_values, shifts, 3)
-        assert bool(calls) == joins, c_values
+        calls.clear()
+        solutions(4, c_values, shifts, 3)
+        assert calls == ["_join" if joins else "_start"], c_values
 
 
 def test_start_walk_lists_no_non_units():
     # stepping by a from c^-1 has no meaning for gcd(c, a) > 1: such a c lists no rows
-    i, j, w = progressions(6, [5, 4, 9], [2], 20)
-    assert sorted(zip(i.tolist(), j.tolist(), w.tolist())) == progression_rows(6, [5], [2], 20)
-    i, j, w = progressions(3_037_000_499, [1, -13], [1], 5)  # 13 divides this a
-    assert sorted(zip(i.tolist(), j.tolist(), w.tolist())) == [(0, 0, 1)]
+    assert_rows(solutions(6, [5, 4, 9], [2], 20), progression_rows(6, [5], [2], 20))
+    u, w = solutions(3_037_000_499, [1, -13], [1], 5)  # 13 divides this a
+    assert (u.tolist(), w.tolist()) == ([0], [1])
 
 
-def test_start_walk_peak_is_four_row_arrays():
-    # one shift and a long w range take the start walk; at its peak it holds
-    # (i, j, w) and the units[i] it returns, beside no other row-sized array
+def test_start_walk_peak_is_three_row_arrays():
+    # one shift and a long w range take the start walk; at its peak it holds its
+    # grids of u and w, their mask and the rows of u, beside no other row-sized array
     c = np.array([c for c in range(1, 40_000) if c % 7], dtype=np.int64)  # 34,285 units mod 7
     tracemalloc.start()
     try:
-        i, j, w = progressions(7, c, [1], 700)
+        u, w = solutions(7, c, [1], 700)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert i.size == c.size * 100
-    assert peak <= 4.25 * i.nbytes, peak / i.nbytes
+    assert u.size == c.size * 100
+    assert peak <= 3.25 * u.nbytes, peak / u.nbytes
 
 
 def test_join_refuses_moduli_past_int64_before_any_walk(monkeypatch):
     # many shifts and a short w range; the join's bincount would have length a,
     # but a^2 >= 2^63 is refused before the Euler power or either walk runs
-    for name in ("_join", "_powmod"):
+    for name in ("_join", "_start", "_powmod"):
         monkeypatch.setattr(stepping, name, lambda *args, name=name: pytest.fail(f"{name} ran"))
     with pytest.raises(ResourceLimit, match="beyond int64"):
-        progressions(2**32, [3, 4], range(20), 1)
+        solutions(2**32, [3, 4], range(20), 1)
 
 
 @st.composite
@@ -610,11 +681,20 @@ def test_decompositions_invert_each_modulus_once(monkeypatch, empty_tables):
 @example(5, [4, 9, -1, 2, 7, 4], [2, 5], 3)  # repeated residues, repeated shifts
 @example(99_991, [99_990, -1, 0, 99_990, 1], [1, -1, 99_990], 2)  # residues near a: sh*n + k near a*n
 def test_join_groups_shifts_as_the_stable_argsort(a, shifts, c_values, W):
-    # every (c, w) cell matches its shifts in the order of the stable argsort of the residues
+    # every (c, w) cell matches its shifts in the order of the stable argsort of the
+    # residues, each row's u = r*(c*w // a) + d from its own shift's d and r
     order = np.argsort(np.array(shifts) % a, kind="stable").tolist()
-    want = [(i, j, w) for i, c in enumerate(c_values) for w in range(1, W + 1) for j in order if (c * w - shifts[j]) % a == 0]
-    i, j, w = stepping._join(a, np.array(c_values, dtype=np.int64), shifts, W)
-    assert list(zip(i.tolist(), j.tolist(), w.tolist())) == want
+    d, r = [100 * j - 7 for j in range(len(shifts))], [j % 3 + 1 for j in range(len(shifts))]
+    want = [
+        (r[j] * (c * w // a) + d[j], w)
+        for c in c_values
+        for w in range(1, W + 1)
+        for j in order
+        if (c * w - shifts[j]) % a == 0
+    ]
+    rho, d, r = (np.array(v, dtype=np.int64) for v in (np.array(shifts) % a, d, r))
+    u, w = stepping._join(a, np.array(c_values, dtype=np.int64), rho, W, d, r)
+    assert list(zip(u.tolist(), w.tolist())) == want
 
 
 @pytest.mark.parametrize("a, dtype", [(46_341, np.int32), (46_342, np.int64)])
@@ -675,20 +755,18 @@ def test_kernel_refuses_moduli_below_1():
         with pytest.raises(DomainError):
             count_hits([7, a], [3, 4], 10)
         with pytest.raises(DomainError):
-            progressions(a, [3], [1], 5)
+            progressions(a, [3], [1], 5, np.zeros(1, dtype=np.int64), 1)
         with pytest.raises(DomainError):
-            progressions(a, [3, 4], list(range(20)), 1)  # many shifts: the join walk
+            progressions(a, [3, 4], list(range(20)), 1, np.zeros(20, dtype=np.int64), 1)  # many shifts: the join
 
 
 def progression_rows(a, c_values, shifts, W):
-    """The rows of progressions(a, c_values, shifts, W) for units c mod a, in
-    Python ints, one pow per (c, shift) cell."""
-    rows = []
-    for i, c in enumerate(c_values):
-        for j, shift in enumerate(shifts):
-            w0 = shift * pow(c, -1, a) % a or a
-            rows += [(i, j, w) for w in range(w0, W + 1, a)]
-    return rows
+    """The (u, w) rows of solutions(a, c_values, shifts, W) for units c mod a, one
+    list per c, in Python ints, one pow per (c, shift) cell."""
+    return [
+        [((c * w - shift) // a, w) for shift in shifts for w in range(shift * pow(c, -1, a) % a or a, W + 1, a)]
+        for c in c_values
+    ]
 
 
 def test_kernel_at_largest_modulus():
@@ -699,10 +777,7 @@ def test_kernel_at_largest_modulus():
     # c*w - shift stays within int64 for w <= W = a and |c| < a
     c_values = [1, 2, -1, a - 1, -(a - 2), a * 1000 // 1618, 14, 2**31 - 1]
     shifts = [1, a - 1, -(a - 2), 13 * 5, 233_615_423]
-    i, j, w = progressions(a, c_values, shifts, a)
-    rows = sorted(zip(i.tolist(), j.tolist(), w.tolist()))
-    assert rows == progression_rows(a, c_values, shifts, a)
-    assert all((c_values[r[0]] * r[2] - shifts[r[1]]) % a == 0 for r in rows)
+    assert_rows(solutions(a, c_values, shifts, a), progression_rows(a, c_values, shifts, a))
     # the non-units are counted, never listed, and reach 1 at no w
     counted = c_values + [13, 13 * 7, -13 * 233_615_422, 233_615_423 * 2, -233_615_423 * 3]
     as_list = count_hits([a], counted, a)
@@ -710,7 +785,7 @@ def test_kernel_at_largest_modulus():
     # w <= W = a holds one term of each unit's progression of step a
     assert as_list == sum(gcd(c, a) == 1 for c in counted)
     with pytest.raises(ResourceLimit):
-        progressions(a + 1, [1], [1], 1)
+        solutions(a + 1, [1], [1], 1)
     # an int64 array is range-checked as a list is, down to -2^63
     for c in (2**62 + 1, -(2**62) - 1, -(2**63)):
         with pytest.raises(ResourceLimit):
@@ -723,12 +798,12 @@ def test_shifts_refused_at_the_same_int64_edge(form):
     # c*w - shift must fit in int64: with c*W = 2 a shift may reach 2^63 - 3 in size,
     # whether the shifts come as a list or as an int64 array bounded by its min and max
     for shifts in ([5, 2**63 - 3], [-(2**63) + 3, 1]):
-        assert count_hits([3], [2], 1, form(shifts)) == len(progressions(3, [2], form(shifts), 1)[0])
+        assert count_hits([3], [2], 1, form(shifts)) == len(solutions(3, [2], form(shifts), 1)[0])
     for shifts in ([5, 2**63 - 2], [-(2**63) + 2, 1], [-(2**63)]):
         with pytest.raises(ResourceLimit, match="beyond int64"):
             count_hits([3], [2], 1, form(shifts))
         with pytest.raises(ResourceLimit, match="beyond int64"):
-            progressions(3, [2], form(shifts), 1)
+            solutions(3, [2], form(shifts), 1)
 
 
 @PROFILE
@@ -784,7 +859,7 @@ def test_int64_limit():
     with pytest.raises(ResourceLimit):
         count_hits([3], [2**62 + 1], 2)
     with pytest.raises(ResourceLimit):
-        progressions(2**32, [3], [1], 1)  # a^2 passes int64
+        solutions(2**32, [3], [1], 1)  # a^2 passes int64
     # both decompositions count with the kernel before C reaches an int64 array
     with pytest.raises(ResourceLimit):
         multiplicative_decomposition([3], [2**63 + 1], 2)
