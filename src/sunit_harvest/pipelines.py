@@ -229,7 +229,7 @@ def _window_sets(config: HarvestConfig, equation: str, windows: Iterable) -> lis
 class KeyPacking:
     """Integer keys with lows[i] <= key[i] < lows[i] + sizes[i], packed into one
     value each in mixed radix, so packed order is lexicographic key order, by
-    `pack` into out or a new array of int32 when the packed values fit, else int64.
+    `pack` into a new array of int32 when the packed values fit, else int64.
 
     Raises ResourceLimit, before any key array is built, when the
     prod(sizes) packed values pass int64.
@@ -242,9 +242,8 @@ class KeyPacking:
         fits = prod(sizes) <= 2**31 and all(abs(v) < 2**31 for v in self.lows[1:] + self.sizes[1:])  # pack's scalars
         self.dtype = np.dtype(np.int32 if fits else np.int64)
 
-    def pack(self, *columns: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        out = np.empty(len(columns[0]), self.dtype) if out is None else out
-        packed = np.subtract(columns[0], self.lows[0], out=out)
+    def pack(self, *columns: np.ndarray) -> np.ndarray:
+        packed = np.subtract(columns[0], self.lows[0], out=np.empty(len(columns[0]), self.dtype))
         for column, low, size in zip(columns[1:], self.lows[1:], self.sizes[1:]):
             packed *= size  # in place: one array for the whole pack
             packed += column
@@ -385,20 +384,24 @@ def _linear_harvest(
     r in R with c*r coprime to a and 1 <= w <= W, keyed by (u, w) packed in one int32 or int64.
 
     For a unit r, c*r*w == s (mod a) iff c*w == s*r^-1 (mod a): the kernel runs C against
-    the columns rho = s*r^-1 mod a and yields u = r*(c*w // a) + (r*rho - s) / a, so no
-    product c*r and no row index is formed.  The exact count is refused past hit_cap
-    (ResourceLimit) before any key array exists, and sizes the one array; a modulus writes
-    its keys once its walk matched its count (RuntimeError otherwise).  Returns `_harvest`'s
-    tuple, whose bucket lists (a, s, c*r), each product m = (a*u + s) / w split over the
-    smaller of C and R, and the number of u = 0 hits.  ResourceLimit also when the packing,
-    c*r*W - s or r_max*a_max - s passes int64.  The callers check the sets (`_check_sets`)."""
+    the columns rho = s*r^-1 mod a and, given e = W*(d - u_lo) for d = (r*rho - s) / a,
+    yields each hit's packed key W*(u - u_lo) + (w - 1) of u = r*(c*w // a) + d, so no
+    product c*r, no row index and no row of u or w is formed.  d >= u_lo, so e >= 0, and
+    u_lo <= u <= u_hi, so every hit's key lies in [0, (u_hi - u_lo + 1)*W).  The u = 0
+    hits are the keys in [W*(-u_lo), W*(1 - u_lo)).  The exact count is refused past
+    hit_cap (ResourceLimit) before any key array exists, and sizes the one array; a
+    modulus writes its other keys once its walk matched its count (RuntimeError
+    otherwise).  Returns `_harvest`'s tuple, whose bucket lists (a, s, c*r), each product
+    m = (a*u + s) / w split over the smaller of C and R, and the number of u = 0 hits.
+    ResourceLimit also when the packing, c*r*W - s or r_max*a_max - s passes int64.  The
+    callers check the sets (`_check_sets`)."""
     # an empty set has no hits, which `popular_bucket` reports; its defaults only keep the bounds finite
     a_min, c_max, r_max = min(a_values, default=1), max(c_values, default=1), max(r_values, default=1)
     # from 1 <= a*u + s <= c_max*r_max*W; a shift > 0 lowers only u_lo, a shift < 0 raises only u_hi
     u_lo, u_hi = -(max([0, *shifts]) // a_min) - 1, (c_max * r_max * W - min([0, *shifts])) // a_min
     packing = KeyPacking((u_lo, 1), (u_hi - u_lo + 1, W), "(u, w)")
     c_array, r_array = _int64(c_values, shifts, W * r_max), _int64(r_values, shifts, W * c_max)
-    if r_max * max(a_values, default=1) - min([0, *shifts]) >= 2**63:  # r*rho - s in d below
+    if r_max * max(a_values, default=1) - min([0, *shifts]) >= 2**63:  # r*rho - s in e below
         raise ResourceLimit(f"residue columns r*(s*r^-1 mod a) - s, r <= {r_max}, a <= {max(a_values)} beyond int64")
     s_array = np.array(shifts, dtype=np.int64)
 
@@ -412,16 +415,18 @@ def _linear_harvest(
     keys, n = np.empty(sum(counts), dtype=packing.dtype), 0
     for a, count in zip(a_values, counts):
         rho, units = columns(a)
-        d = rho * units  # d = (r*rho - s) / a, in place
-        d -= s_array[:, None]
-        d //= a
+        e = rho * units  # e = W*(d - u_lo) for d = (r*rho - s) / a, in place
+        e -= s_array[:, None]
+        e //= a
+        e -= u_lo
+        e *= W
         r = np.tile(units, s_array.size) if r_max > 1 else 1  # R = {1} multiplies by 1
-        u, w = progressions(a, c_array, rho.ravel(), W, d.ravel(), r)
-        if len(u) != count:
-            raise RuntimeError(f"modulus {a}: counted {count} hits, walked {len(u)}")
-        keep = u != 0
-        k = int(np.count_nonzero(keep))
-        packing.pack(u[keep], w[keep], out=keys[n : n + k])
+        key = progressions(a, c_array, rho.ravel(), W, e.ravel(), r)
+        if len(key) != count:
+            raise RuntimeError(f"modulus {a}: counted {count} hits, walked {len(key)}")
+        u_zero = (key >= W * -u_lo) & (key < W * (1 - u_lo))  # the packed range of u = 0
+        k = len(key) - int(np.count_nonzero(u_zero))
+        keys[n : n + k] = key[~u_zero] if k < len(key) else key
         n += k
 
     def listing(key: tuple) -> list:

@@ -7,18 +7,21 @@ for both walks, the exact count and the additive spectrum.  When a <= #c it
 runs once over the a residues, and the table is kept for the next call with
 the same a (`_kept`, the library's one store of tables of every kind, bounded
 by TABLE_BYTES = 1 MiB, least recently used out first).  Two walks list the
-same rows, one (u, w) per hit with u = r_j*(c*w // a) + d_j for the caller's
-per-shift d and r, and form no index of c or shift per row.  The start walk
-(`_start`) lists the terms w0 + a*k, k < ceil(W / a), of every cell (c, shift)
-from w0 == shift * c^-1 (mod a), as one grid masked by w <= W, at
+same hits, one int64 key per hit, W*r_j*(c*w // a) + e_j + (w - 1) for the
+caller's per-shift e and r: with e_j = W*(d_j - u_lo) it is the packed (u, w)
+key W*(u - u_lo) + (w - 1) of u = r_j*(c*w // a) + d_j.  Neither walk forms a
+row of u or w, or an index of c or shift per row.  The start walk (`_start`)
+lists the terms w0 + a*k, k < ceil(W / a), of every cell (c, shift) from
+w0 == shift * c^-1 (mod a), as one grid of keys masked by w <= W, at
 O(#units * #shifts + hits) instead of the naive O(#C * #shifts * W).  The join
 (`_join`) matches the residue c*w mod a of every (c, w) with w <= W to the shifts
 grouped by residue, at O(#units * W + a + #shifts + hits).  `progressions` takes
 the smaller grid: the join for many shifts and a short w range (thm2's b + 1,
 thm1's r^-1 mod a), the start walk for few shifts or a long w range.
-`count_hits` counts the rows on that grid, at its cost and not the hits'.  Either
-walk groups the rows by c; no caller reads their order within one c.  `_int64`
-bounds |c|*W + |shift|, so c*w fits int64 for every w <= W; d and r keep u there.
+`count_hits` counts the rows on that grid, at its cost and not the hits', the
+join's from the residues the join itself forms (`_cells`).  Either walk groups
+the rows by c; no caller reads their order within one c.  `_int64` bounds
+|c|*W + |shift|, so c*w fits int64 for every w <= W; e and r keep the key there.
 """
 
 from __future__ import annotations
@@ -128,64 +131,78 @@ def _unit_inverse(c: np.ndarray, a: int) -> tuple[np.ndarray, np.ndarray]:
     return _invert(x, a)
 
 
-def _join(a: int, c: np.ndarray, rho: np.ndarray, W: int, d: np.ndarray, r) -> tuple[np.ndarray, np.ndarray]:
-    """(u, w) by the dual walk: q = c*w // a and c*w - a*q of every (c, w), 1 <= w <= W,
-    joined against the columns grouped by residue rho (one value sort, one bincount),
-    each (c, w) spread over its matches by one repeat, u = r*q + d gathered from d and r
-    put in residue order.  Rows come grouped by c, in (w, column) order within c, and
-    the columns of one residue in their given order."""
+def _cells(a: int, c: np.ndarray, W: int) -> tuple[np.ndarray, np.ndarray]:
+    """(q, c*w mod a) of every cell (c, w), 1 <= w <= W, flat in (c, w) order, with q = c*w // a;
+    the residue is reduced as cw - q*a, as `_powmod` reduces."""
+    cw = (c[:, None] * np.arange(1, W + 1)).ravel()
+    q = cw // a
+    cw -= q * a
+    return q, cw
+
+
+def _join(a: int, c: np.ndarray, rho: np.ndarray, W: int, e: np.ndarray, r) -> np.ndarray:
+    """Keys by the dual walk: q = c*w // a and c*w mod a of every cell (c, w), 1 <= w <= W,
+    joined against the columns grouped by residue rho (one value sort, one bincount).
+    Each cell's W*q + (w - 1) is spread over its matches by one repeat and e is gathered
+    in residue order; for r != 1, W*q and w - 1 are spread apart and W*q takes r.  Rows come
+    grouped by c, in (w, column) order within c, and the columns of one residue in their
+    given order."""
     m = rho.size
     # the stable argsort of rho by one value sort of rho*m + k, each index k below its residue:
     # rho*m + k < a*m < 2^63, as a < 2^31.5 (a^2 < 2^63) and m < 2^31 (16 GiB of int64 columns)
     order = np.sort(rho * m + np.arange(m))
     order -= order // m * m
     counts = np.bincount(rho, minlength=a)
-    cw = (c[:, None] * np.arange(1, W + 1)).ravel()
-    q = cw // a
-    cw -= q * a  # c*w mod a
-    n = counts[cw]
+    q, res = _cells(a, c, W)
+    n = counts[res]
     # the k-th match of cell (c, w) is the k-th column of its residue's group, in residue order
-    at = np.repeat((np.cumsum(counts) - counts)[cw] - (np.cumsum(n) - n), n)
+    at = np.repeat((np.cumsum(counts) - counts)[res] - (np.cumsum(n) - n), n)
     at += np.arange(at.size)
-    u = np.repeat(q, n)
+    q *= W
     if np.ndim(r):
-        u *= r[order][at]
-    u += d[order][at]
-    return u, np.repeat(np.tile(np.arange(1, W + 1), c.size), n)
+        key = np.repeat(q, n)
+        key *= r[order][at]
+        key += np.repeat(np.tile(np.arange(W), c.size), n)
+    else:
+        q.reshape(c.size, W)[:] += np.arange(W)  # W*q + (w - 1), once per cell
+        key = np.repeat(q, n)
+    key += e[order][at]
+    return key
 
 
-def _start(a: int, c: np.ndarray, inv: np.ndarray, rho: np.ndarray, W: int, d: np.ndarray, r):
-    """(u, w) by the start walk: the terms w0 + a*k, k < ceil(W / a), of every cell (c, column)
-    from its first term w0 == rho * c^-1 (mod a) in [1, a], kept where w <= W, with
-    u = r*(c*w0 // a) + d + r*c*k, as c*w = c*w0 + a*c*k; a cell with w0 > W keeps no
-    term, and takes W for w0.  Rows come grouped by c, in (column, w) order within c."""
+def _start(a: int, c: np.ndarray, inv: np.ndarray, rho: np.ndarray, W: int, e: np.ndarray, r) -> np.ndarray:
+    """Keys by the start walk: the terms w0 + a*k, k < ceil(W / a), of every cell (c, column)
+    from its first term w0 == rho * c^-1 (mod a) in [1, a], kept where w0 + a*k <= W.  As
+    c*w = c*w0 + a*c*k, the key grid is base + (W*r*c + a)*k with base the key of w0; a
+    cell with w0 > W keeps no term, and takes W for w0.  A term past W, up to w < W + a,
+    may key past int64 and wrap; it is dropped, and a kept key, exact mod 2^64 and inside
+    int64, is exact.  Rows come grouped by c, in (column, w) order within c."""
     k = np.arange(-(-W // a))
     w0 = (rho * inv[:, None] - 1) % a + 1  # rho * inv < a^2 < 2^63
-    u = np.multiply((c[:, None] * r)[:, :, None], k, out=np.empty(w0.shape + k.shape, dtype=np.int64))
-    u += (c[:, None] * np.minimum(w0, W) // a * r + d)[:, :, None]
-    w = w0[:, :, None] + a * k
-    keep = w <= W
-    u = u[keep]  # the grid of u goes before w's rows are gathered
-    return u, w[keep]
+    key = np.multiply((W * c[:, None] * r + a)[:, :, None], k, out=np.empty(w0.shape + k.shape, dtype=np.int64))
+    first = np.minimum(w0, W)
+    key += (W * (c[:, None] * first // a * r) + e + first - 1)[:, :, None]
+    return key[k <= ((W - w0) // a)[:, :, None]]  # w0 + a*k <= W
 
 
-def progressions(a: int, c_values: Sequence[int] | np.ndarray, shifts: Sequence[int], W: int, d: np.ndarray, r):
-    """int64 arrays (u, w), one row per solution of c_values[i]*w == shifts[j] (mod a)
-    with 1 <= w <= W and c_values[i] a unit mod a, u = r[j]*(c_values[i]*w // a) + d[j]
-    for int64 arrays d and r, or r = 1 (d[j] = -(shifts[j] // a) and r = 1 give
-    a*u + shifts[j] = c_values[i]*w).  Rows come grouped by ascending i: in (w, j) order
-    by the join when #units * W + a < #units * #shifts, else in (j, w) order by the
-    start walk.  ResourceLimit when a^2 >= 2^63, before any array of length a, or when
-    c_values[i]*w - shifts[j] passes int64; u fits when d and r keep it there.
-    DomainError unless a >= 1."""
+def progressions(a: int, c_values: Sequence[int] | np.ndarray, shifts: Sequence[int], W: int, e: np.ndarray, r):
+    """One int64 key per solution of c_values[i]*w == shifts[j] (mod a) with 1 <= w <= W and
+    c_values[i] a unit mod a: key = W*r[j]*(c_values[i]*w // a) + e[j] + (w - 1) for int64
+    arrays e and r, or r = 1.  With e[j] = W*(d[j] - u_lo) the key is the (u, w) packing
+    W*(u - u_lo) + (w - 1) of u = r[j]*(c_values[i]*w // a) + d[j]; d[j] = -(shifts[j] // a)
+    and r = 1 give a*u + shifts[j] = c_values[i]*w, so divmod(key, W) is (u - u_lo, w - 1).
+    Rows come grouped by ascending i: in (w, j) order by the join when
+    #units * W + a < #units * #shifts, else in (j, w) order by the start walk.  ResourceLimit
+    when a^2 >= 2^63, before any array of length a, or when c_values[i]*w - shifts[j] passes
+    int64; a key fits when e and r keep it there.  DomainError unless a >= 1."""
     _check_moduli([a])
     c = _int64(c_values, shifts, W)
     inv, unit = _unit_inverse(c, a)
     c, rho = c[unit], np.array(shifts, dtype=np.int64)
     rho -= rho // a * a  # shifts mod a, reduced as `_powmod` reduces
     if c.size * W + a < c.size * rho.size:
-        return _join(a, c, rho, W, d, r)
-    return _start(a, c, inv[unit], rho, W, d, r)
+        return _join(a, c, rho, W, e, r)
+    return _start(a, c, inv[unit], rho, W, e, r)
 
 
 def _interval_counts(a: int, W: int) -> np.ndarray:
@@ -212,8 +229,8 @@ def count_hits(a_values: Iterable[int], c_values: Iterable[int] | np.ndarray, W:
         inv, unit = _unit_inverse(c, a)
         inv = inv[unit]
         if inv.size * W + a < inv.size * sh.size:  # the join, as `progressions` decides
-            r = ((c[unit] % a)[:, None] * np.arange(1, W + 1) % a).ravel()
-            total += int(np.bincount(r, minlength=a) @ np.bincount(sh % a, minlength=a))
+            res = _cells(a, c[unit], W)[1]  # the join's residues, as it forms them
+            total += int(np.bincount(res, minlength=a) @ np.bincount(sh % a, minlength=a))
             continue
         # the cell (c, shift) steps from x = shift * c^-1 mod a, or a for x = 0: `full` terms, one more for x <= rem
         x = inv if sh.size == 1 and sh[0] == 1 else sh % a * inv[:, None] % a

@@ -249,7 +249,9 @@ def test_linear_harvest_packed_key_matches_tuple_counter(a_values, shifts, c_val
     # the packed (u, w) keys against a Counter of (u, w) tuples, c*r coprime to a;
     # the hit cap bounds the exact count of hits, the u = 0 hits included.  thm1 and
     # thm2 pass shifts >= 1; shifts <= 0 check the u range at both ends
-    tally, hits = Counter(), 0
+    m_max, s_lo, s_hi = max(c_values) * max(r_values) * W, min(0, *shifts), max(0, *shifts)
+    u_lo, u_hi = -(s_hi // min(a_values)) - 1, (m_max - s_lo) // min(a_values)
+    tally, hits, keys = Counter(), 0, []
     for a, s, c, r in product(a_values, shifts, c_values, r_values):
         for w in range(1, W + 1):
             u, rem = divmod(c * r * w - s, a)
@@ -257,6 +259,7 @@ def test_linear_harvest_packed_key_matches_tuple_counter(a_values, shifts, c_val
                 hits += 1
                 if u:
                     tally[(u, w)] += 1
+                    keys.append(W * (u - u_lo) + w - 1)
     if hits:
         with pytest.raises(ResourceLimit, match=f"^{hits} hits beyond hit cap {hits - 1}$"):
             _linear_harvest(a_values, shifts, c_values, r_values, W, hits - 1)
@@ -264,14 +267,48 @@ def test_linear_harvest_packed_key_matches_tuple_counter(a_values, shifts, c_val
         with pytest.raises(EmptyHarvest):
             _linear_harvest(a_values, shifts, c_values, r_values, W, hits)
         return
-    span, stats, key, bucket, u_zero = _linear_harvest(a_values, shifts, c_values, r_values, W, hits)
+    (span, stats, key, bucket, u_zero), got = harvested_keys(a_values, shifts, c_values, r_values, W, hits)
+    # the kernel's keys, less the packed range of u = 0, are the brute packing of the u != 0 hits
+    assert got.tolist() == sorted(keys)
     assert key == min(tally, key=lambda k: (-tally[k], k))
-    m_max, s_lo, s_hi = max(c_values) * max(r_values) * W, min(0, *shifts), max(0, *shifts)
-    u_lo, u_hi = -(s_hi // min(a_values)) - 1, (m_max - s_lo) // min(a_values)
     assert u_lo <= min(tally)[0] and max(tally)[0] <= u_hi
     assert_stats_match_tally(stats, tally, (u_hi - u_lo) * W)
     assert span == (min(tally), max(tally)) and u_zero == hits - sum(tally.values())
     assert len(bucket) == tally[key]
+
+
+def harvested_keys(*args):
+    """`_linear_harvest(*args)`'s result and the key array it hands to `_harvest`, which sorts it."""
+    real, seen = pipelines._harvest, []
+    with mock.patch.object(pipelines, "_harvest", lambda keys, *rest: seen.append(keys) or real(keys, *rest)):
+        result = _linear_harvest(*args)
+    return result, seen[0]
+
+
+@PROFILE
+@given(
+    st.sets(st.integers(1026, 3000), max_size=3),
+    st.sets(st.integers(1, 1024), max_size=4),
+    st.sets(st.integers(1, 2_099_197), max_size=4),
+)
+@example(set(), set(), set())
+@example({1031, 2050}, {1, 1024}, {1, 2, 1025})  # u = 0 hits, where c*w = s
+def test_int32_keys_at_the_packing_edge(more_a, more_s, more_c):
+    # A = {1025} and more moduli, shifts {2} and more, C = {2,099,198} and smaller c, W = 1024:
+    # u_lo = -1 and u_hi = 2,099,198 * 1024 // 1025 = 2^21 - 2, so the packing holds
+    # (u_hi - u_lo + 1) * W = 2^31 keys, int32.  1025 * (2^21 - 2) + 2 = 2,099,198 * 1024
+    # puts a hit on the largest key, 2^31 - 1
+    a_values, shifts, c_values, W = sorted({1025} | more_a), sorted({2} | more_s), sorted({2_099_198} | more_c), 1024
+    keys, zero = [], 0
+    w = np.arange(1, W + 1)
+    for a, s, c in product(a_values, shifts, c_values):
+        u, rem = np.divmod(c * w - s, a)  # c*w < 2^32
+        hit = (rem == 0) & (gcd(c, a) == 1)
+        zero += int(np.count_nonzero(hit & (u == 0)))
+        keys += (W * (u + 1) + w - 1)[hit & (u != 0)].tolist()
+    (_, stats, *_, u_zero), got = harvested_keys(a_values, shifts, c_values, [1], W, CAP)
+    assert got.dtype == np.int32 and stats["possible_buckets"] == 2**31 - W and u_zero == zero
+    assert got.tolist() == sorted(keys) and got[-1] == 2**31 - 1
 
 
 @st.composite
@@ -349,7 +386,7 @@ def test_coefficients_below_the_packed_range_refused(harvest, sets, message):
 def test_count_checked_against_listing(monkeypatch, harvest, sets):
     # every hit walked twice: the walk of the first modulus does not match its count
     real = pipelines.progressions
-    monkeypatch.setattr(pipelines, "progressions", lambda *args: tuple(np.tile(v, 2) for v in real(*args)))
+    monkeypatch.setattr(pipelines, "progressions", lambda *args: np.tile(real(*args), 2))
     with pytest.raises(RuntimeError, match=r"^modulus 3: counted \d+ hits, walked \d+$") as fault:
         harvest(*sets, 10, primes_of(*sets), CAP)
     counted, walked = map(int, re.findall(r"\d+", str(fault.value))[1:])
@@ -358,12 +395,19 @@ def test_count_checked_against_listing(monkeypatch, harvest, sets):
 
 def test_kernel_repeating_a_row_is_caught_before_any_key(monkeypatch):
     # A = {5, 7}, C = {2}, W = 5: one hit per modulus; a kernel that repeats its
-    # first row is caught at a = 5, before that modulus writes a key
-    real = pipelines.progressions
-    monkeypatch.setattr(pipelines, "progressions", lambda *args: tuple(np.append(v, v[:1]) for v in real(*args)))
-    monkeypatch.setattr(KeyPacking, "pack", lambda *args, **kwargs: pytest.fail("a key was written"))
+    # first key is caught at a = 5, before the next modulus walks or any tally runs
+    real, walked = pipelines.progressions, []
+
+    def repeating(a, *args):
+        walked.append(a)
+        key = real(a, *args)
+        return np.append(key, key[:1])
+
+    monkeypatch.setattr(pipelines, "progressions", repeating)
+    monkeypatch.setattr(pipelines, "popular_bucket", lambda *args: pytest.fail("the keys were tallied"))
     with pytest.raises(RuntimeError, match=r"^modulus 5: counted 1 hits, walked 2$"):
         _linear_harvest([5, 7], [1], [2], [1], 5, CAP)
+    assert walked == [5]
 
 
 @pytest.mark.parametrize(
@@ -390,13 +434,15 @@ def test_listing_checked_against_count(monkeypatch, run):
 
 def test_linear_harvest_makes_no_second_key_array(monkeypatch):
     # the keys go into one array of exactly the hit count, int32 as their range fits;
-    # beside it, the walk holds only arrays of one modulus's rows, never a second array of every key
+    # beside it, the walk holds only arrays of one modulus's rows, never a second array of
+    # every key.  The kernel's keys are written as they are: nothing packs them again
     a_values = list(range(60, 121))
     c_values = [c for c in range(127, 400) if all(c % p for p in range(2, 20))]  # coprime to every a
     shifts, W = list(range(1, 31)), 600
     row_bytes = max(solutions(a, c_values, shifts, W)[0].nbytes for a in a_values)
     dtypes, tally = [], pipelines.popular_bucket
     monkeypatch.setattr(pipelines, "popular_bucket", lambda keys, *rest: dtypes.append(keys.dtype) or tally(keys, *rest))
+    monkeypatch.setattr(KeyPacking, "pack", lambda *args: pytest.fail("keys were packed"))
     tracemalloc.start()
     try:
         _, stats, *_, u_zero = _linear_harvest(a_values, shifts, c_values, [1], W, CAP)
@@ -458,8 +504,17 @@ def test_progressions_match_brute(a, c_values, shifts, W):
 
 
 def solutions(a, c_values, shifts, W):
-    """progressions with d = -(shift // a) and r = 1: the rows (u, w) of a*u + shift = c*w."""
-    return progressions(a, c_values, shifts, W, -(np.asarray(shifts, dtype=np.int64) // a), 1)
+    """progressions with e = W*d, d = -(shift // a), and r = 1, its keys decoded:
+    the rows (u, w) of a*u + shift = c*w."""
+    d = -(np.asarray(shifts, dtype=np.int64) // a)
+    return decode(progressions(a, c_values, shifts, W, W * d, 1), W)
+
+
+def decode(key, W, u_lo=0):
+    """int64 arrays (u, w) of the int64 keys W*(u - u_lo) + (w - 1), by divmod(key, W)."""
+    assert key.dtype == np.int64
+    q, w = np.divmod(key, max(W, 1))  # no key at all when W == 0
+    return q + u_lo, w + 1
 
 
 def brute_rows(a, c_values, pairs, W):
@@ -498,23 +553,28 @@ def columns_of(a, pairs):
     st.lists(st.integers(-60, 60), max_size=6),
     st.lists(st.tuples(st.integers(-40, 40), st.integers(1, 12)), max_size=12),
     st.integers(0, 70),
+    st.integers(0, 3),
 )
-@example(6, [5, 4, 9, 7], [(2, 5), (3, 1), (0, 7), (-1, 11)], 20)  # non-units 4 and 9, r != 1, shifts <= 0
-@example(1, [3, 0, -4], [(2, 3), (-1, 1), (0, 5)], 6)  # a == 1: every (c, shift, w) is a row
-@example(7, [3, 5, 6], [(1, 2), (1, 3), (-13, 4), (8, 2)], 3)  # W below a
-@example(5, [2, 3], [(-5, 2), (0, 3), (4, 4)], 0)  # W == 0
-def test_both_walks_list_the_brute_rows(a, c_values, pairs, W):
-    # each walk forced over the same columns, and progressions' choice over all of c_values
+@example(6, [5, 4, 9, 7], [(2, 5), (3, 1), (0, 7), (-1, 11)], 20, 1)  # non-units 4 and 9, r != 1, shifts <= 0
+@example(1, [3, 0, -4], [(2, 3), (-1, 1), (0, 5)], 6, 2)  # a == 1: every (c, shift, w) is a row
+@example(7, [3, 5, 6], [(1, 2), (1, 3), (-13, 4), (8, 2)], 3, 3)  # W below a
+@example(5, [2, 3], [(-5, 2), (0, 3), (4, 4)], 0, 0)  # W == 0
+@example(7, [3, 5], [(1, 2), (1, 1), (-13, 4)], 30, 0)  # u_lo = min d: e == 0 at a column
+def test_both_walks_list_the_brute_rows(a, c_values, pairs, W, below):
+    # each walk forced over the same columns, and progressions' choice over all of c_values:
+    # with e = W*(d - u_lo), as the linear harvest passes it, divmod(key, W) is (u - u_lo, w - 1)
     pairs = [(s, r) for s, r in pairs if gcd(r, a) == 1]
     want = brute_rows(a, c_values, pairs, W)
     rho, d, r = columns_of(a, pairs)
+    u_lo = min(d.tolist(), default=0) - below
+    e = W * (d - u_lo)
     units = [c for c in c_values if gcd(c, a) == 1]
     c, inv = (np.array(v, dtype=np.int64) for v in (units, [pow(x, -1, a) for x in units]))
-    assert_rows(stepping._join(a, c, rho, W, d, r), want)
-    assert_rows(stepping._start(a, c, inv, rho, W, d, r), want)
-    assert_rows(progressions(a, c_values, rho, W, d, r), want)
+    assert_rows(decode(stepping._join(a, c, rho, W, e, r), W, u_lo), want)
+    assert_rows(decode(stepping._start(a, c, inv, rho, W, e, r), W, u_lo), want)
+    assert_rows(decode(progressions(a, c_values, rho, W, e, r), W, u_lo), want)
     if all(r == 1):  # thm2's r = 1, which gathers nothing
-        assert_rows(progressions(a, c_values, rho, W, d, 1), want)
+        assert_rows(decode(progressions(a, c_values, rho, W, e, 1), W, u_lo), want)
 
 
 @pytest.mark.parametrize("shifts, joins", [([1, 5, -3, 2, 9], False), ([1, 5, -3, 2, 9, 4], True)])
@@ -539,18 +599,18 @@ def test_start_walk_lists_no_non_units():
     assert (u.tolist(), w.tolist()) == ([0], [1])
 
 
-def test_start_walk_peak_is_three_row_arrays():
+def test_start_walk_peak_is_two_row_arrays():
     # one shift and a long w range take the start walk; at its peak it holds its
-    # grids of u and w, their mask and the rows of u, beside no other row-sized array
+    # grid of keys, their mask and the kept keys, beside no other row-sized array
     c = np.array([c for c in range(1, 40_000) if c % 7], dtype=np.int64)  # 34,285 units mod 7
     tracemalloc.start()
     try:
-        u, w = solutions(7, c, [1], 700)
+        key = progressions(7, c, [1], 700, np.zeros(1, dtype=np.int64), 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert u.size == c.size * 100
-    assert peak <= 3.25 * u.nbytes, peak / u.nbytes
+    assert key.size == c.size * 100
+    assert peak <= 2.25 * key.nbytes, peak / key.nbytes
 
 
 def test_join_refuses_moduli_past_int64_before_any_walk(monkeypatch):
@@ -693,7 +753,7 @@ def test_join_groups_shifts_as_the_stable_argsort(a, shifts, c_values, W):
         if (c * w - shifts[j]) % a == 0
     ]
     rho, d, r = (np.array(v, dtype=np.int64) for v in (np.array(shifts) % a, d, r))
-    u, w = stepping._join(a, np.array(c_values, dtype=np.int64), rho, W, d, r)
+    u, w = decode(stepping._join(a, np.array(c_values, dtype=np.int64), rho, W, W * d, r), W)
     assert list(zip(u.tolist(), w.tolist())) == want
 
 
@@ -885,6 +945,20 @@ def test_pack_range_at_int64_limit_runs(a_values, c_values, W, key):
     _, stats, popular, bucket, _ = _linear_harvest(a_values, [1], c_values, [1], W, CAP)
     assert popular == key and bucket == [(a_values[0], 1, c_values[0])]
     assert stats["total_hits"] == stats["max_load"] == 1
+
+
+def test_start_walk_terms_past_w_may_pass_int64():
+    # W = 2^20 and a = W - 999: each cell has two terms, the second at w0 + a, up to 2a > W.
+    # For c near 2^42.45 such a term past W keys above 2^63 and wraps in int64, where it is
+    # dropped; every hit keys below the 2^62.45 packed values and comes out exact
+    W, a, shifts = 2**20, 2**20 - 999, list(range(1, 400))
+    c = next(c for c in count(int(2**42.45)) if gcd(c, a) == 1)
+    assert (c * W // a + 2) * W < 2**63
+    first = [s * pow(c, -1, a) % a or a for s in shifts]
+    assert max(W * ((c * (w0 + a) - s) // a + 1) + w0 + a - 1 for s, w0 in zip(shifts, first)) >= 2**63
+    _, got = harvested_keys([a], shifts, [c], [1], W, CAP)
+    want = [W * ((c * w - s) // a + 1) + w - 1 for s, w0 in zip(shifts, first) for w in range(w0, W + 1, a)]
+    assert got.dtype == np.int64 and got.tolist() == sorted(want)
 
 
 @pytest.mark.parametrize(

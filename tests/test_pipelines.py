@@ -220,11 +220,10 @@ def test_key_packing_order_and_int64_edge():
     packed = packing.pack(*np.array(keys).T)
     assert packed.dtype == np.int32 and packed.tolist() == list(range(len(keys)))
     assert [packing.unpack(k) for k in range(len(keys))] == keys
-    # prod(sizes) = 2^31 packs int32: the largest key is INT32_MAX, into a given array too
+    # prod(sizes) = 2^31 packs int32: the largest key is INT32_MAX
     edge = KeyPacking((-(2**15), 1), (2**16, 2**15), "(u, w)")
-    out = np.zeros(2, dtype=np.int32)
-    edge.pack(np.array([2**15 - 1, -(2**15)]), np.array([2**15, 1]), out=out)
-    assert edge.dtype == np.int32 and out.tolist() == [2**31 - 1, 0]
+    out = edge.pack(np.array([2**15 - 1, -(2**15)]), np.array([2**15, 1]))
+    assert edge.dtype == out.dtype == np.int32 and out.tolist() == [2**31 - 1, 0]
     assert edge.unpack(2**31 - 1) == (2**15 - 1, 2**15)
     # 3 * 715,827,883 = 2^31 + 1 values pack int64: the largest key is 2^31
     wide = KeyPacking((0, 1), (3, 715_827_883), "(u, w)").pack(np.array([2]), np.array([715_827_883]))
