@@ -17,8 +17,11 @@ import random
 import sys
 import time
 from decimal import Decimal
+from itertools import takewhile
 from math import isfinite
 from pathlib import Path
+from types import SimpleNamespace
+from typing import Sequence
 
 from .arith import PrimeSet, trial_factor
 from .characters import (
@@ -67,6 +70,10 @@ _SHARED_FLAGS = {  # the flags several commands read; each command declares only
     "out": {"help": "write the JSON report here"},
     "solutions": {"help": "write the CSV artifact here"},
     "seed": {"type": int, "default": 20240601},
+}
+_GROUPS = {  # the commands that hold commands: the dest of their subcommand and their help
+    "oracle": ("kind", "brute-force ground truth"),
+    "verify": ("what", "analytic identity and inequality suites"),
 }
 
 
@@ -355,73 +362,82 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {' '.join(message.splitlines())}\n")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(words: Sequence[str] | None = None) -> argparse.ArgumentParser:
     """Each leaf command declares only the flags it reads; args.run(args) returns
-    (payload, exit code), the payload None when the command writes no JSON report."""
+    (payload, exit code), the payload None when the command writes no JSON report.
+    Given words, argv's leading tokens that are not options, only the leaf they name
+    and the parsers above it are built; the whole tree is built when they name no
+    leaf, so that its help and its errors list every command."""
     parser = _Parser(prog="sunit-harvest")
     sub = parser.add_subparsers(dest="command", required=True)
+    groups = {}  # a command holding commands -> its subparsers, made with its first leaf built
 
-    def command(parent, name, run, help, *shared, **defaults):
-        p = parent.add_parser(name, help=help)
+    def command(path, run, help, *shared, **defaults):
+        if words is not None and tuple(words[: len(path)]) != path:
+            return SimpleNamespace(add_argument=lambda *args, **kwargs: None)  # a leaf not built
+        parent = sub
+        if len(path) == 2:
+            if path[0] not in groups:
+                dest, group_help = _GROUPS[path[0]]
+                groups[path[0]] = sub.add_parser(path[0], help=group_help).add_subparsers(dest=dest, required=True)
+            parent = groups[path[0]]
+        p = parent.add_parser(path[-1], help=help)
         p.set_defaults(run=run, **defaults)
         for flag in shared:
             p.add_argument(f"--{flag}", **_SHARED_FLAGS[flag])
         return p
 
     for name in ("thm1", "thm2", "prop1"):
-        p = command(sub, name, _run_pipeline, f"run the {name} harvest pipeline", "out", "solutions")
+        p = command((name,), _run_pipeline, f"run the {name} harvest pipeline", "out", "solutions")
         p.add_argument("--config", required=True)
         p.add_argument("--threads", type=int, default=1, help="accepted and ignored")
 
-    p = sub.add_parser("oracle", help="brute-force ground truth")
-    kinds = p.add_subparsers(dest="kind", required=True)
     for kind, brute, equation, what in (
         ("sunit_pairs", brute_sunit_pairs, "thm1", "S-unit pairs (A, A + 1)"),
         ("prop1_triples", brute_prop1_triples, "prop1", "coprime S-unit triples a + b = c"),
     ):
-        p = command(kinds, kind, _run_oracle, f"all {what} up to --bound", "out", "solutions",
+        p = command(("oracle", kind), _run_oracle, f"all {what} up to --bound", "out", "solutions",
                     brute=brute, headers=SOLUTION_HEADERS[equation])
         p.add_argument("--primes", required=True, help="comma-separated prime set S")
         p.add_argument("--bound", type=_at_least(0), required=True, help="enumeration bound")
         p.add_argument("--cap", type=_at_least(0), default=DEFAULT_BUDGET, help="most enumeration steps")
-    p = command(kinds, "linear_count", _run_linear_count, "count c*w == shift (mod a)", "out")
+    p = command(("oracle", "linear_count"), _run_linear_count, "count c*w == shift (mod a)", "out")
     p.add_argument("--a-set", dest="a_set", required=True, help="comma-separated moduli")
     p.add_argument("--c-set", dest="c_set", required=True, help="comma-separated coefficients")
     p.add_argument("--bound", type=_at_least(0), required=True, help="W, the largest w counted")
     p.add_argument("--shift", type=int, default=1)
     p.add_argument("--cap", type=_at_least(0), default=DEFAULT_BUDGET, help="most (a, c, w) steps")
 
-    p = command(sub, "exponents", _run_exponents, "regime exponent table and constraint margins", "out")
+    p = command(("exponents",), _run_exponents, "regime exponent table and constraint margins", "out")
     p.add_argument("--theorem", choices=["thm1", "thm2"], required=True)
     p.add_argument("--variant", choices=["conditional", "unconditional"], required=True)
     p.add_argument("--alpha", type=float, required=True)
-    p = command(sub, "frontier", _run_frontier, "the factorization frontier for k <= --kmax", "out")
+    p = command(("frontier",), _run_frontier, "the factorization frontier for k <= --kmax", "out")
     p.add_argument("--kmax", type=_at_least(2), default=12)  # the frontier starts at k = 2
 
-    p = sub.add_parser("verify", help="analytic identity and inequality suites")
-    whats = p.add_subparsers(dest="what", required=True)
-    p = command(whats, "charsums", _run_charsums, "character sums and the large sieve", "out", "solutions", "seed")
+    p = command(("verify", "charsums"), _run_charsums, "character sums and the large sieve", "out", "solutions", "seed")
     p.add_argument("--qmax", type=_at_least(3), default=50)  # the squarefree moduli from 3
     p.add_argument("--trials", type=_at_least(1), default=100)  # zero trials would hold vacuously
-    p = command(whats, "sieve", _run_sieve, "large-sieve trials", "out", "seed")
+    p = command(("verify", "sieve"), _run_sieve, "large-sieve trials", "out", "seed")
     p.add_argument("--trials", type=_at_least(1), default=100)
-    p = command(whats, "circle", _run_circle, "additive decomposition", "out", "solutions", "seed")
+    p = command(("verify", "circle"), _run_circle, "additive decomposition", "out", "solutions", "seed")
     p.add_argument("--qmax", type=_at_least(8), default=50)  # 30 distinct c < 4 * qmax
 
-    p = command(sub, "smooth", _run_smooth, "enumerate squarefree smooth numbers", "out")
+    p = command(("smooth",), _run_smooth, "enumerate squarefree smooth numbers", "out")
     p.add_argument("--primes", required=True)
     p.add_argument("--lo", type=int, required=True)
     p.add_argument("--hi", type=int, required=True)
     p.add_argument("--cap", type=_at_least(0), default=DEFAULT_CAP, help="most members listed")
 
-    p = command(sub, "siegel", _run_siegel, "small solution of a linear form", "out")
+    p = command(("siegel",), _run_siegel, "small solution of a linear form", "out")
     p.add_argument("--alpha", required=True, help="comma-separated coefficients")
     p.add_argument("--bound", type=int, required=True, help="coefficient bound B")
-    return parser
+    return parser if words is None or sub.choices else build_parser()  # no leaf named: the whole tree
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(list(takewhile(lambda token: not token.startswith("-"), argv))).parse_args(argv)
     t0 = time.time()
     try:
         for flag in ("out", "solutions"):  # before the run prints or writes anything

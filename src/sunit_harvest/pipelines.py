@@ -389,9 +389,10 @@ def _linear_harvest(
     product c*r, no row index and no row of u or w is formed.  d >= u_lo, so e >= 0, and
     u_lo <= u <= u_hi, so every hit's key lies in [0, (u_hi - u_lo + 1)*W).  The u = 0
     hits are the keys in [W*(-u_lo), W*(1 - u_lo)).  The exact count is refused past
-    hit_cap (ResourceLimit) before any key array exists, and sizes the one array; a
-    modulus writes its other keys once its walk matched its count (RuntimeError
-    otherwise).  Returns `_harvest`'s tuple, whose bucket lists (a, s, c*r), each product
+    hit_cap (ResourceLimit) before any key array exists, and sizes the one array; each
+    modulus's walk writes its keys into the next slice of it, only when their number
+    matches its count (RuntimeError otherwise), and its u = 0 keys are dropped there.
+    Returns `_harvest`'s tuple, whose bucket lists (a, s, c*r), each product
     m = (a*u + s) / w split over the smaller of C and R, and the number of u = 0 hits.
     ResourceLimit also when the packing, c*r*W - s or r_max*a_max - s passes int64.  The
     callers check the sets (`_check_sets`)."""
@@ -413,6 +414,8 @@ def _linear_harvest(
     if sum(counts) > hit_cap:
         raise ResourceLimit(f"{sum(counts)} hits beyond hit cap {hit_cap}")
     keys, n = np.empty(sum(counts), dtype=packing.dtype), 0
+    # a u = 0 hit has s = c*r*w >= min(C)*min(R): below that no key needs the range test
+    u_zero_free = max([0, *shifts]) < min(c_values, default=1) * min(r_values, default=1)
     for a, count in zip(a_values, counts):
         rho, units = columns(a)
         e = rho * units  # e = W*(d - u_lo) for d = (r*rho - s) / a, in place
@@ -421,13 +424,16 @@ def _linear_harvest(
         e -= u_lo
         e *= W
         r = np.tile(units, s_array.size) if r_max > 1 else 1  # R = {1} multiplies by 1
-        key = progressions(a, c_array, rho.ravel(), W, e.ravel(), r)
-        if len(key) != count:
-            raise RuntimeError(f"modulus {a}: counted {count} hits, walked {len(key)}")
-        u_zero = (key >= W * -u_lo) & (key < W * (1 - u_lo))  # the packed range of u = 0
-        k = len(key) - int(np.count_nonzero(u_zero))
-        keys[n : n + k] = key[~u_zero] if k < len(key) else key
-        n += k
+        key = keys[n : n + count]
+        walked = progressions(a, c_array, rho.ravel(), W, e.ravel(), r, key)  # writes its keys only if they are `count`
+        if walked != count:
+            raise RuntimeError(f"modulus {a}: counted {count} hits, walked {walked}")
+        if not u_zero_free:
+            u_zero = (key >= W * -u_lo) & (key < W * (1 - u_lo))  # the packed range of u = 0
+            count -= int(np.count_nonzero(u_zero))
+            if count < len(key):
+                key[:count] = key[~u_zero]
+        n += count
 
     def listing(key: tuple) -> list:
         u, w = key

@@ -6,22 +6,26 @@ Carmichael exponent (`_unit_inverse`), yields the inverses and the unit mask
 for both walks, the exact count and the additive spectrum.  When a <= #c it
 runs once over the a residues, and the table is kept for the next call with
 the same a (`_kept`, the library's one store of tables of every kind, bounded
-by TABLE_BYTES = 1 MiB, least recently used out first).  Two walks list the
-same hits, one int64 key per hit, W*r_j*(c*w // a) + e_j + (w - 1) for the
-caller's per-shift e and r: with e_j = W*(d_j - u_lo) it is the packed (u, w)
-key W*(u - u_lo) + (w - 1) of u = r_j*(c*w // a) + d_j.  Neither walk forms a
-row of u or w, or an index of c or shift per row.  The start walk (`_start`)
-lists the terms w0 + a*k, k < ceil(W / a), of every cell (c, shift) from
-w0 == shift * c^-1 (mod a), as one grid of keys masked by w <= W, at
-O(#units * #shifts + hits) instead of the naive O(#C * #shifts * W).  The join
-(`_join`) matches the residue c*w mod a of every (c, w) with w <= W to the shifts
-grouped by residue, at O(#units * W + a + #shifts + hits).  `progressions` takes
-the smaller grid: the join for many shifts and a short w range (thm2's b + 1,
-thm1's r^-1 mod a), the start walk for few shifts or a long w range.
-`count_hits` counts the rows on that grid, at its cost and not the hits', the
-join's from the residues the join itself forms (`_cells`).  Either walk groups
-the rows by c; no caller reads their order within one c.  `_int64` bounds
-|c|*W + |shift|, so c*w fits int64 for every w <= W; e and r keep the key there.
+by TABLE_BYTES = 1 MiB, least recently used out first).  Two walks write the
+same hits into the caller's array, one key per hit in its dtype (int32 or
+int64), W*r_j*(c*w // a) + e_j + (w - 1) for the caller's per-shift e and r:
+with e_j = W*(d_j - u_lo) it is the packed (u, w) key W*(u - u_lo) + (w - 1) of
+u = r_j*(c*w // a) + d_j.  Neither walk forms a row of u or w, or an index of c
+or shift per row, and neither writes unless its hits are exactly as many as
+the array holds.  The start walk (`_start`) lists the terms w0 + a*k,
+k < ceil(W / a), of every cell (c, shift) from w0 == shift * c^-1 (mod a), as
+one grid of keys masked by w <= W, at O(#units * #shifts + hits) instead of the
+naive O(#C * #shifts * W).  The join (`_join`) matches the residue c*w mod a of
+every (c, w) with w <= W to the shifts of that residue, at
+O(#units * W + a + #shifts + hits): the shifts, ordered by (count of their
+residue, residue) by one value sort, form one block per count k, and each
+cell's keys are one row of its block gathered and one add of W*(c*w // a) +
+(w - 1).  `progressions` takes the smaller grid: the join for many shifts and a
+short w range (thm2's b + 1, thm1's r^-1 mod a), the start walk for few shifts
+or a long w range.  `count_hits` counts the rows on that grid, at its cost and
+not the hits', the join's from the residues the join itself forms (`_cells`).
+No caller reads the order of the rows.  `_int64` bounds |c|*W + |shift|, so
+c*w fits int64 for every w <= W; e and r keep the key there.
 """
 
 from __future__ import annotations
@@ -140,69 +144,112 @@ def _cells(a: int, c: np.ndarray, W: int) -> tuple[np.ndarray, np.ndarray]:
     return q, cw
 
 
-def _join(a: int, c: np.ndarray, rho: np.ndarray, W: int, e: np.ndarray, r) -> np.ndarray:
-    """Keys by the dual walk: q = c*w // a and c*w mod a of every cell (c, w), 1 <= w <= W,
-    joined against the columns grouped by residue rho (one value sort, one bincount).
-    Each cell's W*q + (w - 1) is spread over its matches by one repeat and e is gathered
-    in residue order; for r != 1, W*q and w - 1 are spread apart and W*q takes r.  Rows come
-    grouped by c, in (w, column) order within c, and the columns of one residue in their
-    given order."""
-    m = rho.size
-    # the stable argsort of rho by one value sort of rho*m + k, each index k below its residue:
-    # rho*m + k < a*m < 2^63, as a < 2^31.5 (a^2 < 2^63) and m < 2^31 (16 GiB of int64 columns)
-    order = np.sort(rho * m + np.arange(m))
-    order -= order // m * m
-    counts = np.bincount(rho, minlength=a)
+def _join(a: int, c: np.ndarray, rho: np.ndarray, W: int, e: np.ndarray, r, out: np.ndarray) -> int:
+    """Keys by the dual walk, written into out: q = c*w // a and c*w mod a of every cell (c, w),
+    1 <= w <= W, joined against the columns of that residue.  The columns no cell reaches
+    are dropped; the others, ordered by (count of their residue, residue), make one
+    (residues x k) block of e, and of r, per class of residues with k columns.  One stable
+    (radix) sort of a uint16 class id groups the cells by class, and each class writes
+    np.take(block, row of each cell's residue, axis=0) + (W*q + w - 1) into its slice of out,
+    in out's dtype: per key one row gather and one add (for r != 1, W*q is multiplied by r's
+    gather and w - 1 added apart).  Sums and products in that dtype are exact modulo its
+    width, so a key that fits it is exact.  Rows come by class, then by cell, then by
+    column.  Returns the number of keys; none is written unless it is out.size."""
     q, res = _cells(a, c, W)
-    n = counts[res]
-    # the k-th match of cell (c, w) is the k-th column of its residue's group, in residue order
-    at = np.repeat((np.cumsum(counts) - counts)[res] - (np.cumsum(n) - n), n)
-    at += np.arange(at.size)
+    reached = np.zeros(a, dtype=bool)
+    reached[res] = True
+    keep = np.flatnonzero(reached.take(rho))  # the columns some cell reaches
+    rho, m = rho.take(keep), keep.size
+    counts = np.bincount(rho, minlength=a)
+    # class 0 holds the residues with no column, class i those with the i-th least count k_i;
+    # k_1 + ... + k_t <= m < 2^31, so t(t + 1)/2 < 2^31 and the ids 0..t fit uint16
+    residues_of = np.bincount(counts)  # residues_of[k]: the residues with k columns
+    sizes = np.flatnonzero(residues_of[1:]) + 1
+    ids = np.zeros(residues_of.size, dtype=np.uint16)
+    ids[sizes] = np.arange(1, sizes.size + 1)
+    cls = ids.take(counts)
+    rank = np.empty(a, dtype=np.int64)  # each residue's place in (class, residue) order
+    rank[np.argsort(cls, kind="stable")] = np.arange(a)
+    per_class = np.bincount(cls, minlength=sizes.size + 1)  # residues per class
+    row = rank - (np.cumsum(per_class) - per_class).take(cls)  # a residue's row in its class block
+    # the columns in (class, residue) order by one value sort of rank*m + k, each index k
+    # below m: rank*m + k < a*m < 2^63, as a < 2^31.5 (a^2 < 2^63) and m < 2^31 (16 GiB of int64 columns)
+    order = np.sort(rank.take(rho) * m + np.arange(m))
+    order -= order // m * m
+    col = keep.take(order)
+    e_col = e.take(col).astype(out.dtype, copy=False)
+    cell_cls = cls.take(res)
+    by = np.argsort(cell_cls, kind="stable")  # the cells (flat index c*W + w - 1) by class
+    cells = np.bincount(cell_cls, minlength=sizes.size + 1)  # cells per class
+    total = int(cells[1:] @ sizes)
+    if total != out.size:
+        return total
+    rows = row.take(res.take(by))
     q *= W
     if np.ndim(r):
-        key = np.repeat(q, n)
-        key *= r[order][at]
-        key += np.repeat(np.tile(np.arange(W), c.size), n)
+        r_col, w1 = r.take(col).astype(out.dtype, copy=False), (by - by // max(W, 1) * W).astype(out.dtype)
     else:
         q.reshape(c.size, W)[:] += np.arange(W)  # W*q + (w - 1), once per cell
-        key = np.repeat(q, n)
-    key += e[order][at]
-    return key
+    wq = q.take(by).astype(out.dtype, copy=False)
+    at, first, block = 0, int(cells[0]), 0  # class 0's cells come first and match nothing
+    for k, n, held in zip(sizes.tolist(), cells[1:].tolist(), per_class[1:].tolist()):
+        view, span = out[at : at + n * k].reshape(n, k), slice(first, first + n)
+        columns = slice(block, block + held * k)
+        np.take(e_col[columns].reshape(held, k), rows[span], axis=0, out=view, mode="clip")
+        if np.ndim(r):
+            view += np.take(r_col[columns].reshape(held, k), rows[span], axis=0, mode="clip") * wq[span, None]
+            view += w1[span, None]
+        else:
+            view += wq[span, None]
+        at, first, block = at + n * k, first + n, block + held * k
+    return total
 
 
-def _start(a: int, c: np.ndarray, inv: np.ndarray, rho: np.ndarray, W: int, e: np.ndarray, r) -> np.ndarray:
-    """Keys by the start walk: the terms w0 + a*k, k < ceil(W / a), of every cell (c, column)
-    from its first term w0 == rho * c^-1 (mod a) in [1, a], kept where w0 + a*k <= W.  As
-    c*w = c*w0 + a*c*k, the key grid is base + (W*r*c + a)*k with base the key of w0; a
-    cell with w0 > W keeps no term, and takes W for w0.  A term past W, up to w < W + a,
-    may key past int64 and wrap; it is dropped, and a kept key, exact mod 2^64 and inside
-    int64, is exact.  Rows come grouped by c, in (column, w) order within c."""
+def _start(a: int, c: np.ndarray, inv: np.ndarray, rho: np.ndarray, W: int, e: np.ndarray, r, out: np.ndarray) -> int:
+    """Keys by the start walk, written into out: the terms w0 + a*k, k < ceil(W / a), of every
+    cell (c, column) from its first term w0 == rho * c^-1 (mod a) in [1, a], kept where
+    w0 + a*k <= W.  As c*w = c*w0 + a*c*k, the key grid is base + (W*r*c + a)*k with base the
+    key of w0; a cell with w0 > W keeps no term, and takes W for w0.  A term past W, up to
+    w < W + a, may key past int64 and wrap; it is dropped, and a kept key, exact mod 2^64 and
+    inside int64, is exact.  Rows come grouped by c, in (column, w) order within c.  Returns
+    the number of keys; none is written unless it is out.size."""
     k = np.arange(-(-W // a))
     w0 = (rho * inv[:, None] - 1) % a + 1  # rho * inv < a^2 < 2^63
     key = np.multiply((W * c[:, None] * r + a)[:, :, None], k, out=np.empty(w0.shape + k.shape, dtype=np.int64))
     first = np.minimum(w0, W)
     key += (W * (c[:, None] * first // a * r) + e + first - 1)[:, :, None]
-    return key[k <= ((W - w0) // a)[:, :, None]]  # w0 + a*k <= W
+    kept = k <= ((W - w0) // a)[:, :, None]  # w0 + a*k <= W
+    total = int(np.count_nonzero(kept))
+    if total == out.size:  # the kept keys go over 2^16 grid terms at a time: no copy of them all is made
+        key, kept, at = key.ravel(), kept.ravel(), 0
+        for lo in range(0, key.size, 2**16):
+            part = key[lo : lo + 2**16][kept[lo : lo + 2**16]]
+            out[at : at + part.size] = part
+            at += part.size
+    return total
 
 
-def progressions(a: int, c_values: Sequence[int] | np.ndarray, shifts: Sequence[int], W: int, e: np.ndarray, r):
-    """One int64 key per solution of c_values[i]*w == shifts[j] (mod a) with 1 <= w <= W and
-    c_values[i] a unit mod a: key = W*r[j]*(c_values[i]*w // a) + e[j] + (w - 1) for int64
+def progressions(
+    a: int, c_values: Sequence[int] | np.ndarray, shifts: Sequence[int], W: int, e: np.ndarray, r, out: np.ndarray
+) -> int:
+    """Writes one key per solution of c_values[i]*w == shifts[j] (mod a) with 1 <= w <= W and
+    c_values[i] a unit mod a into out, and returns their number; nothing is written unless
+    that number is out.size.  key = W*r[j]*(c_values[i]*w // a) + e[j] + (w - 1) for int64
     arrays e and r, or r = 1.  With e[j] = W*(d[j] - u_lo) the key is the (u, w) packing
     W*(u - u_lo) + (w - 1) of u = r[j]*(c_values[i]*w // a) + d[j]; d[j] = -(shifts[j] // a)
     and r = 1 give a*u + shifts[j] = c_values[i]*w, so divmod(key, W) is (u - u_lo, w - 1).
-    Rows come grouped by ascending i: in (w, j) order by the join when
-    #units * W + a < #units * #shifts, else in (j, w) order by the start walk.  ResourceLimit
-    when a^2 >= 2^63, before any array of length a, or when c_values[i]*w - shifts[j] passes
-    int64; a key fits when e and r keep it there.  DomainError unless a >= 1."""
+    The join lists the rows when #units * W + a < #units * #shifts, the start walk
+    otherwise; no caller reads their order.  ResourceLimit when a^2 >= 2^63, before any
+    array of length a, or when c_values[i]*w - shifts[j] passes int64; a key is exact when
+    it fits out's dtype (int32 or int64).  DomainError unless a >= 1."""
     _check_moduli([a])
     c = _int64(c_values, shifts, W)
     inv, unit = _unit_inverse(c, a)
     c, rho = c[unit], np.array(shifts, dtype=np.int64)
     rho -= rho // a * a  # shifts mod a, reduced as `_powmod` reduces
     if c.size * W + a < c.size * rho.size:
-        return _join(a, c, rho, W, e, r)
-    return _start(a, c, inv[unit], rho, W, e, r)
+        return _join(a, c, rho, W, e, r, out)
+    return _start(a, c, inv[unit], rho, W, e, r, out)
 
 
 def _interval_counts(a: int, W: int) -> np.ndarray:

@@ -543,6 +543,34 @@ def test_cli_flag_table():
     assert sum(len(flags) for flags in table.values()) == 54
 
 
+@pytest.mark.parametrize("command", ["", "oracle", "verify", *FLAG_TABLE])
+def test_cli_help_is_the_full_trees(capsys, command):
+    # main builds only the parser of the leaf it runs; every help text is the full tree's
+    words = command.split()
+    with pytest.raises(SystemExit) as stop:
+        cli.build_parser().parse_args([*words, "-h"])
+    want = capsys.readouterr().out
+    with pytest.raises(SystemExit) as ours:
+        main([*words, "-h"])
+    assert capsys.readouterr().out == want and stop.value.code == ours.value.code == 0
+    if command in FLAG_TABLE:
+        assert list(_leaf_flags(cli.build_parser(words))) == [(command, FLAG_TABLE[command])]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    ["", "bogus", "verify", "verify bogus", "thm2", "thm2 extra", "oracle sunit_pairs --bound x", "--seed 1 thm2"],
+)
+def test_cli_usage_errors_are_the_full_trees(capsys, argv):
+    # an unknown, missing or incomplete command builds the whole tree; each error and exit code is its own
+    with pytest.raises(SystemExit) as stop:
+        cli.build_parser().parse_args(argv.split())
+    want = capsys.readouterr().err
+    with pytest.raises(SystemExit) as ours:
+        main(argv.split())
+    assert capsys.readouterr().err == want and stop.value.code == ours.value.code == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [

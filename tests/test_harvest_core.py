@@ -285,6 +285,26 @@ def harvested_keys(*args):
     return result, seen[0]
 
 
+@pytest.mark.parametrize(
+    "shifts, c_values, r_values, zero",
+    [
+        ([1, 5], [2, 5], [3, 4], 0),  # max(shifts) = 5 < 6 = min(C)*min(R): no u = 0 hit, no range test
+        ([1, 6], [2, 5], [3, 4], 2),  # 6 = min(C)*min(R): a*0 + 6 = 2*3*1 at both moduli, dropped by the range test
+        ([4, 3], [3, 4], [1], 4),  # thm2's R = {1}: 3 = min(C); a*0 + 3 = 3*1 and a*0 + 4 = 4*1
+        ([2], [3, 4], [1], 0),  # 2 < 3
+    ],
+)
+def test_u_zero_range_test_only_where_a_shift_reaches_it(shifts, c_values, r_values, zero):
+    # a u = 0 hit has s = c*r*w >= min(C)*min(R); at equality its hit is still dropped
+    a_values, W = [7, 11], 9
+    tally, u_zero = brute_tally(a_values, [c * r for c in c_values for r in r_values], W, shifts)
+    assert u_zero == zero
+    (span, stats, key, _, got_zero), got = harvested_keys(a_values, shifts, c_values, r_values, W, CAP)
+    assert got_zero == zero and stats["total_hits"] == sum(tally.values())
+    assert_stats_match_tally(stats, tally, stats["possible_buckets"])
+    assert span == (min(tally), max(tally)) and key == min(tally, key=lambda k: (-tally[k], k))
+
+
 @PROFILE
 @given(
     st.sets(st.integers(1026, 3000), max_size=3),
@@ -379,35 +399,45 @@ def test_coefficients_below_the_packed_range_refused(harvest, sets, message):
         harvest(*sets, 6, PrimeSet((2, 3, 5, 7)), CAP)
 
 
+def walking_twice(monkeypatch, written):
+    """Patch the linear harvest's kernel to walk every column twice, so every hit twice,
+    into the slice it is given; written collects that slice and a copy of it as given."""
+    real = pipelines.progressions
+
+    def twice(a, c, shifts, W, e, r, out):
+        written.append((out, out.copy()))
+        return real(a, c, np.tile(shifts, 2), W, np.tile(e, 2), np.tile(r, 2) if np.ndim(r) else r, out)
+
+    monkeypatch.setattr(pipelines, "progressions", twice)
+    monkeypatch.setattr(pipelines, "popular_bucket", lambda *args: pytest.fail("the keys were tallied"))
+
+
 @pytest.mark.parametrize(
     "harvest, sets",
     [(thm1_harvest, ([3, 5], [2, 7], [11, 13])), (thm2_harvest, ([3, 5], [1, 4, 6], [2, 7, 11]))],
 )
 def test_count_checked_against_listing(monkeypatch, harvest, sets):
-    # every hit walked twice: the walk of the first modulus does not match its count
-    real = pipelines.progressions
-    monkeypatch.setattr(pipelines, "progressions", lambda *args: np.tile(real(*args), 2))
+    # every hit walked twice: the walk of the first modulus does not match its count,
+    # and is caught before it writes a key or any tally runs
+    written = []
+    walking_twice(monkeypatch, written)
     with pytest.raises(RuntimeError, match=r"^modulus 3: counted \d+ hits, walked \d+$") as fault:
         harvest(*sets, 10, primes_of(*sets), CAP)
     counted, walked = map(int, re.findall(r"\d+", str(fault.value))[1:])
     assert walked == 2 * counted > 0
+    [(out, given)] = written
+    assert len(out) == counted and np.array_equal(out, given)
 
 
 def test_kernel_repeating_a_row_is_caught_before_any_key(monkeypatch):
-    # A = {5, 7}, C = {2}, W = 5: one hit per modulus; a kernel that repeats its
-    # first key is caught at a = 5, before the next modulus walks or any tally runs
-    real, walked = pipelines.progressions, []
-
-    def repeating(a, *args):
-        walked.append(a)
-        key = real(a, *args)
-        return np.append(key, key[:1])
-
-    monkeypatch.setattr(pipelines, "progressions", repeating)
-    monkeypatch.setattr(pipelines, "popular_bucket", lambda *args: pytest.fail("the keys were tallied"))
+    # A = {5, 7}, C = {2}, W = 5: one hit per modulus; a kernel that walks its one row
+    # twice is caught at a = 5, before it writes, the next modulus walks or any tally runs
+    written = []
+    walking_twice(monkeypatch, written)
     with pytest.raises(RuntimeError, match=r"^modulus 5: counted 1 hits, walked 2$"):
         _linear_harvest([5, 7], [1], [2], [1], 5, CAP)
-    assert walked == [5]
+    [(out, given)] = written
+    assert np.array_equal(out, given)
 
 
 @pytest.mark.parametrize(
@@ -504,10 +534,17 @@ def test_progressions_match_brute(a, c_values, shifts, W):
 
 
 def solutions(a, c_values, shifts, W):
-    """progressions with e = W*d, d = -(shift // a), and r = 1, its keys decoded:
-    the rows (u, w) of a*u + shift = c*w."""
+    """progressions with e = W*d, d = -(shift // a), and r = 1, into an array sized by
+    count_hits, its keys decoded: the rows (u, w) of a*u + shift = c*w."""
     d = -(np.asarray(shifts, dtype=np.int64) // a)
-    return decode(progressions(a, c_values, shifts, W, W * d, 1), W)
+    return decode(walk(progressions, a, c_values, shifts, W, W * d, 1, n=count_hits([a], c_values, W, shifts)), W)
+
+
+def walk(kernel, *args, n, dtype=np.int64):
+    """The n keys kernel(*args, out) writes into a new array out of length n and dtype."""
+    out = np.empty(n, dtype=dtype)
+    assert kernel(*args, out) == n
+    return out
 
 
 def decode(key, W, u_lo=0):
@@ -528,15 +565,11 @@ def brute_rows(a, c_values, pairs, W):
 
 
 def assert_rows(rows, want):
-    """rows, int64 arrays (u, w), are want's lists one after another, each in any order:
-    no caller reads the order within one c, which differs between the walks."""
+    """rows, int64 arrays (u, w), are the rows of want's lists as a multiset, in any order:
+    no caller reads the order of the rows, which differs between the walks."""
     u, w = rows
     assert u.dtype == w.dtype == np.int64
-    got, start = list(zip(u.tolist(), w.tolist())), 0
-    assert len(got) == sum(map(len, want))
-    for group in want:
-        assert sorted(got[start : start + len(group)]) == sorted(group)
-        start += len(group)
+    assert sorted(zip(u.tolist(), w.tolist())) == sorted(row for group in want for row in group)
 
 
 def columns_of(a, pairs):
@@ -570,11 +603,12 @@ def test_both_walks_list_the_brute_rows(a, c_values, pairs, W, below):
     e = W * (d - u_lo)
     units = [c for c in c_values if gcd(c, a) == 1]
     c, inv = (np.array(v, dtype=np.int64) for v in (units, [pow(x, -1, a) for x in units]))
-    assert_rows(decode(stepping._join(a, c, rho, W, e, r), W, u_lo), want)
-    assert_rows(decode(stepping._start(a, c, inv, rho, W, e, r), W, u_lo), want)
-    assert_rows(decode(progressions(a, c_values, rho, W, e, r), W, u_lo), want)
+    n = sum(map(len, want))
+    assert_rows(decode(walk(stepping._join, a, c, rho, W, e, r, n=n), W, u_lo), want)
+    assert_rows(decode(walk(stepping._start, a, c, inv, rho, W, e, r, n=n), W, u_lo), want)
+    assert_rows(decode(walk(progressions, a, c_values, rho, W, e, r, n=n), W, u_lo), want)
     if all(r == 1):  # thm2's r = 1, which gathers nothing
-        assert_rows(decode(progressions(a, c_values, rho, W, e, 1), W, u_lo), want)
+        assert_rows(decode(walk(progressions, a, c_values, rho, W, e, 1, n=n), W, u_lo), want)
 
 
 @pytest.mark.parametrize("shifts, joins", [([1, 5, -3, 2, 9], False), ([1, 5, -3, 2, 9, 4], True)])
@@ -605,7 +639,7 @@ def test_start_walk_peak_is_two_row_arrays():
     c = np.array([c for c in range(1, 40_000) if c % 7], dtype=np.int64)  # 34,285 units mod 7
     tracemalloc.start()
     try:
-        key = progressions(7, c, [1], 700, np.zeros(1, dtype=np.int64), 1)
+        key = walk(progressions, 7, c, [1], 700, np.zeros(1, dtype=np.int64), 1, n=c.size * 100)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -741,20 +775,77 @@ def test_decompositions_invert_each_modulus_once(monkeypatch, empty_tables):
 @example(5, [4, 9, -1, 2, 7, 4], [2, 5], 3)  # repeated residues, repeated shifts
 @example(99_991, [99_990, -1, 0, 99_990, 1], [1, -1, 99_990], 2)  # residues near a: sh*n + k near a*n
 def test_join_groups_shifts_as_the_stable_argsort(a, shifts, c_values, W):
-    # every (c, w) cell matches its shifts in the order of the stable argsort of the
-    # residues, each row's u = r*(c*w // a) + d from its own shift's d and r
-    order = np.argsort(np.array(shifts) % a, kind="stable").tolist()
+    # every (c, w) cell matches each shift of its residue once, each row's
+    # u = r*(c*w // a) + d from its own shift's d and r, in any order
     d, r = [100 * j - 7 for j in range(len(shifts))], [j % 3 + 1 for j in range(len(shifts))]
     want = [
         (r[j] * (c * w // a) + d[j], w)
         for c in c_values
         for w in range(1, W + 1)
-        for j in order
+        for j in range(len(shifts))
         if (c * w - shifts[j]) % a == 0
     ]
     rho, d, r = (np.array(v, dtype=np.int64) for v in (np.array(shifts) % a, d, r))
-    u, w = decode(stepping._join(a, np.array(c_values, dtype=np.int64), rho, W, W * d, r), W)
-    assert list(zip(u.tolist(), w.tolist())) == want
+    key = walk(stepping._join, a, np.array(c_values, dtype=np.int64), rho, W, W * d, r, n=len(want))
+    assert_rows(decode(key, W), [want])
+
+
+def join_brute(a, c_values, columns, W, with_r):
+    """The join's keys W*r*(c*w // a) + e + (w - 1) over every cell (c, w <= W) and column
+    (rho, e, r) with c*w == rho (mod a), in Python ints; r is read as 1 unless with_r."""
+    return [
+        W * (r if with_r else 1) * (c * w // a) + e + w - 1
+        for c in c_values
+        for w in range(1, W + 1)
+        for rho, e, r in columns
+        if (c * w - rho) % a == 0
+    ]
+
+
+@PROFILE
+@given(
+    st.integers(1, 40),
+    st.lists(st.integers(-50, 50), max_size=6),
+    st.lists(st.tuples(st.integers(0, 39), st.integers(-500, 500), st.integers(0, 9)), max_size=40),
+    st.integers(0, 12),
+    st.booleans(),
+    st.sampled_from([np.int32, np.int64]),
+)
+@example(7, [1, 2], [(3, 5, 2), (3, 9, 1)], 6, True, np.int64)  # most cells' residues have no column
+@example(10, [2, 4], [(1, 0, 1), (3, 4, 2), (4, 8, 3), (4, 1, 1)], 5, False, np.int32)  # odd columns unreached
+@example(5, [1, 3], [(1, 0, 1), (1, 3, 2), (2, 7, 3), (2, 1, 4)], 8, True, np.int32)  # one count class
+@example(12, [1, 5, 7], [(r, 10 * j, j) for j, r in enumerate([1, 2, 2, 3, 3, 3, 4, 4, 4, 4])], 12, True, np.int64)
+@example(1, [3, -2, 0], [(0, 4, 2), (0, -3, 5)], 4, True, np.int32)  # a == 1: every cell meets every column
+@example(9, [2, 4, 5], [(2, 1, 3), (4, 2, 1), (5, 0, 2), (8, 6, 1)], 1, True, np.int64)  # W == 1
+@example(6, [5], [], 4, False, np.int64)  # no column at all
+@example(6, [], [(1, 2, 3)], 4, True, np.int32)  # no cell at all
+def test_join_writes_the_brute_keys(a, c_values, columns, W, with_r, dtype):
+    # the join writes each cell's key for each column of its residue, as a multiset, in out's dtype;
+    # given an out of another length it writes nothing and returns the count
+    columns = [(rho % a, e, r) for rho, e, r in columns]
+    want = sorted(join_brute(a, c_values, columns, W, with_r))
+    rho, e, r = (np.array([column[i] for column in columns], dtype=np.int64) for i in range(3))
+    args = a, np.array(c_values, dtype=np.int64), rho, W, e, r if with_r else 1
+    assert sorted(walk(stepping._join, *args, n=len(want), dtype=dtype).tolist()) == want
+    out = np.full(len(want) + 1, 7, dtype=dtype)
+    assert stepping._join(*args, out) == len(want) and (out == 7).all()
+
+
+def test_join_sort_key_past_2_32():
+    # the join orders its m columns by one value sort of rank*m + k, rank < a and k < m:
+    # here a*m passes 2^32, so the keys of the top residues need int64, which holds below a*m
+    a, m, W = 99_991, 50_000, 2
+    rng = np.random.default_rng(5)
+    rho = np.concatenate([rng.integers(0, a, m - 20), np.full(20, a - 1)])
+    e, r = rng.integers(0, 10**6, m), rng.integers(1, 10, m)
+    c_values = [1, 7, a - 1, 12_345]
+    assert a * m > 2**32 and len(c_values) * W + a < len(c_values) * m  # the join, as progressions takes it
+    cw = np.array([c * w for c in c_values for w in range(1, W + 1)])
+    hit = cw[:, None] % a == rho  # every (cell, column) pair, by numpy
+    cell, col = np.nonzero(hit)
+    want = W * r[col] * (cw[cell] // a) + e[col] + (np.tile(np.arange(W), len(c_values))[cell])
+    key = walk(stepping._join, a, np.array(c_values, dtype=np.int64), rho, W, e, r, n=len(want))
+    assert len(want) > 20 and sorted(key.tolist()) == sorted(want.tolist())
 
 
 @pytest.mark.parametrize("a, dtype", [(46_341, np.int32), (46_342, np.int64)])
@@ -815,9 +906,9 @@ def test_kernel_refuses_moduli_below_1():
         with pytest.raises(DomainError):
             count_hits([7, a], [3, 4], 10)
         with pytest.raises(DomainError):
-            progressions(a, [3], [1], 5, np.zeros(1, dtype=np.int64), 1)
-        with pytest.raises(DomainError):
-            progressions(a, [3, 4], list(range(20)), 1, np.zeros(20, dtype=np.int64), 1)  # many shifts: the join
+            progressions(a, [3], [1], 5, np.zeros(1, dtype=np.int64), 1, np.empty(0, dtype=np.int64))
+        with pytest.raises(DomainError):  # many shifts: the join
+            progressions(a, [3, 4], list(range(20)), 1, np.zeros(20, dtype=np.int64), 1, np.empty(0, dtype=np.int64))
 
 
 def progression_rows(a, c_values, shifts, W):
